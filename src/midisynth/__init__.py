@@ -24,6 +24,7 @@ from .errors import (
     MidiSynthError,
     NyquistViolation,
     SampleRateMismatch,
+    TrainingDiverged,
     TruncatedTrack,
     UnsupportedDivision,
 )

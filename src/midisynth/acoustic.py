@@ -27,11 +27,10 @@ import numpy as np
 
 from . import autograd as ag
 from .dsp import FeatureMatrix
-from .errors import CorruptCheckpoint, DimensionMismatch, LengthMismatch
-from .formats import read_container, write_container
+from .errors import DimensionMismatch, LengthMismatch
 from .midi_io import PianoRoll
-from .params import ModelParams, adam_update, init_params, pack_state_tensors, \
-    unpack_state_tensors, validate_state_shapes, zero_params
+from .params import ModelParams, fit, init_params, load_model, save_model, \
+    zero_params
 
 AM_MAGIC = b"ACM1"
 VARIANTS = ("taco2", "taco3", "taco4")
@@ -76,6 +75,8 @@ class AmConfig:
         if len(self.prenet_widths) != 2 or min(self.prenet_widths) < 1:
             raise ValueError("prenet_widths must be two positive integers")
         object.__setattr__(self, "prenet_widths", tuple(self.prenet_widths))
+        if self.output_kind not in ("mel-fb", "midi-fb"):
+            raise ValueError("output_kind must be mel-fb or midi-fb")
 
     @property
     def reduction_factor(self):
@@ -85,12 +86,6 @@ class AmConfig:
     def prenet_input_dim(self):
         extra = self.input_dim if self.variant == "taco3" else 0
         return self.output_dim + extra
-
-    def to_fields(self):
-        return (int(self.variant[-1]), self.input_dim, self.output_dim,
-                self.downsample_factor, self.encoder_channels,
-                self.decoder_state_dim, self.prenet_widths[0],
-                self.prenet_widths[1], self.postnet_channels)
 
 
 @dataclass(frozen=True)
@@ -351,41 +346,21 @@ def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
 
 def am_train(params: ModelParams, dataset, train_cfg: AmTrainConfig,
              cfg: AmConfig, on_epoch_end=None):
-    """Adam training over (roll, target features) pairs.
+    """Train with params.fit over (roll, target features) pairs.
 
-    Batch gradients are averaged; dropout masks derive from the train
-    seed, the step index, and the item index, so runs are reproducible.
-    Returns (updated params copy, [(step, batch loss), ...]).
+    Dropout masks derive from the train seed, the step index, and the
+    item index, so runs are reproducible.  Returns (updated params copy,
+    [(step, batch loss), ...]).
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("training dataset is empty")
-    params = params.copy()
-    rng = np.random.default_rng(train_cfg.seed)
-    history = []
-    for epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(dataset))
-        for lo in range(0, len(order), train_cfg.batch_size):
-            batch = order[lo : lo + train_cfg.batch_size]
-            total = {name: np.zeros_like(v) for name, v in params.tensors.items()}
-            loss_sum = 0.0
-            for idx in batch:
-                roll, target = dataset[idx]
-                item_seed = np.random.SeedSequence(
-                    (train_cfg.seed, params.step, int(idx))).generate_state(1)[0]
-                loss, grads, _ = am_teacher_forced(params, roll, target, cfg,
-                                                   train_mode=True,
-                                                   seed=int(item_seed))
-                loss_sum += loss
-                for name in total:
-                    total[name] += grads[name]
-            n = len(batch)
-            adam_update(params, {k: v / n for k, v in total.items()},
-                        train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2)
-            history.append((params.step, loss_sum / n))
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, params)
-    return params, history
+    def loss_and_grads(p, item, idx):
+        roll, target = item
+        item_seed = np.random.SeedSequence(
+            (train_cfg.seed, p.step, int(idx))).generate_state(1)[0]
+        loss, grads, _ = am_teacher_forced(p, roll, target, cfg,
+                                           train_mode=True, seed=int(item_seed))
+        return loss, grads
+
+    return fit(params, dataset, loss_and_grads, train_cfg, on_epoch_end)
 
 
 # --- warm starting and checkpoints -------------------------------------------
@@ -421,28 +396,25 @@ def warm_start_from(base: ModelParams, base_cfg: AmConfig,
     return ModelParams(tensors=tensors)
 
 
+def _v1_config(fields):
+    """The nine u32 fields of a version-1 checkpoint as AmConfig arguments."""
+    code, input_dim, output_dim, factor, enc, dec, w1, w2, post = fields
+    return dict(variant=f"taco{code}", input_dim=input_dim,
+                output_dim=output_dim, downsample_factor=factor,
+                encoder_channels=enc, decoder_state_dim=dec,
+                prenet_widths=(w1, w2), postnet_channels=post)
+
+
 def am_save_checkpoint(path, params: ModelParams, cfg: AmConfig) -> None:
-    write_container(path, AM_MAGIC, cfg.to_fields(), pack_state_tensors(params))
+    save_model(path, AM_MAGIC, params, cfg)
 
 
 def am_load_checkpoint(path, expected_cfg: AmConfig | None = None):
     """Read an acoustic checkpoint, returning (params, config).
 
-    Widths come from the stored config block; training-only knobs
-    (dropout rate) fall back to the variant defaults.
+    Every config field is stored.  A version-1 file lacks prenet_dropout
+    and output_kind; they come from expected_cfg when given, else from
+    the defaults.
     """
-    fields, tensors = read_container(path, AM_MAGIC, 9)
-    code, input_dim, output_dim, factor, enc, dec, w1, w2, post = \
-        (int(f) for f in fields)
-    if code not in (2, 3, 4):
-        raise CorruptCheckpoint(f"{path}: unknown variant code {code}")
-    cfg = AmConfig(variant=f"taco{code}", input_dim=input_dim,
-                   output_dim=output_dim, downsample_factor=factor,
-                   encoder_channels=enc, decoder_state_dim=dec,
-                   prenet_widths=(w1, w2), postnet_channels=post)
-    if expected_cfg is not None and cfg.to_fields() != expected_cfg.to_fields():
-        raise CorruptCheckpoint(
-            f"{path}: checkpoint config {cfg} does not match expected {expected_cfg}")
-    params = unpack_state_tensors(tensors)
-    validate_state_shapes(path, params, am_param_shapes(cfg), CorruptCheckpoint)
-    return params, cfg
+    return load_model(path, AM_MAGIC, AmConfig, am_param_shapes, 9,
+                      _v1_config, expected_cfg)

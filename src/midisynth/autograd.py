@@ -31,10 +31,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """An array plus the backward closures that feed its parents."""
 
@@ -129,11 +125,6 @@ def mul(a, b):
                    (b, lambda g: _unbroadcast(g * a.value, b.value.shape))])
 
 
-def scale(a, s: float):
-    a = as_tensor(a)
-    return Tensor(a.value * s, [(a, lambda g: g * s)])
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
@@ -178,13 +169,6 @@ def square_error_mean(a, b):
                    (b, lambda g: (-2.0 / n) * g * diff)])
 
 
-def add_scalar_losses(losses):
-    total = losses[0]
-    for item in losses[1:]:
-        total = add(total, item)
-    return total
-
-
 # --- shape ops -------------------------------------------------------------
 
 
@@ -222,13 +206,6 @@ def slice_rows(a, start: int, stop: int):
     if not 0 <= start <= stop <= n:
         raise ValueError(f"slice [{start}:{stop}] outside {n} rows")
     return Tensor(a.value[start:stop], [(a, back)])
-
-
-def shift_rows(a, k: int):
-    """Shift rows down by k (prepending zero rows); negative k shifts up."""
-    a = as_tensor(a)
-    value = _shift_array(a.value, k)
-    return Tensor(value, [(a, lambda g: _shift_array(g, -k))])
 
 
 def _shift_array(x, k):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -316,12 +317,25 @@ def _segment_frames(n_frames, per_segment):
             for lo in range(0, n_frames - per_segment + 1, per_segment)]
 
 
-def _write_history(path, history):
-    with open(path, "w", newline="") as fh:
+def _fit_and_save(out, ckpt_name, train, save, params, dataset, train_cfg,
+                  model_cfg):
+    """Train, checkpointing after every epoch, then write loss.csv."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out_dir / ckpt_name
+    params, history = train(
+        params, dataset, train_cfg, model_cfg,
+        on_epoch_end=lambda _epoch, p: save(ckpt_path, p, model_cfg))
+    save(ckpt_path, params, model_cfg)
+    with open(out_dir / "loss.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
         for step, loss in history:
             writer.writerow([step, f"{loss:.6f}"])
+    print(f"trained on {len(dataset)} segments for {train_cfg.epochs} epochs; "
+          f"final loss {history[-1][1]:.4f}")
+    print(f"wrote {ckpt_path} and {out_dir / 'loss.csv'}")
+    return 0
 
 
 def _train_nsf(args, model_section, train_section, data_section):
@@ -387,18 +401,8 @@ def _train_nsf(args, model_section, train_section, data_section):
         params, loaded_cfg = nsf.load_checkpoint(args.resume, model_cfg)
     else:
         params = nsf.nsf_init(model_cfg, seed=train_cfg.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "nsf.ckpt"
-    save = lambda epoch, p: nsf.save_checkpoint(ckpt_path, p, model_cfg)
-    params, history = nsf.nsf_train(params, dataset, train_cfg, model_cfg,
-                                    on_epoch_end=save)
-    nsf.save_checkpoint(ckpt_path, params, model_cfg)
-    _write_history(out_dir / "loss.csv", history)
-    print(f"trained on {len(dataset)} segments for {train_cfg.epochs} epochs; "
-          f"final loss {history[-1][1]:.4f}")
-    print(f"wrote {ckpt_path} and {out_dir / 'loss.csv'}")
-    return 0
+    return _fit_and_save(args.out, "nsf.ckpt", nsf.nsf_train, nsf.save_checkpoint,
+                         params, dataset, train_cfg, model_cfg)
 
 
 def _train_am(args, model_section, train_section, data_section):
@@ -451,30 +455,20 @@ def _train_am(args, model_section, train_section, data_section):
         params = acoustic.warm_start_from(base_params, base_cfg, model_cfg)
     else:
         params = acoustic.am_init(model_cfg, seed=train_cfg.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "am.ckpt"
-    save = lambda epoch, p: acoustic.am_save_checkpoint(ckpt_path, p, model_cfg)
-    params, history = acoustic.am_train(params, dataset, train_cfg, model_cfg,
-                                        on_epoch_end=save)
-    acoustic.am_save_checkpoint(ckpt_path, params, model_cfg)
-    _write_history(out_dir / "loss.csv", history)
-    print(f"trained on {len(dataset)} segments for {train_cfg.epochs} epochs; "
-          f"final loss {history[-1][1]:.4f}")
-    print(f"wrote {ckpt_path} and {out_dir / 'loss.csv'}")
-    return 0
+    return _fit_and_save(args.out, "am.ckpt", acoustic.am_train,
+                         acoustic.am_save_checkpoint, params, dataset,
+                         train_cfg, model_cfg)
 
 
-NSF_MODEL_KEYS = ("feature_dim", "upsample_factor", "n_blocks", "convs_per_block",
-                  "channels", "kernel")
-NSF_TRAIN_KEYS = ("learning_rate", "beta1", "beta2", "batch_size",
-                  "segment_seconds", "epochs", "seed")
+def _field_names(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+NSF_MODEL_KEYS = _field_names(nsf.NsfConfig)
+NSF_TRAIN_KEYS = _field_names(nsf.TrainConfig)
 NSF_DATA_KEYS = ("rate", "features", "excitation", "n_mels", "frame_length", "fft")
-AM_MODEL_KEYS = ("variant", "input_dim", "output_dim", "downsample_factor",
-                 "prenet_dropout", "encoder_channels", "decoder_state_dim",
-                 "prenet_widths", "postnet_channels", "output_kind")
-AM_TRAIN_KEYS = ("learning_rate", "beta1", "beta2", "batch_size",
-                 "segment_frames", "epochs", "seed")
+AM_MODEL_KEYS = _field_names(acoustic.AmConfig)
+AM_TRAIN_KEYS = _field_names(acoustic.AmTrainConfig)
 AM_DATA_KEYS = ("rate", "bank", "n_mels", "frame_length", "frame_shift", "fft")
 
 

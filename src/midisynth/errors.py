@@ -31,6 +31,10 @@ class CorruptCheckpoint(MidiSynthError):
     """Checkpoint bytes are truncated, fail CRC, or disagree with the config."""
 
 
+class TrainingDiverged(MidiSynthError):
+    """A training step produced a non-finite loss or gradient."""
+
+
 class SampleRateMismatch(ValueError):
     """Two signals (or a signal and a config) carry different sample rates."""
 

@@ -1,13 +1,15 @@
 """Binary file formats: PCM16 WAV, feature matrices, model checkpoints.
 
 All multi-byte fields are little-endian.  The feature file and the
-checkpoint container are fixed layouts described field by field in the
+checkpoint container are layouts described field by field in the
 writer docstrings; readers validate magic numbers, declared sizes, and
 (for checkpoints) a trailing CRC32 before trusting any payload.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import struct
 import zlib
 
@@ -120,31 +122,28 @@ def feature_from_roll(roll: PianoRoll) -> FeatureMatrix:
                          roll.sample_rate_hint)
 
 
-def roll_from_feature(feat: FeatureMatrix) -> PianoRoll:
-    if feat.kind != "piano-roll":
-        raise FileFormatError(f"expected a piano-roll feature file, got {feat.kind!r}")
-    return PianoRoll(feat.values, feat.frame_shift, feat.sample_rate)
-
-
 # --- checkpoint container ---------------------------------------------------
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def write_container(path, magic: bytes, config_fields, tensors) -> None:
-    """Write a checkpoint container.
+def write_container(path, magic: bytes, config: dict, tensors) -> None:
+    """Write a version-2 checkpoint container.
 
-    Layout: 4-byte magic, u32 version, the u32 config fields, u32 tensor
-    count, then per tensor in sorted name order: u16 name length, UTF-8
-    name, u8 ndim, u32 per dimension, float32 data row-major.  A CRC32
-    of everything before it closes the file.
+    Layout: 4-byte magic, u32 version, u32 byte length of the config
+    block, the config block (the config dict as compact sorted-key JSON,
+    UTF-8), u32 tensor count, then per tensor in sorted name order: u16
+    name length, UTF-8 name, u8 ndim, u32 per dimension, float32 data
+    row-major.  A CRC32 of everything before it closes the file.  The
+    bytes go to a temporary file that then replaces path, so a failed
+    write leaves an earlier file at path intact.
     """
+    block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     out = bytearray()
     out += magic
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    for field in config_fields:
-        out += struct.pack("<I", int(field))
+    out += struct.pack("<II", CHECKPOINT_VERSION, len(block))
+    out += block
     out += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
         arr = np.asarray(tensors[name], dtype=np.float64)
@@ -155,54 +154,70 @@ def write_container(path, magic: bytes, config_fields, tensors) -> None:
             out += struct.pack("<I", dim)
         out += arr.astype("<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(out))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_container(path, magic: bytes, n_config_fields: int):
-    """Read a container written by write_container.
+    """Read a container written by write_container, or a version-1 one.
 
-    Returns (config_fields tuple, dict of float64 tensors).  Any
-    structural defect, bad magic, short read, or CRC mismatch raises
-    CorruptCheckpoint.
+    Version 1 has the same layout except that n_config_fields u32 values
+    stand where version 2 has the length-prefixed JSON block.  Returns
+    (config, dict of float64 tensors), where config is the JSON object of
+    a version-2 file or the tuple of u32 fields of a version-1 file.  Any
+    structural defect, bad magic, short read, malformed config block, or
+    CRC mismatch raises CorruptCheckpoint.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4 or data[:4] != magic:
         raise CorruptCheckpoint(f"{path}: bad magic, expected {magic!r}")
-    if len(data) < 8 + 4 * n_config_fields + 4 + 4:
+    if len(data) < 12:
         raise CorruptCheckpoint(f"{path}: file shorter than fixed header")
+    body = data[:-4]
     (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise CorruptCheckpoint(f"{path}: CRC mismatch, file is corrupt")
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != CHECKPOINT_VERSION:
+    (version,) = struct.unpack("<I", body[4:8])
+    if version not in (1, CHECKPOINT_VERSION):
         raise CorruptCheckpoint(f"{path}: unsupported checkpoint version {version}")
-    pos = 8
-    fields = struct.unpack(f"<{n_config_fields}I", data[pos : pos + 4 * n_config_fields])
-    pos += 4 * n_config_fields
-    (count,) = struct.unpack("<I", data[pos : pos + 4])
-    pos += 4
-    end = len(data) - 4
     tensors = {}
     try:
+        if version == 1:
+            config = struct.unpack_from(f"<{n_config_fields}I", body, 8)
+            pos = 8 + 4 * n_config_fields
+        else:
+            (size,) = struct.unpack_from("<I", body, 8)
+            pos = 12 + size
+            config = json.loads(body[12:pos].decode("utf-8"))
+            if not isinstance(config, dict):
+                raise CorruptCheckpoint(f"{path}: config block is not a JSON object")
+        (count,) = struct.unpack_from("<I", body, pos)
+        pos += 4
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", data[pos : pos + 2])
+            (name_len,) = struct.unpack_from("<H", body, pos)
             pos += 2
-            name = data[pos : pos + name_len].decode("utf-8")
+            name = body[pos : pos + name_len].decode("utf-8")
             pos += name_len
-            ndim = data[pos]
+            ndim = body[pos]
             pos += 1
-            shape = struct.unpack(f"<{ndim}I", data[pos : pos + 4 * ndim])
+            shape = struct.unpack_from(f"<{ndim}I", body, pos)
             pos += 4 * ndim
             n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4
-            if pos + n_bytes > end:
+            if pos + n_bytes > len(body):
                 raise CorruptCheckpoint(f"{path}: tensor {name!r} overruns payload")
-            flat = np.frombuffer(data[pos : pos + n_bytes], dtype="<f4")
+            flat = np.frombuffer(body[pos : pos + n_bytes], dtype="<f4")
             tensors[name] = flat.astype(np.float64).reshape(shape)
             pos += n_bytes
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
-        raise CorruptCheckpoint(f"{path}: malformed tensor table ({exc})") from exc
-    if pos != end:
-        raise CorruptCheckpoint(f"{path}: {end - pos} unexpected trailing bytes")
-    return fields, tensors
+    except (struct.error, IndexError, ValueError, RecursionError) as exc:
+        raise CorruptCheckpoint(f"{path}: malformed header or tensor table "
+                                f"({exc})") from exc
+    if pos != len(body):
+        raise CorruptCheckpoint(f"{path}: {len(body) - pos} unexpected trailing bytes")
+    return config, tensors

@@ -125,7 +125,7 @@ def _data_byte(data, pos, end, what):
     return b, pos + 1
 
 
-def _parse_track(data, start, end, track_index):
+def _parse_track(data, start, end):
     """Decode one MTrk payload into (tick, order, kind, a, b) tuples.
 
     kind is one of "on", "off", "cc64", "tempo".  order preserves the
@@ -224,7 +224,7 @@ def parse_midi(data: bytes) -> NoteEventList:
         if body + chunk_len > len(data):
             raise TruncatedTrack("track chunk overruns end of file")
         if tag == b"MTrk":
-            events, end_tick = _parse_track(data, body, body + chunk_len, tracks_seen)
+            events, end_tick = _parse_track(data, body, body + chunk_len)
             for tick, order, kind, a, b in events:
                 merged.append((tick, tracks_seen, order, kind, a, b))
             max_tick = max(max_tick, end_tick)

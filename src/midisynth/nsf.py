@@ -19,11 +19,9 @@ import numpy as np
 
 from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
-from .errors import CorruptCheckpoint, DimensionMismatch, LengthMismatch, \
-    SampleRateMismatch
-from .formats import read_container, write_container
-from .params import ModelParams, adam_update, init_params, pack_state_tensors, \
-    unpack_state_tensors, validate_state_shapes, zero_params
+from .errors import DimensionMismatch, LengthMismatch, SampleRateMismatch
+from .params import ModelParams, fit, init_params, load_model, save_model, \
+    zero_params
 
 NSF_MAGIC = b"NSF1"
 CONDITION_KINDS = ("mel-fb", "midi-fb", "piano-roll")
@@ -43,10 +41,6 @@ class NsfConfig:
                   self.convs_per_block, self.channels, self.kernel)
         if any(int(f) != f or f <= 0 for f in fields):
             raise ValueError("all config fields must be positive integers")
-
-    def to_fields(self):
-        return (self.feature_dim, self.upsample_factor, self.n_blocks,
-                self.convs_per_block, self.channels, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -147,27 +141,6 @@ def _build_graph(tensors, feat_values, exc_values, cfg):
     return ag.hard_clip(x, -1.0, 1.0)
 
 
-def condition_upsample(params: ModelParams, features: FeatureMatrix,
-                       cfg: NsfConfig) -> np.ndarray:
-    """Frame features through the condition affine, stretched to sample rate.
-
-    Returns a (n_frames * upsample_factor, channels) array; sample t
-    interpolates frames at position t * (N - 1) / (T - 1) with endpoints
-    held.
-    """
-    if features.dim != cfg.feature_dim:
-        raise DimensionMismatch(
-            f"features have {features.dim} dims, model wants {cfg.feature_dim}")
-    if features.n_frames == 0:
-        return np.zeros((0, cfg.channels))
-    with ag.no_grad():
-        frame = ag.add(ag.matmul(ag.Tensor(features.values),
-                                 ag.Tensor(params.tensors["cond.weight"])),
-                       ag.Tensor(params.tensors["cond.bias"]))
-        out = ag.upsample_linear(frame, features.n_frames * cfg.upsample_factor)
-    return out.value
-
-
 def nsf_forward(params: ModelParams, features: FeatureMatrix,
                 excitation: WaveSignal, cfg: NsfConfig) -> WaveSignal:
     """Synthesize a waveform; length is exactly n_frames * upsample_factor."""
@@ -209,44 +182,28 @@ def nsf_backward(params: ModelParams, features: FeatureMatrix,
 
 def nsf_train(params: ModelParams, dataset, train_cfg: TrainConfig,
               cfg: NsfConfig, resolutions=None, on_epoch_end=None):
-    """Adam training over (features, excitation, target) triples.
+    """Train with params.fit over (features, excitation, target) triples.
 
-    Items are visited in a seeded shuffle each epoch; batch gradients are
-    averaged.  Returns (updated params copy, [(step, batch loss), ...]).
+    Returns (updated params copy, [(step, batch loss), ...]).
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValueError("training dataset is empty")
-    params = params.copy()
-    rng = np.random.default_rng(train_cfg.seed)
-    history = []
-    for epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(dataset))
-        for lo in range(0, len(order), train_cfg.batch_size):
-            batch = order[lo : lo + train_cfg.batch_size]
-            total = {name: np.zeros_like(v) for name, v in params.tensors.items()}
-            loss_sum = 0.0
-            for idx in batch:
-                features, excitation, target = dataset[idx]
-                loss, grads = nsf_backward(params, features, excitation,
-                                           target, cfg, resolutions)
-                loss_sum += loss
-                for name in total:
-                    total[name] += grads[name]
-            n = len(batch)
-            adam_update(params, {k: v / n for k, v in total.items()},
-                        train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2)
-            history.append((params.step, loss_sum / n))
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, params)
-    return params, history
+    def loss_and_grads(p, item, _idx):
+        features, excitation, target = item
+        return nsf_backward(p, features, excitation, target, cfg, resolutions)
+
+    return fit(params, dataset, loss_and_grads, train_cfg, on_epoch_end)
 
 
 # --- checkpoints -------------------------------------------------------------
 
 
+def _v1_config(fields):
+    """The six u32 fields of a version-1 checkpoint as NsfConfig arguments."""
+    return dict(zip(("feature_dim", "upsample_factor", "n_blocks",
+                     "convs_per_block", "channels", "kernel"), fields))
+
+
 def save_checkpoint(path, params: ModelParams, cfg: NsfConfig) -> None:
-    write_container(path, NSF_MAGIC, cfg.to_fields(), pack_state_tensors(params))
+    save_model(path, NSF_MAGIC, params, cfg)
 
 
 def load_checkpoint(path, expected_cfg: NsfConfig | None = None):
@@ -255,11 +212,5 @@ def load_checkpoint(path, expected_cfg: NsfConfig | None = None):
     The tensor table must match the config's shapes exactly; a checkpoint
     whose stored config disagrees with expected_cfg is rejected.
     """
-    fields, tensors = read_container(path, NSF_MAGIC, 6)
-    cfg = NsfConfig(*(int(f) for f in fields))
-    if expected_cfg is not None and cfg != expected_cfg:
-        raise CorruptCheckpoint(
-            f"{path}: checkpoint config {cfg} does not match expected {expected_cfg}")
-    params = unpack_state_tensors(tensors)
-    validate_state_shapes(path, params, nsf_param_shapes(cfg), CorruptCheckpoint)
-    return params, cfg
+    return load_model(path, NSF_MAGIC, NsfConfig, nsf_param_shapes, 6,
+                      _v1_config, expected_cfg)

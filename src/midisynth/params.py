@@ -1,10 +1,16 @@
-"""Named parameter collections, initialization, and the Adam update."""
+"""Named parameter collections, initialization, the Adam update, the
+training loop, and the checkpoints both models share."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import CorruptCheckpoint, TrainingDiverged
+from .formats import read_container, write_container
 
 ADAM_PREFIX_M = "adam.m."
 ADAM_PREFIX_V = "adam.v."
@@ -74,6 +80,47 @@ def adam_update(params: ModelParams, grads: dict, lr: float,
         tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,
+        on_epoch_end=None):
+    """Adam training, visiting the items in a seeded shuffle each epoch.
+
+    loss_and_grads(params, item, index) gives one item's (loss, grads);
+    their batch means drive one Adam step, unless either is non-finite,
+    which raises TrainingDiverged.  on_epoch_end(epoch, params) runs after
+    every epoch.  Returns (updated params copy, [(step, batch loss), ...]).
+    """
+    dataset = list(dataset)
+    if not dataset:
+        raise ValueError("training dataset is empty")
+    params = params.copy()
+    rng = np.random.default_rng(train_cfg.seed)
+    history = []
+    for epoch in range(train_cfg.epochs):
+        order = rng.permutation(len(dataset))
+        for lo in range(0, len(order), train_cfg.batch_size):
+            batch = order[lo : lo + train_cfg.batch_size]
+            total = {name: np.zeros_like(v) for name, v in params.tensors.items()}
+            loss_sum = 0.0
+            for idx in batch:
+                loss, grads = loss_and_grads(params, dataset[idx], idx)
+                loss_sum += loss
+                for name in total:
+                    total[name] += grads[name]
+            n = len(batch)
+            mean_loss = loss_sum / n
+            mean_grads = {k: v / n for k, v in total.items()}
+            if not (math.isfinite(mean_loss)
+                    and all(np.isfinite(g).all() for g in mean_grads.values())):
+                raise TrainingDiverged(f"non-finite loss or gradient at "
+                                       f"step {params.step + 1}")
+            adam_update(params, mean_grads, train_cfg.learning_rate,
+                        train_cfg.beta1, train_cfg.beta2)
+            history.append((params.step, mean_loss))
+        if on_epoch_end is not None:
+            on_epoch_end(epoch, params)
+    return params, history
+
+
 def pack_state_tensors(params: ModelParams) -> dict:
     """Flatten parameters and optimizer state into one name->tensor dict."""
     out = dict(params.tensors)
@@ -85,28 +132,27 @@ def pack_state_tensors(params: ModelParams) -> dict:
     return out
 
 
-def validate_state_shapes(path, params: "ModelParams", shapes: dict,
-                          error_cls: type) -> None:
+def _validate_state_shapes(path, params: ModelParams, shapes: dict) -> None:
     """Check a loaded parameter set against the shapes a config implies."""
     missing = set(shapes) - set(params.tensors)
     extra = set(params.tensors) - set(shapes)
     if missing or extra:
-        raise error_cls(
+        raise CorruptCheckpoint(
             f"{path}: tensor names disagree with config "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
     for name, shape in shapes.items():
         if params.tensors[name].shape != tuple(shape):
-            raise error_cls(
+            raise CorruptCheckpoint(
                 f"{path}: tensor {name!r} has shape {params.tensors[name].shape}, "
                 f"config implies {tuple(shape)}")
     for state in (params.adam_m, params.adam_v):
         for name, value in state.items():
             if name not in shapes:
-                raise error_cls(f"{path}: optimizer state for unknown "
-                                f"tensor {name!r}")
+                raise CorruptCheckpoint(f"{path}: optimizer state for unknown "
+                                        f"tensor {name!r}")
             if value.shape != tuple(shapes[name]):
-                raise error_cls(f"{path}: optimizer state shape mismatch "
-                                f"for {name!r}")
+                raise CorruptCheckpoint(f"{path}: optimizer state shape "
+                                        f"mismatch for {name!r}")
 
 
 def unpack_state_tensors(tensors: dict) -> ModelParams:
@@ -122,3 +168,40 @@ def unpack_state_tensors(tensors: dict) -> ModelParams:
         else:
             params.tensors[name] = value
     return params
+
+
+def save_model(path, magic: bytes, params: ModelParams, cfg) -> None:
+    """Checkpoint params, optimizer state and every field of cfg."""
+    write_container(path, magic, dataclasses.asdict(cfg),
+                    pack_state_tensors(params))
+
+
+def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
+               v1_config, expected_cfg=None):
+    """Read a checkpoint written by save_model, returning (params, config).
+
+    v1_config maps the n_v1_fields u32 values of a version-1 file to
+    config_cls arguments; fields it lacks come from expected_cfg if given,
+    so such a file is compared only on what it stored.  An invalid or
+    unexpected config, or tensors that do not fit param_shapes(config),
+    raise CorruptCheckpoint.
+    """
+    config, tensors = read_container(path, magic, n_v1_fields)
+    try:
+        if isinstance(config, dict):
+            if set(config) != {f.name for f in dataclasses.fields(config_cls)}:
+                raise CorruptCheckpoint(f"{path}: stored config keys {sorted(config)} "
+                                        f"are not the {config_cls.__name__} fields")
+            cfg = config_cls(**config)
+        elif expected_cfg is not None:
+            cfg = dataclasses.replace(expected_cfg, **v1_config(config))
+        else:
+            cfg = config_cls(**v1_config(config))
+    except (TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"{path}: invalid stored config ({exc})") from exc
+    if expected_cfg is not None and cfg != expected_cfg:
+        raise CorruptCheckpoint(
+            f"{path}: checkpoint config {cfg} does not match expected {expected_cfg}")
+    params = unpack_state_tensors(tensors)
+    _validate_state_shapes(path, params, param_shapes(cfg))
+    return params, cfg

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import helpers
+import v1_checkpoints as v1
 from midisynth import acoustic
 from midisynth.acoustic import AmConfig, AmTrainConfig
 from midisynth.dsp import FeatureMatrix
 from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
-                              LengthMismatch)
+                              LengthMismatch, TrainingDiverged)
 from midisynth.midi_io import PianoRoll
 
 
@@ -256,6 +259,16 @@ def test_train_loss_decreases_without_dropout(rng):
     assert hist[-1][1] < 0.7 * hist[0][1]
 
 
+def test_train_non_finite_target_raises(rng):
+    cfg = helpers.tiny_am_cfg("taco2", output_dim=4)
+    target = make_target(rng, 12, 4)
+    target.values[1, 1] = np.nan  # a frame the decoder is not fed
+    tc = AmTrainConfig(learning_rate=1e-3, batch_size=1, epochs=1)
+    with pytest.raises(TrainingDiverged):
+        acoustic.am_train(acoustic.am_init(cfg, seed=0),
+                          [(make_roll(rng, 12), target)], tc, cfg)
+
+
 def test_train_rejects_empty_dataset():
     cfg = helpers.tiny_am_cfg()
     with pytest.raises(ValueError):
@@ -319,13 +332,16 @@ def test_checkpoint_round_trip(tmp_path, rng):
 
 
 def test_checkpoint_variant_codes(tmp_path):
-    import struct
-    for variant, code in (("taco2", 2), ("taco3", 3), ("taco4", 4)):
-        cfg = helpers.tiny_am_cfg(variant)
-        path = tmp_path / f"{variant}.ckpt"
-        acoustic.am_save_checkpoint(path, acoustic.am_zero(cfg), cfg)
-        blob = path.read_bytes()
-        assert struct.unpack_from("<I", blob, 8)[0] == code
+    # version 1 numbers the variant in its first field; taco4 shares
+    # taco2's tensor shapes once its downsample field reads 1
+    taco4 = v1.patch_v1_field(v1.patch_v1_field(v1.AM_TACO2_V1, 0, 4), 3, 1)
+    path = tmp_path / "am.ckpt"
+    for variant, blob in (("taco2", v1.AM_TACO2_V1), ("taco3", v1.AM_TACO3_V1),
+                          ("taco4", taco4)):
+        path.write_bytes(blob)
+        _, cfg = acoustic.am_load_checkpoint(path)
+        assert cfg.variant == variant
+        assert cfg.downsample_factor == (1 if variant == "taco4" else 4)
 
 
 def test_checkpoint_expected_cfg_mismatch(tmp_path):
@@ -338,14 +354,61 @@ def test_checkpoint_expected_cfg_mismatch(tmp_path):
 
 
 def test_checkpoint_bad_variant_code(tmp_path):
-    cfg = helpers.tiny_am_cfg("taco2")
     path = tmp_path / "am.ckpt"
-    acoustic.am_save_checkpoint(path, acoustic.am_zero(cfg), cfg)
-    blob = bytearray(path.read_bytes())
-    import struct
-    import zlib
-    struct.pack_into("<I", blob, 8, 9)  # impossible variant code
-    body = bytes(blob[:-4])
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    fields = dataclasses.asdict(v1.am_v1_cfg("taco2"))
+    for blob in (v1.patch_v1_field(v1.AM_TACO2_V1, 0, 9),
+                 v1.as_v2(v1.AM_TACO2_V1, 9, {**fields, "variant": "taco9"})):
+        path.write_bytes(blob)
+        with pytest.raises(CorruptCheckpoint):
+            acoustic.am_load_checkpoint(path)
+
+
+def test_checkpoint_round_trip_every_field(tmp_path, rng):
+    cfg = AmConfig(variant="taco3", input_dim=5, output_dim=7,
+                   downsample_factor=2, prenet_dropout=0.25,
+                   encoder_channels=3, decoder_state_dim=4,
+                   prenet_widths=(6, 5), postnet_channels=2,
+                   output_kind="mel-fb")
+    path = tmp_path / "am.ckpt"
+    acoustic.am_save_checkpoint(path, acoustic.am_init(cfg, seed=1), cfg)
+    assert acoustic.am_load_checkpoint(path, expected_cfg=cfg)[1] == cfg
+
+    # mel features and a non-default dropout survive, so am+nsf labels
+    # and generates as trained
+    cfg = helpers.tiny_am_cfg("taco2", output_dim=80, output_kind="mel-fb",
+                              prenet_dropout=0.5)
+    acoustic.am_save_checkpoint(path, acoustic.am_init(cfg, seed=1), cfg)
+    params, loaded_cfg = acoustic.am_load_checkpoint(path)
+    assert loaded_cfg == cfg
+    assert loaded_cfg.prenet_dropout == 0.5
+    assert acoustic.am_generate(params, make_roll(rng, 8), loaded_cfg).kind == "mel-fb"
     with pytest.raises(CorruptCheckpoint):
-        acoustic.am_load_checkpoint(path)
+        acoustic.am_load_checkpoint(
+            path, expected_cfg=dataclasses.replace(cfg, prenet_dropout=0.99))
+
+
+def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
+    path = tmp_path / "am.ckpt"
+    for variant, blob in (("taco2", v1.AM_TACO2_V1), ("taco3", v1.AM_TACO3_V1)):
+        cfg = v1.am_v1_cfg(variant)
+        expected = acoustic.am_init(cfg, seed=4)
+        path.write_bytes(blob)
+        loaded, loaded_cfg = acoustic.am_load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert loaded.step == 0
+        assert sorted(loaded.tensors) == sorted(expected.tensors)
+        for name, value in expected.tensors.items():
+            assert np.array_equal(loaded.tensors[name], value.astype(np.float32))
+
+
+def test_checkpoint_v1_compared_on_stored_fields(tmp_path):
+    # version 1 kept no dropout or output kind, so resuming a mel model
+    # from such a file takes both from the expected config
+    path = tmp_path / "am.ckpt"
+    path.write_bytes(v1.AM_TACO2_V1)
+    expected = dataclasses.replace(v1.am_v1_cfg("taco2"), prenet_dropout=0.5,
+                                   output_kind="mel-fb")
+    assert acoustic.am_load_checkpoint(path, expected_cfg=expected)[1] == expected
+    with pytest.raises(CorruptCheckpoint):
+        acoustic.am_load_checkpoint(
+            path, expected_cfg=dataclasses.replace(expected, encoder_channels=2))

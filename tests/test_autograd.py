@@ -49,11 +49,6 @@ def test_broadcast_bias_grad(rng):
     fd_check(lambda x, y: scalarize(ag.add(x, y)), [a, bias])
 
 
-def test_scale_grad(rng):
-    a = rng.standard_normal((2, 3))
-    fd_check(lambda x: scalarize(ag.scale(x, -1.7)), [a])
-
-
 def test_matmul_grads(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
@@ -93,18 +88,6 @@ def test_concat_and_slice_grads(rng):
     d = rng.standard_normal((3, 4))
     fd_check(lambda x, y: scalarize(ag.concat_rows([x, y])), [c, d])
     fd_check(lambda x: scalarize(ag.slice_rows(x, 1, 3)), [d])
-
-
-def test_shift_rows_values_and_grads(rng):
-    a = rng.standard_normal((4, 2))
-    down = ag.shift_rows(ag.Tensor(a), 1)
-    assert np.array_equal(down.value[0], np.zeros(2))
-    assert np.array_equal(down.value[1:], a[:3])
-    up = ag.shift_rows(ag.Tensor(a), -2)
-    assert np.array_equal(up.value[:2], a[2:])
-    assert np.array_equal(up.value[2:], np.zeros((2, 2)))
-    fd_check(lambda x: scalarize(ag.shift_rows(x, 1)), [a])
-    fd_check(lambda x: scalarize(ag.shift_rows(x, -2)), [a])
 
 
 # --- sequence primitives ----------------------------------------------------
@@ -182,15 +165,8 @@ def test_no_grad_blocks_graph(rng):
         x = ag.Tensor(np.ones((2, 2)))
         y = ag.tanh(ag.matmul(x, ag.Tensor(np.ones((2, 2)))))
         assert not y.parents
-    assert ag.grad_enabled()
-
-
-def test_add_scalar_losses(rng):
-    parts = [ag.Tensor(np.array(float(v))) for v in (1.0, 2.5, 3.0)]
-    total = ag.add_scalar_losses(parts)
-    assert float(total.value) == pytest.approx(6.5)
-    ag.backward(total)
-    assert all(float(p.grad) == 1.0 for p in parts)
+    # recording resumes once the block exits
+    assert ag.tanh(x).parents
 
 
 def test_deep_chain_iterative_backward():

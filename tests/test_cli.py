@@ -448,7 +448,24 @@ def test_train_am_warm_start_switches_variant(tmp_path, capsys):
     _, cfg = acoustic.am_load_checkpoint(grown / "am.ckpt")
     assert cfg.variant == "taco3"
     raw = (grown / "am.ckpt").read_bytes()
-    assert raw[8:12] == (3).to_bytes(4, "little")
+    assert b'"variant":"taco3"' in raw
+
+
+def test_train_non_finite_loss_exits_2(tmp_path, capsys, monkeypatch):
+    data = make_pair(tmp_path / "data")
+    out = tmp_path / "run"
+
+    def nan_wav(path, rate):
+        wave = formats.read_wav(path)
+        return dsp.WaveSignal(np.full(len(wave), np.nan), wave.sample_rate)
+
+    monkeypatch.setattr(cli, "_read_wav_checked", nan_wav)
+    assert run_cli("train", "nsf", data, out, "--config",
+                   nsf_config(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss or gradient at step 1")
+    assert err.count("\n") == 1
+    assert not (out / "nsf.ckpt").exists()
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
-from midisynth import formats
+import v1_checkpoints as v1
+from midisynth import acoustic, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
 from midisynth.errors import CorruptCheckpoint, FileFormatError
 from midisynth.midi_io import PianoRoll
@@ -133,17 +135,17 @@ def test_feature_file_truncated(tmp_path):
         formats.read_feature_file(path)
 
 
-def test_roll_feature_round_trip(rng):
+def test_roll_feature_round_trip(tmp_path, rng):
     values = rng.random((6, 128))
     roll = PianoRoll(values, 0.012)
     feat = formats.feature_from_roll(roll)
     assert feat.kind == "piano-roll"
-    back = formats.roll_from_feature(feat)
-    assert np.allclose(back.values, values.astype(np.float32))
+    path = tmp_path / "roll.mfb"
+    formats.write_feature_file(path, feat)
+    back = formats.read_feature_file(path)
+    assert back.kind == "piano-roll"
+    assert np.array_equal(back.values, values.astype(np.float32))
     assert back.frame_shift == pytest.approx(0.012)
-    with pytest.raises(FileFormatError):
-        formats.roll_from_feature(
-            FeatureMatrix(np.zeros((2, 80)), "mel-fb", 0.012, 24000.0))
 
 
 # --- checkpoint containers ----------------------------------------------------
@@ -155,36 +157,78 @@ def sample_tensors(rng):
             "c.weight": rng.standard_normal((2, 2, 3))}
 
 
+CONFIG = {"b": 2, "a": [1, 2], "c": "taco2", "d": 0.5}
+
+
 def test_container_round_trip_byte_exact(tmp_path, rng):
     tensors = sample_tensors(rng)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    formats.write_container(p1, b"NSF1", (1, 2, 3), tensors)
-    fields, back = formats.read_container(p1, b"NSF1", 3)
-    assert fields == (1, 2, 3)
+    formats.write_container(p1, b"NSF1", CONFIG, tensors)
+    config, back = formats.read_container(p1, b"NSF1", 3)
+    assert config == CONFIG
     assert sorted(back) == sorted(tensors)
     for name, v in tensors.items():
         assert np.array_equal(back[name], v.astype(np.float32))
-    formats.write_container(p2, b"NSF1", fields, back)
+    formats.write_container(p2, b"NSF1", config, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_container_v2_header_layout(tmp_path, rng):
+    path = tmp_path / "h.ckpt"
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
+    blob = path.read_bytes()
+    version, size = struct.unpack_from("<II", blob, 4)
+    assert version == 2
+    assert blob[12 : 12 + size] == b'{"a":[1,2],"b":2,"c":"taco2","d":0.5}'
+    assert struct.unpack_from("<I", blob, 12 + size)[0] == 3
+
+
+def test_container_write_is_atomic(tmp_path, rng, monkeypatch):
+    path = tmp_path / "w.ckpt"
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
+    before = path.read_bytes()
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(formats, "open",
+                        lambda p, mode: HalfWriter(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        formats.write_container(path, b"NSF1", {"a": 1}, sample_tensors(rng))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert formats.read_container(path, b"NSF1", 1)[0] == CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.ckpt"]
 
 
 def test_container_names_stored_sorted(tmp_path, rng):
     path = tmp_path / "s.ckpt"
-    formats.write_container(path, b"NSF1", (0,), sample_tensors(rng))
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     blob = path.read_bytes()
     assert blob.index(b"a.bias") < blob.index(b"b.weight") < blob.index(b"c.weight")
 
 
 def test_container_wrong_magic(tmp_path, rng):
     path = tmp_path / "m.ckpt"
-    formats.write_container(path, b"NSF1", (0,), sample_tensors(rng))
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     with pytest.raises(CorruptCheckpoint):
         formats.read_container(path, b"ACM1", 1)
 
 
 def test_container_crc_detects_flip(tmp_path, rng):
     path = tmp_path / "c.ckpt"
-    formats.write_container(path, b"NSF1", (0,), sample_tensors(rng))
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -194,7 +238,7 @@ def test_container_crc_detects_flip(tmp_path, rng):
 
 def test_container_truncation_and_trailing_bytes(tmp_path, rng):
     path = tmp_path / "t.ckpt"
-    formats.write_container(path, b"NSF1", (0,), sample_tensors(rng))
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
     with pytest.raises(CorruptCheckpoint):
@@ -202,3 +246,61 @@ def test_container_truncation_and_trailing_bytes(tmp_path, rng):
     path.write_bytes(blob + b"\x00\x00")
     with pytest.raises(CorruptCheckpoint):
         formats.read_container(path, b"NSF1", 1)
+
+
+# --- stored model configs ---------------------------------------------------
+
+NSF_FIELDS = dataclasses.asdict(v1.NSF_V1_CFG)
+AM_FIELDS = dataclasses.asdict(v1.am_v1_cfg("taco2"))
+
+
+def nsf_v2(**changes):
+    return v1.as_v2(v1.NSF_V1, 6, {**NSF_FIELDS, **changes})
+
+
+def am_v2(**changes):
+    return v1.as_v2(v1.AM_TACO2_V1, 9, {**AM_FIELDS, **changes})
+
+
+BAD_CONFIGS = {
+    "v1-nsf-feature-dim-0": (nsf, lambda: v1.patch_v1_field(v1.NSF_V1, 0, 0)),
+    "v1-am-downsample-3": (acoustic, lambda: v1.patch_v1_field(v1.AM_TACO2_V1, 3, 3)),
+    "v1-am-variant-0": (acoustic, lambda: v1.patch_v1_field(v1.AM_TACO2_V1, 0, 0)),
+    "v2-malformed-json": (nsf, lambda: v1.as_v2(v1.NSF_V1, 6, b'{"feature_dim": 2,')),
+    "v2-not-utf8": (nsf, lambda: v1.as_v2(v1.NSF_V1, 6, b"\xff\xfe")),
+    "v2-not-an-object": (nsf, lambda: v1.as_v2(v1.NSF_V1, 6, [2, 4, 1, 1, 1, 2])),
+    "v2-unknown-key": (nsf, lambda: nsf_v2(dilation=2)),
+    "v2-missing-required-key": (nsf, lambda: v1.as_v2(
+        v1.NSF_V1, 6, {k: v for k, v in NSF_FIELDS.items() if k != "feature_dim"})),
+    "v2-missing-defaulted-key": (acoustic, lambda: v1.as_v2(
+        v1.AM_TACO2_V1, 9, {k: v for k, v in AM_FIELDS.items() if k != "output_kind"})),
+    "v2-nsf-channels-0": (nsf, lambda: nsf_v2(channels=0)),
+    "v2-nsf-string-width": (nsf, lambda: nsf_v2(feature_dim="2")),
+    "v2-am-dropout-1.5": (acoustic, lambda: am_v2(prenet_dropout=1.5)),
+    "v2-am-output-kind": (acoustic, lambda: am_v2(output_kind="linear-spec")),
+    "v2-am-widths-not-a-list": (acoustic, lambda: am_v2(prenet_widths=5)),
+    "v2-am-string-dim": (acoustic, lambda: am_v2(output_dim="1")),
+}
+
+
+def load_any(model, path):
+    if model is nsf:
+        return nsf.load_checkpoint(path)
+    return acoustic.am_load_checkpoint(path)
+
+
+def test_stored_config_fixtures_load(tmp_path):
+    path = tmp_path / "ok.ckpt"
+    for model, blob, cfg in ((nsf, nsf_v2(), v1.NSF_V1_CFG),
+                             (acoustic, am_v2(), v1.am_v1_cfg("taco2"))):
+        path.write_bytes(blob)
+        assert load_any(model, path)[1] == cfg
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_stored_config_is_corrupt(tmp_path, case):
+    model, build = BAD_CONFIGS[case]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(build())
+    with pytest.raises(CorruptCheckpoint):
+        load_any(model, path)

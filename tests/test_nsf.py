@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import helpers
+import v1_checkpoints
 from midisynth import nsf
 from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal
 from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
-                              LengthMismatch, SampleRateMismatch)
+                              LengthMismatch, SampleRateMismatch,
+                              TrainingDiverged)
 from midisynth.params import adam_update
 
 
@@ -137,25 +139,30 @@ def test_forward_empty_features():
 
 
 def test_condition_upsample_linear_ramp():
+    # with every other tensor zero, the output is the sum of the condition
+    # channels: the block adds h @ out.weight and h is the condition
     cfg = helpers.tiny_nsf_cfg(feature_dim=2, channels=2, upsample=4)
     params = nsf.nsf_zero(cfg)
     params.tensors["cond.weight"][:] = np.eye(2)
-    feats = FeatureMatrix(np.array([[0.0, 1.0], [7.0, 1.0]]), "mel-fb",
+    params.tensors["block0.out.weight"][:] = 1.0
+    feats = FeatureMatrix(np.array([[0.0, 0.2], [0.7, 0.2]]), "mel-fb",
                           4 / 24000.0, 24000.0)
-    cond = nsf.condition_upsample(params, feats, cfg)
-    assert cond.shape == (8, 2)
-    assert cond[:, 0] == pytest.approx(np.arange(8) / 7 * 7.0)
-    assert cond[:, 1] == pytest.approx(np.ones(8))
+    out = nsf.nsf_forward(params, feats, WaveSignal(np.zeros(8), 24000.0), cfg)
+    assert out.samples == pytest.approx(np.arange(8) / 7 * 0.7 + 0.2)
 
 
 def test_condition_upsample_constant_features(rng):
     cfg = helpers.tiny_nsf_cfg(feature_dim=3, channels=2, upsample=8)
     params = nsf.nsf_init(cfg, seed=0)
+    for name in params.tensors:
+        if ".conv" in name and name.endswith("weight"):
+            params.tensors[name][:] = 0.0
+    params.tensors["block0.out.weight"][:] = 0.3
     row = rng.standard_normal(3)
     feats = FeatureMatrix(np.tile(row, (5, 1)), "mel-fb", 8 / 24000.0, 24000.0)
-    cond = nsf.condition_upsample(params, feats, cfg)
-    assert cond.shape == (40, 2)
-    assert np.allclose(cond, cond[0])
+    out = nsf.nsf_forward(params, feats, WaveSignal(np.zeros(40), 24000.0), cfg)
+    assert out.samples[0] != 0.0
+    assert np.allclose(out.samples, out.samples[0])
 
 
 # --- gradients ---------------------------------------------------------------
@@ -230,6 +237,21 @@ def test_train_loss_decreases_on_toy_clip(rng):
     assert hist[-1][1] < hist[0][1]
 
 
+def test_train_non_finite_target_raises(rng):
+    cfg = helpers.tiny_nsf_cfg(feature_dim=2, upsample=8, channels=2)
+    params = nsf.nsf_init(cfg, seed=0)
+    feats, source = make_inputs(cfg, 4, rng)
+    target = source.samples.copy()
+    target[5] = np.nan
+    tc = nsf.TrainConfig(learning_rate=1e-3, batch_size=1, epochs=1)
+    saved = []
+    with pytest.raises(TrainingDiverged):
+        nsf.nsf_train(params, [(feats, source, WaveSignal(target, 24000.0))],
+                      tc, cfg, small_resolutions(),
+                      on_epoch_end=lambda epoch, p: saved.append(epoch))
+    assert saved == []
+
+
 def test_train_rejects_empty_dataset():
     cfg = helpers.tiny_nsf_cfg()
     with pytest.raises(ValueError):
@@ -270,6 +292,32 @@ def test_checkpoint_round_trip(tmp_path, rng):
                               trained.adam_m[name].astype(np.float32))
         assert np.array_equal(loaded.adam_v[name],
                               trained.adam_v[name].astype(np.float32))
+
+
+def test_checkpoint_round_trip_every_field(tmp_path):
+    cfg = nsf.NsfConfig(feature_dim=5, upsample_factor=7, n_blocks=3,
+                        convs_per_block=2, channels=3, kernel=4)
+    path = tmp_path / "model.ckpt"
+    nsf.save_checkpoint(path, nsf.nsf_init(cfg, seed=1), cfg)
+    _, loaded_cfg = nsf.load_checkpoint(path, expected_cfg=cfg)
+    assert loaded_cfg == cfg
+
+
+def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
+    cfg = v1_checkpoints.NSF_V1_CFG
+    expected = nsf.nsf_init(cfg, seed=3)
+    adam_update(expected, {k: np.full_like(v, 0.5)
+                           for k, v in expected.tensors.items()}, lr=1e-2)
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(v1_checkpoints.NSF_V1)
+    loaded, loaded_cfg = nsf.load_checkpoint(path, expected_cfg=cfg)
+    assert loaded_cfg == cfg
+    assert loaded.step == 1
+    for name in expected.tensors:
+        for got, want in ((loaded.tensors, expected.tensors),
+                          (loaded.adam_m, expected.adam_m),
+                          (loaded.adam_v, expected.adam_v)):
+            assert np.array_equal(got[name], want[name].astype(np.float32))
 
 
 def test_checkpoint_expected_cfg_mismatch(tmp_path):
