@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autograd as ag
 from .dsp import FeatureMatrix
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import DimensionMismatch, LengthMismatch, TrainingDiverged
 from .midi_io import PianoRoll
 from .params import ModelParams, fit, init_params, load_model, save_model, \
     zero_params
@@ -284,7 +284,8 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     the preceding group).  Loss is the mean squared error before plus
     after the postnet, against the target padded to a whole number of
     groups by edge replication.  Prenet dropout applies only when
-    train_mode is set; the seed makes the masks reproducible.
+    train_mode is set; the seed makes the masks reproducible.  A
+    non-finite loss raises TrainingDiverged.
     """
     _check_roll(roll, cfg)
     if target.dim != cfg.output_dim:
@@ -311,6 +312,8 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     target_t = ag.Tensor(padded)
     loss = ag.add(ag.square_error_mean(y1, target_t),
                   ag.square_error_mean(y2, target_t))
+    if not math.isfinite(loss.value):
+        raise TrainingDiverged("non-finite loss in the teacher-forced pass")
     ag.backward(loss)
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
              for name, t in tensors.items()}

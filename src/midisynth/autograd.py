@@ -257,20 +257,24 @@ def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
                         (bias, lambda g: g.sum(axis=0))])
 
 
-def upsample_linear(a, out_rows: int):
+def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
     """Stretch rows to out_rows by linear interpolation with held endpoints.
 
     Output row t samples input position t * (n_in - 1) / (out_rows - 1);
     a single input row or a single output row degenerates to repetition.
+    Only rows [start, stop) of that grid are produced, each equal to the
+    same row of the whole output.
     """
     a = as_tensor(a)
     n_in = a.value.shape[0]
-    if n_in == 0 or out_rows <= 0:
-        raise ValueError("upsample needs at least one input and output row")
+    stop = out_rows if stop is None else stop
+    if n_in == 0 or not 0 <= start < stop <= out_rows:
+        raise ValueError(f"upsample needs at least one input row and a window "
+                         f"inside {out_rows} output rows, got [{start}, {stop})")
     if n_in == 1 or out_rows == 1:
-        pos = np.zeros(out_rows)
+        pos = np.zeros(stop - start)
     else:
-        pos = np.arange(out_rows) * (n_in - 1) / (out_rows - 1)
+        pos = np.arange(start, stop) * (n_in - 1) / (out_rows - 1)
     idx0 = np.minimum(pos.astype(np.int64), n_in - 1)
     idx1 = np.minimum(idx0 + 1, n_in - 1)
     frac = (pos - idx0)[:, None]

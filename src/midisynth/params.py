@@ -155,12 +155,18 @@ def _validate_state_shapes(path, params: ModelParams, shapes: dict) -> None:
                                         f"mismatch for {name!r}")
 
 
-def unpack_state_tensors(tensors: dict) -> ModelParams:
-    """Inverse of pack_state_tensors; unknown names stay in tensors."""
+def unpack_state_tensors(path, tensors: dict) -> ModelParams:
+    """Inverse of pack_state_tensors for the file at path; unknown names
+    stay in tensors.  A step count that is not one finite, non-negative
+    number raises CorruptCheckpoint.
+    """
     params = ModelParams(tensors={})
     for name, value in tensors.items():
         if name == STEP_TENSOR:
-            params.step = int(round(float(value.reshape(-1)[0])))
+            if value.size != 1 or not 0 <= value.item() < math.inf:
+                raise CorruptCheckpoint(f"{path}: {STEP_TENSOR} is not one finite, "
+                                        f"non-negative count")
+            params.step = int(round(value.item()))
         elif name.startswith(ADAM_PREFIX_M):
             params.adam_m[name[len(ADAM_PREFIX_M):]] = value
         elif name.startswith(ADAM_PREFIX_V):
@@ -202,6 +208,6 @@ def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
     if expected_cfg is not None and cfg != expected_cfg:
         raise CorruptCheckpoint(
             f"{path}: checkpoint config {cfg} does not match expected {expected_cfg}")
-    params = unpack_state_tensors(tensors)
+    params = unpack_state_tensors(path, tensors)
     _validate_state_shapes(path, params, param_shapes(cfg))
     return params, cfg

@@ -269,6 +269,23 @@ def test_train_non_finite_target_raises(rng):
                           [(make_roll(rng, 12), target)], tc, cfg)
 
 
+@pytest.mark.parametrize("case", ["huge_learning_rate", "nan_fed_frame"])
+def test_train_non_finite_prediction_raises(rng, case):
+    # a non-finite prediction must reach the divergence check, not fail
+    # as a malformed feature matrix
+    cfg = helpers.tiny_am_cfg("taco2", output_dim=4, prenet_dropout=0.0)
+    target = make_target(rng, 12, 4)
+    lr, epochs = 1e-3, 1
+    if case == "huge_learning_rate":
+        lr, epochs = 1e300, 2
+    else:
+        target.values[3, 1] = np.nan  # the frame fed to decoder step 1
+    tc = AmTrainConfig(learning_rate=lr, batch_size=1, epochs=epochs)
+    with pytest.raises(TrainingDiverged), np.errstate(all="ignore"):
+        acoustic.am_train(acoustic.am_init(cfg, seed=0),
+                          [(make_roll(rng, 12), target)], tc, cfg)
+
+
 def test_train_rejects_empty_dataset():
     cfg = helpers.tiny_am_cfg()
     with pytest.raises(ValueError):

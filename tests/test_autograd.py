@@ -142,6 +142,27 @@ def test_upsample_linear_grads(rng):
     fd_check(lambda x: scalarize(ag.upsample_linear(x, 9)), [a])
 
 
+@pytest.mark.parametrize("n_in, out_rows, start, stop", [
+    (4, 30, 0, 30), (4, 30, 7, 19), (4, 30, 29, 30), (1, 5, 2, 4), (3, 1, 0, 1),
+])
+def test_upsample_linear_window_is_slice_of_whole(rng, n_in, out_rows, start, stop):
+    a = ag.Tensor(rng.standard_normal((n_in, 3)))
+    whole = ag.upsample_linear(a, out_rows).value
+    window = ag.upsample_linear(a, out_rows, start=start, stop=stop).value
+    assert np.array_equal(window, whole[start:stop])
+
+
+def test_upsample_linear_window_grads(rng):
+    a = rng.standard_normal((4, 2))
+    fd_check(lambda x: scalarize(ag.upsample_linear(x, 30, start=11, stop=19)), [a])
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 3), (3, 3), (2, 11)])
+def test_upsample_linear_window_outside_grid(start, stop):
+    with pytest.raises(ValueError):
+        ag.upsample_linear(ag.Tensor(np.ones((2, 1))), 10, start=start, stop=stop)
+
+
 # --- graph machinery ---------------------------------------------------------
 
 

@@ -6,8 +6,10 @@ warning capture would otherwise swallow the message.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,11 +272,14 @@ def test_pitch_ce_truncation_warns_on_stderr(tmp_path):
     write_midi_file(midi, [(0.0, 1.0, 60, 100)])
     wav = tmp_path / "short.wav"
     helpers.tone_wav(wav, freq=261.63, seconds=0.3)
+    # the child imports the same package as this process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from midisynth import cli; sys.exit(cli.main(sys.argv[1:]))",
          "pitch-ce", str(wav), str(midi)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) >= 0.0
     assert "truncat" in proc.stderr.lower()
@@ -407,13 +412,15 @@ def test_train_nsf_resume_continues_steps(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["5", "6", "7", "8"]
 
 
-def am_config(tmp_path, variant="taco2"):
+def am_config(tmp_path, variant="taco2", **train_overrides):
+    train = {"learning_rate": 1e-3, "batch_size": 2, "segment_frames": 12,
+             "epochs": 1, "seed": 0}
+    train.update(train_overrides)
     config = {
         "model": {"variant": variant, "encoder_channels": 8,
                   "decoder_state_dim": 8, "prenet_widths": [12, 8],
                   "postnet_channels": 8},
-        "train": {"learning_rate": 1e-3, "batch_size": 2, "segment_frames": 12,
-                  "epochs": 1, "seed": 0},
+        "train": train,
         "data": {"bank": "midi"},
     }
     path = tmp_path / f"am_config_{variant}.json"
@@ -466,6 +473,16 @@ def test_train_non_finite_loss_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: non-finite loss or gradient at step 1")
     assert err.count("\n") == 1
     assert not (out / "nsf.ckpt").exists()
+
+
+def test_train_am_diverging_exits_2(tmp_path, capsys):
+    data = make_pair(tmp_path / "data", seconds=0.3)
+    out = tmp_path / "run"
+    config = am_config(tmp_path, learning_rate=1e300, batch_size=1)
+    with np.errstate(all="ignore"):
+        assert run_cli("train", "am", data, out, "--config", config) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite loss")
+    assert not (out / "am.ckpt").exists()
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, capsys):

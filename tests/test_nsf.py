@@ -1,14 +1,18 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import helpers
 import v1_checkpoints
-from midisynth import nsf
+from midisynth import autograd as ag
+from midisynth import formats, nsf
 from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal
 from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
                               LengthMismatch, SampleRateMismatch,
                               TrainingDiverged)
-from midisynth.params import adam_update
+from midisynth.params import adam_update, pack_state_tensors
 
 
 def make_inputs(cfg, n_frames, rng, kind="mel-fb"):
@@ -133,6 +137,67 @@ def test_forward_empty_features():
     out = nsf.nsf_forward(nsf.nsf_zero(cfg), feats,
                           WaveSignal(np.zeros(0), 24000.0), cfg)
     assert len(out) == 0
+
+
+# --- chunked inference ------------------------------------------------------
+
+
+def whole_clip_forward(params, feats, source, cfg):
+    """The model over the whole clip in one graph, as training builds it."""
+    with ag.no_grad():
+        tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
+        out = nsf._build_graph(tensors, nsf._frame_condition(tensors, feats.values),
+                               source.samples, cfg)
+    return out.value[:, 0]
+
+
+def test_receptive_field_default_config():
+    # two blocks of kernel-3 convolutions with dilations 1..16
+    assert nsf._receptive_field(nsf.NsfConfig(feature_dim=1)) == 2 * 2 * 31
+
+
+@pytest.mark.parametrize("n_frames, chunk", [
+    (9, 1),    # one-frame windows; the overlap spans several windows
+    (9, 4),    # windows that do not divide the clip
+    (9, 20),   # one window longer than the clip
+    (1, 4),
+    (2, 1),
+    (2, 4),
+])
+def test_chunked_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
+    cfg = helpers.tiny_nsf_cfg(channels=4, blocks=2, convs=3)
+    params = nsf.nsf_init(cfg, seed=5)
+    for b in range(cfg.n_blocks):
+        params.tensors[f"block{b}.out.weight"][:] = \
+            rng.standard_normal((cfg.channels, 1)) * 0.05
+    feats, source = make_inputs(cfg, n_frames, rng)
+    monkeypatch.setattr(nsf, "_CHUNK_FRAMES", chunk)
+    out = nsf.nsf_forward(params, feats, source, cfg)
+    want = whole_clip_forward(params, feats, source, cfg)
+    assert np.abs(want).max() < 1.0  # nothing hidden by the output clip
+    assert np.array_equal(out.samples, want)
+
+
+def test_forward_working_memory_does_not_grow_with_clip(rng):
+    # tracemalloc sees numpy buffers; the output array must grow with the
+    # clip, so it is left out of the figure
+    cfg = nsf.NsfConfig(feature_dim=2)
+    params = nsf.nsf_init(cfg, seed=0)
+
+    def working_bytes(seconds):
+        n_frames = round(seconds * 24000 / cfg.upsample_factor)
+        feats = FeatureMatrix(rng.random((n_frames, cfg.feature_dim)), "midi-fb",
+                              cfg.upsample_factor / 24000.0, 24000.0)
+        source = WaveSignal(np.zeros(n_frames * cfg.upsample_factor), 24000.0)
+        tracemalloc.start()
+        try:
+            out = nsf.nsf_forward(params, feats, source, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.samples.nbytes
+
+    assert working_bytes(40.0) <= 1.2 * working_bytes(5.0)
 
 
 # --- condition upsampling ---------------------------------------------------
@@ -337,4 +402,18 @@ def test_checkpoint_corrupt_file(tmp_path):
     blob[10] ^= 0x55
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptCheckpoint):
+        nsf.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("step", [np.zeros(0), np.array([np.nan]),
+                                  np.array([np.inf]), np.array([-1.0]),
+                                  np.array([1.0, 2.0])],
+                         ids=["empty", "nan", "inf", "negative", "two"])
+def test_checkpoint_bad_step_is_corrupt(tmp_path, step):
+    cfg = helpers.tiny_nsf_cfg()
+    tensors = pack_state_tensors(nsf.nsf_zero(cfg))
+    tensors["adam.step"] = step
+    path = tmp_path / "model.ckpt"
+    formats.write_container(path, nsf.NSF_MAGIC, dataclasses.asdict(cfg), tensors)
+    with pytest.raises(CorruptCheckpoint, match="adam.step"):
         nsf.load_checkpoint(path)
