@@ -18,6 +18,7 @@ from .dsp import (
 from .errors import (
     CorruptCheckpoint,
     DimensionMismatch,
+    DurationTooLong,
     FileFormatError,
     LengthMismatch,
     MalformedHeader,

@@ -65,14 +65,17 @@ class AmConfig:
             object.__setattr__(self, "prenet_dropout", dropout)
         if self.variant == "taco4" and self.downsample_factor != 1:
             raise ValueError("taco4 runs at the full frame rate (factor 1)")
-        if self.downsample_factor not in (1, 2, 4):
+        if type(self.downsample_factor) is not int \
+                or self.downsample_factor not in (1, 2, 4):
             raise ValueError("downsample_factor must be 1, 2, or 4")
         if not 0.0 <= self.prenet_dropout < 1.0:
             raise ValueError("prenet_dropout must lie in [0, 1)")
-        if min(self.input_dim, self.output_dim, self.encoder_channels,
-               self.decoder_state_dim, self.postnet_channels) < 1:
-            raise ValueError("all widths must be positive")
-        if len(self.prenet_widths) != 2 or min(self.prenet_widths) < 1:
+        widths = (self.input_dim, self.output_dim, self.encoder_channels,
+                  self.decoder_state_dim, self.postnet_channels)
+        if any(type(w) is not int or w < 1 for w in widths):
+            raise ValueError("all widths must be positive integers")
+        if len(self.prenet_widths) != 2 \
+                or any(type(w) is not int or w < 1 for w in self.prenet_widths):
             raise ValueError("prenet_widths must be two positive integers")
         object.__setattr__(self, "prenet_widths", tuple(self.prenet_widths))
         if self.output_kind not in ("mel-fb", "midi-fb"):

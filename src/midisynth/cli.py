@@ -37,11 +37,6 @@ def _stft_args(parser, frame_shift=288):
     parser.add_argument("--fft", type=int, default=2048, help="FFT size")
 
 
-def _stft_config(args):
-    return dsp.StftConfig(sample_rate=args.rate, frame_length=args.frame_length,
-                          frame_shift=args.frame_shift, fft_size=args.fft)
-
-
 def _load_notes(path, apply_pedal=True):
     with open(path, "rb") as fh:
         notes = midi_io.parse_midi(fh.read())
@@ -52,12 +47,13 @@ def _load_notes(path, apply_pedal=True):
     return notes
 
 
-def _bank_for(name, cfg, n_filters):
-    if name == "midi":
+def _bank_for(kind, cfg, n_filters):
+    """The filter bank behind features of kind midi-fb or mel-fb."""
+    if kind == "midi-fb":
         return dsp.midi_filter_bank(cfg)
-    if name == "mel":
+    if kind == "mel-fb":
         return dsp.mel_filter_bank(cfg, n_filters)
-    raise ValueError(f"unknown filter bank {name!r}")
+    raise ValueError(f"no filter bank gives {kind!r} features")
 
 
 def _read_wav_checked(path, rate):
@@ -66,6 +62,30 @@ def _read_wav_checked(path, rate):
         raise ValueError(
             f"{path}: sampled at {wave.sample_rate:.0f} Hz, expected {rate}")
     return wave
+
+
+def _features(kind, notes, wave, rate, shift, frame_length, fft, n_filters):
+    """Frame-rate features of one kind, one frame every shift samples.
+
+    A piano roll comes from notes; spectra and filter-bank features come
+    from wave, analyzed with frame_length-sample windows and fft points.
+    """
+    if kind == "piano-roll":
+        roll = midi_io.to_piano_roll(notes, shift / rate, rate)
+        return formats.feature_from_roll(roll)
+    cfg = dsp.StftConfig(sample_rate=rate, frame_length=frame_length,
+                         frame_shift=shift, fft_size=fft)
+    if kind == "linear-spec":
+        return dsp.linear_spectrogram(wave, cfg)
+    return dsp.extract_features(wave, _bank_for(kind, cfg, n_filters), cfg)
+
+
+def _excitation(kind, notes, n_samples, rate, gain, seed):
+    """The n_samples-long source signal: the notes as sines, or seeded noise."""
+    if kind == "sine":
+        return excitation.fit_length(excitation.sine_excitation(notes, rate, gain),
+                                     n_samples)
+    return excitation.noise_excitation(n_samples, seed, sample_rate=rate)
 
 
 # --- simple transforms --------------------------------------------------------
@@ -80,12 +100,10 @@ def cmd_roll(args):
 
 
 def cmd_feat(args):
-    cfg = _stft_config(args)
-    wave = _read_wav_checked(args.wav, cfg.sample_rate)
-    if args.bank == "linear":
-        feat = dsp.linear_spectrogram(wave, cfg)
-    else:
-        feat = dsp.extract_features(wave, _bank_for(args.bank, cfg, args.n_mels), cfg)
+    wave = _read_wav_checked(args.wav, args.rate)
+    kind = "linear-spec" if args.bank == "linear" else f"{args.bank}-fb"
+    feat = _features(kind, None, wave, args.rate, args.frame_shift,
+                     args.frame_length, args.fft, args.n_mels)
     formats.write_feature_file(args.out, feat)
     print(f"wrote {args.out}: {feat.n_frames} x {feat.dim} ({feat.kind})")
     return 0
@@ -93,11 +111,8 @@ def cmd_feat(args):
 
 def cmd_excite(args):
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
-    if args.kind == "sine":
-        wave = excitation.sine_excitation(notes, args.rate, args.gain)
-    else:
-        n = max(0, math.ceil(notes.duration * args.rate - 1e-9))
-        wave = excitation.noise_excitation(n, args.seed, sample_rate=args.rate)
+    n_samples = max(0, math.ceil(notes.duration * args.rate - 1e-9))
+    wave = _excitation(args.kind, notes, n_samples, args.rate, args.gain, args.seed)
     formats.write_wav(args.out, wave)
     print(f"wrote {args.out}: {len(wave)} samples ({args.kind})")
     return 0
@@ -115,8 +130,8 @@ def cmd_gl(args):
             raise ValueError(f"linear spectrogram has {feat.dim} bins, "
                              f"FFT size {args.fft} implies {cfg.n_bins}")
     elif feat.kind in ("mel-fb", "midi-fb"):
-        bank = _bank_for("midi" if feat.kind == "midi-fb" else "mel", cfg, feat.dim)
-        magnitude = dsp.pseudo_inverse_magnitude(feat, bank, cfg)
+        magnitude = dsp.pseudo_inverse_magnitude(
+            feat, _bank_for(feat.kind, cfg, feat.dim), cfg)
     else:
         raise ValueError(f"cannot invert features of kind {feat.kind!r}")
     wave = dsp.griffin_lim(magnitude, cfg, args.iters)
@@ -129,43 +144,30 @@ def cmd_gl(args):
 
 
 def _synthesize(args, notes, params, model_cfg):
-    rate = args.rate
-    shift_seconds = model_cfg.upsample_factor / rate
-    roll = midi_io.to_piano_roll(notes, shift_seconds, rate)
-    if args.mode == "direct":
-        if model_cfg.feature_dim != 128:
-            raise ValueError(
-                f"direct mode feeds 128 roll dims, model wants {model_cfg.feature_dim}")
-        feats = formats.feature_from_roll(roll)
-    elif args.mode == "am+nsf":
+    rate, shift = args.rate, model_cfg.upsample_factor
+    if rate <= 0:
+        raise ValueError(f"--rate must be positive, got {rate}")
+    if args.mode == "am+nsf":
         if not args.am_ckpt:
             raise ValueError("--am-ckpt is required with --mode am+nsf")
         am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
-        if am_cfg.output_dim != model_cfg.feature_dim:
-            raise ValueError(
-                f"acoustic model emits {am_cfg.output_dim} dims, waveform model "
-                f"wants {model_cfg.feature_dim}")
+        roll = midi_io.to_piano_roll(notes, shift / rate, rate)
         feats = acoustic.am_generate(am_params, roll, am_cfg, seed=args.seed)
+    elif args.mode == "direct":
+        feats = _features("piano-roll", notes, None, rate, shift, None, None, None)
     else:  # abs: analysis-by-synthesis from reference audio
         if not args.ref_wav:
             raise ValueError("--ref-wav is required with --mode abs")
         ref = _read_wav_checked(args.ref_wav, rate)
-        cfg = dsp.StftConfig(sample_rate=rate, frame_length=args.frame_length,
-                             frame_shift=model_cfg.upsample_factor,
-                             fft_size=args.fft)
-        n_filters = model_cfg.feature_dim
-        feats = dsp.extract_features(ref, _bank_for(args.bank, cfg, n_filters), cfg)
-        if feats.dim != model_cfg.feature_dim:
-            raise ValueError(f"features have {feats.dim} dims, waveform model "
-                             f"wants {model_cfg.feature_dim}")
+        feats = _features(f"{args.bank}-fb", None, ref, rate, shift, args.frame_length,
+                          args.fft, model_cfg.feature_dim)
+    if feats.dim != model_cfg.feature_dim:
+        raise ValueError(f"{args.mode} mode gives {feats.dim}-dim features, "
+                         f"waveform model wants {model_cfg.feature_dim}")
     if feats.n_frames == 0:
         raise ValueError("nothing to synthesize: zero frames")
-    t_total = feats.n_frames * model_cfg.upsample_factor
-    if args.excitation == "sine":
-        source = excitation.fit_length(
-            excitation.sine_excitation(notes, rate, args.gain), t_total)
-    else:
-        source = excitation.noise_excitation(t_total, args.seed, sample_rate=rate)
+    source = _excitation(args.excitation, notes, feats.n_frames * shift, rate,
+                         args.gain, args.seed)
     return nsf.nsf_forward(params, feats, source, model_cfg)
 
 
@@ -183,7 +185,8 @@ def cmd_synth(args):
 
 
 def cmd_pitch_ce(args):
-    cfg = _stft_config(args)
+    cfg = dsp.StftConfig(sample_rate=args.rate, frame_length=args.frame_length,
+                         frame_shift=args.frame_shift, fft_size=args.fft)
     wave = _read_wav_checked(args.wav, cfg.sample_rate)
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
     roll = midi_io.to_piano_roll(notes, cfg.frame_shift / cfg.sample_rate, cfg.sample_rate)
@@ -266,6 +269,18 @@ def cmd_stats(args):
 # --- training -----------------------------------------------------------------
 
 
+# Each model's data-section keys with their defaults.  A given value must
+# have its default's type, and a number must be positive.
+NSF_DATA = {"rate": DEFAULT_RATE, "features": "piano-roll", "excitation": "sine",
+            "n_mels": 80, "frame_length": 1200, "fft": 2048}
+AM_DATA = {"rate": DEFAULT_RATE, "bank": "midi", "n_mels": 80, "frame_length": 1200,
+           "frame_shift": 288, "fft": 2048}
+
+
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def _strict_section(config, key, allowed):
     section = config.get(key, {})
     if not isinstance(section, dict):
@@ -276,7 +291,9 @@ def _strict_section(config, key, allowed):
     return section
 
 
-def _load_config(path, model_keys, train_keys, data_keys):
+def _load_config(path, model_cls, train_cls, data_defaults):
+    """The model, train and data sections of a JSON training config; the
+    data section is checked against data_defaults and completed from it."""
     if path is None:
         config = {}
     else:
@@ -290,9 +307,14 @@ def _load_config(path, model_keys, train_keys, data_keys):
     unknown = set(config) - {"model", "train", "data"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    return (_strict_section(config, "model", model_keys),
-            _strict_section(config, "train", train_keys),
-            _strict_section(config, "data", data_keys))
+    data = {**data_defaults, **_strict_section(config, "data", data_defaults)}
+    for key, value in data.items():
+        default = data_defaults[key]
+        if type(value) is not type(default) or (isinstance(value, int) and value <= 0):
+            expected = "a positive integer" if isinstance(default, int) else "a string"
+            raise ValueError(f"data key {key!r} must be {expected}, got {value!r}")
+    return (_strict_section(config, "model", _field_names(model_cls)),
+            _strict_section(config, "train", _field_names(train_cls)), data)
 
 
 def _paired_stems(data_dir):
@@ -338,115 +360,72 @@ def _fit_and_save(out, ckpt_name, train, save, params, dataset, train_cfg,
     return 0
 
 
-def _train_nsf(args, model_section, train_section, data_section):
-    rate = int(data_section.get("rate", DEFAULT_RATE))
-    feature_kind = data_section.get("features", "piano-roll")
-    exc_kind = data_section.get("excitation", "sine")
-    if feature_kind not in ("piano-roll", "midi-fb", "mel-fb"):
-        raise ValueError(f"unknown feature kind {feature_kind!r}")
-    if exc_kind not in ("sine", "noise"):
-        raise ValueError(f"unknown excitation kind {exc_kind!r}")
-    n_mels = int(data_section.get("n_mels", 80))
-    frame_length = int(data_section.get("frame_length", 1200))
-    fft_size = int(data_section.get("fft", 2048))
-
-    feature_dim = {"piano-roll": 128, "midi-fb": 128, "mel-fb": n_mels}[feature_kind]
-    model_cfg = nsf.NsfConfig(feature_dim=int(model_section.get("feature_dim",
-                                                                feature_dim)),
-                              **{k: int(v) for k, v in model_section.items()
-                                 if k != "feature_dim"})
+def _train_nsf(args, model_section, train_section, data):
+    rate, kind = data["rate"], data["features"]
+    if kind not in ("piano-roll", "midi-fb", "mel-fb"):
+        raise ValueError(f"unknown feature kind {kind!r}")
+    if data["excitation"] not in ("sine", "noise"):
+        raise ValueError(f"unknown excitation kind {data['excitation']!r}")
+    feature_dim = data["n_mels"] if kind == "mel-fb" else 128
+    model_cfg = nsf.NsfConfig(**{"feature_dim": feature_dim, **model_section})
     if model_cfg.feature_dim != feature_dim:
         raise ValueError(f"model feature_dim {model_cfg.feature_dim} does not "
-                         f"match {feature_kind} features ({feature_dim})")
+                         f"match {kind} features ({feature_dim})")
     train_cfg = nsf.TrainConfig(**train_section)
-    shift_seconds = model_cfg.upsample_factor / rate
+    shift = model_cfg.upsample_factor
+    per_segment = max(1, round(train_cfg.segment_seconds * rate / shift))
 
     dataset = []
     for idx, (midi_path, wav_path) in enumerate(_paired_stems(args.data)):
         notes = _load_notes(midi_path)
         wave = _read_wav_checked(wav_path, rate)
-        if feature_kind == "piano-roll":
-            roll = midi_io.to_piano_roll(notes, shift_seconds, rate)
-            feats = formats.feature_from_roll(roll)
-        else:
-            cfg = dsp.StftConfig(sample_rate=rate, frame_length=frame_length,
-                                 frame_shift=model_cfg.upsample_factor,
-                                 fft_size=fft_size)
-            bank_name = "midi" if feature_kind == "midi-fb" else "mel"
-            feats = dsp.extract_features(wave, _bank_for(bank_name, cfg, n_mels), cfg)
+        feats = _features(kind, notes, wave, rate, shift, data["frame_length"],
+                          data["fft"], data["n_mels"])
         if feats.n_frames == 0:
             continue
-        target = excitation.fit_length(wave,
-                                       feats.n_frames * model_cfg.upsample_factor)
-        if exc_kind == "sine":
-            source = excitation.fit_length(excitation.sine_excitation(notes, rate),
-                                           len(target))
-        else:
-            source = excitation.noise_excitation(len(target),
-                                                 train_cfg.seed + idx,
-                                                 sample_rate=rate)
-        per_segment = max(1, round(train_cfg.segment_seconds * rate
-                                   / model_cfg.upsample_factor))
+        target = excitation.fit_length(wave, feats.n_frames * shift)
+        source = _excitation(data["excitation"], notes, len(target), rate, 1.0,
+                             train_cfg.seed + idx)
         for lo, hi in _segment_frames(feats.n_frames, per_segment):
-            sample_lo = lo * model_cfg.upsample_factor
-            sample_hi = hi * model_cfg.upsample_factor
             dataset.append((
-                dsp.FeatureMatrix(feats.values[lo:hi], feats.kind,
-                                  feats.frame_shift, feats.sample_rate),
-                dsp.WaveSignal(source.samples[sample_lo:sample_hi], rate),
-                dsp.WaveSignal(target.samples[sample_lo:sample_hi], rate),
+                dataclasses.replace(feats, values=feats.values[lo:hi]),
+                dsp.WaveSignal(source.samples[lo * shift:hi * shift], rate),
+                dsp.WaveSignal(target.samples[lo * shift:hi * shift], rate),
             ))
 
     if args.resume:
-        params, loaded_cfg = nsf.load_checkpoint(args.resume, model_cfg)
+        params, _ = nsf.load_checkpoint(args.resume, model_cfg)
     else:
         params = nsf.nsf_init(model_cfg, seed=train_cfg.seed)
     return _fit_and_save(args.out, "nsf.ckpt", nsf.nsf_train, nsf.save_checkpoint,
                          params, dataset, train_cfg, model_cfg)
 
 
-def _train_am(args, model_section, train_section, data_section):
-    rate = int(data_section.get("rate", DEFAULT_RATE))
-    bank_name = data_section.get("bank", "midi")
-    n_mels = int(data_section.get("n_mels", 80))
-    frame_length = int(data_section.get("frame_length", 1200))
-    frame_shift = int(data_section.get("frame_shift", 288))
-    fft_size = int(data_section.get("fft", 2048))
-    if bank_name not in ("midi", "mel"):
-        raise ValueError(f"unknown filter bank {bank_name!r}")
-
-    output_dim = 128 if bank_name == "midi" else n_mels
-    kwargs = dict(model_section)
-    if "prenet_widths" in kwargs:
-        kwargs["prenet_widths"] = tuple(int(v) for v in kwargs["prenet_widths"])
-    kwargs.setdefault("output_dim", output_dim)
-    kwargs.setdefault("output_kind", "midi-fb" if bank_name == "midi" else "mel-fb")
-    model_cfg = acoustic.AmConfig(**kwargs)
+def _train_am(args, model_section, train_section, data):
+    rate, bank, shift = data["rate"], data["bank"], data["frame_shift"]
+    if bank not in ("midi", "mel"):
+        raise ValueError(f"unknown filter bank {bank!r}")
+    kind = f"{bank}-fb"
+    output_dim = data["n_mels"] if kind == "mel-fb" else 128
+    model_cfg = acoustic.AmConfig(
+        **{"output_dim": output_dim, "output_kind": kind, **model_section})
     if model_cfg.output_dim != output_dim:
         raise ValueError(f"model output_dim {model_cfg.output_dim} does not match "
-                         f"the {bank_name} bank ({output_dim})")
+                         f"the {bank} bank ({output_dim})")
     train_cfg = acoustic.AmTrainConfig(**train_section)
-
-    cfg = dsp.StftConfig(sample_rate=rate, frame_length=frame_length,
-                         frame_shift=frame_shift, fft_size=fft_size)
-    bank = _bank_for(bank_name, cfg, n_mels)
-    shift_seconds = frame_shift / rate
 
     dataset = []
     for midi_path, wav_path in _paired_stems(args.data):
         notes = _load_notes(midi_path)
-        wave = _read_wav_checked(wav_path, rate)
-        feats = dsp.extract_features(wave, bank, cfg)
-        roll = midi_io.to_piano_roll(notes, shift_seconds, rate)
+        feats = _features(kind, None, _read_wav_checked(wav_path, rate), rate, shift,
+                          data["frame_length"], data["fft"], data["n_mels"])
+        roll = midi_io.to_piano_roll(notes, shift / rate, rate)
         n = min(feats.n_frames, roll.n_frames)
         if n == 0:
             continue
         for lo, hi in _segment_frames(n, train_cfg.segment_frames):
-            dataset.append((
-                midi_io.PianoRoll(roll.values[lo:hi], shift_seconds, rate),
-                dsp.FeatureMatrix(feats.values[lo:hi], feats.kind,
-                                  feats.frame_shift, feats.sample_rate),
-            ))
+            dataset.append((dataclasses.replace(roll, values=roll.values[lo:hi]),
+                            dataclasses.replace(feats, values=feats.values[lo:hi])))
 
     if args.resume:
         params, _ = acoustic.am_load_checkpoint(args.resume, model_cfg)
@@ -460,25 +439,14 @@ def _train_am(args, model_section, train_section, data_section):
                          train_cfg, model_cfg)
 
 
-def _field_names(cls):
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-NSF_MODEL_KEYS = _field_names(nsf.NsfConfig)
-NSF_TRAIN_KEYS = _field_names(nsf.TrainConfig)
-NSF_DATA_KEYS = ("rate", "features", "excitation", "n_mels", "frame_length", "fft")
-AM_MODEL_KEYS = _field_names(acoustic.AmConfig)
-AM_TRAIN_KEYS = _field_names(acoustic.AmTrainConfig)
-AM_DATA_KEYS = ("rate", "bank", "n_mels", "frame_length", "frame_shift", "fft")
-
-
 def cmd_train(args):
-    if args.kind == "nsf":
-        sections = _load_config(args.config, NSF_MODEL_KEYS, NSF_TRAIN_KEYS,
-                                NSF_DATA_KEYS)
-        return _train_nsf(args, *sections)
-    sections = _load_config(args.config, AM_MODEL_KEYS, AM_TRAIN_KEYS, AM_DATA_KEYS)
-    return _train_am(args, *sections)
+    if args.kind == "am":
+        return _train_am(args, *_load_config(
+            args.config, acoustic.AmConfig, acoustic.AmTrainConfig, AM_DATA))
+    if args.warm_start:
+        raise ValueError("--warm-start applies to train am only")
+    return _train_nsf(args, *_load_config(
+        args.config, nsf.NsfConfig, nsf.TrainConfig, NSF_DATA))
 
 
 # --- parser -------------------------------------------------------------------

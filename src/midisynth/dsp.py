@@ -88,8 +88,8 @@ class FeatureMatrix:
             raise ValueError("feature matrix contains non-finite entries")
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if not (self.frame_shift > 0 and self.sample_rate > 0):
-            raise ValueError("frame_shift and sample_rate must be positive")
+        if not (0 < self.frame_shift < math.inf and 0 < self.sample_rate < math.inf):
+            raise ValueError("frame_shift and sample_rate must be positive and finite")
         object.__setattr__(self, "values", v)
 
     @property

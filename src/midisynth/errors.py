@@ -23,6 +23,10 @@ class TruncatedTrack(MidiSynthError):
     """A MIDI track chunk ended mid-event or overran the file."""
 
 
+class DurationTooLong(MidiSynthError):
+    """A MIDI file lasts longer than midi_io.MAX_DURATION_SECONDS."""
+
+
 class FileFormatError(MidiSynthError):
     """A binary file (WAV or feature matrix) does not match its format."""
 

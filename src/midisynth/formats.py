@@ -59,6 +59,8 @@ def read_wav(path) -> WaveSignal:
         raise FileFormatError(f"{path}: {channels} channels, only mono handled")
     if bits != 16:
         raise FileFormatError(f"{path}: {bits}-bit samples, only 16-bit handled")
+    if rate == 0:
+        raise FileFormatError(f"{path}: sample rate is 0")
     ints = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2")
     return WaveSignal(ints.astype(np.float64) / 32768.0, float(rate))
 
@@ -113,8 +115,13 @@ def read_feature_file(path) -> FeatureMatrix:
         raise FileFormatError(f"{path}: truncated payload, "
                               f"expected {expected} bytes, have {len(data)}")
     values = np.frombuffer(data[36:expected], dtype="<f4").reshape(n, d)
-    return FeatureMatrix(values.astype(np.float64), KIND_NAMES[kind_code],
-                         shift, rate)
+    if not np.isfinite(values).all():  # before the cast, which warns on NaN
+        raise FileFormatError(f"{path}: payload holds non-finite values")
+    try:
+        return FeatureMatrix(values.astype(np.float64), KIND_NAMES[kind_code],
+                             shift, rate)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def feature_from_roll(roll: PianoRoll) -> FeatureMatrix:

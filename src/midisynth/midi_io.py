@@ -19,11 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedTrack, UnsupportedDivision
+from .errors import (DurationTooLong, MalformedHeader, TruncatedTrack,
+                     UnsupportedDivision)
 
 DEFAULT_TEMPO_US = 500000  # microseconds per quarter note, 120 bpm
 SUSTAIN_CONTROLLER = 64
 SUSTAIN_THRESHOLD = 64
+# Longest piece parse_midi accepts.  Every later stage allocates in
+# proportion to the duration, and a few hostile bytes (a long delta at the
+# slowest tempo) can declare billions of seconds.
+MAX_DURATION_SECONDS = 3600.0
 
 # Fractional-frame slack so onsets/offsets that are exact frame multiples
 # do not drift across a floor/ceil boundary from float rounding.
@@ -192,7 +197,8 @@ def parse_midi(data: bytes) -> NoteEventList:
 
     Note-on with velocity zero counts as note-off.  Overlapping note-ons
     on one pitch close first-in-first-out.  Note-ons left open at end of
-    file are closed at the final event time and flagged in warnings.
+    file are closed at the final event time and flagged in warnings.  A
+    file lasting over MAX_DURATION_SECONDS raises DurationTooLong.
     """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedHeader("missing MThd chunk")
@@ -261,6 +267,9 @@ def parse_midi(data: bytes) -> NoteEventList:
         elif kind == "cc64":
             pedal.append((sec, a))
     last_sec = max(last_sec, scale(max_tick))
+    if last_sec > MAX_DURATION_SECONDS:
+        raise DurationTooLong(f"file lasts {last_sec:.4g} s, the limit is "
+                              f"{MAX_DURATION_SECONDS:.0f} s")
 
     dangling = sum(len(q) for q in open_notes.values())
     if dangling:

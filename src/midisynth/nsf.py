@@ -24,6 +24,7 @@ the whole segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ class NsfConfig:
     def __post_init__(self):
         fields = (self.feature_dim, self.upsample_factor, self.n_blocks,
                   self.convs_per_block, self.channels, self.kernel)
-        if any(int(f) != f or f <= 0 for f in fields):
+        if any(type(f) is not int or f <= 0 for f in fields):
             raise ValueError("all config fields must be positive integers")
 
 
@@ -70,6 +71,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("learning_rate, batch_size, epochs must be positive")
+        if not 0 < self.segment_seconds < math.inf:
+            raise ValueError("segment_seconds must be positive and finite")
 
 
 def nsf_param_shapes(cfg: NsfConfig) -> dict:

@@ -66,6 +66,12 @@ def note_smf(notes, division: int = 480, tempo_us=None) -> bytes:
     return smf_header(0, 1, division) + track_chunk(payload + eot())
 
 
+# Division 1, the slowest tempo, then one delta of the largest encodable
+# tick count: 36 bytes that declare about 4.5e9 seconds.
+LONG_SMF = smf_header(0, 1, 1) + track_chunk(
+    tempo_meta(0, 0xFFFFFF) + eot(0x0FFFFFFF))
+
+
 # --- note lists ---------------------------------------------------------------
 
 

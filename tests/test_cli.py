@@ -7,6 +7,7 @@ warning capture would otherwise swallow the message.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -492,6 +493,58 @@ def test_train_unknown_config_key_exits_2(tmp_path, capsys):
     assert run_cli("train", "nsf", data, tmp_path / "out",
                    "--config", cfg_path) == 2
     assert "momentum" in capsys.readouterr().err
+
+
+def hostile_mfb(path, shift, rate):
+    header = formats.FEATURE_MAGIC + struct.pack("<IIIIdd", 1, 2, 128, 1, shift, rate)
+    path.write_bytes(header + np.zeros(2 * 128, "<f4").tobytes())
+    return path
+
+
+def train_with(kind, config, *extra):
+    def argv(tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        return ["train", kind, make_pair(tmp_path / "data"), tmp_path / "out",
+                "--config", cfg_path, *extra]
+    return argv
+
+
+def midi_with(command, smf, *extra):
+    def argv(tmp_path):
+        (tmp_path / "in.mid").write_bytes(smf)
+        helpers.write_zero_nsf_ckpt(tmp_path / "nsf.ckpt")
+        return [command, tmp_path / "in.mid", tmp_path / "out", *extra]
+    return argv
+
+
+HOSTILE = {
+    "synth-rate-0": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                              "--nsf-ckpt", "nsf.ckpt", "--rate", "0"),
+    "gl-inf-rate": lambda p: ["gl", hostile_mfb(p / "x.mfb", 0.012, np.inf), p / "out"],
+    "gl-inf-shift": lambda p: ["gl", hostile_mfb(p / "x.mfb", np.inf, 24e3), p / "out"],
+    "roll-long-smf": midi_with("roll", helpers.LONG_SMF),
+    "excite-long-smf": midi_with("excite", helpers.LONG_SMF),
+    "synth-long-smf": midi_with("synth", helpers.LONG_SMF, "--nsf-ckpt", "nsf.ckpt"),
+    "nsf-segment-inf": train_with("nsf", {"train": {"segment_seconds": np.inf}}),
+    "nsf-rate-inf": train_with("nsf", {"data": {"rate": np.inf}}),
+    "nsf-rate-0": train_with("nsf", {"data": {"rate": 0}}),
+    "am-rate-inf": train_with("am", {"data": {"rate": np.inf}}),
+    "am-rate-0": train_with("am", {"data": {"rate": 0}}),
+    "nsf-fractional-channels": train_with("nsf", {"model": {"channels": 4.5}}),
+    "nsf-warm-start": train_with("nsf", {}, "--warm-start", "am.ckpt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    argv = HOSTILE[case](tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_empty_data_dir_exits_2(tmp_path, capsys):

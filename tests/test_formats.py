@@ -7,7 +7,7 @@ import pytest
 import v1_checkpoints as v1
 from midisynth import acoustic, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
-from midisynth.errors import CorruptCheckpoint, FileFormatError
+from midisynth.errors import CorruptCheckpoint, FileFormatError, MidiSynthError
 from midisynth.midi_io import PianoRoll
 
 
@@ -133,6 +133,38 @@ def test_feature_file_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-6])
     with pytest.raises(FileFormatError):
         formats.read_feature_file(path)
+
+
+def mutants(blob, count, seed):
+    """Copies of blob with 1-4 bytes from a random offset set to random
+    values or to zero, so whole fields can also come out as 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(blob)
+        pos = int(rng.integers(len(data)))
+        width = min(int(rng.integers(1, 5)), len(data) - pos)
+        fill = rng.integers(0, 256, width) if rng.random() < 0.5 else np.zeros(width)
+        data[pos:pos + width] = fill.astype(np.uint8).tobytes()
+        yield bytes(data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reader", ["read_wav", "read_feature_file"])
+def test_mutants_load_or_raise_package_errors(tmp_path, reader):
+    path = tmp_path / "x.bin"
+    if reader == "read_wav":
+        formats.write_wav(path, WaveSignal(np.linspace(-0.5, 0.5, 16), 24000))
+    else:
+        feat = FeatureMatrix(np.linspace(-2.0, 2.0, 12).reshape(3, 4), "mel-fb",
+                             0.012, 24000.0)
+        formats.write_feature_file(path, feat)
+    blob = path.read_bytes()
+    for data in mutants(blob, 3000, seed=7):
+        path.write_bytes(data)
+        try:
+            getattr(formats, reader)(path)
+        except MidiSynthError:
+            pass
 
 
 def test_roll_feature_round_trip(tmp_path, rng):

@@ -3,7 +3,8 @@ import pytest
 
 import helpers
 from midisynth import midi_io
-from midisynth.errors import MalformedHeader, TruncatedTrack, UnsupportedDivision
+from midisynth.errors import (DurationTooLong, MalformedHeader, TruncatedTrack,
+                              UnsupportedDivision)
 from midisynth.midi_io import NoteEvent, NoteEventList, PianoRoll
 
 
@@ -132,6 +133,18 @@ def test_parse_truncated_track_rejected():
     data = helpers.note_smf([(0, 480, 60, 100)])
     with pytest.raises(TruncatedTrack):
         midi_io.parse_midi(data[:-4])
+
+
+def test_parse_rejects_duration_over_limit():
+    assert len(helpers.LONG_SMF) == 36
+    with pytest.raises(DurationTooLong):
+        midi_io.parse_midi(helpers.LONG_SMF)
+    limit = midi_io.MAX_DURATION_SECONDS
+    ok = NoteEventList(notes=(NoteEvent(60, 0.0, limit - 1.0, 100),))
+    assert midi_io.parse_midi(midi_io.write_midi(ok)).duration == limit - 1.0
+    long = NoteEventList(notes=(NoteEvent(60, 0.0, limit + 1.0, 100),))
+    with pytest.raises(DurationTooLong):
+        midi_io.parse_midi(midi_io.write_midi(long))
 
 
 def test_parse_dangling_note_on_closed_with_warning():
