@@ -29,8 +29,8 @@ from . import autograd as ag
 from .dsp import FeatureMatrix
 from .errors import DimensionMismatch, LengthMismatch, TrainingDiverged
 from .midi_io import PianoRoll
-from .params import ModelParams, fit, init_params, load_model, save_model, \
-    zero_params
+from .params import ModelParams, check_train_config, fit, init_params, \
+    load_model, save_model, zero_params
 
 AM_MAGIC = b"ACM1"
 VARIANTS = ("taco2", "taco3", "taco4")
@@ -102,10 +102,7 @@ class AmTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate, batch_size, epochs must be positive")
-        if self.segment_frames < 1:
-            raise ValueError("segment_frames must be positive")
+        check_train_config(self, ("batch_size", "epochs", "segment_frames"))
 
 
 def am_param_shapes(cfg: AmConfig) -> dict:

@@ -39,7 +39,11 @@ def _stft_args(parser, frame_shift=288):
 
 def _load_notes(path, apply_pedal=True):
     with open(path, "rb") as fh:
-        notes = midi_io.parse_midi(fh.read())
+        data = fh.read()
+    try:
+        notes = midi_io.parse_midi(data)
+    except MidiSynthError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     for message in notes.warnings:
         print(f"warning: {path}: {message}", file=sys.stderr)
     if apply_pedal:

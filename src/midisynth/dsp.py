@@ -6,7 +6,9 @@ the FFT size, and a one-sided spectrum.  The inverse is weighted
 overlap-add normalized by the summed squared window, floored at 1e-8, so
 reconstruction is exact wherever the window sum is healthy; the first
 few samples of a Hann-analyzed signal carry almost no window energy and
-come back attenuated.
+come back attenuated.  Overlap-add runs one whole-array pass per
+frame_shift-wide column slice, last slice first, so each output sample
+still sums its frames oldest first, as a per-frame loop would.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatch, SampleRateMismatch
 
@@ -205,9 +208,27 @@ def _frame_signal(x, cfg):
         return np.zeros((0, cfg.frame_length))
     padded = np.zeros((n - 1) * cfg.frame_shift + cfg.frame_length)
     padded[: len(x)] = x
-    idx = np.arange(cfg.frame_length)[None, :] + \
-        cfg.frame_shift * np.arange(n)[:, None]
-    return padded[idx]
+    return sliding_window_view(padded, cfg.frame_length)[:: cfg.frame_shift]
+
+
+def _overlap_add(frames, shift):
+    """Sum (n, L) frames placed every shift samples; length (n - 1) * shift + L.
+
+    Pass k adds column slice [k * shift, (k + 1) * shift) of every frame
+    to output blocks k .. k + n - 1.  Running k from the last slice down
+    adds each output sample's frames in increasing frame order.
+    """
+    n, length = frames.shape
+    if n == 0:
+        return np.zeros(0)
+    n_slices = -(-length // shift)
+    out = np.zeros((n + n_slices - 1) * shift)
+    blocks = out.reshape(-1, shift)
+    for k in reversed(range(n_slices)):
+        lo = k * shift
+        width = min(shift, length - lo)
+        blocks[k : k + n, :width] += frames[:, lo : lo + width]
+    return out[: (n - 1) * shift + length]
 
 
 def stft(wave: WaveSignal, cfg: StftConfig) -> np.ndarray:
@@ -228,15 +249,11 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> WaveSignal:
     if n == 0:
         return WaveSignal(np.zeros(0), cfg.sample_rate)
     w = _window_values(cfg)
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.frame_length] * w
-    total = (n - 1) * cfg.frame_shift + cfg.frame_length
-    out = np.zeros(total)
-    den = np.zeros(total)
-    for i in range(n):
-        lo = i * cfg.frame_shift
-        out[lo : lo + cfg.frame_length] += frames[i]
-        den[lo : lo + cfg.frame_length] += w * w
-    out /= np.maximum(den, _WOLA_FLOOR)
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.frame_length]
+    frames *= w
+    out = _overlap_add(frames, cfg.frame_shift)
+    den = _overlap_add(np.broadcast_to(w * w, frames.shape), cfg.frame_shift)
+    out /= np.maximum(den, _WOLA_FLOOR, out=den)
     return WaveSignal(out[: n * cfg.frame_shift], cfg.sample_rate)
 
 
@@ -263,9 +280,11 @@ def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = 60,
     """Reconstruct a waveform from a magnitude spectrogram.
 
     Phase starts at zero; each iteration resynthesizes with the current
-    phase and takes the phase of the re-analysis.  The returned history
-    holds the spectral consistency error || |STFT(x_i)| - M ||_F per
-    iteration, which is non-increasing up to normalization-floor noise.
+    phase and takes the phase of the re-analysis, projected in place as
+    S * (M / |S|), or M with phase 0 where the re-analysis is exactly
+    zero.  The returned history holds the spectral consistency error
+    || |STFT(x_i)| - M ||_F per iteration, which is non-increasing up to
+    normalization-floor noise.
     The final waveform is peak-normalized to 0.99 only if it exceeds
     unit range.
     """
@@ -276,14 +295,18 @@ def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = 60,
         raise ValueError("magnitude entries must be non-negative")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
-    phase = np.zeros_like(magnitude)
     history = []
-    x = istft(magnitude * np.exp(1j * phase), cfg)
+    x = istft(magnitude.astype(np.complex128), cfg)
     for _ in range(n_iters):
         spec = stft(x, cfg)
-        history.append(float(np.linalg.norm(np.abs(spec) - magnitude)))
-        phase = np.angle(spec)
-        x = istft(magnitude * np.exp(1j * phase), cfg)
+        mag = np.abs(spec)
+        history.append(float(np.linalg.norm(mag - magnitude)))
+        live = mag > 0
+        np.divide(magnitude, mag, out=mag, where=live)
+        spec *= mag
+        np.copyto(spec, magnitude, where=np.logical_not(live, out=live))
+        del mag, live  # free before istft allocates its frames
+        x = istft(spec, cfg)
     samples = x.samples
     peak = np.abs(samples).max() if samples.size else 0.0
     if peak > 1.0:
@@ -346,14 +369,9 @@ def _single_resolution_loss(pred, target, cfg):
     denom = np.maximum(np.abs(spec_p), np.finfo(np.float64).tiny)
     grad_spec = grad_mag * (spec_p / denom)
 
-    frames = _rfft_adjoint_frames(grad_spec, cfg) * _window_values(cfg)
-    n = frames.shape[0]
-    total = (n - 1) * cfg.frame_shift + cfg.frame_length if n else 0
-    grad = np.zeros(total)
-    for i in range(n):
-        lo = i * cfg.frame_shift
-        grad[lo : lo + cfg.frame_length] += frames[i]
-    return loss, grad[: len(pred)]
+    frames = _rfft_adjoint_frames(grad_spec, cfg)
+    frames *= _window_values(cfg)
+    return loss, _overlap_add(frames, cfg.frame_shift)[: len(pred)]
 
 
 def mr_stft_loss(pred: WaveSignal, target: WaveSignal, resolutions=None):

@@ -27,6 +27,10 @@ class DurationTooLong(MidiSynthError):
     """A MIDI file lasts longer than midi_io.MAX_DURATION_SECONDS."""
 
 
+class TooManyFrames(MidiSynthError):
+    """A piano roll would hold more than midi_io.MAX_ROLL_FRAMES frames."""
+
+
 class FileFormatError(MidiSynthError):
     """A binary file (WAV or feature matrix) does not match its format."""
 

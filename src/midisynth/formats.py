@@ -178,8 +178,8 @@ def read_container(path, magic: bytes, n_config_fields: int):
     stand where version 2 has the length-prefixed JSON block.  Returns
     (config, dict of float64 tensors), where config is the JSON object of
     a version-2 file or the tuple of u32 fields of a version-1 file.  Any
-    structural defect, bad magic, short read, malformed config block, or
-    CRC mismatch raises CorruptCheckpoint.
+    structural defect, bad magic, short read, malformed config block,
+    non-finite tensor value, or CRC mismatch raises CorruptCheckpoint.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -220,6 +220,8 @@ def read_container(path, magic: bytes, n_config_fields: int):
             if pos + n_bytes > len(body):
                 raise CorruptCheckpoint(f"{path}: tensor {name!r} overruns payload")
             flat = np.frombuffer(body[pos : pos + n_bytes], dtype="<f4")
+            if not np.isfinite(flat).all():  # before the cast, which warns on NaN
+                raise CorruptCheckpoint(f"{path}: tensor {name!r} is not finite")
             tensors[name] = flat.astype(np.float64).reshape(shape)
             pos += n_bytes
     except (struct.error, IndexError, ValueError, RecursionError) as exc:

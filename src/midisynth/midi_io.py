@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DurationTooLong, MalformedHeader, TruncatedTrack,
-                     UnsupportedDivision)
+from .errors import (DurationTooLong, MalformedHeader, TooManyFrames,
+                     TruncatedTrack, UnsupportedDivision)
 
 DEFAULT_TEMPO_US = 500000  # microseconds per quarter note, 120 bpm
 SUSTAIN_CONTROLLER = 64
@@ -29,6 +29,9 @@ SUSTAIN_THRESHOLD = 64
 # proportion to the duration, and a few hostile bytes (a long delta at the
 # slowest tempo) can declare billions of seconds.
 MAX_DURATION_SECONDS = 3600.0
+# Most frames to_piano_roll builds: an hour at 3.4 ms frames, 1 GiB of
+# float64.  A tiny frame shift would otherwise size the roll without bound.
+MAX_ROLL_FRAMES = 2 ** 20
 
 # Fractional-frame slack so onsets/offsets that are exact frame multiples
 # do not drift across a floor/ceil boundary from float rounding.
@@ -378,11 +381,16 @@ def to_piano_roll(notes: NoteEventList, frame_shift: float,
 
     A note activates every frame its [onset, offset) interval intersects.
     Overlapping notes on one pitch keep the larger velocity.  Frame count
-    is ceil(duration / frame_shift).
+    is ceil(duration / frame_shift), at most MAX_ROLL_FRAMES.
     """
     if not frame_shift > 0:
         raise ValueError("frame_shift must be positive")
-    n_frames = max(0, math.ceil(notes.duration / frame_shift - _FRAME_EPS))
+    frames = notes.duration / frame_shift - _FRAME_EPS
+    if frames > MAX_ROLL_FRAMES:
+        raise TooManyFrames(f"{notes.duration:.4g} s at a {frame_shift:.4g} s frame "
+                            f"shift needs {frames:.4g} frames, the limit is "
+                            f"{MAX_ROLL_FRAMES}")
+    n_frames = max(0, math.ceil(frames))
     values = np.zeros((n_frames, 128))
     for n in notes.notes:
         lo = int(math.floor(n.onset / frame_shift + _FRAME_EPS))

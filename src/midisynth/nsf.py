@@ -32,8 +32,8 @@ import numpy as np
 from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
 from .errors import DimensionMismatch, LengthMismatch, SampleRateMismatch
-from .params import ModelParams, fit, init_params, load_model, save_model, \
-    zero_params
+from .params import ModelParams, check_train_config, fit, init_params, \
+    load_model, save_model, zero_params
 
 NSF_MAGIC = b"NSF1"
 # Frames per inference window (96 ms at the defaults).  Timing `synth` on
@@ -69,8 +69,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate, batch_size, epochs must be positive")
+        check_train_config(self, ("batch_size", "epochs"))
         if not 0 < self.segment_seconds < math.inf:
             raise ValueError("segment_seconds must be positive and finite")
 

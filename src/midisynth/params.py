@@ -80,6 +80,32 @@ def adam_update(params: ModelParams, grads: dict, lr: float,
         tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def check_train_config(cfg, counts) -> None:
+    """Check the fields both training configs share, and their counts.
+
+    learning_rate must be positive and finite, beta1 and beta2 lie in
+    [0, 1), seed be a non-negative int, and every field named in counts
+    a positive int.  A bool is not taken as a number.
+    """
+    def number(name):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        return value
+
+    if not 0 < number("learning_rate") < math.inf:
+        raise ValueError("learning_rate must be positive and finite")
+    for name in ("beta1", "beta2"):
+        if not 0 <= number(name) < 1:
+            raise ValueError(f"{name} must lie in [0, 1)")
+    for name in ("seed", *counts):
+        value = getattr(cfg, name)
+        low = 0 if name == "seed" else 1
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be an integer of at least {low}, "
+                             f"got {value!r}")
+
+
 def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,
         on_epoch_end=None):
     """Adam training, visiting the items in a seeded shuffle each epoch.

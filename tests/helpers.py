@@ -72,6 +72,32 @@ LONG_SMF = smf_header(0, 1, 1) + track_chunk(
     tempo_meta(0, 0xFFFFFF) + eot(0x0FFFFFFF))
 
 
+# Format 1, two tracks.  The first holds a tempo, a text event and a tempo
+# change; the second notes with running status, a velocity-0 note-off, a
+# program change, a sysex and the sustain pedal.  Mutation tests start here.
+FUZZ_SMF = smf_header(1, 2, 480) + track_chunk(
+    tempo_meta(0, 500000) + vlq(0) + b"\xff\x01\x04tune"
+    + tempo_meta(960, 250000) + eot()
+) + track_chunk(
+    vlq(0) + bytes([0x90, 60, 90]) + vlq(120) + bytes([64, 70])
+    + vlq(0) + bytes([0xC0, 5]) + vlq(0) + b"\xf0\x03\x7e\x09\xf7"
+    + vlq(0) + bytes([0xB0, 64, 100]) + vlq(240) + bytes([0x90, 60, 0])
+    + vlq(0) + bytes([0x80, 64, 0]) + vlq(480) + bytes([0xB0, 64, 0]) + eot())
+
+
+def mutants(blob, count, seed):
+    """Copies of blob with 1-4 bytes from a random offset set to random
+    values or to zero, so whole fields can also come out as 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(blob)
+        pos = int(rng.integers(len(data)))
+        width = min(int(rng.integers(1, 5)), len(data) - pos)
+        fill = rng.integers(0, 256, width) if rng.random() < 0.5 else np.zeros(width)
+        data[pos:pos + width] = fill.astype(np.uint8).tobytes()
+        yield bytes(data)
+
+
 # --- note lists ---------------------------------------------------------------
 
 

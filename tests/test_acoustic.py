@@ -286,6 +286,15 @@ def test_train_non_finite_prediction_raises(rng, case):
                           [(make_roll(rng, 12), target)], tc, cfg)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", float("nan")), ("learning_rate", "0.1"), ("beta1", 1),
+    ("beta2", -1e-9), ("batch_size", 2.0), ("epochs", 0), ("seed", 0.5),
+    ("segment_frames", 1.5), ("segment_frames", 0), ("segment_frames", False)])
+def test_train_config_names_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        AmTrainConfig(**{field: value})
+
+
 def test_train_rejects_empty_dataset():
     cfg = helpers.tiny_am_cfg()
     with pytest.raises(ValueError):

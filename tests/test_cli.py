@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import helpers
-from midisynth import acoustic, cli, dsp, excitation, formats, midi_io, nsf
+from midisynth import acoustic, cli, dsp, errors, excitation, formats, midi_io, nsf
 
 
 def run_cli(*argv):
@@ -501,12 +501,14 @@ def hostile_mfb(path, shift, rate):
     return path
 
 
-def train_with(kind, config, *extra):
+def train_with(kind, config, *extra, midi_seconds=None):
     def argv(tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        return ["train", kind, make_pair(tmp_path / "data"), tmp_path / "out",
-                "--config", cfg_path, *extra]
+        data = make_pair(tmp_path / "data")
+        if midi_seconds is not None:
+            write_midi_file(data / "clip.mid", [(0.0, midi_seconds, 69, 100)])
+        return ["train", kind, data, tmp_path / "out", "--config", cfg_path, *extra]
     return argv
 
 
@@ -533,6 +535,25 @@ HOSTILE = {
     "am-rate-0": train_with("am", {"data": {"rate": 0}}),
     "nsf-fractional-channels": train_with("nsf", {"model": {"channels": 4.5}}),
     "nsf-warm-start": train_with("nsf", {}, "--warm-start", "am.ckpt"),
+    # rolls of 1.2e12, 1.7e6 and 1.4e6 frames, over midi_io.MAX_ROLL_FRAMES
+    "roll-tiny-shift": midi_with("roll", helpers.note_smf([(0, 1152, 64, 110)]),
+                                 "--shift", "1e-12"),
+    "synth-huge-rate": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                                 "--nsf-ckpt", "nsf.ckpt", "--rate", "1000000000"),
+    "nsf-roll-too-long": train_with("nsf", {"model": {"upsample_factor": 1}},
+                                    midi_seconds=60.0),
+    "nsf-beta1-5": train_with("nsf", {"train": {"beta1": 5}}),
+    "nsf-beta2-1": train_with("nsf", {"train": {"beta2": 1.0}}),
+    "nsf-lr-inf": train_with("nsf", {"train": {"learning_rate": np.inf}}),
+    "nsf-epochs-fractional": train_with("nsf", {"train": {"epochs": 1.5}}),
+    "nsf-batch-fractional": train_with("nsf", {"train": {"batch_size": 1.5}}),
+    "nsf-seed-fractional": train_with("nsf", {"train": {"seed": 0.5}}),
+    "nsf-seed-negative": train_with("nsf", {"train": {"seed": -1}}),
+    "nsf-epochs-bool": train_with("nsf", {"train": {"epochs": True}}),
+    "am-beta1-negative": train_with("am", {"train": {"beta1": -0.1}}),
+    "am-lr-string": train_with("am", {"train": {"learning_rate": "0.1"}}),
+    "am-segment-fractional": train_with("am", {"train": {"segment_frames": 1.5}}),
+    "am-seed-fractional": train_with("am", {"train": {"seed": 0.5}}),
 }
 
 
@@ -545,6 +566,16 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_bad_training_midi_file_is_named(tmp_path, capsys):
+    data = make_pair(tmp_path / "data")
+    (data / "clip.mid").write_bytes(helpers.LONG_SMF)
+    assert run_cli("train", "nsf", data, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'clip.mid'}: file lasts") and err.count("\n") == 1
+    with pytest.raises(errors.DurationTooLong):
+        cli._load_notes(data / "clip.mid")
 
 
 def test_train_empty_data_dir_exits_2(tmp_path, capsys):

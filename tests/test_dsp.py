@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,23 @@ def test_istft_pads_final_frame(stft_cfg, rng):
 # --- features -----------------------------------------------------------------
 
 
+def overlap_add_loop(frames, shift):
+    n, length = frames.shape
+    out = np.zeros((n - 1) * shift + length if n else 0)
+    for i in range(n):
+        out[i * shift : i * shift + length] += frames[i]
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+@pytest.mark.parametrize("length,shift", [(12, 12), (12, 4), (12, 5), (12, 1),
+                                          (1200, 288), (7, 3)])
+def test_overlap_add_matches_per_frame_loop(rng, n, length, shift):
+    frames = rng.standard_normal((n, length)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+    out = dsp._overlap_add(frames, shift)
+    assert np.array_equal(out, overlap_add_loop(frames, shift))
+
+
 def test_extract_features_shape_and_floor(stft_cfg):
     wave = WaveSignal(np.zeros(4800), 24000)
     bank = dsp.midi_filter_bank(stft_cfg)
@@ -182,6 +201,47 @@ def test_griffin_lim_random_magnitudes(stft_cfg, rng):
         _, history = dsp.griffin_lim(mag, stft_cfg, n_iters=8,
                                      return_history=True)
         assert (np.diff(history) <= 1e-6).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_griffin_lim_keeps_magnitude_where_reanalysis_is_zero(stft_cfg, rng,
+                                                              monkeypatch):
+    mag = rng.random((6, stft_cfg.n_bins))
+    mag[4] = 0.0
+    stft, istft = dsp.stft, dsp.istft
+    analyses, resyntheses = [], []
+
+    def zeroed_stft(wave, cfg):
+        spec = stft(wave, cfg)
+        spec[2] = 0.0
+        spec[:, 7] = 0.0
+        analyses.append(spec.copy())
+        return spec
+
+    def recording_istft(spec, cfg):
+        resyntheses.append(spec.copy())
+        return istft(spec, cfg)
+
+    monkeypatch.setattr(dsp, "stft", zeroed_stft)
+    monkeypatch.setattr(dsp, "istft", recording_istft)
+    dsp.griffin_lim(mag, stft_cfg, n_iters=3)
+    assert len(analyses) == 3 and len(resyntheses) == 4
+    assert np.array_equal(resyntheses[0], mag)
+    for spec, analysis in zip(resyntheses[1:], analyses):
+        assert np.array_equal(spec[2], mag[2]) and np.array_equal(spec[:, 7], mag[:, 7])
+        np.testing.assert_allclose(spec, mag * np.exp(1j * np.angle(analysis)),
+                                   rtol=0, atol=1e-15)
+
+
+def test_griffin_lim_working_memory(stft_cfg, rng):
+    mag = rng.random((120, stft_cfg.n_bins))
+    tracemalloc.start()
+    try:
+        dsp.griffin_lim(mag, stft_cfg, n_iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * mag.astype(np.complex128).nbytes
 
 
 def test_griffin_lim_input_validation(stft_cfg):
@@ -240,6 +300,15 @@ def test_mr_stft_gradient_matches_finite_differences(rng):
         down, _ = dsp.mr_stft_loss(WaveSignal(bumped, 24000), target, res)
         fd = (up - down) / (2 * eps)
         assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def test_mr_stft_loss_gradient_of_short_signals(rng):
+    # fewer samples than one frame, and exactly one frame
+    for n in (1, 100, 128):
+        pred = WaveSignal(rng.standard_normal(n), 24000)
+        target = WaveSignal(rng.standard_normal(n), 24000)
+        loss, grad = dsp.mr_stft_loss(pred, target, small_resolutions())
+        assert np.isfinite(loss) and grad.shape == (n,) and np.isfinite(grad).all()
 
 
 def test_mr_stft_loss_checks(rng):

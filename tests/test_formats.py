@@ -1,9 +1,11 @@
 import dataclasses
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+import helpers
 import v1_checkpoints as v1
 from midisynth import acoustic, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
@@ -135,19 +137,6 @@ def test_feature_file_truncated(tmp_path):
         formats.read_feature_file(path)
 
 
-def mutants(blob, count, seed):
-    """Copies of blob with 1-4 bytes from a random offset set to random
-    values or to zero, so whole fields can also come out as 0."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        data = bytearray(blob)
-        pos = int(rng.integers(len(data)))
-        width = min(int(rng.integers(1, 5)), len(data) - pos)
-        fill = rng.integers(0, 256, width) if rng.random() < 0.5 else np.zeros(width)
-        data[pos:pos + width] = fill.astype(np.uint8).tobytes()
-        yield bytes(data)
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("reader", ["read_wav", "read_feature_file"])
 def test_mutants_load_or_raise_package_errors(tmp_path, reader):
@@ -159,10 +148,33 @@ def test_mutants_load_or_raise_package_errors(tmp_path, reader):
                              0.012, 24000.0)
         formats.write_feature_file(path, feat)
     blob = path.read_bytes()
-    for data in mutants(blob, 3000, seed=7):
+    for data in helpers.mutants(blob, 3000, seed=7):
         path.write_bytes(data)
         try:
             getattr(formats, reader)(path)
+        except MidiSynthError:
+            pass
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", ["nsf", "am"])
+def test_checkpoint_mutants_load_or_raise_package_errors(tmp_path, model):
+    # each mutant gets a fresh CRC, so the parser sees the damaged fields
+    path = tmp_path / "x.ckpt"
+    if model == "nsf":
+        cfg = helpers.tiny_nsf_cfg()
+        nsf.save_checkpoint(path, nsf.nsf_init(cfg, seed=1), cfg)
+        load = nsf.load_checkpoint
+    else:
+        cfg = helpers.tiny_am_cfg(output_dim=2, encoder_channels=2, decoder_state_dim=2,
+                                  prenet_widths=(2, 2), postnet_channels=2)
+        acoustic.am_save_checkpoint(path, acoustic.am_init(cfg, seed=1), cfg)
+        load = acoustic.am_load_checkpoint
+    body = path.read_bytes()[:-4]
+    for data in helpers.mutants(body, 1500, seed=11):
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        try:
+            load(path)
         except MidiSynthError:
             pass
 

@@ -3,8 +3,8 @@ import pytest
 
 import helpers
 from midisynth import midi_io
-from midisynth.errors import (DurationTooLong, MalformedHeader, TruncatedTrack,
-                              UnsupportedDivision)
+from midisynth.errors import (DurationTooLong, MalformedHeader, MidiSynthError,
+                              TruncatedTrack, UnsupportedDivision)
 from midisynth.midi_io import NoteEvent, NoteEventList, PianoRoll
 
 
@@ -204,6 +204,21 @@ def test_parse_collects_pedal_events():
     values = [v for _, v in result.pedal]
     assert times == pytest.approx([0.125, 0.375])
     assert values == [100, 0]
+
+
+def test_fuzz_smf_parses():
+    notes = midi_io.parse_midi(helpers.FUZZ_SMF)
+    assert [(n.pitch, n.velocity) for n in notes.notes] == [(60, 90), (64, 70)]
+    assert [v for _, v in notes.pedal] == [100, 0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_mutants_parse_or_raise_package_errors():
+    for data in helpers.mutants(helpers.FUZZ_SMF, 5000, seed=3):
+        try:
+            midi_io.apply_sustain_pedal(midi_io.parse_midi(data))
+        except MidiSynthError:
+            pass
 
 
 def test_parse_format1_merges_tracks():

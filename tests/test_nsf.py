@@ -317,6 +317,16 @@ def test_train_non_finite_target_raises(rng):
     assert saved == []
 
 
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", float("inf")), ("learning_rate", True),
+    ("beta1", 5), ("beta1", -0.1), ("beta2", 1.0), ("batch_size", 1.5),
+    ("batch_size", 0), ("epochs", 1.5), ("epochs", True), ("seed", 0.5),
+    ("seed", -1), ("segment_seconds", 0.0)])
+def test_train_config_names_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        nsf.TrainConfig(**{field: value})
+
+
 def test_train_rejects_empty_dataset():
     cfg = helpers.tiny_nsf_cfg()
     with pytest.raises(ValueError):
