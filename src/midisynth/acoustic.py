@@ -16,6 +16,13 @@ line up one-to-one with encoder frames.  The output head is one shared
 frame projection plus a per-position offset table with a fixed four
 rows, which keeps every parameter shape independent of the reduction
 factor; checkpoints therefore move between variants without reshaping.
+
+Teacher forcing knows every step's previous frame in advance, so it
+decodes the whole sequence at once: the prenet, the gate inputs and the
+output head are whole-sequence ops around one ag.gru_sequence
+recurrence, and the tape does not grow with the number of steps.
+Generation feeds each step its own output, so it loops over the steps
+through the same GRU cell, ag.gru_cell.
 """
 
 from __future__ import annotations
@@ -209,55 +216,59 @@ def _encode(tensors, roll_ds_values):
     return e
 
 
-def dropout_mask(rng, keep_rate: float, dim: int) -> np.ndarray:
-    """Inverted-dropout row mask: kept entries are scaled by 1/keep_rate."""
-    return (rng.random((1, dim)) < keep_rate) / keep_rate
+def dropout_mask(rng, keep_rate: float, dim: int, rows: int = 1) -> np.ndarray:
+    """Inverted-dropout mask of shape (rows, dim), drawn in one block.
 
-
-def _decode(tensors, cfg, enc_out, roll_ds_values, prev_provider, dropout_rng):
-    """Run the decoder for every group step.
-
-    prev_provider(s, last_frame_tensor) returns the previous-frame tensor
-    fed to step s: teacher forcing passes target frames, generation passes
-    the model's own last pre-postnet frame.
+    Kept entries are scaled by 1/keep_rate.  PCG64 fills the block row by
+    row, so one draw equals rows successive (1, dim) draws.
     """
-    m = roll_ds_values.shape[0]
-    r = cfg.reduction_factor
-    d = cfg.output_dim
-    keep = 1.0 - cfg.prenet_dropout
-    state = ag.Tensor(np.zeros((1, cfg.decoder_state_dim)))
-    one = ag.Tensor(np.ones(1))
-    frames = []
-    last_frame = ag.Tensor(np.zeros((1, d)))
-    for s in range(m):
-        prev = prev_provider(s, last_frame)
-        if dropout_rng is not None and cfg.prenet_dropout > 0.0:
-            prev = ag.mul(prev, ag.Tensor(dropout_mask(dropout_rng, keep, d)))
-        if cfg.variant == "taco3":
-            prev = ag.concat_cols([prev, ag.Tensor(roll_ds_values[s : s + 1])])
-        q = ag.relu(ag.add(ag.matmul(prev, tensors["prenet.fc1.weight"]),
-                           tensors["prenet.fc1.bias"]))
-        q = ag.relu(ag.add(ag.matmul(q, tensors["prenet.fc2.weight"]),
-                           tensors["prenet.fc2.bias"]))
-        u = ag.concat_cols([q, ag.slice_rows(enc_out, s, s + 1)])
-        z = ag.sigmoid(ag.add(ag.add(ag.matmul(u, tensors["dec.gru.wz"]),
-                                     ag.matmul(state, tensors["dec.gru.uz"])),
-                              tensors["dec.gru.bz"]))
-        rr = ag.sigmoid(ag.add(ag.add(ag.matmul(u, tensors["dec.gru.wr"]),
-                                      ag.matmul(state, tensors["dec.gru.ur"])),
-                               tensors["dec.gru.br"]))
-        cand = ag.tanh(ag.add(ag.add(ag.matmul(u, tensors["dec.gru.wn"]),
-                                     ag.matmul(ag.mul(rr, state),
-                                               tensors["dec.gru.un"])),
-                              tensors["dec.gru.bn"]))
-        state = ag.add(ag.mul(ag.sub(one, z), cand), ag.mul(z, state))
-        base = ag.add(ag.matmul(state, tensors["dec.out.weight"]),
-                      tensors["dec.out.bias"])
-        for k in range(r):
-            frames.append(ag.add(base, ag.slice_rows(tensors["dec.pos.weight"],
-                                                     k, k + 1)))
-        last_frame = frames[-1]
-    return ag.concat_rows(frames)
+    return (rng.random((rows, dim)) < keep_rate) / keep_rate
+
+
+def _prenet_masks(cfg, seed, steps):
+    """Every decoder step's prenet dropout mask, or None with dropout off."""
+    if cfg.prenet_dropout == 0.0:
+        return None
+    return dropout_mask(np.random.default_rng(seed), 1.0 - cfg.prenet_dropout,
+                        cfg.output_dim, steps)
+
+
+def _prenet(tensors, cfg, prev, roll_rows, mask):
+    """Prenet over rows of previous frames (constants: targets or outputs).
+
+    The dropout mask hits the frames only; taco3 then appends the roll
+    rows of the same steps.
+    """
+    if mask is not None:
+        prev = prev * mask
+    if cfg.variant == "taco3":
+        prev = np.concatenate([prev, roll_rows], axis=1)
+    q = ag.relu(ag.add(ag.matmul(ag.Tensor(prev), tensors["prenet.fc1.weight"]),
+                       tensors["prenet.fc1.bias"]))
+    return ag.relu(ag.add(ag.matmul(q, tensors["prenet.fc2.weight"]),
+                          tensors["prenet.fc2.bias"]))
+
+
+def _gate_inputs(tensors, q, enc_rows):
+    """The z, r and n gate inputs [q, encoder] @ W of the same steps."""
+    u = ag.concat_cols([q, enc_rows])
+    return [ag.matmul(u, tensors[f"dec.gru.w{g}"]) for g in "zrn"]
+
+
+def _gru_tensors(tensors, kind):
+    return [tensors[f"dec.gru.{kind}{g}"] for g in "zrn"]
+
+
+def _frames(tensors, states, r):
+    """The r output frames of each state, in time order: (rows * r, d).
+
+    Frame k of a step is the shared projection plus position offset k.
+    """
+    base = ag.add(ag.matmul(states, tensors["dec.out.weight"]),
+                  tensors["dec.out.bias"])
+    rows, d = base.shape
+    offsets = ag.reshape(ag.slice_rows(tensors["dec.pos.weight"], 0, r), (1, r, d))
+    return ag.reshape(ag.add(ag.reshape(base, (rows, 1, d)), offsets), (rows * r, d))
 
 
 def _postnet(tensors, y1):
@@ -281,7 +292,10 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     """One teacher-forced pass: returns (loss, grads, predicted features).
 
     The decoder is fed the true previous frame (the last target frame of
-    the preceding group).  Loss is the mean squared error before plus
+    the preceding group).  Every step's input is thus known in advance,
+    so the prenet, the gate inputs and the output head each run once
+    over the whole sequence, and only the recurrence steps through time,
+    inside ag.gru_sequence.  Loss is the mean squared error before plus
     after the postnet, against the target padded to a whole number of
     groups by edge replication.  Prenet dropout applies only when
     train_mode is set; the seed makes the masks reproducible.  A
@@ -298,16 +312,16 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     m = roll_ds.n_frames
     r = cfg.reduction_factor
     padded = _pad_rows_edge(target.values, m * r)
-    rng = np.random.default_rng(seed) if train_mode else None
-
-    def prev_provider(s, _last):
-        if s == 0:
-            return ag.Tensor(np.zeros((1, cfg.output_dim)))
-        return ag.Tensor(padded[s * r - 1 : s * r])
+    prev = np.zeros((m, cfg.output_dim))
+    prev[1:] = padded[r - 1 : (m - 1) * r : r]
+    mask = _prenet_masks(cfg, seed, m) if train_mode else None
 
     tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
     enc_out = _encode(tensors, roll_ds.values)
-    y1 = _decode(tensors, cfg, enc_out, roll_ds.values, prev_provider, rng)
+    q = _prenet(tensors, cfg, prev, roll_ds.values, mask)
+    states = ag.gru_sequence(_gate_inputs(tensors, q, enc_out),
+                             _gru_tensors(tensors, "u"), _gru_tensors(tensors, "b"))
+    y1 = _frames(tensors, states, r)
     y2 = _postnet(tensors, y1)
     target_t = ag.Tensor(padded)
     loss = ag.add(ag.square_error_mean(y1, target_t),
@@ -326,22 +340,33 @@ def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
                 seed: int = 0, use_dropout: bool = True) -> FeatureMatrix:
     """Free-running synthesis of features from a piano roll.
 
-    The decoder feeds back its own last pre-postnet frame.  Prenet
+    The decoder feeds back its own last pre-postnet frame, so it steps
+    through time: each step runs the prenet, the GRU cell that
+    ag.gru_sequence also runs (ag.gru_cell) and the output head.  Prenet
     dropout stays on by default (it is part of how these models were
     trained to rely on the score); the seed makes it reproducible.
     """
     _check_roll(roll, cfg)
     roll_ds = downsample_roll(roll, cfg.downsample_factor)
-    rng = np.random.default_rng(seed) if use_dropout else None
-
-    def prev_provider(s, last_frame):
-        return ag.Tensor(np.zeros_like(last_frame.value)) if s == 0 else last_frame
+    masks = _prenet_masks(cfg, seed, roll_ds.n_frames) if use_dropout else None
 
     with ag.no_grad():
         tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
-        enc_out = _encode(tensors, roll_ds.values)
-        y1 = _decode(tensors, cfg, enc_out, roll_ds.values, prev_provider, rng)
-        y2 = _postnet(tensors, y1)
+        enc_out = _encode(tensors, roll_ds.values).value
+        u = [t.value for t in _gru_tensors(tensors, "u")]
+        b = [t.value for t in _gru_tensors(tensors, "b")]
+        state = np.zeros((1, cfg.decoder_state_dim))
+        last = np.zeros((1, cfg.output_dim))
+        frames = []
+        for s in range(roll_ds.n_frames):
+            rows = slice(s, s + 1)
+            q = _prenet(tensors, cfg, last, roll_ds.values[rows],
+                        None if masks is None else masks[rows])
+            x = [t.value for t in _gate_inputs(tensors, q, ag.Tensor(enc_out[rows]))]
+            state, _ = ag.gru_cell(x, state, u, b)
+            frames.append(_frames(tensors, ag.Tensor(state), cfg.reduction_factor).value)
+            last = frames[-1][-1:]
+        y2 = _postnet(tensors, ag.Tensor(np.concatenate(frames)))
     values = y2.value[: roll.n_frames]
     shift = roll.frame_shift
     return FeatureMatrix(values, cfg.output_kind, shift, roll.sample_rate_hint)

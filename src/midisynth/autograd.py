@@ -6,9 +6,10 @@ gradients.  Recording can be switched off globally with no_grad(), in
 which case the same op functions run as plain numpy with no tape, so
 forward inference and training share one code path.
 
-Convolutions and linear-interpolation upsampling are single primitives
-with hand-written adjoints rather than compositions, which keeps the
-tape small for long sequences.
+Convolutions, linear-interpolation upsampling and the GRU recurrence
+(gru_sequence, over the cell gru_cell) are single primitives with
+hand-written adjoints rather than compositions, which keeps the tape
+small for long sequences: its size does not grow with their length.
 """
 
 from __future__ import annotations
@@ -140,12 +141,6 @@ def tanh(a):
     return Tensor(y, [(a, lambda g: g * (1.0 - y * y))])
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.value))
-    return Tensor(y, [(a, lambda g: g * y * (1.0 - y))])
-
-
 def relu(a):
     a = as_tensor(a)
     mask = a.value > 0
@@ -183,15 +178,9 @@ def concat_cols(tensors):
     return Tensor(np.concatenate([t.value for t in tensors], axis=1), parents)
 
 
-def concat_rows(tensors):
-    """Concatenate 2-D tensors along axis 0."""
-    tensors = [as_tensor(t) for t in tensors]
-    heights = [t.value.shape[0] for t in tensors]
-    offsets = np.concatenate(([0], np.cumsum(heights)))
-    parents = []
-    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-        parents.append((t, lambda g, lo=int(lo), hi=int(hi): g[lo:hi]))
-    return Tensor(np.concatenate([t.value for t in tensors], axis=0), parents)
+def reshape(a, shape):
+    a = as_tensor(a)
+    return Tensor(a.value.reshape(shape), [(a, lambda g: g.reshape(a.value.shape))])
 
 
 def slice_rows(a, start: int, stop: int):
@@ -287,3 +276,70 @@ def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
         return out
 
     return Tensor(value, [(a, back)])
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def gru_cell(x, h, u, b):
+    """One GRU step on arrays: returns the new state and (z, r, n, r * h).
+
+    x, u and b are (z, r, n) triples of gate inputs (rows, s), recurrent
+    weights (s, s) and biases (s,); h is the previous state (rows, s).
+    The candidate's bias sits outside the reset gate:
+    n = tanh(x_n + (r * h) @ u_n + b_n) and h' = (1 - z) * n + z * h.
+    """
+    z = _sigmoid(x[0] + h @ u[0] + b[0])
+    r = _sigmoid(x[1] + h @ u[1] + b[1])
+    rh = r * h
+    n = np.tanh(x[2] + rh @ u[2] + b[2])
+    return (1.0 - z) * n + z * h, (z, r, n, rh)
+
+
+def gru_sequence(x, u, b):
+    """Every state of a GRU run from a zero state over the rows of x.
+
+    x, u and b are (z, r, n) triples of tensors as in gru_cell, with x
+    holding the gate inputs of all m steps at once.  Returns the states
+    (m, s), row t being the state after step t.  The adjoint is
+    backpropagation through time in one reverse loop; the gradients of u
+    and b are whole-sequence sums taken after it.
+    """
+    x, u, b = ([as_tensor(t) for t in group] for group in (x, u, b))
+    xv, uv, bv = ([t.value for t in group] for group in (x, u, b))
+    m, s = xv[0].shape
+    states = np.empty((m + 1, s))  # row 0 is the zero initial state
+    states[0] = 0.0
+    gates = np.empty((4, m, s))  # z, r, n and r * h of every step
+    for t in range(m):
+        h, gates[:, t : t + 1] = gru_cell([v[t : t + 1] for v in xv],
+                                          states[t : t + 1], uv, bv)
+        states[t + 1] = h
+    z, r, n, rh = gates
+    prev = states[:-1]
+    adjoint = {}
+
+    def grads(g):
+        if adjoint.get("g") is not g:
+            adjoint["g"] = g
+            ga = np.empty((3, m, s))  # gradients of the z, r and n pre-activations
+            uz_t, ur_t, un_t = (w.T for w in uv)
+            dh = np.zeros(s)
+            for t in range(m - 1, -1, -1):
+                dh = dh + g[t]
+                da_n = dh * (1.0 - z[t]) * (1.0 - n[t] * n[t])
+                d_rh = da_n @ un_t
+                da_z = dh * (prev[t] - n[t]) * z[t] * (1.0 - z[t])
+                da_r = d_rh * prev[t] * r[t] * (1.0 - r[t])
+                ga[0, t], ga[1, t], ga[2, t] = da_z, da_r, da_n
+                dh = dh * z[t] + d_rh * r[t] + da_z @ uz_t + da_r @ ur_t
+            adjoint["x"] = list(ga)
+            adjoint["u"] = [prev.T @ ga[0], prev.T @ ga[1], rh.T @ ga[2]]
+            adjoint["b"] = list(ga.sum(axis=1))
+        return adjoint
+
+    parents = [(t, lambda g, key=key, k=k: grads(g)[key][k])
+               for key, group in (("x", x), ("u", u), ("b", b))
+               for k, t in enumerate(group)]
+    return Tensor(states[1:], parents)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustic, dsp, evaluation, excitation, formats, midi_io, nsf
-from .errors import MidiSynthError
+from .errors import MidiSynthError, TooManySamples
 
 DEFAULT_RATE = 24000
 
@@ -85,7 +85,16 @@ def _features(kind, notes, wave, rate, shift, frame_length, fft, n_filters):
 
 
 def _excitation(kind, notes, n_samples, rate, gain, seed):
-    """The n_samples-long source signal: the notes as sines, or seeded noise."""
+    """The n_samples-long source signal: the notes as sines, or seeded noise.
+
+    Sines are first rendered over the notes' whole duration, so that
+    length and n_samples are both held to excitation.MAX_SAMPLES before
+    anything is allocated.
+    """
+    longest = max(n_samples, notes.duration * rate)
+    if longest > excitation.MAX_SAMPLES:
+        raise TooManySamples(f"the excitation needs {longest:.4g} samples, "
+                             f"the limit is {excitation.MAX_SAMPLES}")
     if kind == "sine":
         return excitation.fit_length(excitation.sine_excitation(notes, rate, gain),
                                      n_samples)

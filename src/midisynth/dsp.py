@@ -19,10 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LengthMismatch, SampleRateMismatch
+from .errors import LengthMismatch, SampleRateMismatch, SpectrogramTooLarge
 
 MAG_FLOOR = 1e-5
 _WOLA_FLOOR = 1e-8
+# Most frames x bins a spectrogram may hold: 2 GiB of complex128, 26
+# minutes at a 288-sample hop, 24 kHz and 2048 FFT points.  A tiny hop
+# would otherwise give every input sample a frame of its own.
+MAX_SPECTROGRAM_ENTRIES = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -202,8 +206,16 @@ def frame_count(n_samples: int, frame_shift: int) -> int:
     return -(-n_samples // frame_shift) if n_samples > 0 else 0
 
 
+def _check_spectrogram_size(n_frames, cfg):
+    if n_frames * cfg.n_bins > MAX_SPECTROGRAM_ENTRIES:
+        raise SpectrogramTooLarge(
+            f"{n_frames} frames of {cfg.n_bins} bins exceed the limit of "
+            f"{MAX_SPECTROGRAM_ENTRIES} spectrogram entries")
+
+
 def _frame_signal(x, cfg):
     n = frame_count(len(x), cfg.frame_shift)
+    _check_spectrogram_size(n, cfg)
     if n == 0:
         return np.zeros((0, cfg.frame_length))
     padded = np.zeros((n - 1) * cfg.frame_shift + cfg.frame_length)
@@ -246,6 +258,7 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> WaveSignal:
     if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
         raise ValueError(f"spectrogram must be (N, {cfg.n_bins}), got {spec.shape}")
     n = spec.shape[0]
+    _check_spectrogram_size(n, cfg)
     if n == 0:
         return WaveSignal(np.zeros(0), cfg.sample_rate)
     w = _window_values(cfg)
@@ -326,6 +339,7 @@ def pseudo_inverse_magnitude(feat: FeatureMatrix, bank: FilterBank,
     if feat.dim != bank.weights.shape[0]:
         raise ValueError(
             f"features have {feat.dim} dims, bank has {bank.weights.shape[0]} filters")
+    _check_spectrogram_size(feat.n_frames, cfg)
     linear = 10.0 ** feat.values
     mag = linear @ np.linalg.pinv(bank.weights.T)
     return np.clip(mag, 0.0, None)

@@ -31,6 +31,14 @@ class TooManyFrames(MidiSynthError):
     """A piano roll would hold more than midi_io.MAX_ROLL_FRAMES frames."""
 
 
+class TooManySamples(MidiSynthError):
+    """An excitation would hold more than excitation.MAX_SAMPLES samples."""
+
+
+class SpectrogramTooLarge(MidiSynthError):
+    """A spectrogram would hold more than dsp.MAX_SPECTROGRAM_ENTRIES entries."""
+
+
 class FileFormatError(MidiSynthError):
     """A binary file (WAV or feature matrix) does not match its format."""
 

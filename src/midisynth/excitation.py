@@ -18,6 +18,9 @@ from .midi_io import NoteEventList
 FADE_SECONDS = 0.005
 NOISE_STD = 0.1
 _EDGE_EPS = 1e-9
+# Most samples an excitation may hold: 1 GiB of float64, 93 minutes at
+# 24 kHz.  A huge sample rate would otherwise size it without bound.
+MAX_SAMPLES = 2 ** 27
 
 
 def sine_excitation(notes: NoteEventList, sample_rate: int = 24000,

@@ -6,7 +6,7 @@ import pytest
 import helpers
 import v1_checkpoints as v1
 from midisynth import acoustic
-from midisynth.acoustic import AmConfig, AmTrainConfig
+from midisynth.acoustic import VARIANTS, AmConfig, AmTrainConfig
 from midisynth.dsp import FeatureMatrix
 from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
                               LengthMismatch, TrainingDiverged)
@@ -205,6 +205,19 @@ def test_dropout_mask_survival_rate():
     assert set(np.unique(mask)).issubset({0.0, 2.0})
 
 
+def test_dropout_mask_one_block_equals_row_draws():
+    # the decoder draws all steps' masks at once; they must equal the
+    # step-by-step draws from the same generator
+    block = np.random.default_rng(11).random((9, 5))
+    rng = np.random.default_rng(11)
+    assert np.array_equal(block, np.concatenate([rng.random((1, 5)) for _ in range(9)]))
+    rng = np.random.default_rng(12)
+    rows = [acoustic.dropout_mask(rng, 0.5, 5) for _ in range(9)]
+    block = acoustic.dropout_mask(np.random.default_rng(12), 0.5, 5, rows=9)
+    assert block.shape == (9, 5)
+    assert np.array_equal(block, np.concatenate(rows))
+
+
 # --- generation ----------------------------------------------------------------
 
 
@@ -299,6 +312,110 @@ def test_train_rejects_empty_dataset():
     cfg = helpers.tiny_am_cfg()
     with pytest.raises(ValueError):
         acoustic.am_train(acoustic.am_zero(cfg), [], AmTrainConfig(), cfg)
+
+
+# --- frozen values ---------------------------------------------------------------
+# Produced by the per-step decoder that recorded every GRU step on the
+# generic tape.  The sequence decoder changes summation order only, so
+# everything below must agree to 1e-12 relative.
+
+FROZEN_ENTRIES = (("prenet.fc1.weight", (1, 2)), ("dec.gru.uz", (3, 4)),
+                  ("dec.gru.wn", (5, 1)), ("dec.gru.bz", (6,)),
+                  ("dec.out.weight", (2, 3)), ("dec.pos.weight", (1, 0)),
+                  ("enc.conv0.weight", (1, 2, 3)), ("post.conv1.bias", (2,)))
+FROZEN_GRADS = ("enc.conv1.weight", "prenet.fc1.weight", "dec.gru.wz",
+                "dec.gru.uz", "dec.gru.br", "dec.gru.un", "dec.out.weight",
+                "dec.pos.weight", "post.conv0.weight")
+FROZEN = {
+    "taco2": dict(
+        history=[2.658060534927074, 1.683042021076536, 2.0973046873813037,
+                 2.368689211268647],
+        entries=[-0.4500186900594789, 0.21052901727843143, -0.1763775169809602,
+                 -0.04237659193121937, 0.030507940682317877,
+                 -0.12158760413100474, -0.18640222895196257,
+                 -0.20010849720786167],
+        loss=2.7940390809450926,
+        grad_sq=[0.004230479900195548, 0.031199536623264024,
+                 0.0007062354182122616, 4.2947320194219304e-05,
+                 3.6055592500083874e-05, 0.00692939960814941,
+                 0.3153198415409419, 0.4905587773384336, 0.10414347891974579],
+        gen_sq=1.8182155227108285,
+        gen=[-0.04816839788585645, -0.18284204742505977, -0.4290435242840297]),
+    "taco3": dict(
+        history=[2.6479487926164285, 1.6864168136103352, 2.1070053901501646,
+                 2.3708493783377143],
+        entries=[-0.04111187092637085, 0.20433180233012038,
+                 -0.20907100146137897, -0.042964611879895184,
+                 0.02917993168714369, -0.12146216378528202,
+                 -0.18676481396254094, -0.20122067368978466],
+        loss=2.799703091346461,
+        grad_sq=[0.0029401780749147947, 0.01312334360331327,
+                 3.9619811434641485e-05, 1.5730412849605668e-05,
+                 2.2374890397234933e-05, 0.0045892438283017915,
+                 0.2047755356225382, 0.4980525089068554, 0.09502549599522275],
+        gen_sq=1.7029662270586357,
+        gen=[-0.04136894735171277, -0.1587939832929347, -0.4141844865747097]),
+    "taco4": dict(
+        history=[2.489906834187046, 1.7517065644730825, 1.9712849480094305,
+                 2.5542336150055354],
+        entries=[-0.44923933045498454, 0.20963702193056022,
+                 -0.17441572813029824, 0.020369198920123788,
+                 0.029225622537061548, -0.13928000963768683,
+                 -0.11981546915169694, -0.17259615340969603],
+        loss=2.3778445009781928,
+        grad_sq=[0.0029340680571865066, 0.0030677895086163058,
+                 7.082467139767288e-05, 1.606743782727802e-05,
+                 8.676213742357802e-05, 0.01197424351392357,
+                 0.2083449569553607, 0.4552944690427581, 0.06450684323742185],
+        gen_sq=1.4262911403875163,
+        gen=[-0.053818868359982217, -0.11625178308606865, -0.3797452557927579]),
+}
+
+
+def frozen_case(variant):
+    """Dropout 0.5, every tensor non-zero, and lengths of 10, 7 and 13
+    frames, so taco2 and taco3 pad a partial last group."""
+    cfg = helpers.tiny_am_cfg(variant, output_dim=4, prenet_dropout=0.5)
+    params = acoustic.am_init(cfg, seed=1)
+    rng = np.random.default_rng(2024)
+    for name in acoustic.AM_ZERO_INIT:
+        params.tensors[name] = 0.1 * rng.standard_normal(params.tensors[name].shape)
+    data = [(make_roll(rng, n), make_target(rng, n, 4)) for n in (10, 7, 13)]
+    return cfg, params, data
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_frozen_train_history_and_tensors(variant):
+    cfg, params, data = frozen_case(variant)
+    tc = AmTrainConfig(learning_rate=1e-2, batch_size=2, epochs=2, seed=5)
+    out, hist = acoustic.am_train(params, data, tc, cfg)
+    want = FROZEN[variant]
+    assert [step for step, _ in hist] == [1, 2, 3, 4]
+    assert [loss for _, loss in hist] == pytest.approx(want["history"], rel=1e-12)
+    got = [out.tensors[name][idx] for name, idx in FROZEN_ENTRIES]
+    assert got == pytest.approx(want["entries"], rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_frozen_teacher_forced_loss_and_grads(variant):
+    cfg, params, data = frozen_case(variant)
+    roll, target = data[2]
+    loss, grads, _ = acoustic.am_teacher_forced(params, roll, target, cfg,
+                                                train_mode=True, seed=8)
+    want = FROZEN[variant]
+    assert loss == pytest.approx(want["loss"], rel=1e-12)
+    got = [float((grads[name] ** 2).sum()) for name in FROZEN_GRADS]
+    assert got == pytest.approx(want["grad_sq"], rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_frozen_generate_with_dropout(variant):
+    cfg, params, data = frozen_case(variant)
+    values = acoustic.am_generate(params, data[0][0], cfg, seed=3).values
+    want = FROZEN[variant]
+    assert float((values ** 2).sum()) == pytest.approx(want["gen_sq"], rel=1e-12)
+    assert values[[0, 4, 9], [0, 3, 1]].tolist() == pytest.approx(want["gen"],
+                                                                   rel=1e-12)
 
 
 # --- warm starting --------------------------------------------------------------

@@ -10,6 +10,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,13 @@ def midi_with(command, smf, *extra):
     return argv
 
 
+def wav_with(command, seconds, *extra):
+    def argv(tmp_path):
+        helpers.tone_wav(tmp_path / "in.wav", seconds=seconds)
+        return [command, tmp_path / "in.wav", tmp_path / "out", *extra]
+    return argv
+
+
 HOSTILE = {
     "synth-rate-0": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
                               "--nsf-ckpt", "nsf.ckpt", "--rate", "0"),
@@ -554,6 +562,11 @@ HOSTILE = {
     "am-lr-string": train_with("am", {"train": {"learning_rate": "0.1"}}),
     "am-segment-fractional": train_with("am", {"train": {"segment_frames": 1.5}}),
     "am-seed-fractional": train_with("am", {"train": {"seed": 0.5}}),
+    # 1.2e9 excitation samples (8.9 GiB) and 240k frames of 1025 bins
+    # (3.7 GiB), over excitation.MAX_SAMPLES and dsp.MAX_SPECTROGRAM_ENTRIES
+    "excite-huge-rate": midi_with("excite", helpers.note_smf([(0, 1152, 64, 110)]),
+                                  "--rate", "1000000000"),
+    "feat-shift-1": wav_with("feat", 10.0, "--frame-shift", "1"),
 }
 
 
@@ -562,7 +575,13 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     monkeypatch.chdir(tmp_path)
     argv = HOSTILE[case](tmp_path)
     capsys.readouterr()
-    assert run_cli(*argv) == 2
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 2
+        # the limits hold before the large array is allocated
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 28
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()

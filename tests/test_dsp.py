@@ -5,7 +5,7 @@ import pytest
 
 from midisynth import dsp
 from midisynth.dsp import FeatureMatrix, FilterBank, StftConfig, WaveSignal
-from midisynth.errors import SampleRateMismatch
+from midisynth.errors import SampleRateMismatch, SpectrogramTooLarge
 
 # every row whose triangle covers no FFT bin at 24 kHz / 2048, plus the
 # above-Nyquist top note
@@ -114,6 +114,22 @@ def test_stft_shape_and_rate_check(stft_cfg, rng):
     assert spec.shape == (84, stft_cfg.n_bins)
     with pytest.raises(SampleRateMismatch):
         dsp.stft(WaveSignal(wave.samples, 16000), stft_cfg)
+
+
+def test_spectrogram_size_limit(stft_cfg, monkeypatch):
+    # stft, istft and the filter-bank inverse all hold frames x bins to
+    # the limit; here it is lowered to three frames
+    monkeypatch.setattr(dsp, "MAX_SPECTROGRAM_ENTRIES", 3 * stft_cfg.n_bins)
+    shift = stft_cfg.frame_shift
+    assert dsp.stft(WaveSignal(np.zeros(3 * shift), 24000), stft_cfg).shape[0] == 3
+    with pytest.raises(SpectrogramTooLarge):
+        dsp.stft(WaveSignal(np.zeros(3 * shift + 1), 24000), stft_cfg)
+    with pytest.raises(SpectrogramTooLarge):
+        dsp.istft(np.zeros((4, stft_cfg.n_bins), complex), stft_cfg)
+    bank = dsp.midi_filter_bank(stft_cfg)
+    feat = FeatureMatrix(np.zeros((4, 128)), "midi-fb", 0.012, 24000.0)
+    with pytest.raises(SpectrogramTooLarge):
+        dsp.pseudo_inverse_magnitude(feat, bank, stft_cfg)
 
 
 def test_stft_istft_interior_exact(stft_cfg, rng):
