@@ -10,6 +10,8 @@ Convolutions, linear-interpolation upsampling and the GRU recurrence
 (gru_sequence, over the cell gru_cell) are single primitives with
 hand-written adjoints rather than compositions, which keeps the tape
 small for long sequences: its size does not grow with their length.
+Nor do they copy their inputs: a convolution tap is one matmul between
+row-slice views, and the upsampling adjoint sums runs of sorted indices.
 """
 
 from __future__ import annotations
@@ -197,18 +199,6 @@ def slice_rows(a, start: int, stop: int):
     return Tensor(a.value[start:stop], [(a, back)])
 
 
-def _shift_array(x, k):
-    out = np.zeros_like(x)
-    n = x.shape[0]
-    if k >= n or -k >= n:
-        return out
-    if k >= 0:
-        out[k:] = x[: n - k]
-    else:
-        out[: n + k] = x[-k:]
-    return out
-
-
 # --- sequence primitives ----------------------------------------------------
 
 
@@ -217,29 +207,34 @@ def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
 
     weight is (taps, in_channels, out_channels).  Causal mode reads only
     rows at t - j * dilation for tap j (tap 0 is the current row);
-    non-causal mode centers the kernel, reading t + (j - taps//2) *
-    dilation.  Out-of-range rows are zero.
+    non-causal mode centers the kernel, reading t - (j - taps//2) *
+    dilation.  Out-of-range rows are zero.  Each tap is one matmul on row
+    slices, starting from the center tap, which reads every row.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    taps = weight.value.shape[0]
-    center = 0 if causal else taps // 2
-    # positive offset shifts rows down, so tap j reads t - offset
-    offsets = [(j - center) * dilation for j in range(taps)]
-    out = np.zeros((x.value.shape[0], weight.value.shape[2]))
-    for j, off in enumerate(offsets):
-        out += _shift_array(x.value, off) @ weight.value[j]
+    xv, w, n = x.value, weight.value, x.value.shape[0]
+    center = 0 if causal else w.shape[0] // 2
+    offsets = [(j - center) * dilation for j in range(w.shape[0])]
+    # tap j reads row t - off: output rows [off, n) from input rows [0, n - off)
+    taps = [(j, slice(max(off, 0), n + min(off, 0)),
+             slice(max(-off, 0), n - max(off, 0)))
+            for j, off in enumerate(offsets) if 0 < abs(off) < n]
+    out = xv @ w[center]
     out += bias.value
+    for j, dst, src in taps:
+        out[dst] += xv[src] @ w[j]
 
     def back_x(g):
-        gx = np.zeros_like(x.value)
-        for j, off in enumerate(offsets):
-            gx += _shift_array(g @ weight.value[j].T, -off)
+        gx = g @ w[center].T
+        for j, dst, src in taps:
+            gx[src] += g[dst] @ w[j].T
         return gx
 
     def back_w(g):
-        gw = np.empty_like(weight.value)
-        for j, off in enumerate(offsets):
-            gw[j] = _shift_array(x.value, off).T @ g
+        gw = np.zeros_like(w)
+        gw[center] = xv.T @ g
+        for j, dst, src in taps:
+            gw[j] = xv[src].T @ g[dst]
         return gw
 
     return Tensor(out, [(x, back_x), (weight, back_w),
@@ -252,7 +247,8 @@ def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
     Output row t samples input position t * (n_in - 1) / (out_rows - 1);
     a single input row or a single output row degenerates to repetition.
     Only rows [start, stop) of that grid are produced, each equal to the
-    same row of the whole output.
+    same row of the whole output.  The adjoint sums the runs of the two
+    sorted read indices.
     """
     a = as_tensor(a)
     n_in = a.value.shape[0]
@@ -271,8 +267,9 @@ def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
 
     def back(g):
         out = np.zeros_like(a.value)
-        np.add.at(out, idx0, g * (1.0 - frac))
-        np.add.at(out, idx1, g * frac)
+        for idx, weight in ((idx0, 1.0 - frac), (idx1, frac)):
+            starts = np.flatnonzero(np.diff(idx, prepend=-1))
+            out[idx[starts]] += np.add.reduceat(g * weight, starts, axis=0)
         return out
 
     return Tensor(value, [(a, back)])

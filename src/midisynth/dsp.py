@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LengthMismatch, SampleRateMismatch, SpectrogramTooLarge
+from .errors import FilterBankTooLarge, LengthMismatch, SampleRateMismatch, \
+    SpectrogramTooLarge
 
 MAG_FLOOR = 1e-5
 _WOLA_FLOOR = 1e-8
@@ -27,6 +28,10 @@ _WOLA_FLOOR = 1e-8
 # minutes at a 288-sample hop, 24 kHz and 2048 FFT points.  A tiny hop
 # would otherwise give every input sample a frame of its own.
 MAX_SPECTROGRAM_ENTRIES = 2 ** 27
+# Most bands x bins a filter bank may hold: 128 MiB of float64, 128 bands
+# up to a 2^17-point FFT.  A bank is built before any spectrogram, so a
+# huge --fft or --n-mels would otherwise allocate it first.
+MAX_FILTER_BANK_ENTRIES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,13 @@ def midi_center_freq(d) -> float:
     return 440.0 * 2.0 ** ((d - 69) / 12.0)
 
 
+def _check_bank_size(n_bands, cfg):
+    if n_bands * cfg.n_bins > MAX_FILTER_BANK_ENTRIES:
+        raise FilterBankTooLarge(
+            f"{n_bands} bands of {cfg.n_bins} bins exceed the limit of "
+            f"{MAX_FILTER_BANK_ENTRIES} filter-bank entries")
+
+
 def _triangle_rows(bin_freqs, lefts, centers, rights, nyquist=None):
     """Stack triangular rows peaking at 1.0 on each center.
 
@@ -164,6 +176,7 @@ def midi_filter_bank(cfg: StftConfig) -> FilterBank:
     under their support and stay all-zero; rows whose center exceeds the
     Nyquist frequency are all-zero by construction.
     """
+    _check_bank_size(128, cfg)
     bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
     centers = np.array([midi_center_freq(d) for d in range(128)])
     lefts = np.concatenate(([centers[0]], centers[:-1]))
@@ -185,6 +198,7 @@ def mel_filter_bank(cfg: StftConfig, n_filters: int = 80) -> FilterBank:
     """Triangular filters on a mel-spaced grid from 0 Hz to Nyquist."""
     if n_filters < 1:
         raise ValueError("n_filters must be positive")
+    _check_bank_size(n_filters, cfg)
     bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
     edges = mel_to_hz(np.linspace(0.0, float(hz_to_mel(cfg.sample_rate / 2)),
                                   n_filters + 2))

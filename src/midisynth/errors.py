@@ -39,6 +39,10 @@ class SpectrogramTooLarge(MidiSynthError):
     """A spectrogram would hold more than dsp.MAX_SPECTROGRAM_ENTRIES entries."""
 
 
+class FilterBankTooLarge(MidiSynthError):
+    """A filter bank would hold more than dsp.MAX_FILTER_BANK_ENTRIES entries."""
+
+
 class FileFormatError(MidiSynthError):
     """A binary file (WAV or feature matrix) does not match its format."""
 

@@ -36,8 +36,9 @@ from .params import ModelParams, check_train_config, fit, init_params, \
     load_model, save_model, zero_params
 
 NSF_MAGIC = b"NSF1"
-# Frames per inference window (96 ms at the defaults).  Timing `synth` on
-# 2-30 s pieces, 8 frames beat 6, 12, 16 and 64.
+# Frames per inference window (96 ms at the defaults).  Timing a 10 s
+# nsf_forward on two cores, 8 frames (median 346 ms) beat 4, 6, 12, 16 and
+# 32 (361-508 ms).
 _CHUNK_FRAMES = 8
 CONDITION_KINDS = ("mel-fb", "midi-fb", "piano-roll")
 

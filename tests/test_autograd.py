@@ -107,6 +107,36 @@ def test_conv1d_grads_causal_and_centered(rng):
              [x, w, b])
 
 
+def naive_conv1d(x, w, b, dilation, causal):
+    """Zero-padded per-tap loop: tap j reads row t - (j - center) * dilation."""
+    n, taps = x.shape[0], w.shape[0]
+    center = 0 if causal else taps // 2
+    padded = np.zeros((n + 2 * taps * dilation, x.shape[1]))
+    pad = taps * dilation
+    padded[pad : pad + n] = x
+    out = np.tile(b, (n, 1))
+    for j in range(taps):
+        lo = pad - (j - center) * dilation
+        out += padded[lo : lo + n] @ w[j]
+    return out
+
+
+@pytest.mark.parametrize("causal", [True, False], ids=["causal", "centered"])
+@pytest.mark.parametrize("taps", [1, 3, 5])
+@pytest.mark.parametrize("dilation", [1, 3, 16, 64])
+@pytest.mark.parametrize("rows", [1, 2, 5, 40])
+def test_conv1d_edge_cases_match_naive_loop(rng, rows, dilation, taps, causal):
+    # dilations at or past the row count leave only the center tap reading
+    x = rng.standard_normal((rows, 2))
+    w = rng.standard_normal((taps, 2, 3))
+    b = rng.standard_normal(3)
+    got = ag.conv1d(ag.Tensor(x), ag.Tensor(w), ag.Tensor(b), dilation=dilation,
+                    causal=causal).value
+    assert np.abs(got - naive_conv1d(x, w, b, dilation, causal)).max() <= 1e-13
+    fd_check(lambda *t: scalarize(ag.conv1d(*t, dilation=dilation, causal=causal)),
+             [x, w, b])
+
+
 def test_conv1d_causal_ignores_future(rng):
     x = rng.standard_normal((8, 2))
     w = rng.standard_normal((3, 2, 2))
@@ -152,6 +182,18 @@ def test_upsample_linear_window_is_slice_of_whole(rng, n_in, out_rows, start, st
     whole = ag.upsample_linear(a, out_rows).value
     window = ag.upsample_linear(a, out_rows, start=start, stop=stop).value
     assert np.array_equal(window, whole[start:stop])
+
+
+@pytest.mark.parametrize("n_in, out_rows, start, stop", [
+    (84, 24000, 0, 24000), (4, 30, 7, 19), (1, 5, 2, 4), (3, 1, 0, 1),
+])
+def test_upsample_linear_adjoint_is_transpose(rng, n_in, out_rows, start, stop):
+    # upsampling the identity gives the interpolation matrix itself
+    matrix = ag.upsample_linear(ag.Tensor(np.eye(n_in)), out_rows, start, stop).value
+    a = ag.Tensor(rng.standard_normal((n_in, 3)))
+    g = rng.standard_normal((stop - start, 3))
+    ag.backward(ag.upsample_linear(a, out_rows, start, stop), seed=g)
+    assert np.abs(a.grad - matrix.T @ g).max() <= 1e-12
 
 
 def test_upsample_linear_window_grads(rng):

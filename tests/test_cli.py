@@ -567,6 +567,11 @@ HOSTILE = {
     "excite-huge-rate": midi_with("excite", helpers.note_smf([(0, 1152, 64, 110)]),
                                   "--rate", "1000000000"),
     "feat-shift-1": wav_with("feat", 10.0, "--frame-shift", "1"),
+    # banks of 128 x 5e7 and 1e7 x 1025 entries (47.7 and 76.4 GiB), over
+    # dsp.MAX_FILTER_BANK_ENTRIES
+    "feat-huge-fft": wav_with("feat", 1.0, "--fft", "100000000"),
+    "feat-huge-n-mels": wav_with("feat", 1.0, "--bank", "mel", "--n-mels",
+                                 "10000000"),
 }
 
 

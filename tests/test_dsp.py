@@ -5,7 +5,8 @@ import pytest
 
 from midisynth import dsp
 from midisynth.dsp import FeatureMatrix, FilterBank, StftConfig, WaveSignal
-from midisynth.errors import SampleRateMismatch, SpectrogramTooLarge
+from midisynth.errors import FilterBankTooLarge, SampleRateMismatch, \
+    SpectrogramTooLarge
 
 # every row whose triangle covers no FFT bin at 24 kHz / 2048, plus the
 # above-Nyquist top note
@@ -130,6 +131,17 @@ def test_spectrogram_size_limit(stft_cfg, monkeypatch):
     feat = FeatureMatrix(np.zeros((4, 128)), "midi-fb", 0.012, 24000.0)
     with pytest.raises(SpectrogramTooLarge):
         dsp.pseudo_inverse_magnitude(feat, bank, stft_cfg)
+
+
+def test_filter_bank_size_limit(stft_cfg, monkeypatch):
+    # both banks check bands x bins before allocating; here the limit is
+    # lowered to 80 bands of the default 1025 bins
+    monkeypatch.setattr(dsp, "MAX_FILTER_BANK_ENTRIES", 80 * stft_cfg.n_bins)
+    assert dsp.mel_filter_bank(stft_cfg, 80).weights.shape == (80, stft_cfg.n_bins)
+    with pytest.raises(FilterBankTooLarge):
+        dsp.mel_filter_bank(stft_cfg, 81)
+    with pytest.raises(FilterBankTooLarge):
+        dsp.midi_filter_bank(stft_cfg)
 
 
 def test_stft_istft_interior_exact(stft_cfg, rng):

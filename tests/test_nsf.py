@@ -179,8 +179,9 @@ def test_chunked_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
 
 
 def test_forward_working_memory_does_not_grow_with_clip(rng):
-    # tracemalloc sees numpy buffers; the output array must grow with the
-    # clip, so it is left out of the figure
+    # tracemalloc sees numpy buffers; the output array and the per-frame
+    # condition (n_frames x channels) must grow with the clip, so both are
+    # left out of the figure
     cfg = nsf.NsfConfig(feature_dim=2)
     params = nsf.nsf_init(cfg, seed=0)
 
@@ -195,9 +196,29 @@ def test_forward_working_memory_does_not_grow_with_clip(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - out.samples.nbytes
+        return peak - out.samples.nbytes - n_frames * cfg.channels * 8
 
-    assert working_bytes(40.0) <= 1.2 * working_bytes(5.0)
+    assert working_bytes(40.0) <= 1.05 * working_bytes(5.0)
+
+
+def test_backward_memory_of_one_second_segment(rng):
+    # one second measures about 190 MB; a (samples x taps * channels) copy
+    # held on the tape by each of the ten convolutions would add about 92 MB
+    cfg = nsf.NsfConfig(feature_dim=80)
+    n_frames = 24000 // cfg.upsample_factor
+    feats = FeatureMatrix(rng.random((n_frames, cfg.feature_dim)), "mel-fb",
+                          cfg.upsample_factor / 24000.0, 24000.0)
+    source = WaveSignal(0.1 * rng.standard_normal(n_frames * cfg.upsample_factor),
+                        24000.0)
+    target = WaveSignal(0.1 * rng.standard_normal(len(source)), 24000.0)
+    params = nsf.nsf_init(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        nsf.nsf_backward(params, feats, source, target, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
 
 
 # --- condition upsampling ---------------------------------------------------
@@ -342,6 +363,88 @@ def test_adam_zero_lr_keeps_values():
     assert params.step == 1
     for name, v in params.tensors.items():
         assert np.array_equal(v, before[name])
+
+
+# --- frozen values ------------------------------------------------------------
+# Recorded from the per-tap shifted-copy convolution.  Any rewrite of the
+# sequence primitives must reproduce them to 1e-12 relative.
+
+FROZEN_NSF = dict(
+    history=[6.027318829392087, 2.826369894197107, 2.445288267451874,
+             2.0432718372694074],
+    entries=[0.522436338004206, 0.017859697469462497, 0.1557623404821715,
+             -0.037749641259278606],
+    loss=5.1758290324502205,
+    grad_sq=[12.971933130247605, 180.3964455219003, 14.184387392570514,
+             183.44137401231217, 3.6543209804608265, 49.20484812878096,
+             6.1368592315219015, 133.81687727105702, 2.971844756962993,
+             48.77106649228025, 30.268596469237956, 0.026328956436896603,
+             181.38784582830044, 1048.2675781628568, 2.0340087570446945,
+             18.42665772579138, 0.9413002161135204, 10.529725381070795,
+             3.4979790577310452, 11.740584552539435, 2.8931373515915197,
+             17.765271469424164, 1.8615863886836719, 7.603212518834736,
+             3.891879093417102, 0.3588537957769006, 170.254641408449,
+             371.24593505733424, 16.847430949664634, 22.59352042946472],
+    fwd_sq=18.741702055134994,
+    fwd=[-0.3712437839116052, 0.033710665612565804, 0.2980532925599782,
+         0.14617177918534935, 0.006733903444577527],
+)
+FROZEN_NSF_ENTRIES = ("cond.weight", "block0.conv4.weight", "block1.conv0.bias",
+                      "block1.out.weight")
+
+
+def frozen_nsf_case():
+    """Two blocks of dilations 1..16 with non-zero output projections, over
+    items of 32, 56 and 80 samples, so dilation 16 reaches past every row
+    of the shortest item."""
+    cfg = helpers.tiny_nsf_cfg(feature_dim=3, upsample=8, channels=4, blocks=2,
+                               convs=5)
+    params = nsf.nsf_init(cfg, seed=1)
+    rng = np.random.default_rng(2025)
+    for name in params.tensors:
+        if ".out." in name:
+            params.tensors[name] = 0.1 * rng.standard_normal(params.tensors[name].shape)
+    data = []
+    for n in (4, 7, 10):
+        feats = FeatureMatrix(rng.standard_normal((n, 3)), "mel-fb", 8 / 24000.0,
+                              24000.0)
+        source = WaveSignal(0.1 * rng.standard_normal(n * 8), 24000.0)
+        target = WaveSignal(0.5 * source.samples + 0.02 * rng.standard_normal(n * 8),
+                            24000.0)
+        data.append((feats, source, target))
+    return cfg, params, data
+
+
+def test_frozen_nsf_train_history_and_tensors():
+    cfg, params, data = frozen_nsf_case()
+    tc = nsf.TrainConfig(learning_rate=1e-2, batch_size=2, epochs=2, seed=5)
+    out, hist = nsf.nsf_train(params, data, tc, cfg, small_resolutions())
+    assert [step for step, _ in hist] == [1, 2, 3, 4]
+    assert [loss for _, loss in hist] == pytest.approx(FROZEN_NSF["history"],
+                                                       rel=1e-12)
+    got = [out.tensors[name].flat[0] for name in FROZEN_NSF_ENTRIES]
+    assert got == pytest.approx(FROZEN_NSF["entries"], rel=1e-12)
+
+
+def test_frozen_nsf_backward_loss_and_grads():
+    cfg, params, data = frozen_nsf_case()
+    loss, grads = nsf.nsf_backward(params, *data[2], cfg, small_resolutions())
+    assert loss == pytest.approx(FROZEN_NSF["loss"], rel=1e-12)
+    got = [float((grads[name] ** 2).sum()) for name in sorted(grads)]
+    assert got == pytest.approx(FROZEN_NSF["grad_sq"], rel=1e-12)
+
+
+def test_frozen_nsf_forward_over_several_windows():
+    # 320 samples in windows of _CHUNK_FRAMES * 8 = 64 samples, each reading
+    # 124 samples of receptive field before it
+    cfg, params, _ = frozen_nsf_case()
+    feats = FeatureMatrix(np.random.default_rng(7).standard_normal((40, 3)),
+                          "mel-fb", 8 / 24000.0, 24000.0)
+    source = WaveSignal(0.1 * np.random.default_rng(8).standard_normal(320), 24000.0)
+    out = nsf.nsf_forward(params, feats, source, cfg).samples
+    assert float((out ** 2).sum()) == pytest.approx(FROZEN_NSF["fwd_sq"], rel=1e-12)
+    assert out[[0, 63, 64, 200, 319]].tolist() == pytest.approx(FROZEN_NSF["fwd"],
+                                                                rel=1e-12)
 
 
 # --- checkpoints -----------------------------------------------------------
