@@ -36,8 +36,8 @@ from . import autograd as ag
 from .dsp import FeatureMatrix
 from .errors import DimensionMismatch, LengthMismatch, TrainingDiverged
 from .midi_io import PianoRoll
-from .params import ModelParams, check_train_config, fit, init_params, \
-    load_model, save_model, zero_params
+from .params import ModelParams, affine, check_train_config, fit, \
+    init_params, load_model, save_model
 
 AM_MAGIC = b"ACM1"
 VARIANTS = ("taco2", "taco3", "taco4")
@@ -112,67 +112,33 @@ class AmTrainConfig:
         check_train_config(self, ("batch_size", "epochs", "segment_frames"))
 
 
-def am_param_shapes(cfg: AmConfig) -> dict:
-    e = cfg.encoder_channels
-    s = cfg.decoder_state_dim
-    d = cfg.output_dim
+def _layers(cfg: AmConfig) -> dict:
+    """Every tensor as name -> (shape, fan_in).  The position offsets and
+    the postnet's residual layer start at zero."""
+    e, s, d = cfg.encoder_channels, cfg.decoder_state_dim, cfg.output_dim
     w1, w2 = cfg.prenet_widths
     gru_in = w2 + e
-    shapes = {
-        "enc.in.weight": (cfg.input_dim, e), "enc.in.bias": (e,),
-        "enc.conv0.weight": (3, e, e), "enc.conv0.bias": (e,),
-        "enc.conv1.weight": (3, e, e), "enc.conv1.bias": (e,),
-        "prenet.fc1.weight": (cfg.prenet_input_dim, w1), "prenet.fc1.bias": (w1,),
-        "prenet.fc2.weight": (w1, w2), "prenet.fc2.bias": (w2,),
-        "dec.gru.wz": (gru_in, s), "dec.gru.uz": (s, s), "dec.gru.bz": (s,),
-        "dec.gru.wr": (gru_in, s), "dec.gru.ur": (s, s), "dec.gru.br": (s,),
-        "dec.gru.wn": (gru_in, s), "dec.gru.un": (s, s), "dec.gru.bn": (s,),
-        "dec.out.weight": (s, d), "dec.out.bias": (d,),
-        "dec.pos.weight": (MAX_REDUCTION, d),
-        "post.conv0.weight": (5, d, cfg.postnet_channels),
-        "post.conv0.bias": (cfg.postnet_channels,),
-        "post.conv1.weight": (5, cfg.postnet_channels, d),
-        "post.conv1.bias": (d,),
-    }
-    return shapes
+    layers = {**affine("enc.in", (cfg.input_dim, e), cfg.input_dim),
+              **affine("enc.conv0", (3, e, e), 3 * e),
+              **affine("enc.conv1", (3, e, e), 3 * e),
+              **affine("prenet.fc1", (cfg.prenet_input_dim, w1), cfg.prenet_input_dim),
+              **affine("prenet.fc2", (w1, w2), w1)}
+    for g in "zrn":
+        layers[f"dec.gru.w{g}"] = ((gru_in, s), gru_in)
+        layers[f"dec.gru.u{g}"] = ((s, s), s)
+        layers[f"dec.gru.b{g}"] = ((s,), gru_in)
+    return {**layers, **affine("dec.out", (s, d), s),
+            "dec.pos.weight": ((MAX_REDUCTION, d), None),
+            **affine("post.conv0", (5, d, cfg.postnet_channels), 5 * d),
+            **affine("post.conv1", (5, cfg.postnet_channels, d), None)}
 
 
-def _am_fan_ins(cfg: AmConfig) -> dict:
-    e = cfg.encoder_channels
-    s = cfg.decoder_state_dim
-    gru_in = cfg.prenet_widths[1] + e
-    fans = {
-        "enc.in.weight": cfg.input_dim, "enc.in.bias": cfg.input_dim,
-        "enc.conv0.weight": 3 * e, "enc.conv0.bias": 3 * e,
-        "enc.conv1.weight": 3 * e, "enc.conv1.bias": 3 * e,
-        "prenet.fc1.weight": cfg.prenet_input_dim,
-        "prenet.fc1.bias": cfg.prenet_input_dim,
-        "prenet.fc2.weight": cfg.prenet_widths[0],
-        "prenet.fc2.bias": cfg.prenet_widths[0],
-        "dec.out.weight": s, "dec.out.bias": s,
-        "dec.pos.weight": 1,
-        "post.conv0.weight": 5 * cfg.output_dim, "post.conv0.bias": 5 * cfg.output_dim,
-        "post.conv1.weight": 5 * cfg.postnet_channels,
-        "post.conv1.bias": 5 * cfg.postnet_channels,
-    }
-    for gate in "zrn":
-        fans[f"dec.gru.w{gate}"] = gru_in
-        fans[f"dec.gru.u{gate}"] = s
-        fans[f"dec.gru.b{gate}"] = gru_in
-    return fans
-
-
-AM_ZERO_INIT = ("dec.pos.weight", "post.conv1.weight", "post.conv1.bias")
+def am_param_shapes(cfg: AmConfig) -> dict:
+    return {name: shape for name, (shape, _) in _layers(cfg).items()}
 
 
 def am_init(cfg: AmConfig, seed: int = 0) -> ModelParams:
-    """Random init; the postnet residual and position offsets start at zero."""
-    return init_params(am_param_shapes(cfg), _am_fan_ins(cfg), seed,
-                       zero_names=AM_ZERO_INIT)
-
-
-def am_zero(cfg: AmConfig) -> ModelParams:
-    return zero_params(am_param_shapes(cfg))
+    return init_params(_layers(cfg), seed)
 
 
 # --- data plumbing -----------------------------------------------------------

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor wraps an ndarray and remembers how it was produced; backward()
-walks the recorded graph in reverse topological order accumulating
-gradients.  Recording can be switched off globally with no_grad(), in
-which case the same op functions run as plain numpy with no tape, so
-forward inference and training share one code path.
+A Tensor wraps an ndarray together with the tensors it was computed
+from (its parents) and one adjoint, which maps the Tensor's gradient to
+one gradient per parent.  backward() walks the recorded graph in reverse
+topological order, zipping each node's parents with its adjoint's
+gradients and accumulating them.  Recording can be switched off globally
+with no_grad(), in which case the same op functions run as plain numpy
+with no tape, so forward inference and training share one code path.
 
 Convolutions, linear-interpolation upsampling and the GRU recurrence
 (gru_sequence, over the cell gru_cell) are single primitives with
@@ -35,30 +37,20 @@ def no_grad():
 
 
 class Tensor:
-    """An array plus the backward closures that feed its parents."""
+    """An array, the tensors it was computed from, and the adjoint that
+    maps its gradient to one gradient per parent."""
 
-    __slots__ = ("value", "grad", "parents")
+    __slots__ = ("value", "grad", "parents", "adjoint")
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=(), adjoint=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = tuple(parents) if _GRAD_ENABLED else ()
+        self.adjoint = adjoint if _GRAD_ENABLED else None
 
     @property
     def shape(self):
         return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -79,17 +71,14 @@ def backward(root: Tensor, seed=None) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _fn in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        stack.extend((p, False) for p in node.parents if id(p) not in seen)
     if seed is None:
         seed = np.ones_like(root.value)
     root.grad = np.asarray(seed, dtype=np.float64).reshape(root.value.shape)
     for node in reversed(order):
-        if node.grad is None:
+        if node.grad is None or not node.parents:
             continue
-        for parent, fn in node.parents:
-            g = fn(node.grad)
+        for parent, g in zip(node.parents, node.adjoint(node.grad)):
             parent.grad = g if parent.grad is None else parent.grad + g
 
 
@@ -109,51 +98,36 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.value + b.value,
-                  [(a, lambda g: _unbroadcast(g, a.value.shape)),
-                   (b, lambda g: _unbroadcast(g, b.value.shape))])
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.value - b.value,
-                  [(a, lambda g: _unbroadcast(g, a.value.shape)),
-                   (b, lambda g: _unbroadcast(-g, b.value.shape))])
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.value * b.value,
-                  [(a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-                   (b, lambda g: _unbroadcast(g * a.value, b.value.shape))])
+    return Tensor(a.value + b.value, (a, b),
+                  lambda g: (_unbroadcast(g, a.value.shape),
+                             _unbroadcast(g, b.value.shape)))
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError("matmul handles 2-D operands only")
-    return Tensor(a.value @ b.value,
-                  [(a, lambda g: g @ b.value.T),
-                   (b, lambda g: a.value.T @ g)])
+    return Tensor(a.value @ b.value, (a, b),
+                  lambda g: (g @ b.value.T, a.value.T @ g))
 
 
 def tanh(a):
     a = as_tensor(a)
     y = np.tanh(a.value)
-    return Tensor(y, [(a, lambda g: g * (1.0 - y * y))])
+    return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def relu(a):
     a = as_tensor(a)
     mask = a.value > 0
-    return Tensor(a.value * mask, [(a, lambda g: g * mask)])
+    return Tensor(a.value * mask, (a,), lambda g: (g * mask,))
 
 
 def hard_clip(a, lo: float, hi: float):
     """Clip values; gradient passes through inside [lo, hi] and is cut outside."""
     a = as_tensor(a)
     mask = (a.value >= lo) & (a.value <= hi)
-    return Tensor(np.clip(a.value, lo, hi), [(a, lambda g: g * mask)])
+    return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: (g * mask,))
 
 
 def square_error_mean(a, b):
@@ -161,9 +135,8 @@ def square_error_mean(a, b):
     a, b = as_tensor(a), as_tensor(b)
     diff = a.value - b.value
     n = max(diff.size, 1)
-    return Tensor(np.array((diff * diff).sum() / n),
-                  [(a, lambda g: (2.0 / n) * g * diff),
-                   (b, lambda g: (-2.0 / n) * g * diff)])
+    return Tensor(np.array((diff * diff).sum() / n), (a, b),
+                  lambda g: ((2.0 / n) * g * diff, (-2.0 / n) * g * diff))
 
 
 # --- shape ops -------------------------------------------------------------
@@ -172,31 +145,29 @@ def square_error_mean(a, b):
 def concat_cols(tensors):
     """Concatenate 2-D tensors along axis 1."""
     tensors = [as_tensor(t) for t in tensors]
-    widths = [t.value.shape[1] for t in tensors]
-    offsets = np.concatenate(([0], np.cumsum(widths)))
-    parents = []
-    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-        parents.append((t, lambda g, lo=int(lo), hi=int(hi): g[:, lo:hi]))
-    return Tensor(np.concatenate([t.value for t in tensors], axis=1), parents)
+    edges = np.cumsum([0] + [t.value.shape[1] for t in tensors])
+    return Tensor(np.concatenate([t.value for t in tensors], axis=1), tensors,
+                  lambda g: [g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])])
 
 
 def reshape(a, shape):
     a = as_tensor(a)
-    return Tensor(a.value.reshape(shape), [(a, lambda g: g.reshape(a.value.shape))])
+    return Tensor(a.value.reshape(shape), (a,),
+                  lambda g: (g.reshape(a.value.shape),))
 
 
 def slice_rows(a, start: int, stop: int):
     a = as_tensor(a)
     n = a.value.shape[0]
-
-    def back(g):
-        out = np.zeros_like(a.value)
-        out[start:stop] = g
-        return out
-
     if not 0 <= start <= stop <= n:
         raise ValueError(f"slice [{start}:{stop}] outside {n} rows")
-    return Tensor(a.value[start:stop], [(a, back)])
+
+    def adjoint(g):
+        out = np.zeros_like(a.value)
+        out[start:stop] = g
+        return (out,)
+
+    return Tensor(a.value[start:stop], (a,), adjoint)
 
 
 # --- sequence primitives ----------------------------------------------------
@@ -209,7 +180,8 @@ def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
     rows at t - j * dilation for tap j (tap 0 is the current row);
     non-causal mode centers the kernel, reading t - (j - taps//2) *
     dilation.  Out-of-range rows are zero.  Each tap is one matmul on row
-    slices, starting from the center tap, which reads every row.
+    slices, starting from the center tap, which reads every row; the
+    adjoint walks the same taps once for the input and weight gradients.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     xv, w, n = x.value, weight.value, x.value.shape[0]
@@ -224,21 +196,16 @@ def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
     for j, dst, src in taps:
         out[dst] += xv[src] @ w[j]
 
-    def back_x(g):
+    def adjoint(g):
         gx = g @ w[center].T
-        for j, dst, src in taps:
-            gx[src] += g[dst] @ w[j].T
-        return gx
-
-    def back_w(g):
         gw = np.zeros_like(w)
         gw[center] = xv.T @ g
         for j, dst, src in taps:
+            gx[src] += g[dst] @ w[j].T
             gw[j] = xv[src].T @ g[dst]
-        return gw
+        return gx, gw, g.sum(axis=0)
 
-    return Tensor(out, [(x, back_x), (weight, back_w),
-                        (bias, lambda g: g.sum(axis=0))])
+    return Tensor(out, (x, weight, bias), adjoint)
 
 
 def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
@@ -265,14 +232,14 @@ def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
     frac = (pos - idx0)[:, None]
     value = a.value[idx0] * (1.0 - frac) + a.value[idx1] * frac
 
-    def back(g):
+    def adjoint(g):
         out = np.zeros_like(a.value)
         for idx, weight in ((idx0, 1.0 - frac), (idx1, frac)):
             starts = np.flatnonzero(np.diff(idx, prepend=-1))
             out[idx[starts]] += np.add.reduceat(g * weight, starts, axis=0)
-        return out
+        return (out,)
 
-    return Tensor(value, [(a, back)])
+    return Tensor(value, (a,), adjoint)
 
 
 def _sigmoid(x):
@@ -300,8 +267,8 @@ def gru_sequence(x, u, b):
     x, u and b are (z, r, n) triples of tensors as in gru_cell, with x
     holding the gate inputs of all m steps at once.  Returns the states
     (m, s), row t being the state after step t.  The adjoint is
-    backpropagation through time in one reverse loop; the gradients of u
-    and b are whole-sequence sums taken after it.
+    backpropagation through time in one reverse loop, which gives all nine
+    gradients; those of u and b are whole-sequence sums taken after it.
     """
     x, u, b = ([as_tensor(t) for t in group] for group in (x, u, b))
     xv, uv, bv = ([t.value for t in group] for group in (x, u, b))
@@ -315,28 +282,19 @@ def gru_sequence(x, u, b):
         states[t + 1] = h
     z, r, n, rh = gates
     prev = states[:-1]
-    adjoint = {}
 
-    def grads(g):
-        if adjoint.get("g") is not g:
-            adjoint["g"] = g
-            ga = np.empty((3, m, s))  # gradients of the z, r and n pre-activations
-            uz_t, ur_t, un_t = (w.T for w in uv)
-            dh = np.zeros(s)
-            for t in range(m - 1, -1, -1):
-                dh = dh + g[t]
-                da_n = dh * (1.0 - z[t]) * (1.0 - n[t] * n[t])
-                d_rh = da_n @ un_t
-                da_z = dh * (prev[t] - n[t]) * z[t] * (1.0 - z[t])
-                da_r = d_rh * prev[t] * r[t] * (1.0 - r[t])
-                ga[0, t], ga[1, t], ga[2, t] = da_z, da_r, da_n
-                dh = dh * z[t] + d_rh * r[t] + da_z @ uz_t + da_r @ ur_t
-            adjoint["x"] = list(ga)
-            adjoint["u"] = [prev.T @ ga[0], prev.T @ ga[1], rh.T @ ga[2]]
-            adjoint["b"] = list(ga.sum(axis=1))
-        return adjoint
+    def adjoint(g):
+        ga = np.empty((3, m, s))  # gradients of the z, r and n pre-activations
+        uz_t, ur_t, un_t = (w.T for w in uv)
+        dh = np.zeros(s)
+        for t in range(m - 1, -1, -1):
+            dh = dh + g[t]
+            da_n = dh * (1.0 - z[t]) * (1.0 - n[t] * n[t])
+            d_rh = da_n @ un_t
+            da_z = dh * (prev[t] - n[t]) * z[t] * (1.0 - z[t])
+            da_r = d_rh * prev[t] * r[t] * (1.0 - r[t])
+            ga[0, t], ga[1, t], ga[2, t] = da_z, da_r, da_n
+            dh = dh * z[t] + d_rh * r[t] + da_z @ uz_t + da_r @ ur_t
+        return (*ga, prev.T @ ga[0], prev.T @ ga[1], rh.T @ ga[2], *ga.sum(axis=1))
 
-    parents = [(t, lambda g, key=key, k=k: grads(g)[key][k])
-               for key, group in (("x", x), ("u", u), ("b", b))
-               for k, t in enumerate(group)]
-    return Tensor(states[1:], parents)
+    return Tensor(states[1:], (*x, *u, *b), adjoint)

@@ -89,8 +89,10 @@ def _excitation(kind, notes, n_samples, rate, gain, seed):
 
     Sines are first rendered over the notes' whole duration, so that
     length and n_samples are both held to excitation.MAX_SAMPLES before
-    anything is allocated.
+    anything is allocated.  A non-finite gain is refused.
     """
+    if not math.isfinite(gain):
+        raise ValueError(f"--gain must be finite, got {gain}")
     longest = max(n_samples, notes.duration * rate)
     if longest > excitation.MAX_SAMPLES:
         raise TooManySamples(f"the excitation needs {longest:.4g} samples, "
@@ -138,10 +140,13 @@ def cmd_gl(args):
     cfg = dsp.StftConfig(sample_rate=rate, frame_length=args.frame_length,
                          frame_shift=shift, fft_size=args.fft)
     if feat.kind == "linear-spec":
-        magnitude = 10.0 ** feat.values
         if feat.dim != cfg.n_bins:
             raise ValueError(f"linear spectrogram has {feat.dim} bins, "
                              f"FFT size {args.fft} implies {cfg.n_bins}")
+        with np.errstate(over="ignore"):
+            magnitude = 10.0 ** feat.values
+        if not np.isfinite(magnitude).all():
+            raise ValueError(f"{args.feat}: log10 magnitudes overflow float64")
     elif feat.kind in ("mel-fb", "midi-fb"):
         magnitude = dsp.pseudo_inverse_magnitude(
             feat, _bank_for(feat.kind, cfg, feat.dim), cfg)

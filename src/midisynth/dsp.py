@@ -40,7 +40,6 @@ class StftConfig:
     frame_length: int = 1200
     frame_shift: int = 288
     fft_size: int = 2048
-    window: str = "hann"
 
     def __post_init__(self):
         if min(self.sample_rate, self.frame_length, self.frame_shift) <= 0:
@@ -49,8 +48,6 @@ class StftConfig:
             raise ValueError("frame_shift may not exceed frame_length")
         if self.fft_size < self.frame_length:
             raise ValueError("fft_size must be at least frame_length")
-        if self.window not in ("hann", "rectangular"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     @property
     def n_bins(self):
@@ -211,8 +208,6 @@ def mel_filter_bank(cfg: StftConfig, n_filters: int = 80) -> FilterBank:
 
 def _window_values(cfg: StftConfig) -> np.ndarray:
     n = cfg.frame_length
-    if cfg.window == "rectangular":
-        return np.ones(n)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 

@@ -72,7 +72,9 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 
 def write_wav(path, wave: WaveSignal) -> None:
-    """Write a PCM16 mono RIFF/WAVE file."""
+    """Write a PCM16 mono RIFF/WAVE file; non-finite samples are refused."""
+    if not np.isfinite(wave.samples).all():
+        raise ValueError(f"{path}: refusing to write non-finite samples")
     rate = int(round(wave.sample_rate))
     payload = quantize_pcm16(wave.samples).tobytes()
     fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)

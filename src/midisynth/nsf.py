@@ -32,8 +32,8 @@ import numpy as np
 from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
 from .errors import DimensionMismatch, LengthMismatch, SampleRateMismatch
-from .params import ModelParams, check_train_config, fit, init_params, \
-    load_model, save_model, zero_params
+from .params import ModelParams, affine, check_train_config, fit, \
+    init_params, load_model, save_model, zero_params
 
 NSF_MAGIC = b"NSF1"
 # Frames per inference window (96 ms at the defaults).  Timing a 10 s
@@ -75,41 +75,26 @@ class TrainConfig:
             raise ValueError("segment_seconds must be positive and finite")
 
 
-def nsf_param_shapes(cfg: NsfConfig) -> dict:
-    shapes = {"cond.weight": (cfg.feature_dim, cfg.channels),
-              "cond.bias": (cfg.channels,)}
+def _layers(cfg: NsfConfig) -> dict:
+    """Every tensor as name -> (shape, fan_in).  The output projections
+    start at zero, so the initial model passes its excitation through
+    unchanged."""
+    c, k = cfg.channels, cfg.kernel
+    layers = affine("cond", (cfg.feature_dim, c), cfg.feature_dim)
     for b in range(cfg.n_blocks):
-        shapes[f"block{b}.in.weight"] = (1, cfg.channels)
-        shapes[f"block{b}.in.bias"] = (cfg.channels,)
+        layers.update(affine(f"block{b}.in", (1, c), 1))
         for j in range(cfg.convs_per_block):
-            shapes[f"block{b}.conv{j}.weight"] = (cfg.kernel, cfg.channels,
-                                                  cfg.channels)
-            shapes[f"block{b}.conv{j}.bias"] = (cfg.channels,)
-        shapes[f"block{b}.out.weight"] = (cfg.channels, 1)
-        shapes[f"block{b}.out.bias"] = (1,)
-    return shapes
+            layers.update(affine(f"block{b}.conv{j}", (k, c, c), k * c))
+        layers.update(affine(f"block{b}.out", (c, 1), None))
+    return layers
 
 
-def _fan_ins(cfg: NsfConfig) -> dict:
-    return {name: _fan_of(name, cfg) for name in nsf_param_shapes(cfg)}
-
-
-def _fan_of(name, cfg):
-    if name.startswith("cond."):
-        return cfg.feature_dim
-    if ".in." in name:
-        return 1
-    if ".conv" in name:
-        return cfg.kernel * cfg.channels
-    return cfg.channels  # out projections
+def nsf_param_shapes(cfg: NsfConfig) -> dict:
+    return {name: shape for name, (shape, _) in _layers(cfg).items()}
 
 
 def nsf_init(cfg: NsfConfig, seed: int = 0) -> ModelParams:
-    """Random init; output projections start at zero so the initial model
-    passes its excitation through unchanged."""
-    shapes = nsf_param_shapes(cfg)
-    zero_names = {n for n in shapes if ".out." in n}
-    return init_params(shapes, _fan_ins(cfg), seed, zero_names=zero_names)
+    return init_params(_layers(cfg), seed)
 
 
 def nsf_zero(cfg: NsfConfig) -> ModelParams:

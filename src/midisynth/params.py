@@ -35,22 +35,24 @@ class ModelParams:
         )
 
 
-def init_tensor(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """Uniform init on [-sqrt(1/fan_in), sqrt(1/fan_in)]."""
-    bound = (1.0 / max(fan_in, 1)) ** 0.5
-    return rng.uniform(-bound, bound, size=shape)
+def affine(name: str, shape, fan_in) -> dict:
+    """Layer-table entries of a weight and its bias over the last axis."""
+    return {f"{name}.weight": (shape, fan_in), f"{name}.bias": (shape[-1:], fan_in)}
 
 
-def init_params(shapes: dict, fan_ins: dict, seed: int,
-                zero_names=()) -> ModelParams:
-    """Initialize tensors in sorted name order for seed-stable layouts."""
+def init_params(layers: dict, seed: int) -> ModelParams:
+    """Initialize a layer table, name -> (shape, fan_in), in sorted name
+    order for seed-stable layouts: uniform on [-sqrt(1/fan_in),
+    sqrt(1/fan_in)], or zero where fan_in is None."""
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name in sorted(shapes):
-        if name in zero_names:
-            tensors[name] = np.zeros(shapes[name])
+    for name in sorted(layers):
+        shape, fan_in = layers[name]
+        if fan_in is None:
+            tensors[name] = np.zeros(shape)
         else:
-            tensors[name] = init_tensor(rng, shapes[name], fan_ins[name])
+            bound = (1.0 / max(fan_in, 1)) ** 0.5
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
     return ModelParams(tensors=tensors)
 
 

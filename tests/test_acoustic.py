@@ -11,6 +11,7 @@ from midisynth.dsp import FeatureMatrix
 from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
                               LengthMismatch, TrainingDiverged)
 from midisynth.midi_io import PianoRoll
+from midisynth.params import zero_params
 
 
 def make_roll(rng, n_frames):
@@ -311,7 +312,8 @@ def test_train_config_names_bad_field(field, value):
 def test_train_rejects_empty_dataset():
     cfg = helpers.tiny_am_cfg()
     with pytest.raises(ValueError):
-        acoustic.am_train(acoustic.am_zero(cfg), [], AmTrainConfig(), cfg)
+        acoustic.am_train(zero_params(acoustic.am_param_shapes(cfg)), [],
+                          AmTrainConfig(), cfg)
 
 
 # --- frozen values ---------------------------------------------------------------
@@ -378,7 +380,8 @@ def frozen_case(variant):
     cfg = helpers.tiny_am_cfg(variant, output_dim=4, prenet_dropout=0.5)
     params = acoustic.am_init(cfg, seed=1)
     rng = np.random.default_rng(2024)
-    for name in acoustic.AM_ZERO_INIT:
+    # the tensors am_init zeroes, drawn in this order
+    for name in ("dec.pos.weight", "post.conv1.weight", "post.conv1.bias"):
         params.tensors[name] = 0.1 * rng.standard_normal(params.tensors[name].shape)
     data = [(make_roll(rng, n), make_target(rng, n, 4)) for n in (10, 7, 13)]
     return cfg, params, data
@@ -490,7 +493,7 @@ def test_checkpoint_variant_codes(tmp_path):
 def test_checkpoint_expected_cfg_mismatch(tmp_path):
     cfg = helpers.tiny_am_cfg("taco2")
     path = tmp_path / "am.ckpt"
-    acoustic.am_save_checkpoint(path, acoustic.am_zero(cfg), cfg)
+    acoustic.am_save_checkpoint(path, zero_params(acoustic.am_param_shapes(cfg)), cfg)
     with pytest.raises(CorruptCheckpoint):
         acoustic.am_load_checkpoint(path,
                                     expected_cfg=helpers.tiny_am_cfg("taco3"))

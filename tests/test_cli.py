@@ -496,9 +496,10 @@ def test_train_unknown_config_key_exits_2(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
-def hostile_mfb(path, shift, rate):
-    header = formats.FEATURE_MAGIC + struct.pack("<IIIIdd", 1, 2, 128, 1, shift, rate)
-    path.write_bytes(header + np.zeros(2 * 128, "<f4").tobytes())
+def hostile_mfb(path, shift=0.012, rate=24e3, kind="midi-fb", dim=128, value=0.0):
+    header = formats.FEATURE_MAGIC + struct.pack(
+        "<IIIIdd", 1, 2, dim, formats.KIND_CODES[kind], shift, rate)
+    path.write_bytes(header + np.full(2 * dim, value, "<f4").tobytes())
     return path
 
 
@@ -531,8 +532,8 @@ def wav_with(command, seconds, *extra):
 HOSTILE = {
     "synth-rate-0": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
                               "--nsf-ckpt", "nsf.ckpt", "--rate", "0"),
-    "gl-inf-rate": lambda p: ["gl", hostile_mfb(p / "x.mfb", 0.012, np.inf), p / "out"],
-    "gl-inf-shift": lambda p: ["gl", hostile_mfb(p / "x.mfb", np.inf, 24e3), p / "out"],
+    "gl-inf-rate": lambda p: ["gl", hostile_mfb(p / "x.mfb", rate=np.inf), p / "out"],
+    "gl-inf-shift": lambda p: ["gl", hostile_mfb(p / "x.mfb", shift=np.inf), p / "out"],
     "roll-long-smf": midi_with("roll", helpers.LONG_SMF),
     "excite-long-smf": midi_with("excite", helpers.LONG_SMF),
     "synth-long-smf": midi_with("synth", helpers.LONG_SMF, "--nsf-ckpt", "nsf.ckpt"),
@@ -572,6 +573,26 @@ HOSTILE = {
     "feat-huge-fft": wav_with("feat", 1.0, "--fft", "100000000"),
     "feat-huge-n-mels": wav_with("feat", 1.0, "--bank", "mel", "--n-mels",
                                  "10000000"),
+    # non-finite audio: a gain that is not a number, and 10 ** 400 magnitudes
+    "excite-gain-nan": midi_with("excite", helpers.note_smf([(0, 480, 64, 110)]),
+                                 "--gain", "nan"),
+    "excite-gain-inf": midi_with("excite", helpers.note_smf([(0, 480, 64, 110)]),
+                                 "--gain", "inf"),
+    "synth-gain-inf": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                                "--nsf-ckpt", "nsf.ckpt", "--gain", "inf"),
+    "gl-linear-overflow": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=1025, value=400.0),
+        p / "out"],
+    # inputs that fit no model or transform: a wrong width, kind or bin
+    # count, or a piece with no notes
+    "gl-linear-513-bins": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=513), p / "out"],
+    "synth-empty-midi": midi_with("synth", helpers.note_smf([]), "--nsf-ckpt", "nsf.ckpt"),
+    "nsf-feature-dim-7": train_with("nsf", {"model": {"feature_dim": 7}}),
+    "am-output-dim-7": train_with("am", {"model": {"output_dim": 7}}),
+    "nsf-features-linear-spec": train_with("nsf", {"data": {"features": "linear-spec"}}),
+    "nsf-excitation-pulse": train_with("nsf", {"data": {"excitation": "pulse"}}),
+    "am-bank-bark": train_with("am", {"data": {"bank": "bark"}}),
 }
 
 

@@ -35,6 +35,14 @@ def test_wav_round_trip(tmp_path, rng):
     assert np.array_equal(back.samples, expected)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_wav_refuses_non_finite_samples(tmp_path, bad):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match="non-finite"):
+        formats.write_wav(path, WaveSignal(np.array([0.0, bad, 0.5]), 24000))
+    assert not path.exists()
+
+
 def test_wav_rejects_stereo(tmp_path):
     path = tmp_path / "stereo.wav"
     build_wav(path, b"\x00\x00" * 8, channels=2)
