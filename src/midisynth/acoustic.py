@@ -5,16 +5,16 @@ roll and the features share a time base, so no attention is needed):
 
 - taco2: the roll is max-pooled down in time, encoded, and decoded by a
   GRU whose prenet eats the previous output frame under heavy dropout.
-  The decoder emits reduction_factor frames per step.
+  The decoder emits downsample_factor frames per step.
 - taco3: identical, but the current downsampled roll frame is
   concatenated to the prenet input after dropout, so the decoder sees
   the score even when dropout erases the previous frame.
 - taco4: no downsampling (factor 1), moderate dropout, otherwise taco2.
 
-reduction_factor always equals the downsample factor, so decoder steps
-line up one-to-one with encoder frames.  The output head is one shared
-frame projection plus a per-position offset table with a fixed four
-rows, which keeps every parameter shape independent of the reduction
+Each decoder step emits as many frames as the roll was downsampled by,
+so decoder steps line up one-to-one with encoder frames.  The output head
+is one shared frame projection plus a per-position offset table with a
+fixed four rows, which keeps every parameter shape independent of that
 factor; checkpoints therefore move between variants without reshaping.
 
 Teacher forcing knows every step's previous frame in advance, so it
@@ -87,10 +87,6 @@ class AmConfig:
         object.__setattr__(self, "prenet_widths", tuple(self.prenet_widths))
         if self.output_kind not in ("mel-fb", "midi-fb"):
             raise ValueError("output_kind must be mel-fb or midi-fb")
-
-    @property
-    def reduction_factor(self):
-        return self.downsample_factor
 
     @property
     def prenet_input_dim(self):
@@ -254,7 +250,7 @@ def _check_roll(roll, cfg):
 
 
 def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatrix,
-                      cfg: AmConfig, train_mode: bool = False, seed: int = 0):
+                      cfg: AmConfig, seed: int = 0):
     """One teacher-forced pass: returns (loss, grads, predicted features).
 
     The decoder is fed the true previous frame (the last target frame of
@@ -263,9 +259,9 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     over the whole sequence, and only the recurrence steps through time,
     inside ag.gru_sequence.  Loss is the mean squared error before plus
     after the postnet, against the target padded to a whole number of
-    groups by edge replication.  Prenet dropout applies only when
-    train_mode is set; the seed makes the masks reproducible.  A
-    non-finite loss raises TrainingDiverged.
+    groups by edge replication.  Prenet dropout is cfg.prenet_dropout;
+    the seed makes the masks reproducible.  A non-finite loss raises
+    TrainingDiverged.
     """
     _check_roll(roll, cfg)
     if target.dim != cfg.output_dim:
@@ -276,11 +272,11 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
             f"target has {target.n_frames} frames, roll has {roll.n_frames}")
     roll_ds = downsample_roll(roll, cfg.downsample_factor)
     m = roll_ds.n_frames
-    r = cfg.reduction_factor
+    r = cfg.downsample_factor
     padded = _pad_rows_edge(target.values, m * r)
     prev = np.zeros((m, cfg.output_dim))
     prev[1:] = padded[r - 1 : (m - 1) * r : r]
-    mask = _prenet_masks(cfg, seed, m) if train_mode else None
+    mask = _prenet_masks(cfg, seed, m)
 
     tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
     enc_out = _encode(tensors, roll_ds.values)
@@ -303,18 +299,19 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
 
 
 def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
-                seed: int = 0, use_dropout: bool = True) -> FeatureMatrix:
+                seed: int = 0) -> FeatureMatrix:
     """Free-running synthesis of features from a piano roll.
 
     The decoder feeds back its own last pre-postnet frame, so it steps
     through time: each step runs the prenet, the GRU cell that
     ag.gru_sequence also runs (ag.gru_cell) and the output head.  Prenet
-    dropout stays on by default (it is part of how these models were
-    trained to rely on the score); the seed makes it reproducible.
+    dropout is cfg.prenet_dropout, as in training (it is part of how
+    these models learn to rely on the score); the seed makes it
+    reproducible.
     """
     _check_roll(roll, cfg)
     roll_ds = downsample_roll(roll, cfg.downsample_factor)
-    masks = _prenet_masks(cfg, seed, roll_ds.n_frames) if use_dropout else None
+    masks = _prenet_masks(cfg, seed, roll_ds.n_frames)
 
     with ag.no_grad():
         tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
@@ -330,7 +327,7 @@ def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
                         None if masks is None else masks[rows])
             x = [t.value for t in _gate_inputs(tensors, q, ag.Tensor(enc_out[rows]))]
             state, _ = ag.gru_cell(x, state, u, b)
-            frames.append(_frames(tensors, ag.Tensor(state), cfg.reduction_factor).value)
+            frames.append(_frames(tensors, ag.Tensor(state), cfg.downsample_factor).value)
             last = frames[-1][-1:]
         y2 = _postnet(tensors, ag.Tensor(np.concatenate(frames)))
     values = y2.value[: roll.n_frames]
@@ -350,8 +347,7 @@ def am_train(params: ModelParams, dataset, train_cfg: AmTrainConfig,
         roll, target = item
         item_seed = np.random.SeedSequence(
             (train_cfg.seed, p.step, int(idx))).generate_state(1)[0]
-        loss, grads, _ = am_teacher_forced(p, roll, target, cfg,
-                                           train_mode=True, seed=int(item_seed))
+        loss, grads, _ = am_teacher_forced(p, roll, target, cfg, seed=int(item_seed))
         return loss, grads
 
     return fit(params, dataset, loss_and_grads, train_cfg, on_epoch_end)

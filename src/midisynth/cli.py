@@ -51,15 +51,6 @@ def _load_notes(path, apply_pedal=True):
     return notes
 
 
-def _bank_for(kind, cfg, n_filters):
-    """The filter bank behind features of kind midi-fb or mel-fb."""
-    if kind == "midi-fb":
-        return dsp.midi_filter_bank(cfg)
-    if kind == "mel-fb":
-        return dsp.mel_filter_bank(cfg, n_filters)
-    raise ValueError(f"no filter bank gives {kind!r} features")
-
-
 def _read_wav_checked(path, rate):
     wave = formats.read_wav(path)
     if wave.sample_rate != rate:
@@ -81,7 +72,7 @@ def _features(kind, notes, wave, rate, shift, frame_length, fft, n_filters):
                          frame_shift=shift, fft_size=fft)
     if kind == "linear-spec":
         return dsp.linear_spectrogram(wave, cfg)
-    return dsp.extract_features(wave, _bank_for(kind, cfg, n_filters), cfg)
+    return dsp.extract_features(wave, dsp.filter_bank(kind, cfg, n_filters), cfg)
 
 
 def _excitation(kind, notes, n_samples, rate, gain, seed):
@@ -135,24 +126,11 @@ def cmd_excite(args):
 
 def cmd_gl(args):
     feat = formats.read_feature_file(args.feat)
-    rate = int(round(feat.sample_rate))
-    shift = int(round(feat.frame_shift * feat.sample_rate))
-    cfg = dsp.StftConfig(sample_rate=rate, frame_length=args.frame_length,
-                         frame_shift=shift, fft_size=args.fft)
-    if feat.kind == "linear-spec":
-        if feat.dim != cfg.n_bins:
-            raise ValueError(f"linear spectrogram has {feat.dim} bins, "
-                             f"FFT size {args.fft} implies {cfg.n_bins}")
-        with np.errstate(over="ignore"):
-            magnitude = 10.0 ** feat.values
-        if not np.isfinite(magnitude).all():
-            raise ValueError(f"{args.feat}: log10 magnitudes overflow float64")
-    elif feat.kind in ("mel-fb", "midi-fb"):
-        magnitude = dsp.pseudo_inverse_magnitude(
-            feat, _bank_for(feat.kind, cfg, feat.dim), cfg)
-    else:
-        raise ValueError(f"cannot invert features of kind {feat.kind!r}")
-    wave = dsp.griffin_lim(magnitude, cfg, args.iters)
+    cfg = dsp.StftConfig(sample_rate=int(round(feat.sample_rate)),
+                         frame_length=args.frame_length,
+                         frame_shift=int(round(feat.frame_shift * feat.sample_rate)),
+                         fft_size=args.fft)
+    wave = dsp.griffin_lim(dsp.pseudo_inverse_magnitude(feat, cfg), cfg, args.iters)
     formats.write_wav(args.out, wave)
     print(f"wrote {args.out}: {len(wave)} samples after {args.iters} iterations")
     return 0
@@ -363,10 +341,9 @@ def _fit_and_save(out, ckpt_name, train, save, params, dataset, train_cfg,
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / ckpt_name
-    params, history = train(
+    _, history = train(
         params, dataset, train_cfg, model_cfg,
         on_epoch_end=lambda _epoch, p: save(ckpt_path, p, model_cfg))
-    save(ckpt_path, params, model_cfg)
     with open(out_dir / "loss.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])

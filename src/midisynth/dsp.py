@@ -32,6 +32,10 @@ MAX_SPECTROGRAM_ENTRIES = 2 ** 27
 # up to a 2^17-point FFT.  A bank is built before any spectrogram, so a
 # huge --fft or --n-mels would otherwise allocate it first.
 MAX_FILTER_BANK_ENTRIES = 2 ** 24
+# Largest log10 magnitude a feature may hold to be inverted.  Squares of
+# 1e100 summed over MAX_SPECTROGRAM_ENTRIES stay finite, so neither the
+# 10 ** value nor any sum inside Griffin-Lim can overflow float64.
+MAX_LOG10_MAGNITUDE = 100.0
 
 
 @dataclass(frozen=True)
@@ -116,16 +120,12 @@ class FilterBank:
 
     weights: np.ndarray
     center_freqs: np.ndarray
-    kind: str  # "midi" or "mel"
+    kind: str  # the feature kind it gives: "midi-fb" or "mel-fb"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "center_freqs",
                            np.asarray(self.center_freqs, dtype=np.float64))
-
-    @property
-    def feature_kind(self):
-        return {"midi": "midi-fb", "mel": "mel-fb"}[self.kind]
 
 
 def midi_center_freq(d) -> float:
@@ -180,7 +180,7 @@ def midi_filter_bank(cfg: StftConfig) -> FilterBank:
     rights = np.concatenate((centers[1:], [centers[-1]]))
     weights = _triangle_rows(bin_freqs, lefts, centers, rights,
                              nyquist=cfg.sample_rate / 2)
-    return FilterBank(weights, centers, "midi")
+    return FilterBank(weights, centers, "midi-fb")
 
 
 def hz_to_mel(f):
@@ -200,7 +200,16 @@ def mel_filter_bank(cfg: StftConfig, n_filters: int = 80) -> FilterBank:
     edges = mel_to_hz(np.linspace(0.0, float(hz_to_mel(cfg.sample_rate / 2)),
                                   n_filters + 2))
     weights = _triangle_rows(bin_freqs, edges[:-2], edges[1:-1], edges[2:])
-    return FilterBank(weights, edges[1:-1], "mel")
+    return FilterBank(weights, edges[1:-1], "mel-fb")
+
+
+def filter_bank(kind: str, cfg: StftConfig, n_filters: int) -> FilterBank:
+    """The bank behind midi-fb or mel-fb features; n_filters sizes a mel bank."""
+    if kind == "midi-fb":
+        return midi_filter_bank(cfg)
+    if kind == "mel-fb":
+        return mel_filter_bank(cfg, n_filters)
+    raise ValueError(f"no filter bank gives {kind!r} features")
 
 
 # --- transforms ---------------------------------------------------------
@@ -286,7 +295,7 @@ def extract_features(wave: WaveSignal, bank: FilterBank, cfg: StftConfig) -> Fea
             f"filter bank built for {bank.weights.shape[1]} bins, config has {cfg.n_bins}")
     mag = np.abs(stft(wave, cfg))
     values = np.log10(np.maximum(mag @ bank.weights.T, MAG_FLOOR))
-    return FeatureMatrix(values, bank.feature_kind,
+    return FeatureMatrix(values, bank.kind,
                          cfg.frame_shift / cfg.sample_rate, cfg.sample_rate)
 
 
@@ -337,21 +346,31 @@ def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = 60,
     return (out, history) if return_history else out
 
 
-def pseudo_inverse_magnitude(feat: FeatureMatrix, bank: FilterBank,
-                             cfg: StftConfig) -> np.ndarray:
-    """Estimate a linear magnitude spectrogram from filter-bank features.
+def pseudo_inverse_magnitude(feat: FeatureMatrix, cfg: StftConfig) -> np.ndarray:
+    """Estimate the linear magnitude spectrogram behind log10 features.
 
-    Inverts the log10 compression, then maps filter energies back to
-    bins with the Moore-Penrose pseudo-inverse of the bank, clipped to
-    non-negative values.
+    Inverts the log10 compression.  A linear spectrum is then the
+    magnitude itself; filter-bank energies map back to bins with the
+    Moore-Penrose pseudo-inverse of their bank, clipped to non-negative
+    values.  A value above MAX_LOG10_MAGNITUDE is refused, so the result
+    and every Griffin-Lim sum over it stay finite.
     """
-    if feat.dim != bank.weights.shape[0]:
-        raise ValueError(
-            f"features have {feat.dim} dims, bank has {bank.weights.shape[0]} filters")
+    if feat.kind == "piano-roll":
+        raise ValueError(f"cannot invert features of kind {feat.kind!r}")
+    if feat.kind == "linear-spec":
+        bank, width = None, cfg.n_bins
+    else:
+        bank = filter_bank(feat.kind, cfg, feat.dim)
+        width = bank.weights.shape[0]
+    if feat.dim != width:
+        raise ValueError(f"{feat.kind} features have {feat.dim} dims, want {width}")
     _check_spectrogram_size(feat.n_frames, cfg)
+    if feat.values.size and feat.values.max() > MAX_LOG10_MAGNITUDE:
+        raise ValueError(f"log10 magnitudes exceed the limit of {MAX_LOG10_MAGNITUDE:g}")
     linear = 10.0 ** feat.values
-    mag = linear @ np.linalg.pinv(bank.weights.T)
-    return np.clip(mag, 0.0, None)
+    if bank is None:
+        return linear
+    return np.clip(linear @ np.linalg.pinv(bank.weights.T), 0.0, None)
 
 
 # --- multi-resolution STFT loss ------------------------------------------

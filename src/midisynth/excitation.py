@@ -30,7 +30,7 @@ def sine_excitation(notes: NoteEventList, sample_rate: int = 24000,
     Each note contributes (velocity / 127) * sin(2 pi f (t - onset)) for
     t in [onset, offset), shaped by 5 ms linear fade-in/out ramps.  After
     summing and applying gain, the mix is scaled down to peak 0.89 only
-    if it clips.
+    if it clips, as it does when gain times the mix overflows float64.
     """
     n_total = max(0, math.ceil(notes.duration * sample_rate - _EDGE_EPS))
     out = np.zeros(n_total)
@@ -50,20 +50,24 @@ def sine_excitation(notes: NoteEventList, sample_rate: int = 24000,
         envelope = np.clip(envelope, 0.0, 1.0)
         out[lo:hi] += (note.velocity / 127.0) * envelope \
             * np.sin(2.0 * np.pi * freq * t)
-    out *= gain
-    peak = np.abs(out).max() if out.size else 0.0
-    if peak > 1.0:
-        out *= 0.89 / peak
+    peak = float(np.abs(out).max()) if out.size else 0.0
+    if math.isinf(peak * gain):  # the gained mix would overflow float64
+        out *= math.copysign(0.89 / peak, gain)
+    else:
+        out *= gain
+        peak *= abs(gain)  # rounds as the max of the gained samples does
+        if peak > 1.0:
+            out *= 0.89 / peak
     return WaveSignal(out, sample_rate)
 
 
-def noise_excitation(n_samples: int, seed: int, std: float = NOISE_STD,
+def noise_excitation(n_samples: int, seed: int,
                      sample_rate: int = 24000) -> WaveSignal:
-    """Seeded Gaussian noise (PCG64), clipped to [-1, 1]."""
+    """Seeded Gaussian noise (PCG64) of std NOISE_STD, clipped to [-1, 1]."""
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
     rng = np.random.default_rng(seed)
-    samples = np.clip(rng.standard_normal(n_samples) * std, -1.0, 1.0)
+    samples = np.clip(rng.standard_normal(n_samples) * NOISE_STD, -1.0, 1.0)
     return WaveSignal(samples, sample_rate)
 
 

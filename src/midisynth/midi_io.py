@@ -134,16 +134,14 @@ def _data_byte(data, pos, end, what):
 
 
 def _parse_track(data, start, end):
-    """Decode one MTrk payload into (tick, order, kind, a, b) tuples.
+    """Decode one MTrk payload into (tick, kind, a, b) tuples in file order.
 
-    kind is one of "on", "off", "cc64", "tempo".  order preserves the
-    within-track event sequence for stable merging.
+    kind is one of "on", "off", "cc64", "tempo".
     """
     events = []
     pos = start
     tick = 0
     status = None
-    order = 0
     while pos < end:
         delta, pos = _read_varint(data, pos, end)
         tick += delta
@@ -165,8 +163,7 @@ def _parse_track(data, start, end):
                 raise TruncatedTrack("meta event payload runs past track end")
             if meta == 0x51 and length == 3:
                 tempo = int.from_bytes(data[pos : pos + 3], "big")
-                events.append((tick, order, "tempo", tempo, 0))
-                order += 1
+                events.append((tick, "tempo", tempo, 0))
             pos += length
             status = None
             if meta == 0x2F:
@@ -186,12 +183,11 @@ def _parse_track(data, start, end):
                 continue
             bb, pos = _data_byte(data, pos, end, "channel event")
             if hi == 0x90 and bb > 0:
-                events.append((tick, order, "on", a, bb))
+                events.append((tick, "on", a, bb))
             elif hi == 0x80 or (hi == 0x90 and bb == 0):
-                events.append((tick, order, "off", a, 0))
+                events.append((tick, "off", a, 0))
             elif hi == 0xB0 and a == SUSTAIN_CONTROLLER:
-                events.append((tick, order, "cc64", bb, 0))
-            order += 1
+                events.append((tick, "cc64", bb, 0))
     return events, tick
 
 
@@ -234,12 +230,11 @@ def parse_midi(data: bytes) -> NoteEventList:
             raise TruncatedTrack("track chunk overruns end of file")
         if tag == b"MTrk":
             events, end_tick = _parse_track(data, body, body + chunk_len)
-            for tick, order, kind, a, b in events:
-                merged.append((tick, tracks_seen, order, kind, a, b))
+            merged += events
             max_tick = max(max_tick, end_tick)
             tracks_seen += 1
         pos = body + chunk_len
-    merged.sort(key=lambda e: e[0])
+    merged.sort(key=lambda e: e[0])  # stable: ties keep track, then file order
 
     # Tick-to-second walk with the tempo map applied in stream order.
     tempo = DEFAULT_TEMPO_US
@@ -252,7 +247,7 @@ def parse_midi(data: bytes) -> NoteEventList:
     pedal = []
     warnings = []
     last_sec = 0.0
-    for tick, _trk, _order, kind, a, b in merged:
+    for tick, kind, a, b in merged:
         sec = scale(tick)
         last_sec = max(last_sec, sec)
         if kind == "tempo":
@@ -291,12 +286,12 @@ def parse_midi(data: bytes) -> NoteEventList:
     )
 
 
-def write_midi(notes: NoteEventList, tempo_us: int = DEFAULT_TEMPO_US) -> bytes:
-    """Serialize notes as a format 0 SMF with a single fixed tempo."""
+def write_midi(notes: NoteEventList) -> bytes:
+    """Serialize notes as a format 0 SMF at the default tempo, 120 bpm."""
     tpq = notes.ticks_per_quarter
-    to_tick = lambda sec: int(round(sec * tpq * 1e6 / tempo_us))
+    to_tick = lambda sec: int(round(sec * tpq * 1e6 / DEFAULT_TEMPO_US))
     # order key: offs before ons at the same tick so zero-gap repeats re-trigger
-    items = [(0, 0, bytes([0xFF, 0x51, 0x03]) + tempo_us.to_bytes(3, "big"))]
+    items = [(0, 0, bytes([0xFF, 0x51, 0x03]) + DEFAULT_TEMPO_US.to_bytes(3, "big"))]
     for n in notes.notes:
         items.append((to_tick(n.onset), 1, bytes([0x90, n.pitch, n.velocity])))
         items.append((max(to_tick(n.offset), to_tick(n.onset) + 1), 0,
@@ -327,15 +322,15 @@ def write_midi(notes: NoteEventList, tempo_us: int = DEFAULT_TEMPO_US) -> bytes:
 # --- sustain pedal ------------------------------------------------------
 
 
-def apply_sustain_pedal(notes: NoteEventList, pedal=None) -> NoteEventList:
-    """Extend note offsets through intervals where the pedal is held.
+def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
+    """Extend note offsets through intervals where notes.pedal holds the pedal.
 
     Pedal is down while the last CC64 value is >= 64.  A note released
     during a down interval sounds until the pedal comes up; if the pedal
     never comes up it sounds to the end of the piece.  Onsets are never
     moved and notes are never shortened.
     """
-    events = sorted(notes.pedal if pedal is None else tuple(pedal))
+    events = sorted(notes.pedal)
     if not events:
         return notes
     intervals = []
@@ -346,7 +341,7 @@ def apply_sustain_pedal(notes: NoteEventList, pedal=None) -> NoteEventList:
         elif value < SUSTAIN_THRESHOLD and down_since is not None:
             intervals.append((down_since, sec))
             down_since = None
-    track_end = max(notes.duration, events[-1][0] if events else 0.0)
+    track_end = max(notes.duration, events[-1][0])
     if down_since is not None:
         intervals.append((down_since, math.inf))
     if not intervals:

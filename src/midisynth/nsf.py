@@ -191,17 +191,11 @@ def nsf_backward(params: ModelParams, features: FeatureMatrix,
     """Loss and parameter gradients for one aligned example.
 
     The spectral loss gradient with respect to the predicted samples is
-    computed in closed form and pushed through the recorded graph.
+    computed in closed form and pushed through the recorded graph;
+    mr_stft_loss refuses a target whose length or sample rate differs.
     Returns (loss, dict of gradients matching params.tensors).
     """
     _check_inputs(params, features, excitation, cfg)
-    if len(target) != len(excitation):
-        raise LengthMismatch(
-            f"target has {len(target)} samples, excitation {len(excitation)}")
-    if target.sample_rate != excitation.sample_rate:
-        raise SampleRateMismatch(
-            f"target at {target.sample_rate} Hz, excitation at "
-            f"{excitation.sample_rate} Hz")
     tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
     out = _build_graph(tensors, _frame_condition(tensors, features.values),
                        excitation.samples, cfg)

@@ -101,11 +101,12 @@ def mutants(blob, count, seed):
 # --- note lists ---------------------------------------------------------------
 
 
-def make_notes(specs, duration=None) -> NoteEventList:
-    """specs: (onset, offset, pitch, velocity) tuples in seconds."""
+def make_notes(specs, duration=None, pedal=()) -> NoteEventList:
+    """specs: (onset, offset, pitch, velocity) tuples in seconds; pedal:
+    (time, CC64 value) pairs."""
     notes = tuple(NoteEvent(onset=o, offset=f, pitch=p, velocity=v)
                   for o, f, p, v in specs)
-    return NoteEventList(notes=notes, duration=duration)
+    return NoteEventList(notes=notes, duration=duration, pedal=tuple(pedal))
 
 
 def random_notes(rng, n_notes: int, lo: int = 48, hi: int = 84) -> NoteEventList:

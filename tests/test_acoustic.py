@@ -50,12 +50,6 @@ def test_variant_constraints():
     AmConfig(variant="taco2", prenet_dropout=0.0)  # explicitly off is fine
 
 
-def test_reduction_equals_downsample():
-    for variant in ("taco2", "taco3", "taco4"):
-        cfg = AmConfig(variant=variant)
-        assert cfg.reduction_factor == cfg.downsample_factor
-
-
 def test_taco3_prenet_width_includes_roll():
     assert helpers.tiny_am_cfg("taco3", output_dim=6).prenet_input_dim == 6 + 128
     assert helpers.tiny_am_cfg("taco2", output_dim=6).prenet_input_dim == 6
@@ -124,7 +118,7 @@ def test_downsample_800_frames_gives_200_steps(rng):
 
 
 def test_teacher_forced_shapes_and_loss(rng):
-    cfg = helpers.tiny_am_cfg("taco2", output_dim=6)
+    cfg = helpers.tiny_am_cfg("taco2", output_dim=6, prenet_dropout=0.0)
     params = acoustic.am_init(cfg, seed=0)
     roll = make_roll(rng, 13)
     target = make_target(rng, 13, 6)
@@ -140,18 +134,15 @@ def test_teacher_forced_dropout_reproducible(rng):
     params = acoustic.am_init(cfg, seed=0)
     roll = make_roll(rng, 12)
     target = make_target(rng, 12, 6)
-    l1, _, _ = acoustic.am_teacher_forced(params, roll, target, cfg,
-                                          train_mode=True, seed=3)
-    l2, _, _ = acoustic.am_teacher_forced(params, roll, target, cfg,
-                                          train_mode=True, seed=3)
-    l3, _, _ = acoustic.am_teacher_forced(params, roll, target, cfg,
-                                          train_mode=True, seed=4)
+    l1, _, _ = acoustic.am_teacher_forced(params, roll, target, cfg, seed=3)
+    l2, _, _ = acoustic.am_teacher_forced(params, roll, target, cfg, seed=3)
+    l3, _, _ = acoustic.am_teacher_forced(params, roll, target, cfg, seed=4)
     assert l1 == l2
     assert l1 != l3
 
 
 def test_teacher_forced_input_checks(rng):
-    cfg = helpers.tiny_am_cfg("taco2", output_dim=6)
+    cfg = helpers.tiny_am_cfg("taco2", output_dim=6, prenet_dropout=0.0)
     params = acoustic.am_init(cfg, seed=0)
     roll = make_roll(rng, 12)
     with pytest.raises(DimensionMismatch):
@@ -167,7 +158,7 @@ def test_gradient_spot_check_all_variants(rng):
     for variant in ("taco2", "taco3", "taco4"):
         cfg = helpers.tiny_am_cfg(variant, output_dim=4, encoder_channels=4,
                                   decoder_state_dim=4, prenet_widths=(6, 4),
-                                  postnet_channels=4)
+                                  postnet_channels=4, prenet_dropout=0.0)
         params = acoustic.am_init(cfg, seed=1)
         roll = make_roll(rng, 8)
         target = make_target(rng, 8, 4)
@@ -241,8 +232,9 @@ def test_generate_deterministic(rng):
     c = acoustic.am_generate(params, roll, cfg, seed=6)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    d = acoustic.am_generate(params, roll, cfg, seed=5, use_dropout=False)
-    e = acoustic.am_generate(params, roll, cfg, seed=6, use_dropout=False)
+    no_dropout = dataclasses.replace(cfg, prenet_dropout=0.0)
+    d = acoustic.am_generate(params, roll, no_dropout, seed=5)
+    e = acoustic.am_generate(params, roll, no_dropout, seed=6)
     assert np.array_equal(d.values, e.values)
 
 
@@ -403,8 +395,7 @@ def test_frozen_train_history_and_tensors(variant):
 def test_frozen_teacher_forced_loss_and_grads(variant):
     cfg, params, data = frozen_case(variant)
     roll, target = data[2]
-    loss, grads, _ = acoustic.am_teacher_forced(params, roll, target, cfg,
-                                                train_mode=True, seed=8)
+    loss, grads, _ = acoustic.am_teacher_forced(params, roll, target, cfg, seed=8)
     want = FROZEN[variant]
     assert loss == pytest.approx(want["loss"], rel=1e-12)
     got = [float((grads[name] ** 2).sum()) for name in FROZEN_GRADS]

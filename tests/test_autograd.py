@@ -248,10 +248,10 @@ def test_teacher_forced_tape_does_not_grow_with_steps(rng, monkeypatch, variant)
     cfg = helpers.tiny_am_cfg(variant, output_dim=4, prenet_dropout=0.5)
     params = acoustic.am_init(cfg, seed=0)
     for steps in (8, 64):
-        n = steps * cfg.reduction_factor
+        n = steps * cfg.downsample_factor
         roll = PianoRoll(rng.random((n, 128)), 0.012)
         target = FeatureMatrix(rng.standard_normal((n, 4)), "midi-fb", 0.012, 24000.0)
-        acoustic.am_teacher_forced(params, roll, target, cfg, train_mode=True)
+        acoustic.am_teacher_forced(params, roll, target, cfg)
     assert _tape_size(roots[0]) == _tape_size(roots[1])
 
 

@@ -583,6 +583,16 @@ HOSTILE = {
     "gl-linear-overflow": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=1025, value=400.0),
         p / "out"],
+    "gl-midi-overflow": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", kind="midi-fb", dim=128, value=400.0), p / "out"],
+    "gl-mel-overflow": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", kind="mel-fb", dim=80, value=400.0), p / "out"],
+    # 10 ** 300 is finite, but the sums inside Griffin-Lim overflow
+    "gl-linear-300": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=1025, value=300.0),
+        p / "out"],
+    "gl-midi-300": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", kind="midi-fb", dim=128, value=300.0), p / "out"],
     # inputs that fit no model or transform: a wrong width, kind or bin
     # count, or a piece with no notes
     "gl-linear-513-bins": lambda p: [
@@ -596,6 +606,9 @@ HOSTILE = {
 }
 
 
+# A warning, numpy's included, would print to stderr in a real run, so
+# here it is an error.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
     monkeypatch.chdir(tmp_path)

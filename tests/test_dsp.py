@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,8 +42,7 @@ def test_center_freq_domain():
 def test_midi_bank_shape_and_kind(stft_cfg):
     bank = dsp.midi_filter_bank(stft_cfg)
     assert bank.weights.shape == (128, stft_cfg.n_bins)
-    assert bank.kind == "midi"
-    assert bank.feature_kind == "midi-fb"
+    assert bank.kind == "midi-fb"
     assert bank.center_freqs.shape == (128,)
 
 
@@ -82,7 +82,7 @@ def test_midi_bank_above_nyquist_rows_zero(stft_cfg):
 def test_mel_bank_properties(stft_cfg):
     bank = dsp.mel_filter_bank(stft_cfg, 80)
     assert bank.weights.shape == (80, stft_cfg.n_bins)
-    assert bank.feature_kind == "mel-fb"
+    assert bank.kind == "mel-fb"
     assert (bank.weights >= 0.0).all() and (bank.weights <= 1.0).all()
     # no empty mel filters at this resolution
     assert bank.weights.any(axis=1).all()
@@ -127,10 +127,9 @@ def test_spectrogram_size_limit(stft_cfg, monkeypatch):
         dsp.stft(WaveSignal(np.zeros(3 * shift + 1), 24000), stft_cfg)
     with pytest.raises(SpectrogramTooLarge):
         dsp.istft(np.zeros((4, stft_cfg.n_bins), complex), stft_cfg)
-    bank = dsp.midi_filter_bank(stft_cfg)
     feat = FeatureMatrix(np.zeros((4, 128)), "midi-fb", 0.012, 24000.0)
     with pytest.raises(SpectrogramTooLarge):
-        dsp.pseudo_inverse_magnitude(feat, bank, stft_cfg)
+        dsp.pseudo_inverse_magnitude(feat, stft_cfg)
 
 
 def test_filter_bank_size_limit(stft_cfg, monkeypatch):
@@ -285,9 +284,53 @@ def test_pseudo_inverse_magnitude_shape(stft_cfg, rng):
     wave = WaveSignal(rng.standard_normal(4800) * 0.2, 24000)
     bank = dsp.mel_filter_bank(stft_cfg, 80)
     feat = dsp.extract_features(wave, bank, stft_cfg)
-    mag = dsp.pseudo_inverse_magnitude(feat, bank, stft_cfg)
+    mag = dsp.pseudo_inverse_magnitude(feat, stft_cfg)
     assert mag.shape == (feat.n_frames, stft_cfg.n_bins)
     assert (mag >= 0.0).all()
+
+
+def test_filter_bank_by_kind(stft_cfg):
+    midi = dsp.filter_bank("midi-fb", stft_cfg, 80)
+    assert np.array_equal(midi.weights, dsp.midi_filter_bank(stft_cfg).weights)
+    mel = dsp.filter_bank("mel-fb", stft_cfg, 40)
+    assert np.array_equal(mel.weights, dsp.mel_filter_bank(stft_cfg, 40).weights)
+    for kind in ("linear-spec", "piano-roll"):
+        with pytest.raises(ValueError, match="no filter bank"):
+            dsp.filter_bank(kind, stft_cfg, 80)
+
+
+def test_pseudo_inverse_of_linear_spectra_and_refusals(stft_cfg, rng):
+    wave = WaveSignal(rng.standard_normal(4800) * 0.2, 24000)
+    linear = dsp.linear_spectrogram(wave, stft_cfg)
+    assert np.array_equal(dsp.pseudo_inverse_magnitude(linear, stft_cfg),
+                          10.0 ** linear.values)
+    roll = FeatureMatrix(np.zeros((4, 128)), "piano-roll", 0.012, 24000.0)
+    with pytest.raises(ValueError, match="cannot invert"):
+        dsp.pseudo_inverse_magnitude(roll, stft_cfg)
+    for kind, dim in (("linear-spec", 513), ("midi-fb", 80)):
+        feat = FeatureMatrix(np.zeros((4, dim)), kind, 0.012, 24000.0)
+        with pytest.raises(ValueError, match=f"{dim} dims"):
+            dsp.pseudo_inverse_magnitude(feat, stft_cfg)
+
+
+@pytest.mark.parametrize("kind, dim", [("linear-spec", 1025), ("midi-fb", 128),
+                                       ("mel-fb", 80)])
+def test_pseudo_inverse_magnitude_limit(stft_cfg, kind, dim):
+    # at the limit, in both signs, the inverse and every Griffin-Lim sum
+    # stay finite with no numpy warning; one step above it is refused
+    limit = dsp.MAX_LOG10_MAGNITUDE
+    for value in (limit, -limit):
+        feat = FeatureMatrix(np.full((40, dim), value), kind, 0.012, 24000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mag = dsp.pseudo_inverse_magnitude(feat, stft_cfg)
+            wave, history = dsp.griffin_lim(mag, stft_cfg, 3, return_history=True)
+        assert np.isfinite(mag).all() and np.isfinite(wave.samples).all()
+        assert np.isfinite(history).all()
+    feat = FeatureMatrix(np.full((40, dim), np.nextafter(limit, np.inf)), kind,
+                         0.012, 24000.0)
+    with pytest.raises(ValueError, match="exceed the limit"):
+        dsp.pseudo_inverse_magnitude(feat, stft_cfg)
 
 
 # --- multi-resolution loss -------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,21 @@ def test_sine_chord_sums_and_normalizes():
     assert np.abs(wave.samples).max() == pytest.approx(0.89, rel=1e-6)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sine_overflowing_gain_clips_like_any_other(sign):
+    # 1.7e308 times the chord overflows float64; the mix is still scaled
+    # to peak 0.89, as at a gain that does not overflow, with no warning
+    notes = helpers.make_notes([(0.0, 0.5, 60, 127), (0.0, 0.5, 64, 127),
+                                (0.0, 0.5, 67, 127)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wave = excitation.sine_excitation(notes, 24000, sign * 1.7e308)
+    assert np.abs(wave.samples).max() == pytest.approx(0.89, rel=1e-12)
+    clipped = excitation.sine_excitation(notes, 24000, sign * 1e300)
+    np.testing.assert_allclose(wave.samples, clipped.samples, rtol=1e-12,
+                               atol=1e-15)
+
+
 def test_sine_no_normalize_when_quiet():
     notes = helpers.make_notes([(0.0, 0.5, 60, 40)])
     wave = excitation.sine_excitation(notes, 24000)
@@ -75,10 +92,10 @@ def test_noise_statistics_and_seeding():
     assert a.sample_rate == 24000
 
 
-def test_noise_length_and_custom_std():
-    wave = excitation.noise_excitation(500, seed=0, std=0.25)
+def test_noise_length_and_std():
+    wave = excitation.noise_excitation(500, seed=0)
     assert len(wave) == 500
-    assert wave.samples.std() == pytest.approx(0.25, rel=0.2)
+    assert wave.samples.std() == pytest.approx(excitation.NOISE_STD, rel=0.2)
 
 
 def test_fit_length_truncates_and_pads():

@@ -258,36 +258,40 @@ def test_write_parse_round_trip(rng):
 
 
 def test_pedal_extends_through_interval():
-    notes = helpers.make_notes([(0.0, 0.4, 60, 90)], duration=2.0)
-    out = midi_io.apply_sustain_pedal(notes, pedal=[(0.2, 100), (1.0, 0)])
+    notes = helpers.make_notes([(0.0, 0.4, 60, 90)], duration=2.0,
+                               pedal=[(0.2, 100), (1.0, 0)])
+    out = midi_io.apply_sustain_pedal(notes)
     assert out.notes[0].onset == 0.0
     assert out.notes[0].offset == pytest.approx(1.0)
 
 
 def test_pedal_never_shortens_or_moves_onsets():
-    notes = helpers.make_notes([(0.0, 1.5, 60, 90)], duration=2.0)
-    out = midi_io.apply_sustain_pedal(notes, pedal=[(0.1, 100), (0.5, 0)])
+    notes = helpers.make_notes([(0.0, 1.5, 60, 90)], duration=2.0,
+                               pedal=[(0.1, 100), (0.5, 0)])
+    out = midi_io.apply_sustain_pedal(notes)
     assert out.notes[0].offset == pytest.approx(1.5)
     assert out.notes[0].onset == 0.0
 
 
 def test_pedal_off_before_note_release_no_change():
-    notes = helpers.make_notes([(0.6, 0.9, 60, 90)], duration=2.0)
-    out = midi_io.apply_sustain_pedal(notes, pedal=[(0.0, 127), (0.5, 0)])
+    notes = helpers.make_notes([(0.6, 0.9, 60, 90)], duration=2.0,
+                               pedal=[(0.0, 127), (0.5, 0)])
+    out = midi_io.apply_sustain_pedal(notes)
     assert out.notes[0].offset == pytest.approx(0.9)
 
 
 def test_pedal_held_to_end_extends_to_track_end():
-    notes = helpers.make_notes([(0.0, 0.4, 60, 90)], duration=3.0)
-    out = midi_io.apply_sustain_pedal(notes, pedal=[(0.1, 127)])
+    notes = helpers.make_notes([(0.0, 0.4, 60, 90)], duration=3.0,
+                               pedal=[(0.1, 127)])
+    out = midi_io.apply_sustain_pedal(notes)
     assert out.notes[0].offset == pytest.approx(3.0)
 
 
 def test_pedal_multiple_intervals():
     notes = helpers.make_notes([(0.0, 0.3, 60, 90), (1.0, 1.2, 62, 90)],
-                               duration=2.0)
-    out = midi_io.apply_sustain_pedal(
-        notes, pedal=[(0.1, 100), (0.6, 0), (1.1, 100), (1.5, 0)])
+                               duration=2.0,
+                               pedal=[(0.1, 100), (0.6, 0), (1.1, 100), (1.5, 0)])
+    out = midi_io.apply_sustain_pedal(notes)
     assert out.notes[0].offset == pytest.approx(0.6)
     assert out.notes[1].offset == pytest.approx(1.5)
 
