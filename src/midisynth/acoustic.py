@@ -356,8 +356,7 @@ def am_train(params: ModelParams, dataset, train_cfg: AmTrainConfig,
 # --- warm starting and checkpoints -------------------------------------------
 
 
-def warm_start_from(base: ModelParams, base_cfg: AmConfig,
-                    new_cfg: AmConfig) -> ModelParams:
+def warm_start_from(base: ModelParams, new_cfg: AmConfig) -> ModelParams:
     """Adapt trained parameters to a sibling variant.
 
     Every tensor whose shape already matches is copied as-is; thanks to
@@ -366,12 +365,8 @@ def warm_start_from(base: ModelParams, base_cfg: AmConfig,
     weight gains zero rows for the new inputs (the adapted model starts
     out computing exactly the base function).  Optimizer state resets.
     """
-    new_shapes = am_param_shapes(new_cfg)
-    base_shapes = am_param_shapes(base_cfg)
-    if set(new_shapes) != set(base_shapes):
-        raise ValueError("variants expose different tensor names")
     tensors = {}
-    for name, shape in new_shapes.items():
+    for name, shape in am_param_shapes(new_cfg).items():
         src = base.tensors[name]
         if src.shape == tuple(shape):
             tensors[name] = src.copy()

@@ -27,12 +27,12 @@ from .errors import MidiSynthError, TooManySamples
 DEFAULT_RATE = 24000
 
 
-def _stft_args(parser, frame_shift=288):
+def _stft_args(parser):
     parser.add_argument("--rate", type=int, default=DEFAULT_RATE,
                         help="sample rate in Hz")
     parser.add_argument("--frame-length", type=int, default=1200,
                         help="analysis window length in samples")
-    parser.add_argument("--frame-shift", type=int, default=frame_shift,
+    parser.add_argument("--frame-shift", type=int, default=288,
                         help="hop size in samples")
     parser.add_argument("--fft", type=int, default=2048, help="FFT size")
 
@@ -80,10 +80,13 @@ def _excitation(kind, notes, n_samples, rate, gain, seed):
 
     Sines are first rendered over the notes' whole duration, so that
     length and n_samples are both held to excitation.MAX_SAMPLES before
-    anything is allocated.  A non-finite gain is refused.
+    anything is allocated.  A non-finite gain, or any gain but 1 for
+    noise, is refused.
     """
     if not math.isfinite(gain):
         raise ValueError(f"--gain must be finite, got {gain}")
+    if kind == "noise" and gain != 1.0:
+        raise ValueError("--gain applies to sine excitation only")
     longest = max(n_samples, notes.duration * rate)
     if longest > excitation.MAX_SAMPLES:
         raise TooManySamples(f"the excitation needs {longest:.4g} samples, "
@@ -130,7 +133,11 @@ def cmd_gl(args):
                          frame_length=args.frame_length,
                          frame_shift=int(round(feat.frame_shift * feat.sample_rate)),
                          fft_size=args.fft)
-    wave = dsp.griffin_lim(dsp.pseudo_inverse_magnitude(feat, cfg), cfg, args.iters)
+    try:
+        magnitude = dsp.pseudo_inverse_magnitude(feat, cfg)
+    except (MidiSynthError, ValueError) as exc:
+        raise type(exc)(f"{args.feat}: {exc}") from exc
+    wave = dsp.griffin_lim(magnitude, cfg, args.iters)
     formats.write_wav(args.out, wave)
     print(f"wrote {args.out}: {len(wave)} samples after {args.iters} iterations")
     return 0
@@ -273,8 +280,8 @@ AM_DATA = {"rate": DEFAULT_RATE, "bank": "midi", "n_mels": 80, "frame_length": 1
            "frame_shift": 288, "fft": 2048}
 
 
-def _field_names(cls):
-    return [f.name for f in dataclasses.fields(cls)]
+# The model fields that the data section decides; a model section may not set them.
+FROM_DATA = {"feature_dim", "input_dim", "output_dim", "output_kind"}
 
 
 def _strict_section(config, key, allowed):
@@ -309,22 +316,23 @@ def _load_config(path, model_cls, train_cls, data_defaults):
         if type(value) is not type(default) or (isinstance(value, int) and value <= 0):
             expected = "a positive integer" if isinstance(default, int) else "a string"
             raise ValueError(f"data key {key!r} must be {expected}, got {value!r}")
-    return (_strict_section(config, "model", _field_names(model_cls)),
-            _strict_section(config, "train", _field_names(train_cls)), data)
+    model_keys = {f.name for f in dataclasses.fields(model_cls)} - FROM_DATA
+    train_keys = {f.name for f in dataclasses.fields(train_cls)}
+    return (_strict_section(config, "model", model_keys),
+            _strict_section(config, "train", train_keys), data)
 
 
-def _paired_stems(data_dir):
+def _clips(data_dir, rate):
+    """Each paired .mid/.wav file in data_dir, in name order, as (notes, wave)."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise ValueError(f"{data_dir} is not a directory")
-    stems = []
-    for midi_path in sorted(data_dir.glob("*.mid")):
-        wav_path = midi_path.with_suffix(".wav")
-        if wav_path.exists():
-            stems.append((midi_path, wav_path))
-    if not stems:
+    pairs = [(m, m.with_suffix(".wav")) for m in sorted(data_dir.glob("*.mid"))
+             if m.with_suffix(".wav").exists()]
+    if not pairs:
         raise ValueError(f"{data_dir} holds no paired .mid/.wav files")
-    return stems
+    for midi_path, wav_path in pairs:
+        yield _load_notes(midi_path), _read_wav_checked(wav_path, rate)
 
 
 def _segment_frames(n_frames, per_segment):
@@ -335,45 +343,21 @@ def _segment_frames(n_frames, per_segment):
             for lo in range(0, n_frames - per_segment + 1, per_segment)]
 
 
-def _fit_and_save(out, ckpt_name, train, save, params, dataset, train_cfg,
-                  model_cfg):
-    """Train, checkpointing after every epoch, then write loss.csv."""
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / ckpt_name
-    _, history = train(
-        params, dataset, train_cfg, model_cfg,
-        on_epoch_end=lambda _epoch, p: save(ckpt_path, p, model_cfg))
-    with open(out_dir / "loss.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for step, loss in history:
-            writer.writerow([step, f"{loss:.6f}"])
-    print(f"trained on {len(dataset)} segments for {train_cfg.epochs} epochs; "
-          f"final loss {history[-1][1]:.4f}")
-    print(f"wrote {ckpt_path} and {out_dir / 'loss.csv'}")
-    return 0
-
-
-def _train_nsf(args, model_section, train_section, data):
+def _nsf_data(data_dir, model_section, train_section, data):
+    """NsfConfig, TrainConfig and (features, source, target) segments."""
     rate, kind = data["rate"], data["features"]
-    if kind not in ("piano-roll", "midi-fb", "mel-fb"):
+    if kind not in nsf.CONDITION_KINDS:
         raise ValueError(f"unknown feature kind {kind!r}")
     if data["excitation"] not in ("sine", "noise"):
         raise ValueError(f"unknown excitation kind {data['excitation']!r}")
-    feature_dim = data["n_mels"] if kind == "mel-fb" else 128
-    model_cfg = nsf.NsfConfig(**{"feature_dim": feature_dim, **model_section})
-    if model_cfg.feature_dim != feature_dim:
-        raise ValueError(f"model feature_dim {model_cfg.feature_dim} does not "
-                         f"match {kind} features ({feature_dim})")
+    model_cfg = nsf.NsfConfig(feature_dim=data["n_mels"] if kind == "mel-fb" else 128,
+                              **model_section)
     train_cfg = nsf.TrainConfig(**train_section)
     shift = model_cfg.upsample_factor
     per_segment = max(1, round(train_cfg.segment_seconds * rate / shift))
 
     dataset = []
-    for idx, (midi_path, wav_path) in enumerate(_paired_stems(args.data)):
-        notes = _load_notes(midi_path)
-        wave = _read_wav_checked(wav_path, rate)
+    for idx, (notes, wave) in enumerate(_clips(data_dir, rate)):
         feats = _features(kind, notes, wave, rate, shift, data["frame_length"],
                           data["fft"], data["n_mels"])
         if feats.n_frames == 0:
@@ -387,33 +371,24 @@ def _train_nsf(args, model_section, train_section, data):
                 dsp.WaveSignal(source.samples[lo * shift:hi * shift], rate),
                 dsp.WaveSignal(target.samples[lo * shift:hi * shift], rate),
             ))
-
-    if args.resume:
-        params, _ = nsf.load_checkpoint(args.resume, model_cfg)
-    else:
-        params = nsf.nsf_init(model_cfg, seed=train_cfg.seed)
-    return _fit_and_save(args.out, "nsf.ckpt", nsf.nsf_train, nsf.save_checkpoint,
-                         params, dataset, train_cfg, model_cfg)
+    return model_cfg, train_cfg, dataset
 
 
-def _train_am(args, model_section, train_section, data):
+def _am_data(data_dir, model_section, train_section, data):
+    """AmConfig, AmTrainConfig and (roll, target features) segments."""
     rate, bank, shift = data["rate"], data["bank"], data["frame_shift"]
     if bank not in ("midi", "mel"):
         raise ValueError(f"unknown filter bank {bank!r}")
     kind = f"{bank}-fb"
-    output_dim = data["n_mels"] if kind == "mel-fb" else 128
     model_cfg = acoustic.AmConfig(
-        **{"output_dim": output_dim, "output_kind": kind, **model_section})
-    if model_cfg.output_dim != output_dim:
-        raise ValueError(f"model output_dim {model_cfg.output_dim} does not match "
-                         f"the {bank} bank ({output_dim})")
+        input_dim=128, output_dim=data["n_mels"] if bank == "mel" else 128,
+        output_kind=kind, **model_section)
     train_cfg = acoustic.AmTrainConfig(**train_section)
 
     dataset = []
-    for midi_path, wav_path in _paired_stems(args.data):
-        notes = _load_notes(midi_path)
-        feats = _features(kind, None, _read_wav_checked(wav_path, rate), rate, shift,
-                          data["frame_length"], data["fft"], data["n_mels"])
+    for notes, wave in _clips(data_dir, rate):
+        feats = _features(kind, None, wave, rate, shift, data["frame_length"],
+                          data["fft"], data["n_mels"])
         roll = midi_io.to_piano_roll(notes, shift / rate, rate)
         n = min(feats.n_frames, roll.n_frames)
         if n == 0:
@@ -421,27 +396,44 @@ def _train_am(args, model_section, train_section, data):
         for lo, hi in _segment_frames(n, train_cfg.segment_frames):
             dataset.append((dataclasses.replace(roll, values=roll.values[lo:hi]),
                             dataclasses.replace(feats, values=feats.values[lo:hi])))
-
-    if args.resume:
-        params, _ = acoustic.am_load_checkpoint(args.resume, model_cfg)
-    elif args.warm_start:
-        base_params, base_cfg = acoustic.am_load_checkpoint(args.warm_start)
-        params = acoustic.warm_start_from(base_params, base_cfg, model_cfg)
-    else:
-        params = acoustic.am_init(model_cfg, seed=train_cfg.seed)
-    return _fit_and_save(args.out, "am.ckpt", acoustic.am_train,
-                         acoustic.am_save_checkpoint, params, dataset,
-                         train_cfg, model_cfg)
+    return model_cfg, train_cfg, dataset
 
 
 def cmd_train(args):
+    """Train either model, with a checkpoint after every epoch, and write
+    loss.csv.  The model functions are read off their modules on each call,
+    so a wrapper set on a module attribute sees the calls."""
     if args.kind == "am":
-        return _train_am(args, *_load_config(
-            args.config, acoustic.AmConfig, acoustic.AmTrainConfig, AM_DATA))
-    if args.warm_start:
+        build, config = _am_data, (acoustic.AmConfig, acoustic.AmTrainConfig, AM_DATA)
+        init, load, train, save = (acoustic.am_init, acoustic.am_load_checkpoint,
+                                   acoustic.am_train, acoustic.am_save_checkpoint)
+    elif args.warm_start:
         raise ValueError("--warm-start applies to train am only")
-    return _train_nsf(args, *_load_config(
-        args.config, nsf.NsfConfig, nsf.TrainConfig, NSF_DATA))
+    else:
+        build, config = _nsf_data, (nsf.NsfConfig, nsf.TrainConfig, NSF_DATA)
+        init, load, train, save = (nsf.nsf_init, nsf.load_checkpoint,
+                                   nsf.nsf_train, nsf.save_checkpoint)
+    model_cfg, train_cfg, dataset = build(args.data, *_load_config(args.config, *config))
+    if args.resume:
+        params, _ = load(args.resume, model_cfg)
+    elif args.warm_start:
+        base, _ = acoustic.am_load_checkpoint(args.warm_start)
+        params = acoustic.warm_start_from(base, model_cfg)
+    else:
+        params = init(model_cfg, seed=train_cfg.seed)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out_dir / f"{args.kind}.ckpt"
+    _, history = train(params, dataset, train_cfg, model_cfg,
+                       on_epoch_end=lambda _epoch, p: save(ckpt_path, p, model_cfg))
+    rows = [(step, f"{loss:.6f}") for step, loss in history]
+    with open(out_dir / "loss.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("step", "loss"), *rows])
+    print(f"trained on {len(dataset)} segments for {train_cfg.epochs} epochs; "
+          f"final loss {history[-1][1]:.4f}")
+    print(f"wrote {ckpt_path} and {out_dir / 'loss.csv'}")
+    return 0
 
 
 # --- parser -------------------------------------------------------------------

@@ -420,7 +420,7 @@ def test_warm_start_taco2_to_taco3_pads_prenet(rng):
     base = acoustic.am_init(base_cfg, seed=0)
     base.step = 40
     new_cfg = helpers.tiny_am_cfg("taco3", output_dim=6)
-    warm = acoustic.warm_start_from(base, base_cfg, new_cfg)
+    warm = acoustic.warm_start_from(base, new_cfg)
     old_w = base.tensors["prenet.fc1.weight"]
     new_w = warm.tensors["prenet.fc1.weight"]
     assert new_w.shape == (6 + 128, base_cfg.prenet_widths[0])
@@ -438,7 +438,7 @@ def test_warm_start_taco2_to_taco4_reshapes_nothing(rng):
     base_cfg = helpers.tiny_am_cfg("taco2", output_dim=6)
     base = acoustic.am_init(base_cfg, seed=0)
     new_cfg = helpers.tiny_am_cfg("taco4", output_dim=6)
-    warm = acoustic.warm_start_from(base, base_cfg, new_cfg)
+    warm = acoustic.warm_start_from(base, new_cfg)
     assert set(warm.tensors) == set(base.tensors)
     for name in base.tensors:
         assert np.array_equal(warm.tensors[name], base.tensors[name]), name
@@ -448,8 +448,7 @@ def test_warm_start_rejects_incompatible_widths():
     base_cfg = helpers.tiny_am_cfg("taco2", output_dim=6)
     base = acoustic.am_init(base_cfg, seed=0)
     with pytest.raises(ValueError):
-        acoustic.warm_start_from(base, base_cfg,
-                                 helpers.tiny_am_cfg("taco3", output_dim=8))
+        acoustic.warm_start_from(base, helpers.tiny_am_cfg("taco3", output_dim=8))
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -7,6 +7,7 @@ crash in a traced benchmark run.
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +58,37 @@ def test_traced_calls_count_decoder_steps_and_iterations(stft_cfg):
     assert metrics["acoustic.generate_calls"] == 1
     assert metrics["acoustic.decoder_steps"] == 3  # ceil(10 / 4)
     assert metrics["dsp.gl_calls"] == 1 and metrics["dsp.gl_iters"] == 2
+
+
+def test_tracer_sees_each_train_call(tmp_path):
+    """cli looks the train functions up when train runs, so the wrappers the
+    tracer sets on their modules see one call per run and one checkpoint
+    write per epoch."""
+    data = tmp_path / "data"
+    data.mkdir()
+    notes = helpers.make_notes([(0.0, 0.3, 69, 100)])
+    (data / "clip.mid").write_bytes(midi_io.write_midi(notes))
+    helpers.tone_wav(data / "clip.wav", seconds=0.3)
+    configs = {
+        "nsf": {"model": {"upsample_factor": 64, "channels": 2, "n_blocks": 1,
+                          "convs_per_block": 2},
+                "train": {"segment_seconds": 0.1, "epochs": 1}},
+        "am": {"model": {"encoder_channels": 4, "decoder_state_dim": 4,
+                         "prenet_widths": [4, 4], "postnet_channels": 4},
+               "train": {"segment_frames": 12, "epochs": 1}},
+    }
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install(0)
+    try:
+        for kind, config in configs.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(config))
+            argv = ["train", kind, str(data), str(tmp_path / kind), "--config", str(path)]
+            assert midisynth.cli.main(argv) == 0
+    finally:
+        tracer.remove()
+    metrics = tracer.layer_metrics()
+    assert metrics["nsf.train_calls"] == 1
+    assert metrics["acoustic.train_calls"] == 1
+    assert metrics["formats.ckpt_calls"] == 2

@@ -600,6 +600,19 @@ HOSTILE = {
     "synth-empty-midi": midi_with("synth", helpers.note_smf([]), "--nsf-ckpt", "nsf.ckpt"),
     "nsf-feature-dim-7": train_with("nsf", {"model": {"feature_dim": 7}}),
     "am-output-dim-7": train_with("am", {"model": {"output_dim": 7}}),
+    # the data section alone sets a model's feature kind and widths, so a
+    # model section that names one is refused, even with a matching value
+    "nsf-feature-dim-128": train_with("nsf", {"model": {"feature_dim": 128},
+                                              "train": {"epochs": 1}}),
+    "am-output-kind-mel": train_with("am", {"model": {"output_kind": "mel-fb"},
+                                            "train": {"epochs": 1}}),
+    "am-input-dim-5": train_with("am", {"model": {"input_dim": 5}}),
+    # noise has no gain to set
+    "excite-noise-gain": midi_with("excite", helpers.note_smf([(0, 480, 64, 110)]),
+                                   "--kind", "noise", "--gain", "5"),
+    "synth-noise-gain": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                                  "--nsf-ckpt", "nsf.ckpt", "--excitation", "noise",
+                                  "--gain", "5"),
     "nsf-features-linear-spec": train_with("nsf", {"data": {"features": "linear-spec"}}),
     "nsf-excitation-pulse": train_with("nsf", {"data": {"excitation": "pulse"}}),
     "am-bank-bark": train_with("am", {"data": {"bank": "bark"}}),
@@ -624,6 +637,14 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_gl_refusal_names_the_feature_file(tmp_path, capsys):
+    for name, dim, value in (("overflow.mfb", 128, 400.0), ("width.mfb", 7, 0.0)):
+        mfb = hostile_mfb(tmp_path / name, kind="midi-fb", dim=dim, value=value)
+        assert run_cli("gl", mfb, tmp_path / "out.wav") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mfb}: ") and err.count("\n") == 1, err
 
 
 def test_bad_training_midi_file_is_named(tmp_path, capsys):
