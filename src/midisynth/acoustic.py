@@ -37,7 +37,7 @@ from .dsp import FeatureMatrix
 from .errors import DimensionMismatch, LengthMismatch, TrainingDiverged
 from .midi_io import PianoRoll
 from .params import ModelParams, affine, check_train_config, fit, \
-    init_params, load_model, save_model
+    init_params, is_number, load_model, save_model
 
 AM_MAGIC = b"ACM1"
 VARIANTS = ("taco2", "taco3", "taco4")
@@ -75,13 +75,14 @@ class AmConfig:
         if type(self.downsample_factor) is not int \
                 or self.downsample_factor not in (1, 2, 4):
             raise ValueError("downsample_factor must be 1, 2, or 4")
-        if not 0.0 <= self.prenet_dropout < 1.0:
+        if not (is_number(self.prenet_dropout) and 0 <= self.prenet_dropout < 1):
             raise ValueError("prenet_dropout must lie in [0, 1)")
         widths = (self.input_dim, self.output_dim, self.encoder_channels,
                   self.decoder_state_dim, self.postnet_channels)
         if any(type(w) is not int or w < 1 for w in widths):
             raise ValueError("all widths must be positive integers")
-        if len(self.prenet_widths) != 2 \
+        if not isinstance(self.prenet_widths, (list, tuple)) \
+                or len(self.prenet_widths) != 2 \
                 or any(type(w) is not int or w < 1 for w in self.prenet_widths):
             raise ValueError("prenet_widths must be two positive integers")
         object.__setattr__(self, "prenet_widths", tuple(self.prenet_widths))
@@ -155,7 +156,7 @@ def downsample_roll(roll: PianoRoll, factor: int) -> PianoRoll:
     padded = np.zeros((m * factor, 128))
     padded[:n] = roll.values
     pooled = padded.reshape(m, factor, 128).max(axis=1)
-    return PianoRoll(pooled, roll.frame_shift * factor, roll.sample_rate_hint)
+    return PianoRoll(pooled, roll.frame_shift * factor, roll.sample_rate)
 
 
 def _pad_rows_edge(values: np.ndarray, rows: int) -> np.ndarray:
@@ -332,7 +333,7 @@ def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
         y2 = _postnet(tensors, ag.Tensor(np.concatenate(frames)))
     values = y2.value[: roll.n_frames]
     shift = roll.frame_shift
-    return FeatureMatrix(values, cfg.output_kind, shift, roll.sample_rate_hint)
+    return FeatureMatrix(values, cfg.output_kind, shift, roll.sample_rate)
 
 
 def am_train(params: ModelParams, dataset, train_cfg: AmTrainConfig,

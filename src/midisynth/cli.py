@@ -59,15 +59,15 @@ def _read_wav_checked(path, rate):
     return wave
 
 
-def _features(kind, notes, wave, rate, shift, frame_length, fft, n_filters):
+def _features(kind, notes, wave, rate, shift, frame_length=None, fft=None,
+              n_filters=None):
     """Frame-rate features of one kind, one frame every shift samples.
 
     A piano roll comes from notes; spectra and filter-bank features come
     from wave, analyzed with frame_length-sample windows and fft points.
     """
     if kind == "piano-roll":
-        roll = midi_io.to_piano_roll(notes, shift / rate, rate)
-        return formats.feature_from_roll(roll)
+        return midi_io.to_piano_roll(notes, shift / rate, rate)
     cfg = dsp.StftConfig(sample_rate=rate, frame_length=frame_length,
                          frame_shift=shift, fft_size=fft)
     if kind == "linear-spec":
@@ -103,7 +103,7 @@ def _excitation(kind, notes, n_samples, rate, gain, seed):
 def cmd_roll(args):
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
     roll = midi_io.to_piano_roll(notes, args.shift, args.rate)
-    formats.write_feature_file(args.out, formats.feature_from_roll(roll))
+    formats.write_feature_file(args.out, roll)
     print(f"wrote {args.out}: {roll.n_frames} frames at {args.shift * 1000:.1f} ms")
     return 0
 
@@ -150,20 +150,19 @@ def _synthesize(args, notes, params, model_cfg):
     rate, shift = args.rate, model_cfg.upsample_factor
     if rate <= 0:
         raise ValueError(f"--rate must be positive, got {rate}")
-    if args.mode == "am+nsf":
-        if not args.am_ckpt:
-            raise ValueError("--am-ckpt is required with --mode am+nsf")
-        am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
-        roll = midi_io.to_piano_roll(notes, shift / rate, rate)
-        feats = acoustic.am_generate(am_params, roll, am_cfg, seed=args.seed)
-    elif args.mode == "direct":
-        feats = _features("piano-roll", notes, None, rate, shift, None, None, None)
-    else:  # abs: analysis-by-synthesis from reference audio
+    if args.mode == "abs":  # analysis-by-synthesis from reference audio
         if not args.ref_wav:
             raise ValueError("--ref-wav is required with --mode abs")
         ref = _read_wav_checked(args.ref_wav, rate)
         feats = _features(f"{args.bank}-fb", None, ref, rate, shift, args.frame_length,
                           args.fft, model_cfg.feature_dim)
+    else:  # the roll conditions the NSF directly, or through the AM
+        feats = _features("piano-roll", notes, None, rate, shift)
+        if args.mode == "am+nsf":
+            if not args.am_ckpt:
+                raise ValueError("--am-ckpt is required with --mode am+nsf")
+            am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
+            feats = acoustic.am_generate(am_params, feats, am_cfg, seed=args.seed)
     if feats.dim != model_cfg.feature_dim:
         raise ValueError(f"{args.mode} mode gives {feats.dim}-dim features, "
                          f"waveform model wants {model_cfg.feature_dim}")
@@ -192,7 +191,7 @@ def cmd_pitch_ce(args):
                          frame_shift=args.frame_shift, fft_size=args.fft)
     wave = _read_wav_checked(args.wav, cfg.sample_rate)
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
-    roll = midi_io.to_piano_roll(notes, cfg.frame_shift / cfg.sample_rate, cfg.sample_rate)
+    roll = _features("piano-roll", notes, None, args.rate, args.frame_shift)
     if args.transpose:
         roll = midi_io.transpose_roll(roll, args.transpose)
     probs = evaluation.pitch_probability(wave, cfg)
@@ -389,7 +388,7 @@ def _am_data(data_dir, model_section, train_section, data):
     for notes, wave in _clips(data_dir, rate):
         feats = _features(kind, None, wave, rate, shift, data["frame_length"],
                           data["fft"], data["n_mels"])
-        roll = midi_io.to_piano_roll(notes, shift / rate, rate)
+        roll = _features("piano-roll", notes, None, rate, shift)
         n = min(feats.n_frames, roll.n_frames)
         if n == 0:
             continue
@@ -546,7 +545,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MidiSynthError, ValueError, OSError, TypeError) as exc:
+    except (MidiSynthError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

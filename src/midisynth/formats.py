@@ -17,7 +17,6 @@ import numpy as np
 
 from .dsp import FeatureMatrix, WaveSignal
 from .errors import CorruptCheckpoint, FileFormatError
-from .midi_io import PianoRoll
 
 FEATURE_MAGIC = b"MFB1"
 FEATURE_VERSION = 1
@@ -126,9 +125,10 @@ def read_feature_file(path) -> FeatureMatrix:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def feature_from_roll(roll: PianoRoll) -> FeatureMatrix:
-    return FeatureMatrix(roll.values, "piano-roll", roll.frame_shift,
-                         roll.sample_rate_hint)
+def feature_from_roll(roll: FeatureMatrix) -> FeatureMatrix:
+    """The roll itself, which is already the piano-roll FeatureMatrix.
+    No program path calls this; it stays because guarantee 06 does."""
+    return roll
 
 
 # --- checkpoint container ---------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import FeatureMatrix
 from .errors import (DurationTooLong, MalformedHeader, TooManyFrames,
                      TruncatedTrack, UnsupportedDivision)
 
@@ -86,26 +87,18 @@ class NoteEventList:
 
 
 @dataclass(frozen=True)
-class PianoRoll:
-    """Frame-rate note activity: values[n, d] in [0, 1], velocity over 127."""
+class PianoRoll(FeatureMatrix):
+    """The piano-roll FeatureMatrix: values[n, d] in [0, 1], velocity over 127."""
 
-    values: np.ndarray
-    frame_shift: float
-    sample_rate_hint: float = 24000.0
+    kind: str = field(default="piano-roll", init=False)
+    sample_rate: float = 24000.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 128:
-            raise ValueError(f"piano roll must be (N, 128), got {v.shape}")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        super().__post_init__()
+        if self.dim != 128:
+            raise ValueError(f"piano roll must be (N, 128), got {self.values.shape}")
+        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
             raise ValueError("piano roll entries must lie in [0, 1]")
-        if not self.frame_shift > 0:
-            raise ValueError("frame_shift must be positive")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_frames(self):
-        return self.values.shape[0]
 
 
 # --- raw SMF decoding ---------------------------------------------------
@@ -371,7 +364,7 @@ def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
 
 
 def to_piano_roll(notes: NoteEventList, frame_shift: float,
-                  sample_rate_hint: float = 24000.0) -> PianoRoll:
+                  sample_rate: float = 24000.0) -> PianoRoll:
     """Quantize notes onto frames of frame_shift seconds.
 
     A note activates every frame its [onset, offset) interval intersects.
@@ -393,7 +386,7 @@ def to_piano_roll(notes: NoteEventList, frame_shift: float,
         lo, hi = max(lo, 0), min(max(hi, lo + 1), n_frames)
         level = n.velocity / 127.0
         values[lo:hi, n.pitch] = np.maximum(values[lo:hi, n.pitch], level)
-    return PianoRoll(values, frame_shift, sample_rate_hint)
+    return PianoRoll(values, frame_shift, sample_rate)
 
 
 def roll_to_notes(roll: PianoRoll) -> NoteEventList:
@@ -428,4 +421,4 @@ def transpose_roll(roll: PianoRoll, semitones: int) -> PianoRoll:
         k = -semitones
         if k < 128:
             out[:, : 128 - k] = roll.values[:, k:]
-    return PianoRoll(out, roll.frame_shift, roll.sample_rate_hint)
+    return PianoRoll(out, roll.frame_shift, roll.sample_rate)

@@ -33,7 +33,7 @@ from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
 from .errors import DimensionMismatch, LengthMismatch, SampleRateMismatch
 from .params import ModelParams, affine, check_train_config, fit, \
-    init_params, load_model, save_model, zero_params
+    init_params, is_number, load_model, save_model, zero_params
 
 NSF_MAGIC = b"NSF1"
 # Frames per inference window (96 ms at the defaults).  Timing a 10 s
@@ -71,7 +71,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_train_config(self, ("batch_size", "epochs"))
-        if not 0 < self.segment_seconds < math.inf:
+        if not (is_number(self.segment_seconds) and 0 < self.segment_seconds < math.inf):
             raise ValueError("segment_seconds must be positive and finite")
 
 

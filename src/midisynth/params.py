@@ -15,6 +15,7 @@ from .formats import read_container, write_container
 ADAM_PREFIX_M = "adam.m."
 ADAM_PREFIX_V = "adam.v."
 STEP_TENSOR = "adam.step"
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value a checkpoint holds
 
 
 @dataclass
@@ -82,16 +83,21 @@ def adam_update(params: ModelParams, grads: dict, lr: float,
         tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def is_number(value) -> bool:
+    """An int or a float; a bool is not taken as a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_train_config(cfg, counts) -> None:
     """Check the fields both training configs share, and their counts.
 
     learning_rate must be positive and finite, beta1 and beta2 lie in
     [0, 1), seed be a non-negative int, and every field named in counts
-    a positive int.  A bool is not taken as a number.
+    a positive int.
     """
     def number(name):
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(value):
             raise ValueError(f"{name} must be a number, got {value!r}")
         return value
 
@@ -114,8 +120,9 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,
 
     loss_and_grads(params, item, index) gives one item's (loss, grads);
     their batch means drive one Adam step, unless either is non-finite,
-    which raises TrainingDiverged.  on_epoch_end(epoch, params) runs after
-    every epoch.  Returns (updated params copy, [(step, batch loss), ...]).
+    which raises TrainingDiverged (numpy's overflow warnings are off in a
+    batch, as this check reports it).  on_epoch_end(epoch, params) runs
+    after every epoch.  Returns (updated params copy, [(step, loss), ...]).
     """
     dataset = list(dataset)
     if not dataset:
@@ -127,22 +134,23 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,
         order = rng.permutation(len(dataset))
         for lo in range(0, len(order), train_cfg.batch_size):
             batch = order[lo : lo + train_cfg.batch_size]
-            total = {name: np.zeros_like(v) for name, v in params.tensors.items()}
-            loss_sum = 0.0
-            for idx in batch:
-                loss, grads = loss_and_grads(params, dataset[idx], idx)
-                loss_sum += loss
-                for name in total:
-                    total[name] += grads[name]
-            n = len(batch)
-            mean_loss = loss_sum / n
-            mean_grads = {k: v / n for k, v in total.items()}
-            if not (math.isfinite(mean_loss)
-                    and all(np.isfinite(g).all() for g in mean_grads.values())):
-                raise TrainingDiverged(f"non-finite loss or gradient at "
-                                       f"step {params.step + 1}")
-            adam_update(params, mean_grads, train_cfg.learning_rate,
-                        train_cfg.beta1, train_cfg.beta2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = {name: np.zeros_like(v) for name, v in params.tensors.items()}
+                loss_sum = 0.0
+                for idx in batch:
+                    loss, grads = loss_and_grads(params, dataset[idx], idx)
+                    loss_sum += loss
+                    for name in total:
+                        total[name] += grads[name]
+                n = len(batch)
+                mean_loss = loss_sum / n
+                mean_grads = {k: v / n for k, v in total.items()}
+                if not (math.isfinite(mean_loss)
+                        and all(np.isfinite(g).all() for g in mean_grads.values())):
+                    raise TrainingDiverged(f"non-finite loss or gradient at "
+                                           f"step {params.step + 1}")
+                adam_update(params, mean_grads, train_cfg.learning_rate,
+                            train_cfg.beta1, train_cfg.beta2)
             history.append((params.step, mean_loss))
         if on_epoch_end is not None:
             on_epoch_end(epoch, params)
@@ -205,9 +213,13 @@ def unpack_state_tensors(path, tensors: dict) -> ModelParams:
 
 
 def save_model(path, magic: bytes, params: ModelParams, cfg) -> None:
-    """Checkpoint params, optimizer state and every field of cfg."""
-    write_container(path, magic, dataclasses.asdict(cfg),
-                    pack_state_tensors(params))
+    """Checkpoint params, optimizer state and every field of cfg.  A value
+    past the float32 range raises TrainingDiverged, leaving path as it was."""
+    tensors = pack_state_tensors(params)
+    for name, value in tensors.items():
+        if not np.abs(value).max(initial=0.0) <= FLOAT32_MAX:
+            raise TrainingDiverged(f"{path}: tensor {name!r} is past the float32 range")
+    write_container(path, magic, dataclasses.asdict(cfg), tensors)
 
 
 def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,

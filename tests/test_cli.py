@@ -477,14 +477,31 @@ def test_train_non_finite_loss_exits_2(tmp_path, capsys, monkeypatch):
     assert not (out / "nsf.ckpt").exists()
 
 
+# A numpy warning would print to stderr in a real run, so here it is an error.
+@pytest.mark.filterwarnings("error")
 def test_train_am_diverging_exits_2(tmp_path, capsys):
     data = make_pair(tmp_path / "data", seconds=0.3)
     out = tmp_path / "run"
     config = am_config(tmp_path, learning_rate=1e300, batch_size=1)
-    with np.errstate(all="ignore"):
-        assert run_cli("train", "am", data, out, "--config", config) == 2
-    assert capsys.readouterr().err.startswith("error: non-finite loss")
+    assert run_cli("train", "am", data, out, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss") and err.count("\n") == 1, err
     assert not (out / "am.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_nsf_diverging_exits_2(tmp_path, capsys):
+    """Adam steps of 1e300 blow the weights up within an epoch: the run
+    ends in one error line, with no numpy warning, and leaves no
+    checkpoint that does not load."""
+    data = make_pair(tmp_path / "data", seconds=0.3)
+    out = tmp_path / "run"
+    config = nsf_config(tmp_path, learning_rate=1e300, epochs=3)
+    assert run_cli("train", "nsf", data, out, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    if (out / "nsf.ckpt").exists():
+        nsf.load_checkpoint(out / "nsf.ckpt")
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, capsys):
@@ -616,7 +633,17 @@ HOSTILE = {
     "nsf-features-linear-spec": train_with("nsf", {"data": {"features": "linear-spec"}}),
     "nsf-excitation-pulse": train_with("nsf", {"data": {"excitation": "pulse"}}),
     "am-bank-bark": train_with("am", {"data": {"bank": "bark"}}),
+    # config values of the wrong type, refused with the key named
+    "nsf-segment-seconds-str": train_with("nsf", {"train": {"segment_seconds": "3"}}),
+    "nsf-segment-seconds-true": train_with("nsf", {"train": {"segment_seconds": True}}),
+    "am-prenet-widths-int": train_with("am", {"model": {"prenet_widths": 5}}),
+    "am-prenet-dropout-str": train_with("am", {"model": {"prenet_dropout": "x"}}),
 }
+# The config key that the error line of a case must name.
+HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
+                "nsf-segment-seconds-true": "segment_seconds",
+                "am-prenet-widths-int": "prenet_widths",
+                "am-prenet-dropout-str": "prenet_dropout"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -636,6 +663,7 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert HOSTILE_KEYS.get(case, "") in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import helpers
 from midisynth import midi_io
+from midisynth.dsp import FeatureMatrix
 from midisynth.errors import (DurationTooLong, MalformedHeader, MidiSynthError,
                               TruncatedTrack, UnsupportedDivision)
 from midisynth.midi_io import NoteEvent, NoteEventList, PianoRoll
@@ -50,6 +53,24 @@ def test_piano_roll_validation():
         PianoRoll(np.full((4, 128), 1.5), 0.012)
     with pytest.raises(ValueError):
         PianoRoll(np.zeros((4, 128)), 0.0)
+
+
+@pytest.mark.parametrize("values, shift", [
+    (np.full((4, 128), np.nan), 0.012),
+    (np.zeros((4, 128)), np.inf),
+], ids=["nan-entries", "inf-shift"])
+def test_piano_roll_refuses_non_finite(values, shift):
+    with pytest.raises(ValueError):
+        PianoRoll(values, shift)
+
+
+def test_piano_roll_is_the_piano_roll_feature_matrix():
+    roll = PianoRoll(np.zeros((4, 128)), 0.012)
+    assert isinstance(roll, FeatureMatrix)
+    assert (roll.kind, roll.sample_rate, roll.dim) == ("piano-roll", 24000.0, 128)
+    part = dataclasses.replace(roll, values=roll.values[:2])
+    assert type(part) is PianoRoll and part.kind == "piano-roll"
+    assert part.n_frames == 2 and part.frame_shift == 0.012
 
 
 # --- SMF parsing ------------------------------------------------------------

@@ -12,6 +12,7 @@ from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal
 from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
                               LengthMismatch, SampleRateMismatch,
                               TrainingDiverged)
+from midisynth.midi_io import PianoRoll
 from midisynth.params import adam_update, pack_state_tensors
 
 
@@ -94,6 +95,21 @@ def test_forward_output_clipped(rng):
     out = nsf.nsf_forward(params, feats, source, cfg)
     assert len(out) == len(source)
     assert np.abs(out.samples).max() <= 1.0
+
+
+def test_forward_takes_a_piano_roll(rng):
+    # a roll is the piano-roll FeatureMatrix, so it conditions the model as is
+    cfg = helpers.tiny_nsf_cfg(feature_dim=128)
+    params = nsf.nsf_init(cfg, seed=2)
+    for b in range(cfg.n_blocks):
+        params.tensors[f"block{b}.out.weight"][:] = 0.5
+    roll = PianoRoll(rng.random((4, 128)), cfg.upsample_factor / 24000.0)
+    _, source = make_inputs(cfg, 4, rng)
+    plain = FeatureMatrix(roll.values, "piano-roll", roll.frame_shift, roll.sample_rate)
+    outs = [nsf.nsf_forward(params, feats, source, cfg).samples
+            for feats in (roll, formats.feature_from_roll(roll), plain)]
+    assert not np.array_equal(outs[0], source.samples)
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
 def test_forward_input_checks(rng):
