@@ -36,8 +36,8 @@ from . import autograd as ag
 from .dsp import FeatureMatrix
 from .errors import DimensionMismatch, LengthMismatch, TrainingDiverged
 from .midi_io import PianoRoll
-from .params import ModelParams, affine, check_train_config, fit, \
-    init_params, is_number, load_model, save_model
+from .params import ModelParams, affine, check_parameter_count, check_train_config, \
+    fit, init_params, is_number, load_model, save_model
 
 AM_MAGIC = b"ACM1"
 VARIANTS = ("taco2", "taco3", "taco4")
@@ -88,6 +88,7 @@ class AmConfig:
         object.__setattr__(self, "prenet_widths", tuple(self.prenet_widths))
         if self.output_kind not in ("mel-fb", "midi-fb"):
             raise ValueError("output_kind must be mel-fb or midi-fb")
+        check_parameter_count(_layers(self))
 
     @property
     def prenet_input_dim(self):

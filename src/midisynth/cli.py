@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,8 +196,12 @@ def cmd_pitch_ce(args):
     if args.transpose:
         roll = midi_io.transpose_roll(roll, args.transpose)
     probs = evaluation.pitch_probability(wave, cfg)
-    ce = evaluation.pitch_cross_entropy(probs, roll,
-                                        weight_by_velocity=args.velocity_weights)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ce = evaluation.pitch_cross_entropy(probs, roll,
+                                            weight_by_velocity=args.velocity_weights)
+    for warning in caught:
+        print(f"warning: {args.wav}: {warning.message}", file=sys.stderr)
     print(f"{ce:.6f}")
     return 0
 
@@ -229,9 +234,9 @@ def cmd_probe_set(args):
 
 
 def cmd_stats(args):
-    table = evaluation.load_scores_csv(args.scores)
-    summary = evaluation.mos_summary(table)
-    matrix = evaluation.significance_matrix(table, alpha=args.alpha)
+    pools = evaluation.load_scores_csv(args.scores)
+    summary = evaluation.mos_summary(pools)
+    pairs = evaluation.pairwise_significance(pools, alpha=args.alpha)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -245,25 +250,19 @@ def cmd_stats(args):
                              f"{row['q3']:.4f}"])
 
     sig_path = out_dir / "significance.csv"
-    systems = matrix.systems
     with open(sig_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["system_a", "system_b", "u", "p_raw", "p_adjusted",
                          "significant"])
-        for i in range(len(systems)):
-            for j in range(i + 1, len(systems)):
-                writer.writerow([systems[i], systems[j],
-                                 f"{matrix.u_stats[i, j]:.1f}",
-                                 f"{matrix.p_raw[i, j]:.6g}",
-                                 f"{matrix.p_adjusted[i, j]:.6g}",
-                                 "yes" if matrix.significant[i, j] else "no"])
+        for a, b, u, p_raw, p_adjusted, significant in pairs:
+            writer.writerow([a, b, f"{u:.1f}", f"{p_raw:.6g}", f"{p_adjusted:.6g}",
+                             "yes" if significant else "no"])
 
     for row in summary:
         print(f"{row['system']}: n={row['count']} mean={row['mean']:.2f} "
               f"median={row['median']:.1f} IQR=[{row['q1']:.1f}, {row['q3']:.1f}]")
-    n_sig = int(matrix.significant.sum()) // 2
-    print(f"{n_sig} of {len(systems) * (len(systems) - 1) // 2} pairs differ "
-          f"at alpha={args.alpha} (Holm-corrected)")
+    n_sig = sum(row[-1] for row in pairs)
+    print(f"{n_sig} of {len(pairs)} pairs differ at alpha={args.alpha} (Holm-corrected)")
     print(f"wrote {mos_path} and {sig_path}")
     return 0
 

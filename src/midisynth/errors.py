@@ -43,6 +43,10 @@ class FilterBankTooLarge(MidiSynthError):
     """A filter bank would hold more than dsp.MAX_FILTER_BANK_ENTRIES entries."""
 
 
+class ModelTooLarge(MidiSynthError):
+    """A model config would hold more than params.MAX_PARAMETERS parameters."""
+
+
 class FileFormatError(MidiSynthError):
     """A binary file (WAV or feature matrix) does not match its format."""
 

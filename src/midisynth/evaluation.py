@@ -88,33 +88,13 @@ def pitch_cross_entropy(probs: PitchProbMatrix, roll: PianoRoll,
 # --- listening-test statistics ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    system: str
-    sample_id: str
-    listener_id: str
-    score: int
+def load_scores_csv(path) -> dict:
+    """Read a listening-test CSV with header system,sample_id,listener_id,score.
 
-
-@dataclass(frozen=True)
-class ScoreTable:
-    records: tuple
-
-    def __post_init__(self):
-        for rec in self.records:
-            if not 1 <= rec.score <= 5:
-                raise ValueError(f"score {rec.score} outside 1..5")
-
-    def systems(self):
-        return sorted({rec.system for rec in self.records})
-
-    def scores_for(self, system):
-        return [rec.score for rec in self.records if rec.system == system]
-
-
-def load_scores_csv(path) -> ScoreTable:
-    """Read a listening-test CSV with header system,sample_id,listener_id,score."""
-    records = []
+    Returns {system: [score, ...]}, systems in sorted order and each
+    system's scores in file order.
+    """
+    pools = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -131,7 +111,7 @@ def load_scores_csv(path) -> ScoreTable:
             if len(row) != 4:
                 raise FileFormatError(f"{path}: line {lineno}: expected 4 fields, "
                                       f"got {len(row)}")
-            system, sample_id, listener_id, score_text = (c.strip() for c in row)
+            system, _, _, score_text = (c.strip() for c in row)
             try:
                 score = int(score_text)
             except ValueError:
@@ -140,24 +120,8 @@ def load_scores_csv(path) -> ScoreTable:
             if not 1 <= score <= 5:
                 raise FileFormatError(f"{path}: line {lineno}: score {score} "
                                       f"outside 1..5")
-            records.append(ScoreRecord(system, sample_id, listener_id, score))
-    return ScoreTable(tuple(records))
-
-
-def _midranks(values):
-    """Ranks 1..n with ties sharing the mean of their rank positions."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+            pools.setdefault(system, []).append(score)
+    return {system: pools[system] for system in sorted(pools)}
 
 
 def _exact_two_sided(n_a, n_b, u_obs):
@@ -187,17 +151,18 @@ def mann_whitney_u(a, b):
     b = [float(v) for v in b]
     if not a or not b:
         raise ValueError("both samples must be non-empty")
+    pooled = np.array(a + b)
+    if not np.isfinite(pooled).all():
+        raise ValueError("samples must be finite")
     n_a, n_b = len(a), len(b)
-    combined = np.array(a + b)
-    ranks = _midranks(combined)
+    n = n_a + n_b
+    _, group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # a group of k equal values ending at 1-based position c has midrank c - (k - 1) / 2
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u_a = float(ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0)
-
-    has_ties = len(np.unique(combined)) < len(combined)
-    if n_a + n_b <= EXACT_LIMIT and not has_ties:
+    if n <= EXACT_LIMIT and len(counts) == n:
         return u_a, _exact_two_sided(n_a, n_b, round(u_a))
 
-    n = n_a + n_b
-    _, counts = np.unique(combined, return_counts=True)
     tie_term = float((counts ** 3 - counts).sum())
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
@@ -215,9 +180,11 @@ def holm_bonferroni(p_values, alpha: float = 0.05):
     0-based i, stopping at the first failure; adjusted values are the
     running maximum of (m - i) * p_(i), capped at 1.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     p_values = [float(p) for p in p_values]
     for p in p_values:
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
+        if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-value {p} outside [0, 1]")
     m = len(p_values)
     if m == 0:
@@ -238,59 +205,33 @@ def holm_bonferroni(p_values, alpha: float = 0.05):
     return reject, adjusted
 
 
-@dataclass(frozen=True)
-class SignificanceMatrix:
-    systems: tuple
-    u_stats: np.ndarray
-    p_raw: np.ndarray
-    p_adjusted: np.ndarray
-    significant: np.ndarray
-
-
-def significance_matrix(table: ScoreTable, alpha: float = 0.05) -> SignificanceMatrix:
+def pairwise_significance(pools: dict, alpha: float = 0.05) -> list:
     """Pairwise Mann-Whitney U over pooled ratings, Holm-corrected jointly.
 
-    Pairs are ordered by sorted system name; the matrices are symmetric
-    with an all-False diagonal.
+    pools maps each system to its scores.  Returns one (system_a,
+    system_b, u, p_raw, p_adjusted, significant) row per pair of
+    systems, pairs in sorted name order.
     """
-    systems = table.systems()
-    if len(systems) < 2:
+    if len(pools) < 2:
         raise ValueError("need at least two systems to compare")
-    pools = {s: table.scores_for(s) for s in systems}
-    for s, pool in pools.items():
-        if not pool:
-            raise ValueError(f"system {s!r} has no scores")
-    k = len(systems)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    u_stats = np.full((k, k), np.nan)
-    p_raw = np.ones((k, k))
-    raw_list = []
-    for i, j in pairs:
-        u, p = mann_whitney_u(pools[systems[i]], pools[systems[j]])
-        u_stats[i, j] = u_stats[j, i] = u
-        p_raw[i, j] = p_raw[j, i] = p
-        raw_list.append(p)
-    reject, adjusted = holm_bonferroni(raw_list, alpha)
-    p_adj = np.ones((k, k))
-    significant = np.zeros((k, k), dtype=bool)
-    for (i, j), rej, adj in zip(pairs, reject, adjusted):
-        p_adj[i, j] = p_adj[j, i] = adj
-        significant[i, j] = significant[j, i] = rej
-    return SignificanceMatrix(tuple(systems), u_stats, p_raw, p_adj, significant)
+    pairs = list(combinations(sorted(pools), 2))
+    tests = [mann_whitney_u(pools[a], pools[b]) for a, b in pairs]
+    reject, adjusted = holm_bonferroni([p for _, p in tests], alpha)
+    return [(a, b, u, p, p_adj, significant) for (a, b), (u, p), p_adj, significant
+            in zip(pairs, tests, adjusted, reject)]
 
 
-def mos_summary(table: ScoreTable):
+def mos_summary(pools: dict):
     """Per-system score summaries sorted by system name.
 
     Returns a list of dicts with count, mean, median, and quartiles
     (linear interpolation).
     """
-    systems = table.systems()
-    if not systems:
+    if not pools:
         raise ValueError("score table is empty")
     out = []
-    for system in systems:
-        scores = np.array(table.scores_for(system), dtype=np.float64)
+    for system in sorted(pools):
+        scores = np.array(pools[system], dtype=np.float64)
         out.append({
             "system": system,
             "count": int(scores.size),

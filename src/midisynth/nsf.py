@@ -32,8 +32,8 @@ import numpy as np
 from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
 from .errors import DimensionMismatch, LengthMismatch, SampleRateMismatch
-from .params import ModelParams, affine, check_train_config, fit, \
-    init_params, is_number, load_model, save_model, zero_params
+from .params import ModelParams, affine, check_parameter_count, check_train_config, \
+    fit, init_params, is_number, load_model, save_model, zero_params
 
 NSF_MAGIC = b"NSF1"
 # Frames per inference window (96 ms at the defaults).  Timing a 10 s
@@ -57,6 +57,7 @@ class NsfConfig:
                   self.convs_per_block, self.channels, self.kernel)
         if any(type(f) is not int or f <= 0 for f in fields):
             raise ValueError("all config fields must be positive integers")
+        check_parameter_count(_layers(self))
 
 
 @dataclass(frozen=True)

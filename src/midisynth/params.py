@@ -9,13 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, TrainingDiverged
+from .errors import CorruptCheckpoint, ModelTooLarge, TrainingDiverged
 from .formats import read_container, write_container
 
 ADAM_PREFIX_M = "adam.m."
 ADAM_PREFIX_V = "adam.v."
 STEP_TENSOR = "adam.step"
 FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value a checkpoint holds
+MAX_PARAMETERS = 2 ** 24  # 128 MiB of float64 per copy; Adam keeps three
 
 
 @dataclass
@@ -39,6 +40,15 @@ class ModelParams:
 def affine(name: str, shape, fan_in) -> dict:
     """Layer-table entries of a weight and its bias over the last axis."""
     return {f"{name}.weight": (shape, fan_in), f"{name}.bias": (shape[-1:], fan_in)}
+
+
+def check_parameter_count(layers: dict) -> None:
+    """Refuse a layer table, name -> (shape, fan_in), of more than
+    MAX_PARAMETERS values before any of it is allocated."""
+    count = sum(math.prod(shape) for shape, _ in layers.values())
+    if count > MAX_PARAMETERS:
+        raise ModelTooLarge(f"the model has {count} parameters, "
+                            f"the limit is {MAX_PARAMETERS}")
 
 
 def init_params(layers: dict, seed: int) -> ModelParams:
@@ -243,7 +253,7 @@ def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
             cfg = dataclasses.replace(expected_cfg, **v1_config(config))
         else:
             cfg = config_cls(**v1_config(config))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ModelTooLarge) as exc:
         raise CorruptCheckpoint(f"{path}: invalid stored config ({exc})") from exc
     if expected_cfg is not None and cfg != expected_cfg:
         raise CorruptCheckpoint(

@@ -285,6 +285,9 @@ def test_pitch_ce_truncation_warns_on_stderr(tmp_path):
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) >= 0.0
     assert "truncat" in proc.stderr.lower()
+    # one line in the form _load_notes gives MIDI warnings, not Python's two
+    assert proc.stderr.startswith(f"warning: {wav}: ") and proc.stderr.count("\n") == 1, \
+        proc.stderr
 
 
 # --- probe-set ------------------------------------------------------------
@@ -346,6 +349,76 @@ def test_stats_small_example(tmp_path, capsys):
     assert abs(float(fields[3]) - 0.2) < 1e-12
     assert abs(float(fields[4]) - 0.2) < 1e-12
     assert fields[5] == "no"
+
+
+# Four systems: abs and nsf are a tie-free pair of five scores, so their p
+# is exact by enumeration; every other pair shares scores and takes the
+# normal approximation.  Only am against ref survives the Holm correction.
+FROZEN_SCORES_CSV = """system,sample_id,listener_id,score
+ref,s1,l1,5
+ref,s2,l1,4
+ref,s3,l2,5
+ref,s4,l2,5
+ref,s5,l3,4
+ref,s6,l3,5
+ref,s7,l4,5
+ref,s8,l4,4
+am,s1,l1,2
+am,s2,l1,1
+am,s3,l2,2
+am,s4,l2,3
+am,s5,l3,1
+am,s6,l3,2
+am,s7,l4,2
+am,s8,l4,1
+nsf,s1,l1,5
+nsf,s2,l1,3
+abs,s1,l1,4
+abs,s2,l1,2
+abs,s3,l2,1
+"""
+FROZEN_MOS = (b"system,count,mean,median,q1,q3\r\n"
+              b"abs,3,2.3333,2.0000,1.5000,3.0000\r\n"
+              b"am,8,1.7500,2.0000,1.0000,2.0000\r\n"
+              b"nsf,2,4.0000,4.0000,3.5000,4.5000\r\n"
+              b"ref,8,4.6250,5.0000,4.0000,5.0000\r\n")
+FROZEN_SIGNIFICANCE = (b"system_a,system_b,u,p_raw,p_adjusted,significant\r\n"
+                       b"abs,am,14.5,0.660446,1,no\r\n"
+                       b"abs,nsf,1.0,0.4,1,no\r\n"
+                       b"abs,ref,1.5,0.028057,0.140285,no\r\n"
+                       b"am,nsf,0.5,0.0552343,0.220937,no\r\n"
+                       b"am,ref,0.0,0.000662466,0.0039748,yes\r\n"
+                       b"nsf,ref,5.5,0.550097,1,no\r\n")
+FROZEN_STDOUT = """abs: n=3 mean=2.33 median=2.0 IQR=[1.5, 3.0]
+am: n=8 mean=1.75 median=2.0 IQR=[1.0, 2.0]
+nsf: n=2 mean=4.00 median=4.0 IQR=[3.5, 4.5]
+ref: n=8 mean=4.62 median=5.0 IQR=[4.0, 5.0]
+1 of 6 pairs differ at alpha=0.05 (Holm-corrected)
+wrote <out>/mos.csv and <out>/significance.csv
+"""
+
+
+def test_stats_output_is_frozen(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(FROZEN_SCORES_CSV)
+    out_dir = tmp_path / "report"
+    assert run_cli("stats", scores, "--out-dir", out_dir) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.replace(str(out_dir), "<out>") == FROZEN_STDOUT
+    assert (out_dir / "mos.csv").read_bytes() == FROZEN_MOS
+    assert (out_dir / "significance.csv").read_bytes() == FROZEN_SIGNIFICANCE
+
+
+@pytest.mark.parametrize("alpha", ["7", "nan", "0"])
+def test_stats_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(SCORES_CSV)
+    assert run_cli("stats", scores, "--out-dir", tmp_path / "r", "--alpha", alpha) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha must lie in (0, 1)\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_stats_malformed_row_exits_2(tmp_path, capsys):
@@ -638,12 +711,23 @@ HOSTILE = {
     "nsf-segment-seconds-true": train_with("nsf", {"train": {"segment_seconds": True}}),
     "am-prenet-widths-int": train_with("am", {"model": {"prenet_widths": 5}}),
     "am-prenet-dropout-str": train_with("am", {"model": {"prenet_dropout": "x"}}),
+    # layer tables of 3.0e19, 3.0e18 and 1.4e11 parameters, over
+    # params.MAX_PARAMETERS
+    "nsf-channels-huge": train_with("nsf", {"model": {"channels": 1000000000}}),
+    "am-decoder-state-huge": train_with("am",
+                                        {"model": {"decoder_state_dim": 1000000000}}),
+    "am-prenet-width-huge": train_with("am",
+                                       {"model": {"prenet_widths": [1000000000, 8]}}),
 }
-# The config key that the error line of a case must name.
+# The config key that the error line of a case must name, or for a model
+# over the size bound, its parameter count.
 HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-segment-seconds-true": "segment_seconds",
                 "am-prenet-widths-int": "prenet_widths",
-                "am-prenet-dropout-str": "prenet_dropout"}
+                "am-prenet-dropout-str": "prenet_dropout",
+                "nsf-channels-huge": "parameters",
+                "am-decoder-state-huge": "parameters",
+                "am-prenet-width-huge": "parameters"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so

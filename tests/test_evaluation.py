@@ -8,21 +8,13 @@ import helpers
 from midisynth import evaluation, excitation, midi_io
 from midisynth.dsp import StftConfig, WaveSignal
 from midisynth.errors import FileFormatError, SampleRateMismatch
-from midisynth.evaluation import (PitchProbMatrix, ScoreRecord, ScoreTable,
-                                  holm_bonferroni, mann_whitney_u,
-                                  mos_summary, pitch_cross_entropy,
-                                  pitch_probability, significance_matrix)
+from midisynth.evaluation import (PitchProbMatrix, holm_bonferroni,
+                                  mann_whitney_u, mos_summary,
+                                  pairwise_significance, pitch_cross_entropy,
+                                  pitch_probability)
 from midisynth.midi_io import PianoRoll
 
 EPS = 1e-4
-
-
-def table_from(scores_by_system):
-    records = []
-    for system, scores in scores_by_system.items():
-        for i, score in enumerate(scores):
-            records.append(ScoreRecord(system, f"s{i}", f"l{i}", score))
-    return ScoreTable(tuple(records))
 
 
 def oracle_two_sided_p(a_ranks_sum, n_a, n_b):
@@ -157,6 +149,18 @@ def test_u_identity(rng):
         assert u_a + u_b == pytest.approx(len(a) * len(b))
 
 
+def test_u_with_ties_matches_midrank_definition(rng):
+    for _ in range(200):
+        a = rng.integers(1, 6, size=rng.integers(1, 15)).tolist()
+        b = rng.integers(1, 6, size=rng.integers(1, 15)).tolist()
+        pooled = a + b
+        # the values below, plus the mean of the positions its equals share
+        rank = {v: sum(w < v for w in pooled) + (pooled.count(v) + 1) / 2
+                for v in pooled}
+        u, _ = mann_whitney_u(a, b)
+        assert u == sum(rank[v] for v in a) - len(a) * (len(a) + 1) / 2
+
+
 def test_identical_multisets_give_p_one():
     scores = [3, 3, 4, 4, 5, 5, 2, 2]
     _, p = mann_whitney_u(scores, list(scores))
@@ -205,6 +209,8 @@ def test_empty_sample_rejected():
         mann_whitney_u([], [1.0])
     with pytest.raises(ValueError):
         mann_whitney_u([1.0], [])
+    with pytest.raises(ValueError, match="finite"):
+        mann_whitney_u([1.0, math.nan], [2.0])
 
 
 # --- Holm-Bonferroni --------------------------------------------------------------
@@ -232,6 +238,9 @@ def test_holm_rejects_invalid_p():
         holm_bonferroni([-0.1])
     with pytest.raises(ValueError):
         holm_bonferroni([float("nan")])
+    for alpha in (7.0, math.nan, 0.0, 1.0, -1.0):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            holm_bonferroni([0.5], alpha)
 
 
 def test_holm_contains_bonferroni_never_above_alpha(rng):
@@ -268,64 +277,50 @@ def test_holm_definitional_oracle(rng):
             assert adjusted[idx] == pytest.approx(want, rel=1e-12)
 
 
-# --- significance matrix ------------------------------------------------------
+# --- pairwise significance ----------------------------------------------------
 
 
 def test_identical_systems_not_significant():
-    table = table_from({"a": [3, 4, 5, 3], "b": [3, 4, 5, 3]})
-    result = significance_matrix(table)
-    assert not result.significant.any()
+    rows = pairwise_significance({"a": [3, 4, 5, 3], "b": [3, 4, 5, 3]})
+    assert not any(row[5] for row in rows)
 
 
 def test_extreme_difference_significant():
-    table = table_from({"good": [5] * 30, "bad": [1] * 30})
-    result = significance_matrix(table)
-    assert result.significant[0, 1]
-    assert result.significant[1, 0]
-    assert not result.significant[0, 0]
-    assert result.p_adjusted[0, 1] < 0.05
+    (row,) = pairwise_significance({"good": [5] * 30, "bad": [1] * 30})
+    assert row[:2] == ("bad", "good")
+    assert row[5] is True
+    assert row[4] < 0.05
 
 
-def test_matrix_symmetric_false_diagonal(rng):
-    table = table_from({
-        "a": rng.integers(1, 6, 12).tolist(),
-        "b": rng.integers(1, 6, 12).tolist(),
-        "c": rng.integers(1, 6, 12).tolist(),
-    })
-    result = significance_matrix(table)
-    assert result.systems == ("a", "b", "c")
-    assert np.array_equal(result.significant, result.significant.T)
-    assert not result.significant.diagonal().any()
-    assert np.allclose(result.p_raw, result.p_raw.T)
-    assert np.isnan(result.u_stats.diagonal()).all()
+def test_one_row_per_pair_in_sorted_order(rng):
+    pools = {name: rng.integers(1, 6, 12).tolist() for name in ("c", "a", "b")}
+    rows = pairwise_significance(pools)
+    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+    assert [row[:2] for row in rows] == pairs
+    tests = [mann_whitney_u(pools[a], pools[b]) for a, b in pairs]
+    reject, adjusted = holm_bonferroni([p for _, p in tests])
+    assert [row[2:4] for row in rows] == tests
+    assert [row[4] for row in rows] == adjusted
+    assert [row[5] for row in rows] == reject
 
 
 def test_matrix_label_order_invariance(rng):
-    scores = {
-        "x": rng.integers(1, 6, 10).tolist(),
-        "y": rng.integers(1, 6, 10).tolist(),
-    }
-    records = []
-    for system, vals in scores.items():
-        for i, s in enumerate(vals):
-            records.append(ScoreRecord(system, f"s{i}", f"l{i}", s))
-    fwd = significance_matrix(ScoreTable(tuple(records)))
-    rev = significance_matrix(ScoreTable(tuple(reversed(records))))
-    assert fwd.systems == rev.systems
-    assert np.array_equal(fwd.significant, rev.significant)
+    x = rng.integers(1, 6, 10).tolist()
+    y = rng.integers(1, 6, 10).tolist()
+    fwd = pairwise_significance({"x": x, "y": y})
+    assert pairwise_significance({"y": y[::-1], "x": x[::-1]}) == fwd
 
 
 def test_matrix_needs_two_systems():
     with pytest.raises(ValueError):
-        significance_matrix(table_from({"only": [3, 4]}))
+        pairwise_significance({"only": [3, 4]})
 
 
 # --- MOS summaries ------------------------------------------------------------
 
 
 def test_mos_summary_basic():
-    table = table_from({"sys": [1, 2, 3, 4, 5]})
-    (row,) = mos_summary(table)
+    (row,) = mos_summary({"sys": [1, 2, 3, 4, 5]})
     assert row["system"] == "sys"
     assert row["count"] == 5
     assert row["mean"] == 3.0
@@ -335,20 +330,20 @@ def test_mos_summary_basic():
 
 
 def test_mos_summary_single_score():
-    (row,) = mos_summary(table_from({"sys": [4]}))
+    (row,) = mos_summary({"sys": [4]})
     assert row["mean"] == 4.0 and row["count"] == 1
 
 
 def test_mos_summary_order_invariant(rng):
     scores = rng.integers(1, 6, 20).tolist()
-    a = mos_summary(table_from({"sys": scores}))
-    b = mos_summary(table_from({"sys": list(reversed(scores))}))
+    a = mos_summary({"sys": scores})
+    b = mos_summary({"sys": list(reversed(scores))})
     assert a == b
 
 
 def test_mos_summary_empty_table():
     with pytest.raises(ValueError):
-        mos_summary(ScoreTable(()))
+        mos_summary({})
 
 
 # --- CSV loading -----------------------------------------------------------------
@@ -360,9 +355,18 @@ def test_load_scores_csv(tmp_path):
                     "a,s1,l1,4\n"
                     "\n"
                     "b,s1,l1,2\n")
-    table = evaluation.load_scores_csv(path)
-    assert table.systems() == ["a", "b"]
-    assert table.scores_for("a") == [4]
+    assert evaluation.load_scores_csv(path) == {"a": [4], "b": [2]}
+
+
+def test_load_scores_csv_sorts_systems_and_keeps_file_order(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("system,sample_id,listener_id,score\n"
+                    "b,s1,l1,2\n"
+                    "a,s1,l1,4\n"
+                    "a,s2,l2,3\n")
+    pools = evaluation.load_scores_csv(path)
+    assert list(pools) == ["a", "b"]
+    assert pools["a"] == [4, 3]
 
 
 def test_load_scores_csv_bad_header(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 import zlib
 
@@ -355,4 +356,17 @@ def test_bad_stored_config_is_corrupt(tmp_path, case):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(build())
     with pytest.raises(CorruptCheckpoint):
+        load_any(model, path)
+
+
+@pytest.mark.parametrize("model, build", [
+    (nsf, lambda: nsf_v2(channels=10 ** 9)),
+    (acoustic, lambda: am_v2(decoder_state_dim=10 ** 9)),
+], ids=["nsf-channels", "am-decoder-state"])
+def test_stored_config_over_size_bound_is_corrupt(tmp_path, model, build):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(build())
+    with pytest.raises(CorruptCheckpoint,
+                       match=f"^{re.escape(str(path))}: invalid stored config "
+                             f"\\(the model has \\d+ parameters"):
         load_any(model, path)

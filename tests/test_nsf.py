@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,11 @@ from midisynth import autograd as ag
 from midisynth import formats, nsf
 from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal
 from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
-                              LengthMismatch, SampleRateMismatch,
-                              TrainingDiverged)
+                              LengthMismatch, ModelTooLarge,
+                              SampleRateMismatch, TrainingDiverged)
 from midisynth.midi_io import PianoRoll
-from midisynth.params import adam_update, pack_state_tensors
+from midisynth.params import MAX_PARAMETERS, adam_update, check_parameter_count, \
+    pack_state_tensors
 
 
 def make_inputs(cfg, n_frames, rng, kind="mel-fb"):
@@ -44,6 +46,16 @@ def test_param_shapes_cover_all_blocks():
         for j in range(3):
             assert shapes[f"block{b}.conv{j}.weight"] == (3, 4, 4)
     assert len(shapes) == 2 + 2 * (4 + 2 * 3)
+
+
+def test_parameter_bound():
+    assert sum(math.prod(s) for s in nsf.nsf_param_shapes(
+        nsf.NsfConfig(128, channels=512)).values()) == 7938562
+    check_parameter_count({"w": ((MAX_PARAMETERS,), None)})
+    with pytest.raises(ModelTooLarge, match=f"limit is {MAX_PARAMETERS}"):
+        check_parameter_count({"w": ((MAX_PARAMETERS - 3,), 1), "b": ((4,), 1)})
+    with pytest.raises(ModelTooLarge):
+        nsf.NsfConfig(128, channels=10 ** 9)
 
 
 def test_init_zeroes_output_projections():
