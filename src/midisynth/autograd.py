@@ -58,7 +58,8 @@ def as_tensor(x) -> Tensor:
 
 
 def backward(root: Tensor, seed=None) -> None:
-    """Accumulate gradients of root into every reachable Tensor's .grad."""
+    """Accumulate gradients of root into every reachable leaf's .grad; an
+    inner node's gradient is dropped once its adjoint has passed it on."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -80,6 +81,7 @@ def backward(root: Tensor, seed=None) -> None:
             continue
         for parent, g in zip(node.parents, node.adjoint(node.grad)):
             parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad = None
 
 
 def _unbroadcast(grad, shape):

@@ -95,7 +95,7 @@ def load_scores_csv(path) -> dict:
     system's scores in file order.
     """
     pools = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -134,16 +134,17 @@ def feature_from_roll(roll: FeatureMatrix) -> FeatureMatrix:
 # --- checkpoint container ---------------------------------------------------
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+TENSOR_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f4"), 3: np.dtype("<f8")}
 
 
 def write_container(path, magic: bytes, config: dict, tensors) -> None:
-    """Write a version-2 checkpoint container.
+    """Write a version-3 checkpoint container.
 
     Layout: 4-byte magic, u32 version, u32 byte length of the config
     block, the config block (the config dict as compact sorted-key JSON,
     UTF-8), u32 tensor count, then per tensor in sorted name order: u16
-    name length, UTF-8 name, u8 ndim, u32 per dimension, float32 data
+    name length, UTF-8 name, u8 ndim, u32 per dimension, float64 data
     row-major.  A CRC32 of everything before it closes the file.  The
     bytes go to a temporary file that then replaces path, so a failed
     write leaves an earlier file at path intact.
@@ -155,18 +156,16 @@ def write_container(path, magic: bytes, config: dict, tensors) -> None:
     out += block
     out += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype=np.float64)
+        arr = np.asarray(tensors[name], dtype="<f8")
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded)) + encoded
-        out += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            out += struct.pack("<I", dim)
-        out += arr.astype("<f4").tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
+        out += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        out += arr.tobytes()
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(bytes(out))
+            fh.write(out)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -174,12 +173,12 @@ def write_container(path, magic: bytes, config: dict, tensors) -> None:
 
 
 def read_container(path, magic: bytes, n_config_fields: int):
-    """Read a container written by write_container, or a version-1 one.
+    """Read a container written by write_container, or of version 1 or 2.
 
-    Version 1 has the same layout except that n_config_fields u32 values
-    stand where version 2 has the length-prefixed JSON block.  Returns
-    (config, dict of float64 tensors), where config is the JSON object of
-    a version-2 file or the tuple of u32 fields of a version-1 file.  Any
+    Versions 1 and 2 store float32 data, and version 1 has n_config_fields
+    u32 values where later versions have the JSON block.  Returns (config,
+    dict of float64 tensors), where config is the JSON object of a later
+    version or the tuple of u32 fields of a version-1 file.  Any
     structural defect, bad magic, short read, malformed config block,
     non-finite tensor value, or CRC mismatch raises CorruptCheckpoint.
     """
@@ -194,8 +193,9 @@ def read_container(path, magic: bytes, n_config_fields: int):
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise CorruptCheckpoint(f"{path}: CRC mismatch, file is corrupt")
     (version,) = struct.unpack("<I", body[4:8])
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in TENSOR_DTYPES:
         raise CorruptCheckpoint(f"{path}: unsupported checkpoint version {version}")
+    dtype = TENSOR_DTYPES[version]
     tensors = {}
     try:
         if version == 1:
@@ -218,10 +218,10 @@ def read_container(path, magic: bytes, n_config_fields: int):
             pos += 1
             shape = struct.unpack_from(f"<{ndim}I", body, pos)
             pos += 4 * ndim
-            n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4
+            n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
             if pos + n_bytes > len(body):
                 raise CorruptCheckpoint(f"{path}: tensor {name!r} overruns payload")
-            flat = np.frombuffer(body[pos : pos + n_bytes], dtype="<f4")
+            flat = np.frombuffer(body[pos : pos + n_bytes], dtype=dtype)
             if not np.isfinite(flat).all():  # before the cast, which warns on NaN
                 raise CorruptCheckpoint(f"{path}: tensor {name!r} is not finite")
             tensors[name] = flat.astype(np.float64).reshape(shape)

@@ -463,8 +463,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert loaded_cfg.variant == "taco3"
     assert loaded_cfg == cfg
     for name in params.tensors:
-        assert np.array_equal(loaded.tensors[name],
-                              params.tensors[name].astype(np.float32))
+        assert np.array_equal(loaded.tensors[name], params.tensors[name])
 
 
 def test_checkpoint_variant_codes(tmp_path):
@@ -535,6 +534,19 @@ def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
         assert sorted(loaded.tensors) == sorted(expected.tensors)
         for name, value in expected.tensors.items():
             assert np.array_equal(loaded.tensors[name], value.astype(np.float32))
+
+
+def test_checkpoint_loads_frozen_v2_bytes(tmp_path):
+    cfg = v1.am_v1_cfg("taco2")
+    expected = acoustic.am_init(cfg, seed=4)
+    path = tmp_path / "am.ckpt"
+    path.write_bytes(v1.AM_TACO2_V2)
+    loaded, loaded_cfg = acoustic.am_load_checkpoint(path, expected_cfg=cfg)
+    assert loaded_cfg == cfg
+    assert loaded.step == 0
+    assert sorted(loaded.tensors) == sorted(expected.tensors)
+    for name, value in expected.tensors.items():
+        assert np.array_equal(loaded.tensors[name], value.astype(np.float32))
 
 
 def test_checkpoint_v1_compared_on_stored_fields(tmp_path):

@@ -273,6 +273,17 @@ def test_reused_node_single_visit(rng):
     assert x.grad[0, 0] == pytest.approx(12.0)  # d(2x^2)/dx at 3
 
 
+def test_backward_keeps_leaf_grads_only(rng):
+    x = ag.Tensor(rng.standard_normal((2, 3)))
+    w = ag.Tensor(rng.standard_normal((3, 2)))
+    hidden = ag.tanh(ag.matmul(x, w))
+    out = ag.add(hidden, hidden)
+    ag.backward(out)
+    assert x.grad.shape == (2, 3) and w.grad.shape == (3, 2)
+    assert hidden.grad is None and out.grad is None
+    assert hidden.parents[0].grad is None
+
+
 def test_no_grad_blocks_graph(rng):
     with ag.no_grad():
         x = ag.Tensor(np.ones((2, 2)))

@@ -410,6 +410,20 @@ def test_stats_output_is_frozen(tmp_path, capsys):
     assert (out_dir / "significance.csv").read_bytes() == FROZEN_SIGNIFICANCE
 
 
+def test_stats_reads_csv_with_byte_order_mark(tmp_path, capsys):
+    # spreadsheet programs save CSV with a UTF-8 byte-order mark
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        scores = tmp_path / f"{name}.csv"
+        scores.write_bytes(prefix + FROZEN_SCORES_CSV.encode())
+        out_dir = tmp_path / name
+        assert run_cli("stats", scores, "--out-dir", out_dir) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out_dir), "<out>"),
+                        (out_dir / "mos.csv").read_bytes(),
+                        (out_dir / "significance.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("alpha", ["7", "nan", "0"])
 def test_stats_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha):
     scores = tmp_path / "scores.csv"
@@ -485,6 +499,43 @@ def test_train_nsf_resume_continues_steps(tmp_path, capsys):
     assert params.step == 8
     lines = (tmp_path / "second" / "loss.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in lines[1:]] == ["5", "6", "7", "8"]
+
+
+@pytest.mark.parametrize("kind,model,data", [
+    ("nsf", {}, {"excitation": "sine"}),
+    ("nsf", {}, {"excitation": "noise"}),
+    ("am", {"variant": "taco2"}, {}),
+    ("am", {"variant": "taco3"}, {}),
+    ("am", {"variant": "taco4"}, {}),
+], ids=["nsf-sine", "nsf-noise", "taco2", "taco3", "taco4"])
+def test_resume_matches_uninterrupted_run(tmp_path, kind, model, data):
+    """E epochs straight through, and E-k epochs then --resume for k, give
+    the same checkpoint bytes and loss rows.  Each epoch holds a partial
+    batch, so the shuffle and the step count both carry over."""
+    pair = make_pair(tmp_path / "data")
+    make_config = nsf_config if kind == "nsf" else am_config
+
+    def train(name, epochs, *resume):
+        cfg_dir = tmp_path / f"{name}-cfg"
+        cfg_dir.mkdir()
+        path = make_config(cfg_dir, batch_size=2, epochs=epochs,
+                           **({} if kind == "nsf" else {"segment_frames": 5}))
+        config = json.loads(path.read_text())
+        config["model"].update(model)
+        config["data"].update(data)
+        path.write_text(json.dumps(config))
+        out = tmp_path / name
+        assert run_cli("train", kind, pair, out, "--config", path, *resume) == 0
+        return out / f"{kind}.ckpt", (out / "loss.csv").read_text().splitlines()[1:]
+
+    epochs = 3
+    straight, straight_rows = train("straight", epochs)
+    assert len(straight_rows) == 2 * epochs
+    for k in range(1, epochs):
+        first, first_rows = train(f"first{k}", epochs - k)
+        resumed, resumed_rows = train(f"resumed{k}", k, "--resume", first)
+        assert resumed.read_bytes() == straight.read_bytes(), k
+        assert first_rows + resumed_rows == straight_rows, k
 
 
 def am_config(tmp_path, variant="taco2", **train_overrides):
@@ -564,17 +615,33 @@ def test_train_am_diverging_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_train_nsf_diverging_exits_2(tmp_path, capsys):
-    """Adam steps of 1e300 blow the weights up within an epoch: the run
+    """Adam steps of 1e308 blow the weights up within an epoch: the run
     ends in one error line, with no numpy warning, and leaves no
     checkpoint that does not load."""
     data = make_pair(tmp_path / "data", seconds=0.3)
     out = tmp_path / "run"
-    config = nsf_config(tmp_path, learning_rate=1e300, epochs=3)
+    config = nsf_config(tmp_path, learning_rate=1e308, epochs=3)
     assert run_cli("train", "nsf", data, out, "--config", config) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     if (out / "nsf.ckpt").exists():
         nsf.load_checkpoint(out / "nsf.ckpt")
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_nsf_huge_finite_steps_save_a_loadable_checkpoint(tmp_path, capsys):
+    """Adam steps of 1e300 leave the weights far past the float32 range but
+    finite; the checkpoint stores them as they are."""
+    data = make_pair(tmp_path / "data", seconds=0.3)
+    out = tmp_path / "run"
+    config = nsf_config(tmp_path, learning_rate=1e300, epochs=3)
+    assert run_cli("train", "nsf", data, out, "--config", config) == 0
+    assert capsys.readouterr().err == ""
+    params, _ = nsf.load_checkpoint(out / "nsf.ckpt")
+    values = [*params.tensors.values(), *params.adam_m.values(),
+              *params.adam_v.values()]
+    assert all(np.isfinite(v).all() for v in values)
+    assert max(np.abs(v).max() for v in values) > np.finfo(np.float32).max
 
 
 def test_train_unknown_config_key_exits_2(tmp_path, capsys):

@@ -221,19 +221,26 @@ def test_container_round_trip_byte_exact(tmp_path, rng):
     assert config == CONFIG
     assert sorted(back) == sorted(tensors)
     for name, v in tensors.items():
-        assert np.array_equal(back[name], v.astype(np.float32))
+        assert np.array_equal(back[name], v)
     formats.write_container(p2, b"NSF1", config, back)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_container_v2_header_layout(tmp_path, rng):
+def test_container_v3_header_layout(tmp_path, rng):
     path = tmp_path / "h.ckpt"
-    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
+    tensors = sample_tensors(rng)
+    formats.write_container(path, b"NSF1", CONFIG, tensors)
     blob = path.read_bytes()
     version, size = struct.unpack_from("<II", blob, 4)
-    assert version == 2
+    assert version == 3
     assert blob[12 : 12 + size] == b'{"a":[1,2],"b":2,"c":"taco2","d":0.5}'
     assert struct.unpack_from("<I", blob, 12 + size)[0] == 3
+    # the first tensor in name order: u16 name length, name, u8 ndim, u32
+    # per dimension, then float64 data
+    head = struct.pack("<H", 6) + b"a.bias" + struct.pack("<BI", 1, 4)
+    data = tensors["a.bias"].astype("<f8").tobytes()
+    pos = 16 + size
+    assert blob[pos : pos + len(head) + len(data)] == head + data
 
 
 def test_container_write_is_atomic(tmp_path, rng, monkeypatch):
@@ -277,6 +284,17 @@ def test_container_wrong_magic(tmp_path, rng):
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     with pytest.raises(CorruptCheckpoint):
         formats.read_container(path, b"ACM1", 1)
+
+
+@pytest.mark.parametrize("version", [0, 4])
+def test_container_unknown_version_is_corrupt(tmp_path, rng, version):
+    path = tmp_path / "v.ckpt"
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<I", body, 4, version)
+    path.write_bytes(v1.with_crc(bytes(body)))
+    with pytest.raises(CorruptCheckpoint, match=f"checkpoint version {version}"):
+        formats.read_container(path, b"NSF1", 1)
 
 
 def test_container_crc_detects_flip(tmp_path, rng):

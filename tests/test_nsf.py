@@ -230,7 +230,7 @@ def test_forward_working_memory_does_not_grow_with_clip(rng):
 
 
 def test_backward_memory_of_one_second_segment(rng):
-    # one second measures about 190 MB; a (samples x taps * channels) copy
+    # one second measures about 131 MB; a (samples x taps * channels) copy
     # held on the tape by each of the ten convolutions would add about 92 MB
     cfg = nsf.NsfConfig(feature_dim=80)
     n_frames = 24000 // cfg.upsample_factor
@@ -492,12 +492,18 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert loaded_cfg == cfg
     assert loaded.step == trained.step
     for name in trained.tensors:
-        assert np.array_equal(loaded.tensors[name],
-                              trained.tensors[name].astype(np.float32))
-        assert np.array_equal(loaded.adam_m[name],
-                              trained.adam_m[name].astype(np.float32))
-        assert np.array_equal(loaded.adam_v[name],
-                              trained.adam_v[name].astype(np.float32))
+        assert np.array_equal(loaded.tensors[name], trained.tensors[name])
+        assert np.array_equal(loaded.adam_m[name], trained.adam_m[name])
+        assert np.array_equal(loaded.adam_v[name], trained.adam_v[name])
+
+
+def test_checkpoint_keeps_step_past_float32_integers(tmp_path):
+    cfg = helpers.tiny_nsf_cfg()
+    params = nsf.nsf_zero(cfg)
+    params.step = 2 ** 24 + 1
+    path = tmp_path / "model.ckpt"
+    nsf.save_checkpoint(path, params, cfg)
+    assert nsf.load_checkpoint(path)[0].step == 2 ** 24 + 1
 
 
 def test_checkpoint_round_trip_every_field(tmp_path):
@@ -509,13 +515,13 @@ def test_checkpoint_round_trip_every_field(tmp_path):
     assert loaded_cfg == cfg
 
 
-def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
+def check_frozen_float32_checkpoint(path, blob):
+    """blob holds NSF_V1_CFG, nsf_init(seed=3) and one Adam step, in float32."""
     cfg = v1_checkpoints.NSF_V1_CFG
     expected = nsf.nsf_init(cfg, seed=3)
     adam_update(expected, {k: np.full_like(v, 0.5)
                            for k, v in expected.tensors.items()}, lr=1e-2)
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(v1_checkpoints.NSF_V1)
+    path.write_bytes(blob)
     loaded, loaded_cfg = nsf.load_checkpoint(path, expected_cfg=cfg)
     assert loaded_cfg == cfg
     assert loaded.step == 1
@@ -524,6 +530,14 @@ def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
                           (loaded.adam_m, expected.adam_m),
                           (loaded.adam_v, expected.adam_v)):
             assert np.array_equal(got[name], want[name].astype(np.float32))
+
+
+def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
+    check_frozen_float32_checkpoint(tmp_path / "v1.ckpt", v1_checkpoints.NSF_V1)
+
+
+def test_checkpoint_loads_frozen_v2_bytes(tmp_path):
+    check_frozen_float32_checkpoint(tmp_path / "v2.ckpt", v1_checkpoints.NSF_V2)
 
 
 def test_checkpoint_expected_cfg_mismatch(tmp_path):
