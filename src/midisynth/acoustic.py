@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autograd as ag
 from .dsp import FeatureMatrix
-from .errors import DimensionMismatch, LengthMismatch, TrainingDiverged
+from .errors import TrainingDiverged
 from .midi_io import PianoRoll
 from .params import ModelParams, affine, check_parameter_count, check_train_config, \
     fit, init_params, is_number, load_model, save_model
@@ -245,7 +245,7 @@ def _postnet(tensors, y1):
 
 def _check_roll(roll, cfg):
     if roll.values.shape[1] != cfg.input_dim:
-        raise DimensionMismatch(
+        raise ValueError(
             f"roll has {roll.values.shape[1]} pitches, model wants {cfg.input_dim}")
     if roll.n_frames == 0:
         raise ValueError("piano roll has no frames")
@@ -267,10 +267,10 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     """
     _check_roll(roll, cfg)
     if target.dim != cfg.output_dim:
-        raise DimensionMismatch(
+        raise ValueError(
             f"target has {target.dim} dims, model wants {cfg.output_dim}")
     if target.n_frames != roll.n_frames:
-        raise LengthMismatch(
+        raise ValueError(
             f"target has {target.n_frames} frames, roll has {roll.n_frames}")
     roll_ds = downsample_roll(roll, cfg.downsample_factor)
     m = roll_ds.n_frames

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustic, dsp, evaluation, excitation, formats, midi_io, nsf
-from .errors import MidiSynthError, TooManySamples
+from .errors import MidiSynthError, TooLarge
 
 DEFAULT_RATE = 24000
 
@@ -90,8 +90,8 @@ def _excitation(kind, notes, n_samples, rate, gain, seed):
         raise ValueError("--gain applies to sine excitation only")
     longest = max(n_samples, notes.duration * rate)
     if longest > excitation.MAX_SAMPLES:
-        raise TooManySamples(f"the excitation needs {longest:.4g} samples, "
-                             f"the limit is {excitation.MAX_SAMPLES}")
+        raise TooLarge(f"the excitation needs {longest:.4g} samples, "
+                       f"the limit is {excitation.MAX_SAMPLES}")
     if kind == "sine":
         return excitation.fit_length(excitation.sine_excitation(notes, rate, gain),
                                      n_samples)
@@ -401,6 +401,8 @@ def cmd_train(args):
     """Train either model, with a checkpoint after every epoch, and write
     loss.csv.  The model functions are read off their modules on each call,
     so a wrapper set on a module attribute sees the calls."""
+    if args.resume and args.warm_start:
+        raise ValueError("--resume and --warm-start exclude each other")
     if args.kind == "am":
         build, config = _am_data, (acoustic.AmConfig, acoustic.AmTrainConfig, AM_DATA)
         init, load, train, save = (acoustic.am_init, acoustic.am_load_checkpoint,

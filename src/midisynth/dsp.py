@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FilterBankTooLarge, LengthMismatch, SampleRateMismatch, \
-    SpectrogramTooLarge
+from .errors import TooLarge
 
 MAG_FLOOR = 1e-5
 _WOLA_FLOOR = 1e-8
@@ -119,13 +118,7 @@ class FilterBank:
     """Triangular filters over FFT bins: weights is (n_filters, n_bins)."""
 
     weights: np.ndarray
-    center_freqs: np.ndarray
     kind: str  # the feature kind it gives: "midi-fb" or "mel-fb"
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        object.__setattr__(self, "center_freqs",
-                           np.asarray(self.center_freqs, dtype=np.float64))
 
 
 def midi_center_freq(d) -> float:
@@ -138,7 +131,7 @@ def midi_center_freq(d) -> float:
 
 def _check_bank_size(n_bands, cfg):
     if n_bands * cfg.n_bins > MAX_FILTER_BANK_ENTRIES:
-        raise FilterBankTooLarge(
+        raise TooLarge(
             f"{n_bands} bands of {cfg.n_bins} bins exceed the limit of "
             f"{MAX_FILTER_BANK_ENTRIES} filter-bank entries")
 
@@ -180,7 +173,7 @@ def midi_filter_bank(cfg: StftConfig) -> FilterBank:
     rights = np.concatenate((centers[1:], [centers[-1]]))
     weights = _triangle_rows(bin_freqs, lefts, centers, rights,
                              nyquist=cfg.sample_rate / 2)
-    return FilterBank(weights, centers, "midi-fb")
+    return FilterBank(weights, "midi-fb")
 
 
 def hz_to_mel(f):
@@ -200,7 +193,7 @@ def mel_filter_bank(cfg: StftConfig, n_filters: int = 80) -> FilterBank:
     edges = mel_to_hz(np.linspace(0.0, float(hz_to_mel(cfg.sample_rate / 2)),
                                   n_filters + 2))
     weights = _triangle_rows(bin_freqs, edges[:-2], edges[1:-1], edges[2:])
-    return FilterBank(weights, edges[1:-1], "mel-fb")
+    return FilterBank(weights, "mel-fb")
 
 
 def filter_bank(kind: str, cfg: StftConfig, n_filters: int) -> FilterBank:
@@ -226,7 +219,7 @@ def frame_count(n_samples: int, frame_shift: int) -> int:
 
 def _check_spectrogram_size(n_frames, cfg):
     if n_frames * cfg.n_bins > MAX_SPECTROGRAM_ENTRIES:
-        raise SpectrogramTooLarge(
+        raise TooLarge(
             f"{n_frames} frames of {cfg.n_bins} bins exceed the limit of "
             f"{MAX_SPECTROGRAM_ENTRIES} spectrogram entries")
 
@@ -264,7 +257,7 @@ def _overlap_add(frames, shift):
 def stft(wave: WaveSignal, cfg: StftConfig) -> np.ndarray:
     """One-sided STFT, shape (N, fft_size // 2 + 1) with N = ceil(T / shift)."""
     if wave.sample_rate != cfg.sample_rate:
-        raise SampleRateMismatch(
+        raise ValueError(
             f"signal at {wave.sample_rate} Hz, config expects {cfg.sample_rate} Hz")
     frames = _frame_signal(wave.samples, cfg) * _window_values(cfg)
     return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
@@ -428,13 +421,13 @@ def mr_stft_loss(pred: WaveSignal, target: WaveSignal, resolutions=None):
     if len(resolutions) == 0:
         raise ValueError("need at least one resolution")
     if len(pred) != len(target):
-        raise LengthMismatch(f"pred has {len(pred)} samples, target {len(target)}")
+        raise ValueError(f"pred has {len(pred)} samples, target {len(target)}")
     if pred.sample_rate != target.sample_rate:
-        raise SampleRateMismatch(
+        raise ValueError(
             f"pred at {pred.sample_rate} Hz, target at {target.sample_rate} Hz")
     for cfg in resolutions:
         if cfg.sample_rate != pred.sample_rate:
-            raise SampleRateMismatch(
+            raise ValueError(
                 f"resolution at {cfg.sample_rate} Hz, signals at {pred.sample_rate} Hz")
     total_loss = 0.0
     total_grad = np.zeros(len(pred))

@@ -1,75 +1,27 @@
-"""Shared exception types.
+"""Shared exception types, one per kind of fault.
 
-Structural problems with inputs (malformed files, corrupt checkpoints)
-raise subclasses of MidiSynthError.  Plain argument-domain mistakes
-(values out of range, empty collections) raise ValueError, sometimes a
-named subclass of it when callers want to tell the cases apart.
+- FileFormatError: a MIDI, WAV, feature-matrix, score or checkpoint file
+  does not match its format.
+- TooLarge: an input would pass a size limit; the message names the limit.
+- TrainingDiverged: a training step produced a non-finite loss or gradient.
+- ValueError: an argument is out of its domain, or two inputs disagree
+  (sample rates, lengths, widths, an oscillator above Nyquist).
+
+The first three derive from MidiSynthError.
 """
 
 
 class MidiSynthError(Exception):
-    """Base class for structural input errors raised by this package."""
-
-
-class MalformedHeader(MidiSynthError):
-    """MIDI file header chunk missing, short, or of an unsupported format."""
-
-
-class UnsupportedDivision(MidiSynthError):
-    """MIDI time division is SMPTE-based; only ticks-per-quarter is handled."""
-
-
-class TruncatedTrack(MidiSynthError):
-    """A MIDI track chunk ended mid-event or overran the file."""
-
-
-class DurationTooLong(MidiSynthError):
-    """A MIDI file lasts longer than midi_io.MAX_DURATION_SECONDS."""
-
-
-class TooManyFrames(MidiSynthError):
-    """A piano roll would hold more than midi_io.MAX_ROLL_FRAMES frames."""
-
-
-class TooManySamples(MidiSynthError):
-    """An excitation would hold more than excitation.MAX_SAMPLES samples."""
-
-
-class SpectrogramTooLarge(MidiSynthError):
-    """A spectrogram would hold more than dsp.MAX_SPECTROGRAM_ENTRIES entries."""
-
-
-class FilterBankTooLarge(MidiSynthError):
-    """A filter bank would hold more than dsp.MAX_FILTER_BANK_ENTRIES entries."""
-
-
-class ModelTooLarge(MidiSynthError):
-    """A model config would hold more than params.MAX_PARAMETERS parameters."""
+    """Base class for the faults this package reports by kind."""
 
 
 class FileFormatError(MidiSynthError):
-    """A binary file (WAV or feature matrix) does not match its format."""
+    """A MIDI, WAV, feature or checkpoint file does not match its format."""
 
 
-class CorruptCheckpoint(MidiSynthError):
-    """Checkpoint bytes are truncated, fail CRC, or disagree with the config."""
+class TooLarge(MidiSynthError):
+    """An input would pass a size limit; the message names the limit."""
 
 
 class TrainingDiverged(MidiSynthError):
     """A training step produced a non-finite loss or gradient."""
-
-
-class SampleRateMismatch(ValueError):
-    """Two signals (or a signal and a config) carry different sample rates."""
-
-
-class LengthMismatch(ValueError):
-    """Aligned sequences have incompatible lengths."""
-
-
-class DimensionMismatch(ValueError):
-    """A matrix width disagrees with what the model config requires."""
-
-
-class NyquistViolation(ValueError):
-    """A requested oscillator frequency is at or above half the sample rate."""

@@ -16,12 +16,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .dsp import FeatureMatrix, StftConfig, WaveSignal, midi_filter_bank, stft
+from .dsp import StftConfig, WaveSignal, midi_filter_bank, stft
 from .errors import FileFormatError
 from .midi_io import PianoRoll
 
@@ -30,41 +29,22 @@ SILENCE_ENERGY = 1e-6
 EXACT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class PitchProbMatrix:
-    """Per-frame pseudo-probabilities over the 128 MIDI pitches."""
-
-    values: np.ndarray
-    frame_shift: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 128:
-            raise ValueError(f"pitch probabilities must be (N, 128), got {v.shape}")
-        if v.size and (v.min() <= 0.0 or v.max() >= 1.0):
-            raise ValueError("pitch probabilities must lie strictly inside (0, 1)")
-        object.__setattr__(self, "values", v)
-
-
-def pitch_probability(wave: WaveSignal, cfg: StftConfig | None = None) -> PitchProbMatrix:
-    """Frame-wise pitch salience from MIDI filter-bank energies.
+def pitch_probability(wave: WaveSignal, cfg: StftConfig) -> np.ndarray:
+    """Frame-wise pitch salience from MIDI filter-bank energies: (frames, 128).
 
     Each frame's energies are scaled by their own maximum and clamped to
     [eps, 1 - eps]; frames whose peak energy falls under a silence floor
     get the minimum probability everywhere.
     """
-    if cfg is None:
-        cfg = StftConfig()
     bank = midi_filter_bank(cfg)
     energy = np.abs(stft(wave, cfg)) @ bank.weights.T
     peaks = energy.max(axis=1, keepdims=True)
     voiced = peaks >= SILENCE_ENERGY
     scaled = np.divide(energy, peaks, out=np.zeros_like(energy), where=voiced)
-    values = np.clip(np.where(voiced, scaled, 0.0), PROB_EPS, 1.0 - PROB_EPS)
-    return PitchProbMatrix(values, cfg.frame_shift / cfg.sample_rate)
+    return np.clip(np.where(voiced, scaled, 0.0), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def pitch_cross_entropy(probs: PitchProbMatrix, roll: PianoRoll,
+def pitch_cross_entropy(probs: np.ndarray, roll: PianoRoll,
                         weight_by_velocity: bool = False) -> float:
     """Multi-hot cross-entropy of note activity under the pitch estimate.
 
@@ -72,17 +52,17 @@ def pitch_cross_entropy(probs: PitchProbMatrix, roll: PianoRoll,
     (or velocity-weighted) roll.  When the two inputs disagree on frame
     count both are truncated to the shorter and a warning is emitted.
     """
-    n = min(probs.values.shape[0], roll.n_frames)
-    if probs.values.shape[0] != roll.n_frames:
+    n = min(len(probs), roll.n_frames)
+    if len(probs) != roll.n_frames:
         warnings.warn(
-            f"frame counts differ (probs {probs.values.shape[0]}, roll "
+            f"frame counts differ (probs {len(probs)}, roll "
             f"{roll.n_frames}); truncating to {n}", stacklevel=2)
     if n == 0:
         raise ValueError("no overlapping frames to score")
     x = roll.values[:n]
     if not weight_by_velocity:
         x = (x > 0).astype(np.float64)
-    return float(-(x * np.log(probs.values[:n])).sum() / n)
+    return float(-(x * np.log(probs[:n])).sum() / n)
 
 
 # --- listening-test statistics ------------------------------------------------

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .dsp import WaveSignal, midi_center_freq
-from .errors import NyquistViolation
 from .midi_io import NoteEventList
 
 FADE_SECONDS = 0.005
@@ -37,7 +36,7 @@ def sine_excitation(notes: NoteEventList, sample_rate: int = 24000,
     for note in notes.notes:
         freq = midi_center_freq(note.pitch)
         if freq >= sample_rate / 2:
-            raise NyquistViolation(
+            raise ValueError(
                 f"note {note.pitch} at {freq:.1f} Hz needs a rate above "
                 f"{2 * freq:.0f} Hz, have {sample_rate}")
         lo = max(0, math.ceil(note.onset * sample_rate - _EDGE_EPS))

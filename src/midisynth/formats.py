@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 from .dsp import FeatureMatrix, WaveSignal
-from .errors import CorruptCheckpoint, FileFormatError
+from .errors import FileFormatError
 
 FEATURE_MAGIC = b"MFB1"
 FEATURE_VERSION = 1
@@ -180,21 +180,21 @@ def read_container(path, magic: bytes, n_config_fields: int):
     dict of float64 tensors), where config is the JSON object of a later
     version or the tuple of u32 fields of a version-1 file.  Any
     structural defect, bad magic, short read, malformed config block,
-    non-finite tensor value, or CRC mismatch raises CorruptCheckpoint.
+    non-finite tensor value, or CRC mismatch raises FileFormatError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4 or data[:4] != magic:
-        raise CorruptCheckpoint(f"{path}: bad magic, expected {magic!r}")
+        raise FileFormatError(f"{path}: bad magic, expected {magic!r}")
     if len(data) < 12:
-        raise CorruptCheckpoint(f"{path}: file shorter than fixed header")
+        raise FileFormatError(f"{path}: file shorter than fixed header")
     body = data[:-4]
     (stored_crc,) = struct.unpack("<I", data[-4:])
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
-        raise CorruptCheckpoint(f"{path}: CRC mismatch, file is corrupt")
+        raise FileFormatError(f"{path}: CRC mismatch, file is corrupt")
     (version,) = struct.unpack("<I", body[4:8])
     if version not in TENSOR_DTYPES:
-        raise CorruptCheckpoint(f"{path}: unsupported checkpoint version {version}")
+        raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
     dtype = TENSOR_DTYPES[version]
     tensors = {}
     try:
@@ -206,7 +206,7 @@ def read_container(path, magic: bytes, n_config_fields: int):
             pos = 12 + size
             config = json.loads(body[12:pos].decode("utf-8"))
             if not isinstance(config, dict):
-                raise CorruptCheckpoint(f"{path}: config block is not a JSON object")
+                raise FileFormatError(f"{path}: config block is not a JSON object")
         (count,) = struct.unpack_from("<I", body, pos)
         pos += 4
         for _ in range(count):
@@ -220,15 +220,15 @@ def read_container(path, magic: bytes, n_config_fields: int):
             pos += 4 * ndim
             n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
             if pos + n_bytes > len(body):
-                raise CorruptCheckpoint(f"{path}: tensor {name!r} overruns payload")
+                raise FileFormatError(f"{path}: tensor {name!r} overruns payload")
             flat = np.frombuffer(body[pos : pos + n_bytes], dtype=dtype)
             if not np.isfinite(flat).all():  # before the cast, which warns on NaN
-                raise CorruptCheckpoint(f"{path}: tensor {name!r} is not finite")
+                raise FileFormatError(f"{path}: tensor {name!r} is not finite")
             tensors[name] = flat.astype(np.float64).reshape(shape)
             pos += n_bytes
     except (struct.error, IndexError, ValueError, RecursionError) as exc:
-        raise CorruptCheckpoint(f"{path}: malformed header or tensor table "
-                                f"({exc})") from exc
+        raise FileFormatError(f"{path}: malformed header or tensor table "
+                              f"({exc})") from exc
     if pos != len(body):
-        raise CorruptCheckpoint(f"{path}: {len(body) - pos} unexpected trailing bytes")
+        raise FileFormatError(f"{path}: {len(body) - pos} unexpected trailing bytes")
     return config, tensors

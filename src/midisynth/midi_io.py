@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import FeatureMatrix
-from .errors import (DurationTooLong, MalformedHeader, TooManyFrames,
-                     TruncatedTrack, UnsupportedDivision)
+from .errors import FileFormatError, TooLarge
 
 DEFAULT_TEMPO_US = 500000  # microseconds per quarter note, 120 bpm
 SUSTAIN_CONTROLLER = 64
@@ -108,21 +107,21 @@ def _read_varint(data, pos, end):
     value = 0
     for _ in range(4):
         if pos >= end:
-            raise TruncatedTrack("variable-length quantity runs past track end")
+            raise FileFormatError("variable-length quantity runs past track end")
         b = data[pos]
         pos += 1
         value = (value << 7) | (b & 0x7F)
         if not b & 0x80:
             return value, pos
-    raise TruncatedTrack("variable-length quantity longer than 4 bytes")
+    raise FileFormatError("variable-length quantity longer than 4 bytes")
 
 
 def _data_byte(data, pos, end, what):
     if pos >= end:
-        raise TruncatedTrack(f"{what} runs past track end")
+        raise FileFormatError(f"{what} runs past track end")
     b = data[pos]
     if b & 0x80:
-        raise TruncatedTrack(f"{what}: expected data byte, got status 0x{b:02x}")
+        raise FileFormatError(f"{what}: expected data byte, got status 0x{b:02x}")
     return b, pos + 1
 
 
@@ -139,21 +138,21 @@ def _parse_track(data, start, end):
         delta, pos = _read_varint(data, pos, end)
         tick += delta
         if pos >= end:
-            raise TruncatedTrack("event status runs past track end")
+            raise FileFormatError("event status runs past track end")
         b = data[pos]
         if b & 0x80:
             status = b
             pos += 1
         elif status is None:
-            raise TruncatedTrack(f"data byte 0x{b:02x} with no running status")
+            raise FileFormatError(f"data byte 0x{b:02x} with no running status")
         if status == 0xFF:
             if pos >= end:
-                raise TruncatedTrack("meta event type runs past track end")
+                raise FileFormatError("meta event type runs past track end")
             meta = data[pos]
             pos += 1
             length, pos = _read_varint(data, pos, end)
             if pos + length > end:
-                raise TruncatedTrack("meta event payload runs past track end")
+                raise FileFormatError("meta event payload runs past track end")
             if meta == 0x51 and length == 3:
                 tempo = int.from_bytes(data[pos : pos + 3], "big")
                 events.append((tick, "tempo", tempo, 0))
@@ -164,11 +163,11 @@ def _parse_track(data, start, end):
         elif status in (0xF0, 0xF7):
             length, pos = _read_varint(data, pos, end)
             if pos + length > end:
-                raise TruncatedTrack("sysex payload runs past track end")
+                raise FileFormatError("sysex payload runs past track end")
             pos += length
             status = None
         elif status >= 0xF0:
-            raise TruncatedTrack(f"unexpected system message 0x{status:02x} in track")
+            raise FileFormatError(f"unexpected system message 0x{status:02x} in track")
         else:
             hi = status & 0xF0
             a, pos = _data_byte(data, pos, end, "channel event")
@@ -190,22 +189,22 @@ def parse_midi(data: bytes) -> NoteEventList:
     Note-on with velocity zero counts as note-off.  Overlapping note-ons
     on one pitch close first-in-first-out.  Note-ons left open at end of
     file are closed at the final event time and flagged in warnings.  A
-    file lasting over MAX_DURATION_SECONDS raises DurationTooLong.
+    file lasting over MAX_DURATION_SECONDS raises TooLarge.
     """
     if len(data) < 14 or data[:4] != b"MThd":
-        raise MalformedHeader("missing MThd chunk")
+        raise FileFormatError("missing MThd chunk")
     (header_len,) = struct.unpack(">I", data[4:8])
     if header_len < 6 or 8 + header_len > len(data):
-        raise MalformedHeader("header chunk shorter than declared")
+        raise FileFormatError("header chunk shorter than declared")
     fmt, n_tracks, division = struct.unpack(">HHH", data[8:14])
     if fmt not in (0, 1):
-        raise MalformedHeader(f"unsupported SMF format {fmt}")
+        raise FileFormatError(f"unsupported SMF format {fmt}")
     if division & 0x8000:
-        raise UnsupportedDivision("SMPTE time division is not supported")
+        raise FileFormatError("SMPTE time division is not supported")
     if division == 0:
-        raise MalformedHeader("ticks per quarter note must be positive")
+        raise FileFormatError("ticks per quarter note must be positive")
     if fmt == 0 and n_tracks != 1:
-        raise MalformedHeader(f"format 0 file declares {n_tracks} tracks")
+        raise FileFormatError(f"format 0 file declares {n_tracks} tracks")
 
     pos = 8 + header_len
     merged = []
@@ -213,14 +212,14 @@ def parse_midi(data: bytes) -> NoteEventList:
     max_tick = 0
     while tracks_seen < n_tracks:
         if pos + 8 > len(data):
-            raise TruncatedTrack(
+            raise FileFormatError(
                 f"expected {n_tracks} tracks, found {tracks_seen} before end of file"
             )
         tag = data[pos : pos + 4]
         (chunk_len,) = struct.unpack(">I", data[pos + 4 : pos + 8])
         body = pos + 8
         if body + chunk_len > len(data):
-            raise TruncatedTrack("track chunk overruns end of file")
+            raise FileFormatError("track chunk overruns end of file")
         if tag == b"MTrk":
             events, end_tick = _parse_track(data, body, body + chunk_len)
             merged += events
@@ -259,8 +258,8 @@ def parse_midi(data: bytes) -> NoteEventList:
             pedal.append((sec, a))
     last_sec = max(last_sec, scale(max_tick))
     if last_sec > MAX_DURATION_SECONDS:
-        raise DurationTooLong(f"file lasts {last_sec:.4g} s, the limit is "
-                              f"{MAX_DURATION_SECONDS:.0f} s")
+        raise TooLarge(f"file lasts {last_sec:.4g} s, the limit is "
+                       f"{MAX_DURATION_SECONDS:.0f} s")
 
     dangling = sum(len(q) for q in open_notes.values())
     if dangling:
@@ -375,9 +374,9 @@ def to_piano_roll(notes: NoteEventList, frame_shift: float,
         raise ValueError("frame_shift must be positive")
     frames = notes.duration / frame_shift - _FRAME_EPS
     if frames > MAX_ROLL_FRAMES:
-        raise TooManyFrames(f"{notes.duration:.4g} s at a {frame_shift:.4g} s frame "
-                            f"shift needs {frames:.4g} frames, the limit is "
-                            f"{MAX_ROLL_FRAMES}")
+        raise TooLarge(f"{notes.duration:.4g} s at a {frame_shift:.4g} s frame "
+                       f"shift needs {frames:.4g} frames, the limit is "
+                       f"{MAX_ROLL_FRAMES}")
     n_frames = max(0, math.ceil(frames))
     values = np.zeros((n_frames, 128))
     for n in notes.notes:

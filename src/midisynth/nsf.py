@@ -31,7 +31,6 @@ import numpy as np
 
 from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
-from .errors import DimensionMismatch, LengthMismatch, SampleRateMismatch
 from .params import ModelParams, affine, check_parameter_count, check_train_config, \
     fit, init_params, is_number, load_model, save_model, zero_params
 
@@ -107,17 +106,17 @@ def nsf_zero(cfg: NsfConfig) -> ModelParams:
 
 def _check_inputs(params, features, excitation, cfg):
     if features.dim != cfg.feature_dim:
-        raise DimensionMismatch(
+        raise ValueError(
             f"features have {features.dim} dims, model wants {cfg.feature_dim}")
     if features.kind not in CONDITION_KINDS:
         raise ValueError(f"cannot condition on features of kind {features.kind!r}")
     expected = features.n_frames * cfg.upsample_factor
     if len(excitation) != expected:
-        raise LengthMismatch(
+        raise ValueError(
             f"excitation has {len(excitation)} samples, need n_frames * "
             f"upsample_factor = {expected}")
     if excitation.sample_rate != features.sample_rate:
-        raise SampleRateMismatch(
+        raise ValueError(
             f"excitation at {excitation.sample_rate} Hz, features at "
             f"{features.sample_rate} Hz")
     missing = set(nsf_param_shapes(cfg)) - set(params.tensors)

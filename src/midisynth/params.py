@@ -9,13 +9,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, ModelTooLarge, TrainingDiverged
+from .errors import FileFormatError, TooLarge, TrainingDiverged
 from .formats import read_container, write_container
 
 ADAM_PREFIX_M = "adam.m."
 ADAM_PREFIX_V = "adam.v."
 STEP_TENSOR = "adam.step"
 MAX_PARAMETERS = 2 ** 24  # 128 MiB of float64 per copy; Adam keeps three
+# Most epochs a run may span, resumes included: a resumed run replays one
+# shuffle per finished epoch, so a forged step count could stall it.
+MAX_EPOCHS = 2 ** 16
 
 
 @dataclass
@@ -46,8 +49,8 @@ def check_parameter_count(layers: dict) -> None:
     MAX_PARAMETERS values before any of it is allocated."""
     count = sum(math.prod(shape) for shape, _ in layers.values())
     if count > MAX_PARAMETERS:
-        raise ModelTooLarge(f"the model has {count} parameters, "
-                            f"the limit is {MAX_PARAMETERS}")
+        raise TooLarge(f"the model has {count} parameters, "
+                       f"the limit is {MAX_PARAMETERS}")
 
 
 def init_params(layers: dict, seed: int) -> ModelParams:
@@ -131,14 +134,20 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,
     their batch means drive one Adam step, unless either is non-finite,
     which raises TrainingDiverged (numpy's overflow warnings are off in a
     batch, as this check reports it).  on_epoch_end(epoch, params) runs
-    after every epoch.  Returns (updated params copy, [(step, loss), ...]).
+    after every epoch.  A run whose finished epochs (params.step over the
+    batches per epoch) plus train_cfg.epochs exceed MAX_EPOCHS raises
+    TooLarge.  Returns (updated params copy, [(step, loss), ...]).
     """
     dataset = list(dataset)
     if not dataset:
         raise ValueError("training dataset is empty")
     params = params.copy()
+    done = params.step // math.ceil(len(dataset) / train_cfg.batch_size)
+    if done + train_cfg.epochs > MAX_EPOCHS:
+        raise TooLarge(f"step {params.step} is {done} finished epochs; "
+                       f"{train_cfg.epochs} more pass the limit of {MAX_EPOCHS}")
     rng = np.random.default_rng(train_cfg.seed)
-    for _ in range(params.step // math.ceil(len(dataset) / train_cfg.batch_size)):
+    for _ in range(done):
         rng.permutation(len(dataset))  # a resumed run skips the epochs it has done
     history = []
     for epoch in range(train_cfg.epochs):
@@ -184,35 +193,35 @@ def _validate_state_shapes(path, params: ModelParams, shapes: dict) -> None:
     missing = set(shapes) - set(params.tensors)
     extra = set(params.tensors) - set(shapes)
     if missing or extra:
-        raise CorruptCheckpoint(
+        raise FileFormatError(
             f"{path}: tensor names disagree with config "
             f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
     for name, shape in shapes.items():
         if params.tensors[name].shape != tuple(shape):
-            raise CorruptCheckpoint(
+            raise FileFormatError(
                 f"{path}: tensor {name!r} has shape {params.tensors[name].shape}, "
                 f"config implies {tuple(shape)}")
     for state in (params.adam_m, params.adam_v):
         for name, value in state.items():
             if name not in shapes:
-                raise CorruptCheckpoint(f"{path}: optimizer state for unknown "
-                                        f"tensor {name!r}")
+                raise FileFormatError(f"{path}: optimizer state for unknown "
+                                      f"tensor {name!r}")
             if value.shape != tuple(shapes[name]):
-                raise CorruptCheckpoint(f"{path}: optimizer state shape "
-                                        f"mismatch for {name!r}")
+                raise FileFormatError(f"{path}: optimizer state shape "
+                                      f"mismatch for {name!r}")
 
 
 def unpack_state_tensors(path, tensors: dict) -> ModelParams:
     """Inverse of pack_state_tensors for the file at path; unknown names
     stay in tensors.  A step count that is not one finite, non-negative
-    number raises CorruptCheckpoint.
+    number raises FileFormatError.
     """
     params = ModelParams(tensors={})
     for name, value in tensors.items():
         if name == STEP_TENSOR:
             if value.size != 1 or not 0 <= value.item() < math.inf:
-                raise CorruptCheckpoint(f"{path}: {STEP_TENSOR} is not one finite, "
-                                        f"non-negative count")
+                raise FileFormatError(f"{path}: {STEP_TENSOR} is not one finite, "
+                                      f"non-negative count")
             params.step = int(round(value.item()))
         elif name.startswith(ADAM_PREFIX_M):
             params.adam_m[name[len(ADAM_PREFIX_M):]] = value
@@ -236,23 +245,23 @@ def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
     config_cls arguments; fields it lacks come from expected_cfg if given,
     so such a file is compared only on what it stored.  An invalid or
     unexpected config, or tensors that do not fit param_shapes(config),
-    raise CorruptCheckpoint.
+    raise FileFormatError.
     """
     config, tensors = read_container(path, magic, n_v1_fields)
     try:
         if isinstance(config, dict):
             if set(config) != {f.name for f in dataclasses.fields(config_cls)}:
-                raise CorruptCheckpoint(f"{path}: stored config keys {sorted(config)} "
-                                        f"are not the {config_cls.__name__} fields")
+                raise FileFormatError(f"{path}: stored config keys {sorted(config)} "
+                                      f"are not the {config_cls.__name__} fields")
             cfg = config_cls(**config)
         elif expected_cfg is not None:
             cfg = dataclasses.replace(expected_cfg, **v1_config(config))
         else:
             cfg = config_cls(**v1_config(config))
-    except (TypeError, ValueError, ModelTooLarge) as exc:
-        raise CorruptCheckpoint(f"{path}: invalid stored config ({exc})") from exc
+    except (TypeError, ValueError, TooLarge) as exc:
+        raise FileFormatError(f"{path}: invalid stored config ({exc})") from exc
     if expected_cfg is not None and cfg != expected_cfg:
-        raise CorruptCheckpoint(
+        raise FileFormatError(
             f"{path}: checkpoint config {cfg} does not match expected {expected_cfg}")
     params = unpack_state_tensors(path, tensors)
     _validate_state_shapes(path, params, param_shapes(cfg))

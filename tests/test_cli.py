@@ -2,7 +2,8 @@
 
 Most cases drive cli.main(argv) in process and inspect files plus captured
 stdout/stderr.  The truncation-warning case shells out because pytest's
-warning capture would otherwise swallow the message.
+warning capture would otherwise swallow the message, and the forged-step
+resume case so that a hang ends in a timeout.
 """
 
 import json
@@ -17,11 +18,24 @@ import numpy as np
 import pytest
 
 import helpers
-from midisynth import acoustic, cli, dsp, errors, excitation, formats, midi_io, nsf
+from midisynth import (acoustic, cli, dsp, errors, evaluation, excitation, formats,
+                       midi_io, nsf)
 
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_cli_process(*argv, timeout=None):
+    """cli.main(argv) in a child process that imports this same package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from midisynth import cli; sys.exit(cli.main(sys.argv[1:]))",
+         *map(str, argv)],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path})
 
 
 def write_midi_file(path, specs, duration=None):
@@ -274,20 +288,71 @@ def test_pitch_ce_truncation_warns_on_stderr(tmp_path):
     write_midi_file(midi, [(0.0, 1.0, 60, 100)])
     wav = tmp_path / "short.wav"
     helpers.tone_wav(wav, freq=261.63, seconds=0.3)
-    # the child imports the same package as this process
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from midisynth import cli; sys.exit(cli.main(sys.argv[1:]))",
-         "pitch-ce", str(wav), str(midi)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_cli_process("pitch-ce", wav, midi)
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) >= 0.0
     assert "truncat" in proc.stderr.lower()
     # one line in the form _load_notes gives MIDI warnings, not Python's two
     assert proc.stderr.startswith(f"warning: {wav}: ") and proc.stderr.count("\n") == 1, \
         proc.stderr
+
+
+def test_pitch_ce_velocity_weights(tmp_path, capsys):
+    midi = tmp_path / "clip.mid"
+    notes = write_midi_file(midi, [(0.0, 1.0, 60, 100)])
+    wav = tmp_path / "tone.wav"
+    helpers.tone_wav(wav, freq=261.63, seconds=1.0)
+    probs = evaluation.pitch_probability(formats.read_wav(wav), dsp.StftConfig())
+    roll = midi_io.to_piano_roll(notes, 288 / 24000, 24000)
+    printed = []
+    for flags, weighted in (((), False), (("--velocity-weights",), True)):
+        assert run_cli("pitch-ce", wav, midi, *flags) == 0
+        printed.append(capsys.readouterr().out)
+        ce = evaluation.pitch_cross_entropy(probs, roll, weight_by_velocity=weighted)
+        assert printed[-1] == f"{ce:.6f}\n"
+    assert printed[0] != printed[1]
+
+
+# --- --no-pedal -------------------------------------------------------------
+
+
+def pedal_smf(with_pedal):
+    """Note 60 from 0 to 0.25 s, and a pedal held from 0.125 to 0.75 s that
+    keeps it sounding; without the pedal, the same file less its CC64
+    events, which still ends at 1 s.  At 480 ticks a quarter, 120 bpm, a
+    tick is 1/960 s."""
+    events = [(0, bytes([0x90, 60, 100])), (120, bytes([0xB0, 64, 127])),
+              (240, bytes([0x80, 60, 0])), (720, bytes([0xB0, 64, 0]))]
+    if not with_pedal:
+        events = [(tick, data) for tick, data in events if data[0] != 0xB0]
+    payload, now = b"", 0
+    for tick, data in events:
+        payload += helpers.vlq(tick - now) + data
+        now = tick
+    return helpers.smf_header() + helpers.track_chunk(payload + helpers.eot(960 - now))
+
+
+@pytest.mark.parametrize("command", ["roll", "excite", "synth", "pitch-ce"])
+def test_no_pedal_equals_the_file_without_cc64(tmp_path, capsys, command):
+    pedal, plain = tmp_path / "pedal.mid", tmp_path / "plain.mid"
+    pedal.write_bytes(pedal_smf(True))
+    plain.write_bytes(pedal_smf(False))
+    helpers.write_zero_nsf_ckpt(tmp_path / "nsf.ckpt")
+    helpers.tone_wav(tmp_path / "tone.wav", freq=261.63, seconds=1.0)
+
+    def output(midi, *flags):
+        if command == "pitch-ce":
+            assert run_cli("pitch-ce", tmp_path / "tone.wav", midi, *flags) == 0
+            return capsys.readouterr().out
+        out = tmp_path / "out"
+        extra = ("--nsf-ckpt", tmp_path / "nsf.ckpt") if command == "synth" else ()
+        assert run_cli(command, midi, out, *extra, *flags) == 0
+        capsys.readouterr()
+        return out.read_bytes()
+
+    ignored = output(pedal, "--no-pedal")
+    assert ignored == output(plain)
+    assert ignored != output(pedal)
 
 
 # --- probe-set ------------------------------------------------------------
@@ -501,6 +566,24 @@ def test_train_nsf_resume_continues_steps(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["5", "6", "7", "8"]
 
 
+def test_resume_from_a_forged_step_exits_2(tmp_path):
+    """A step count of 10 ** 12 would have the resumed run replay 5e11
+    shuffles before its first epoch; it is refused at once instead."""
+    data = make_pair(tmp_path / "data")
+    cfg_path = nsf_config(tmp_path)
+    assert run_cli("train", "nsf", data, tmp_path / "first", "--config", cfg_path) == 0
+    forged = tmp_path / "forged.ckpt"
+    params, model_cfg = nsf.load_checkpoint(tmp_path / "first" / "nsf.ckpt")
+    params.step = 10 ** 12
+    nsf.save_checkpoint(forged, params, model_cfg)
+    proc = run_cli_process("train", "nsf", data, tmp_path / "out", "--config",
+                           cfg_path, "--resume", forged, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: step {10 ** 12} ") \
+        and proc.stderr.count("\n") == 1, proc.stderr
+    assert "limit of 65536" in proc.stderr
+
+
 @pytest.mark.parametrize("kind,model,data", [
     ("nsf", {}, {"excitation": "sine"}),
     ("nsf", {}, {"excitation": "noise"}),
@@ -701,6 +784,8 @@ HOSTILE = {
     "am-rate-0": train_with("am", {"data": {"rate": 0}}),
     "nsf-fractional-channels": train_with("nsf", {"model": {"channels": 4.5}}),
     "nsf-warm-start": train_with("nsf", {}, "--warm-start", "am.ckpt"),
+    "am-resume-and-warm-start": train_with("am", {}, "--resume", "am.ckpt",
+                                           "--warm-start", "am.ckpt"),
     # rolls of 1.2e12, 1.7e6 and 1.4e6 frames, over midi_io.MAX_ROLL_FRAMES
     "roll-tiny-shift": midi_with("roll", helpers.note_smf([(0, 1152, 64, 110)]),
                                  "--shift", "1e-12"),
@@ -794,7 +879,8 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "am-prenet-dropout-str": "prenet_dropout",
                 "nsf-channels-huge": "parameters",
                 "am-decoder-state-huge": "parameters",
-                "am-prenet-width-huge": "parameters"}
+                "am-prenet-width-huge": "parameters",
+                "am-resume-and-warm-start": "exclude each other"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -832,7 +918,7 @@ def test_bad_training_midi_file_is_named(tmp_path, capsys):
     assert run_cli("train", "nsf", data, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data / 'clip.mid'}: file lasts") and err.count("\n") == 1
-    with pytest.raises(errors.DurationTooLong):
+    with pytest.raises(errors.TooLarge, match="the limit is 3600 s"):
         cli._load_notes(data / "clip.mid")
 
 

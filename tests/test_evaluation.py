@@ -7,14 +7,14 @@ import pytest
 import helpers
 from midisynth import evaluation, excitation, midi_io
 from midisynth.dsp import StftConfig, WaveSignal
-from midisynth.errors import FileFormatError, SampleRateMismatch
-from midisynth.evaluation import (PitchProbMatrix, holm_bonferroni,
-                                  mann_whitney_u, mos_summary,
+from midisynth.errors import FileFormatError
+from midisynth.evaluation import (holm_bonferroni, mann_whitney_u, mos_summary,
                                   pairwise_significance, pitch_cross_entropy,
                                   pitch_probability)
 from midisynth.midi_io import PianoRoll
 
 EPS = 1e-4
+CFG = StftConfig()
 
 
 def oracle_two_sided_p(a_ranks_sum, n_a, n_b):
@@ -34,47 +34,47 @@ def oracle_two_sided_p(a_ranks_sum, n_a, n_b):
 def test_pure_tone_peaks_at_its_note():
     t = np.arange(24000) / 24000
     wave = WaveSignal(0.5 * np.sin(2 * np.pi * 440.0 * t), 24000)
-    probs = pitch_probability(wave)
-    peaks = probs.values.argmax(axis=1)
+    probs = pitch_probability(wave, CFG)
+    peaks = probs.argmax(axis=1)
     # edge frames see a partial window; the interior must be unanimous
     assert (peaks[2:-2] == 69).all()
     assert (np.count_nonzero(peaks == 69) / len(peaks)) >= 0.9
 
 
 def test_silence_gets_floor_everywhere():
-    probs = pitch_probability(WaveSignal(np.zeros(2880), 24000))
-    assert np.all(probs.values == EPS)
+    probs = pitch_probability(WaveSignal(np.zeros(2880), 24000), CFG)
+    assert np.all(probs == EPS)
 
 
 def test_two_tone_favors_both_notes():
     t = np.arange(24000) / 24000
     wave = WaveSignal(0.4 * np.sin(2 * np.pi * 261.6255653 * t)
                       + 0.4 * np.sin(2 * np.pi * 391.99543598 * t), 24000)
-    mean = pitch_probability(wave).values[2:-2].mean(axis=0)
+    mean = pitch_probability(wave, CFG)[2:-2].mean(axis=0)
     others = [k for k in range(128) if abs(k - 60) > 1 and abs(k - 67) > 1]
     assert mean[60] > mean[others].max()
     assert mean[67] > mean[others].max()
 
 
 def test_pitch_probability_rate_check():
-    with pytest.raises(SampleRateMismatch):
-        pitch_probability(WaveSignal(np.zeros(1000), 16000))
+    with pytest.raises(ValueError, match="config expects"):
+        pitch_probability(WaveSignal(np.zeros(1000), 16000), CFG)
 
 
 def test_values_strictly_inside_unit_interval(rng):
     wave = WaveSignal(rng.standard_normal(4800) * 0.2, 24000)
-    probs = pitch_probability(wave)
-    assert probs.values.min() >= EPS
-    assert probs.values.max() <= 1 - EPS
+    probs = pitch_probability(wave, CFG)
+    assert probs.shape == (17, 128) and probs.dtype == np.float64
+    assert probs.min() >= EPS
+    assert probs.max() <= 1 - EPS
 
 
 # --- cross entropy -------------------------------------------------------------
 
 
 def test_ce_single_frame_half_probability():
-    values = np.full((1, 128), EPS)
-    values[0, 60] = 0.5
-    probs = PitchProbMatrix(values, 0.012)
+    probs = np.full((1, 128), EPS)
+    probs[0, 60] = 0.5
     roll_values = np.zeros((1, 128))
     roll_values[0, 60] = 1.0
     ce = pitch_cross_entropy(probs, PianoRoll(roll_values, 0.012))
@@ -82,13 +82,12 @@ def test_ce_single_frame_half_probability():
 
 
 def test_ce_near_zero_when_matched():
-    values = np.full((3, 128), EPS)
+    probs = np.full((3, 128), EPS)
     roll_values = np.zeros((3, 128))
     for n, k in ((0, 60), (1, 64), (2, 67)):
-        values[n, k] = 1 - EPS
+        probs[n, k] = 1 - EPS
         roll_values[n, k] = 0.8
-    ce = pitch_cross_entropy(PitchProbMatrix(values, 0.012),
-                             PianoRoll(roll_values, 0.012))
+    ce = pitch_cross_entropy(probs, PianoRoll(roll_values, 0.012))
     assert 0.0 < ce <= 128 * EPS
 
 
@@ -97,15 +96,14 @@ def test_ce_matched_below_transposed():
     wave = excitation.sine_excitation(notes, 24000)
     shift = 288 / 24000
     roll = midi_io.to_piano_roll(notes, shift)
-    probs = pitch_probability(wave)
+    probs = pitch_probability(wave, CFG)
     matched = pitch_cross_entropy(probs, roll)
     moved = pitch_cross_entropy(probs, midi_io.transpose_roll(roll, 2))
     assert matched < moved
 
 
 def test_ce_truncates_with_warning():
-    values = np.full((5, 128), EPS)
-    probs = PitchProbMatrix(values, 0.012)
+    probs = np.full((5, 128), EPS)
     roll = PianoRoll(np.zeros((3, 128)), 0.012)
     with pytest.warns(UserWarning):
         ce = pitch_cross_entropy(probs, roll)
@@ -113,9 +111,8 @@ def test_ce_truncates_with_warning():
 
 
 def test_ce_velocity_weighting_changes_value():
-    values = np.full((2, 128), EPS)
-    values[:, 60] = 0.4
-    probs = PitchProbMatrix(values, 0.012)
+    probs = np.full((2, 128), EPS)
+    probs[:, 60] = 0.4
     roll_values = np.zeros((2, 128))
     roll_values[:, 60] = 0.5  # velocity 64-ish
     roll = PianoRoll(roll_values, 0.012)
@@ -126,8 +123,8 @@ def test_ce_velocity_weighting_changes_value():
 
 
 def test_ce_empty_inputs_rejected():
-    probs = PitchProbMatrix(np.full((0, 128), 0.5), 0.012)
-    with pytest.raises(ValueError):
+    probs = np.full((0, 128), 0.5)
+    with pytest.raises(ValueError, match="no overlapping frames"):
         pitch_cross_entropy(probs, PianoRoll(np.zeros((0, 128)), 0.012))
 
 

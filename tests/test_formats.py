@@ -10,7 +10,7 @@ import helpers
 import v1_checkpoints as v1
 from midisynth import acoustic, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
-from midisynth.errors import CorruptCheckpoint, FileFormatError, MidiSynthError
+from midisynth.errors import FileFormatError, MidiSynthError
 from midisynth.midi_io import PianoRoll
 
 
@@ -282,7 +282,7 @@ def test_container_names_stored_sorted(tmp_path, rng):
 def test_container_wrong_magic(tmp_path, rng):
     path = tmp_path / "m.ckpt"
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(FileFormatError, match="bad magic"):
         formats.read_container(path, b"ACM1", 1)
 
 
@@ -293,7 +293,7 @@ def test_container_unknown_version_is_corrupt(tmp_path, rng, version):
     body = bytearray(path.read_bytes()[:-4])
     struct.pack_into("<I", body, 4, version)
     path.write_bytes(v1.with_crc(bytes(body)))
-    with pytest.raises(CorruptCheckpoint, match=f"checkpoint version {version}"):
+    with pytest.raises(FileFormatError, match=f"checkpoint version {version}"):
         formats.read_container(path, b"NSF1", 1)
 
 
@@ -303,7 +303,7 @@ def test_container_crc_detects_flip(tmp_path, rng):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(FileFormatError, match="CRC mismatch"):
         formats.read_container(path, b"NSF1", 1)
 
 
@@ -312,10 +312,10 @@ def test_container_truncation_and_trailing_bytes(tmp_path, rng):
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(FileFormatError, match="CRC mismatch"):
         formats.read_container(path, b"NSF1", 1)
     path.write_bytes(blob + b"\x00\x00")
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(FileFormatError, match="CRC mismatch"):
         formats.read_container(path, b"NSF1", 1)
 
 
@@ -373,7 +373,7 @@ def test_bad_stored_config_is_corrupt(tmp_path, case):
     model, build = BAD_CONFIGS[case]
     path = tmp_path / "bad.ckpt"
     path.write_bytes(build())
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
         load_any(model, path)
 
 
@@ -384,7 +384,7 @@ def test_bad_stored_config_is_corrupt(tmp_path, case):
 def test_stored_config_over_size_bound_is_corrupt(tmp_path, model, build):
     path = tmp_path / "huge.ckpt"
     path.write_bytes(build())
-    with pytest.raises(CorruptCheckpoint,
+    with pytest.raises(FileFormatError,
                        match=f"^{re.escape(str(path))}: invalid stored config "
                              f"\\(the model has \\d+ parameters"):
         load_any(model, path)

@@ -6,8 +6,7 @@ import pytest
 import helpers
 from midisynth import midi_io
 from midisynth.dsp import FeatureMatrix
-from midisynth.errors import (DurationTooLong, MalformedHeader, MidiSynthError,
-                              TruncatedTrack, UnsupportedDivision)
+from midisynth.errors import FileFormatError, MidiSynthError, TooLarge
 from midisynth.midi_io import NoteEvent, NoteEventList, PianoRoll
 
 
@@ -132,7 +131,7 @@ def test_parse_tempo_change_scales_later_events():
 def test_parse_format_two_rejected():
     data = helpers.note_smf([(0, 480, 60, 100)])
     data = helpers.smf_header(fmt=2) + data[14:]
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(FileFormatError, match="unsupported SMF format 2"):
         midi_io.parse_midi(data)
 
 
@@ -140,31 +139,31 @@ def test_parse_smpte_division_rejected():
     body = helpers.note_smf([(0, 480, 60, 100)])[14:]
     header = b"MThd" + (6).to_bytes(4, "big") + (0).to_bytes(2, "big") \
         + (1).to_bytes(2, "big") + (0x8000 | 0x1D00 | 40).to_bytes(2, "big")
-    with pytest.raises(UnsupportedDivision):
+    with pytest.raises(FileFormatError, match="SMPTE time division"):
         midi_io.parse_midi(header + body)
 
 
 def test_parse_bad_magic_rejected():
     data = b"RIFF" + helpers.note_smf([(0, 480, 60, 100)])[4:]
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(FileFormatError, match="missing MThd chunk"):
         midi_io.parse_midi(data)
 
 
 def test_parse_truncated_track_rejected():
     data = helpers.note_smf([(0, 480, 60, 100)])
-    with pytest.raises(TruncatedTrack):
+    with pytest.raises(FileFormatError, match="track chunk overruns"):
         midi_io.parse_midi(data[:-4])
 
 
 def test_parse_rejects_duration_over_limit():
     assert len(helpers.LONG_SMF) == 36
-    with pytest.raises(DurationTooLong):
+    with pytest.raises(TooLarge, match="the limit is 3600 s"):
         midi_io.parse_midi(helpers.LONG_SMF)
     limit = midi_io.MAX_DURATION_SECONDS
     ok = NoteEventList(notes=(NoteEvent(60, 0.0, limit - 1.0, 100),))
     assert midi_io.parse_midi(midi_io.write_midi(ok)).duration == limit - 1.0
     long = NoteEventList(notes=(NoteEvent(60, 0.0, limit + 1.0, 100),))
-    with pytest.raises(DurationTooLong):
+    with pytest.raises(TooLarge, match="file lasts 3601 s"):
         midi_io.parse_midi(midi_io.write_midi(long))
 
 

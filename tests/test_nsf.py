@@ -10,12 +10,10 @@ import v1_checkpoints
 from midisynth import autograd as ag
 from midisynth import formats, nsf
 from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal
-from midisynth.errors import (CorruptCheckpoint, DimensionMismatch,
-                              LengthMismatch, ModelTooLarge,
-                              SampleRateMismatch, TrainingDiverged)
+from midisynth.errors import FileFormatError, TooLarge, TrainingDiverged
 from midisynth.midi_io import PianoRoll
-from midisynth.params import MAX_PARAMETERS, adam_update, check_parameter_count, \
-    pack_state_tensors
+from midisynth.params import MAX_EPOCHS, MAX_PARAMETERS, ModelParams, adam_update, \
+    check_parameter_count, fit, pack_state_tensors
 
 
 def make_inputs(cfg, n_frames, rng, kind="mel-fb"):
@@ -52,9 +50,9 @@ def test_parameter_bound():
     assert sum(math.prod(s) for s in nsf.nsf_param_shapes(
         nsf.NsfConfig(128, channels=512)).values()) == 7938562
     check_parameter_count({"w": ((MAX_PARAMETERS,), None)})
-    with pytest.raises(ModelTooLarge, match=f"limit is {MAX_PARAMETERS}"):
+    with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
         check_parameter_count({"w": ((MAX_PARAMETERS - 3,), 1), "b": ((4,), 1)})
-    with pytest.raises(ModelTooLarge):
+    with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
         nsf.NsfConfig(128, channels=10 ** 9)
 
 
@@ -130,12 +128,12 @@ def test_forward_input_checks(rng):
     feats, source = make_inputs(cfg, 4, rng)
     bad_dim = FeatureMatrix(np.zeros((4, cfg.feature_dim + 1)), "mel-fb",
                             feats.frame_shift, 24000.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="features have 4 dims"):
         nsf.nsf_forward(params, bad_dim, source, cfg)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="excitation has 31 samples"):
         nsf.nsf_forward(params, feats,
                         WaveSignal(source.samples[:-1], 24000.0), cfg)
-    with pytest.raises(SampleRateMismatch):
+    with pytest.raises(ValueError, match="excitation at 16000.0 Hz"):
         nsf.nsf_forward(params, feats,
                         WaveSignal(source.samples, 16000.0), cfg)
     linear = FeatureMatrix(np.zeros((4, cfg.feature_dim)), "linear-spec",
@@ -382,6 +380,29 @@ def test_train_rejects_empty_dataset():
         nsf.nsf_train(nsf.nsf_zero(cfg), [], nsf.TrainConfig(), cfg)
 
 
+def test_fit_bounds_the_epochs_of_a_run():
+    # a resumed run replays one shuffle per finished epoch, so a forged
+    # step count is refused before any of them, as is an endless run
+    calls = []
+
+    def loss_and_grads(params, item, index):
+        calls.append(index)
+        return 0.0, {"w": np.zeros(2)}
+
+    one_epoch = nsf.TrainConfig(batch_size=1, epochs=1)
+    with pytest.raises(TooLarge, match=f"step {2 ** 40} .*limit of {MAX_EPOCHS}"):
+        fit(ModelParams({"w": np.zeros(2)}, step=2 ** 40), [0], loss_and_grads,
+            one_epoch)
+    with pytest.raises(TooLarge, match=f"{MAX_EPOCHS + 1} more pass the limit"):
+        fit(ModelParams({"w": np.zeros(2)}), [0], loss_and_grads,
+            nsf.TrainConfig(batch_size=1, epochs=MAX_EPOCHS + 1))
+    assert calls == []
+    # the last epoch the bound allows still runs
+    trained, _ = fit(ModelParams({"w": np.zeros(2)}, step=MAX_EPOCHS - 1), [0],
+                     loss_and_grads, one_epoch)
+    assert calls == [0] and trained.step == MAX_EPOCHS
+
+
 def test_adam_zero_lr_keeps_values():
     cfg = helpers.tiny_nsf_cfg()
     params = nsf.nsf_init(cfg, seed=0)
@@ -545,7 +566,7 @@ def test_checkpoint_expected_cfg_mismatch(tmp_path):
     path = tmp_path / "model.ckpt"
     nsf.save_checkpoint(path, nsf.nsf_zero(cfg), cfg)
     other = helpers.tiny_nsf_cfg(channels=4)
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(FileFormatError, match="does not match expected"):
         nsf.load_checkpoint(path, expected_cfg=other)
 
 
@@ -556,7 +577,7 @@ def test_checkpoint_corrupt_file(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[10] ^= 0x55
     path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(FileFormatError, match="CRC mismatch"):
         nsf.load_checkpoint(path)
 
 
@@ -570,5 +591,5 @@ def test_checkpoint_bad_step_is_corrupt(tmp_path, step):
     tensors["adam.step"] = step
     path = tmp_path / "model.ckpt"
     formats.write_container(path, nsf.NSF_MAGIC, dataclasses.asdict(cfg), tensors)
-    with pytest.raises(CorruptCheckpoint, match="adam.step"):
+    with pytest.raises(FileFormatError, match="adam.step"):
         nsf.load_checkpoint(path)

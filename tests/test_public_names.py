@@ -1,5 +1,6 @@
 """Every public function and class of the package has a caller outside
-the tests, bar the few that the acceptance suite alone calls.
+the tests, bar the few that the acceptance suite alone calls, and every
+name a package module imports is used in that module.
 
 A name counts as used when some package module or bench script refers
 to it: as a bare name, an attribute or an imported name.  A function
@@ -46,3 +47,19 @@ def test_only_the_acceptance_suite_calls_these():
     unused = {name for name in public_definitions()
               if name.split(".")[1] not in used}
     assert unused == ACCEPTANCE_ONLY
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.stem}: {bound}")
+    assert unused == []
