@@ -423,10 +423,14 @@ def cmd_train(args):
         params = init(model_cfg, seed=train_cfg.seed)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{args.kind}.ckpt"
-    _, history = train(params, dataset, train_cfg, model_cfg,
-                       on_epoch_end=lambda _epoch, p: save(ckpt_path, p, model_cfg))
+
+    def save_epoch(_epoch, p):
+        # made here, so a run refused before its first epoch leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save(ckpt_path, p, model_cfg)
+
+    _, history = train(params, dataset, train_cfg, model_cfg, on_epoch_end=save_epoch)
     rows = [(step, f"{loss:.6f}") for step, loss in history]
     with open(out_dir / "loss.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([("step", "loss"), *rows])

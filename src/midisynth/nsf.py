@@ -18,8 +18,10 @@ graph bit for bit (up to the last bit that a multi-threaded BLAS may
 round differently in a large matrix-vector product, depending on how it
 splits the rows among threads).  The only per-clip arrays are the
 inputs, the output and the per-frame condition; working memory does not
-otherwise grow with clip length.  Training builds the same graph over
-the whole segment.
+otherwise grow with clip length.  Training runs the same windows: the
+loss gradient on the whole prediction goes back through each window's
+graph, recorded again from its receptive field (gradient checkpointing
+with one recompute), so its memory does not grow with the segment either.
 """
 
 from __future__ import annotations
@@ -35,9 +37,13 @@ from .params import ModelParams, affine, check_parameter_count, check_train_conf
     fit, init_params, is_number, load_model, save_model, zero_params
 
 NSF_MAGIC = b"NSF1"
-# Frames per inference window (96 ms at the defaults).  Timing a 10 s
-# nsf_forward on two cores, 8 frames (median 346 ms) beat 4, 6, 12, 16 and
-# 32 (361-508 ms).
+# Frames per window (96 ms at the defaults), in inference and in the
+# training backward alike.  Timing a 10 s nsf_forward on two cores, 8 frames
+# (median 346 ms) beat 4, 6, 12, 16 and 32 (361-508 ms).  A default-config
+# 1 s nsf_backward took 327, 316, 285, 300 and 371 ms at 4, 6, 8, 12 and 16
+# frames (medians of 15, interleaved), with tracemalloc peaks of 7, 10, 13,
+# 19 and 25 MiB; at 3 s, 4, 8 and 12 frames were within each other's spread
+# (649-713 ms) and 16 frames again the slowest (755 ms).
 _CHUNK_FRAMES = 8
 CONDITION_KINDS = ("mel-fb", "midi-fb", "piano-roll")
 
@@ -136,7 +142,7 @@ def _frame_condition(tensors, feat_values):
                   tensors["cond.bias"])
 
 
-def _build_graph(tensors, frame_cond, exc_values, cfg, start=0, stop=None):
+def _build_graph(tensors, frame_cond, exc_values, cfg, start, stop):
     """Model output for samples [start, stop) of the clip, shaped (rows, 1).
 
     The causal convolutions read zeros before start, so a window that does
@@ -158,6 +164,16 @@ def _build_graph(tensors, frame_cond, exc_values, cfg, start=0, stop=None):
     return ag.hard_clip(x, -1.0, 1.0)
 
 
+def _windows(total: int, cfg: NsfConfig):
+    """(lo, start, stop) for each window of _CHUNK_FRAMES frames: the
+    window owns rows [start, stop) and computes them from rows [lo, stop),
+    which reach _receptive_field(cfg) rows back."""
+    reach = _receptive_field(cfg)
+    step = _CHUNK_FRAMES * cfg.upsample_factor
+    for start in range(0, total, step):
+        yield max(0, start - reach), start, min(start + step, total)
+
+
 def nsf_forward(params: ModelParams, features: FeatureMatrix,
                 excitation: WaveSignal, cfg: NsfConfig) -> WaveSignal:
     """Synthesize a waveform; length is exactly n_frames * upsample_factor.
@@ -169,16 +185,11 @@ def nsf_forward(params: ModelParams, features: FeatureMatrix,
     channels), working memory does not grow with the clip.
     """
     _check_inputs(params, features, excitation, cfg)
-    total = len(excitation)
-    out = np.empty(total)
-    reach = _receptive_field(cfg)
-    step = _CHUNK_FRAMES * cfg.upsample_factor
+    out = np.empty(len(excitation))
     with ag.no_grad():
         tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
         frame_cond = _frame_condition(tensors, features.values)
-        for start in range(0, total, step):
-            lo = max(0, start - reach)
-            stop = min(start + step, total)
+        for lo, start, stop in _windows(len(out), cfg):
             window = _build_graph(tensors, frame_cond, excitation.samples, cfg,
                                   lo, stop)
             out[start:stop] = window.value[start - lo:, 0]
@@ -190,18 +201,29 @@ def nsf_backward(params: ModelParams, features: FeatureMatrix,
                  cfg: NsfConfig, resolutions=None):
     """Loss and parameter gradients for one aligned example.
 
-    The spectral loss gradient with respect to the predicted samples is
-    computed in closed form and pushed through the recorded graph;
-    mr_stft_loss refuses a target whose length or sample rate differs.
-    Returns (loss, dict of gradients matching params.tensors).
+    The spectral loss and its closed-form gradient are computed on the
+    whole nsf_forward prediction; mr_stft_loss refuses a target whose
+    length or sample rate differs.  The gradient then goes back through
+    the forward's windows, each graph recorded again, seeded with zero on
+    its receptive-field rows and freed before the next; the parameters and
+    the per-frame condition add up their gradients, and the frame affine
+    is backpropagated once, at the end.  Beyond the O(samples) loss
+    arrays, working memory does not grow with the segment.  Returns
+    (loss, dict of gradients matching params.tensors).
     """
-    _check_inputs(params, features, excitation, cfg)
-    tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
-    out = _build_graph(tensors, _frame_condition(tensors, features.values),
-                       excitation.samples, cfg)
-    pred = WaveSignal(out.value[:, 0], excitation.sample_rate)
+    pred = nsf_forward(params, features, excitation, cfg)
+    if len(pred) == 0:
+        raise ValueError("cannot compute a loss on an empty segment")
     loss, grad_pred = mr_stft_loss(pred, target, resolutions)
-    ag.backward(out, seed=grad_pred[:, None])
+    tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
+    frame_cond = _frame_condition(tensors, features.values)
+    cond = ag.Tensor(frame_cond.value)
+    for lo, start, stop in _windows(len(pred), cfg):
+        seed = np.zeros((stop - lo, 1))
+        seed[start - lo:, 0] = grad_pred[start:stop]
+        ag.backward(_build_graph(tensors, cond, excitation.samples, cfg, lo, stop),
+                    seed)
+    ag.backward(frame_cond, seed=cond.grad)
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
              for name, t in tensors.items()}
     return loss, grads

@@ -584,6 +584,21 @@ def test_resume_from_a_forged_step_exits_2(tmp_path):
     assert "limit of 65536" in proc.stderr
 
 
+def test_train_refused_before_its_first_epoch_makes_no_output_dir(tmp_path, capsys):
+    data = make_pair(tmp_path / "data")
+    cfg_path = nsf_config(tmp_path)
+    assert run_cli("train", "nsf", data, tmp_path / "first", "--config", cfg_path) == 0
+    forged = tmp_path / "forged.ckpt"
+    params, model_cfg = nsf.load_checkpoint(tmp_path / "first" / "nsf.ckpt")
+    params.step = 10 ** 12
+    nsf.save_checkpoint(forged, params, model_cfg)
+    capsys.readouterr()
+    assert run_cli("train", "nsf", data, tmp_path / "out", "--config", cfg_path,
+                   "--resume", forged) == 2
+    assert capsys.readouterr().err.startswith(f"error: step {10 ** 12} ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind,model,data", [
     ("nsf", {}, {"excitation": "sine"}),
     ("nsf", {}, {"excitation": "noise"}),

@@ -9,7 +9,7 @@ import helpers
 import v1_checkpoints
 from midisynth import autograd as ag
 from midisynth import formats, nsf
-from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal
+from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal, mr_stft_loss
 from midisynth.errors import FileFormatError, TooLarge, TrainingDiverged
 from midisynth.midi_io import PianoRoll
 from midisynth.params import MAX_EPOCHS, MAX_PARAMETERS, ModelParams, adam_update, \
@@ -169,11 +169,11 @@ def test_forward_empty_features():
 
 
 def whole_clip_forward(params, feats, source, cfg):
-    """The model over the whole clip in one graph, as training builds it."""
+    """The model over the whole clip in one graph, the reference for the windows."""
     with ag.no_grad():
         tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
         out = nsf._build_graph(tensors, nsf._frame_condition(tensors, feats.values),
-                               source.samples, cfg)
+                               source.samples, cfg, 0, len(source))
     return out.value[:, 0]
 
 
@@ -204,6 +204,48 @@ def test_chunked_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
     assert np.array_equal(out.samples, want)
 
 
+def whole_clip_backward(params, feats, source, target, cfg):
+    """Loss and gradients through one graph over the whole clip."""
+    tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
+    out = nsf._build_graph(tensors, nsf._frame_condition(tensors, feats.values),
+                           source.samples, cfg, 0, len(source))
+    loss, grad_pred = mr_stft_loss(WaveSignal(out.value[:, 0], 24000.0), target,
+                                   small_resolutions())
+    ag.backward(out, seed=grad_pred[:, None])
+    return loss, {name: t.grad for name, t in tensors.items()}
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 20])
+@pytest.mark.parametrize("n_frames", [1, 2, 9])
+def test_windowed_backward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
+    cfg = helpers.tiny_nsf_cfg(channels=4, blocks=2, convs=3)
+    params = nsf.nsf_init(cfg, seed=5)
+    for b in range(cfg.n_blocks):
+        params.tensors[f"block{b}.out.weight"][:] = \
+            rng.standard_normal((cfg.channels, 1)) * 0.05
+    feats, source = make_inputs(cfg, n_frames, rng)
+    target = WaveSignal(rng.standard_normal(len(source)) * 0.1, 24000.0)
+    monkeypatch.setattr(nsf, "_CHUNK_FRAMES", chunk)
+    loss, grads = nsf.nsf_backward(params, feats, source, target, cfg,
+                                   small_resolutions())
+    want_loss, want = whole_clip_backward(params, feats, source, target, cfg)
+    assert np.abs(whole_clip_forward(params, feats, source, cfg)).max() < 1.0
+    assert loss == want_loss
+    assert set(grads) == set(want)
+    for name, g in want.items():
+        assert np.abs(g).max() > 0.0, name
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+def test_backward_refuses_an_empty_segment():
+    cfg = helpers.tiny_nsf_cfg()
+    feats = FeatureMatrix(np.zeros((0, cfg.feature_dim)), "mel-fb",
+                          cfg.upsample_factor / 24000.0, 24000.0)
+    empty = WaveSignal(np.zeros(0), 24000.0)
+    with pytest.raises(ValueError, match="empty segment"):
+        nsf.nsf_backward(nsf.nsf_zero(cfg), feats, empty, empty, cfg)
+
+
 def test_forward_working_memory_does_not_grow_with_clip(rng):
     # tracemalloc sees numpy buffers; the output array and the per-frame
     # condition (n_frames x channels) must grow with the clip, so both are
@@ -227,16 +269,23 @@ def test_forward_working_memory_does_not_grow_with_clip(rng):
     assert working_bytes(40.0) <= 1.05 * working_bytes(5.0)
 
 
-def test_backward_memory_of_one_second_segment(rng):
-    # one second measures about 131 MB; a (samples x taps * channels) copy
-    # held on the tape by each of the ten convolutions would add about 92 MB
-    cfg = nsf.NsfConfig(feature_dim=80)
-    n_frames = 24000 // cfg.upsample_factor
+def default_segment(cfg, seconds, rng):
+    """Features, source and target of a segment for the default model."""
+    n_frames = round(seconds * 24000 / cfg.upsample_factor)
     feats = FeatureMatrix(rng.random((n_frames, cfg.feature_dim)), "mel-fb",
                           cfg.upsample_factor / 24000.0, 24000.0)
     source = WaveSignal(0.1 * rng.standard_normal(n_frames * cfg.upsample_factor),
                         24000.0)
     target = WaveSignal(0.1 * rng.standard_normal(len(source)), 24000.0)
+    return feats, source, target
+
+
+def test_backward_memory_of_one_second_segment(rng):
+    # one second measures about 14 MB, most of it one window's graph; the
+    # whole-segment graph measured 131 MB, and a (samples x taps * channels)
+    # copy held on the tape by each of the ten convolutions would add 9 MB
+    cfg = nsf.NsfConfig(feature_dim=80)
+    feats, source, target = default_segment(cfg, 1.0, rng)
     params = nsf.nsf_init(cfg, seed=0)
     tracemalloc.start()
     try:
@@ -244,7 +293,30 @@ def test_backward_memory_of_one_second_segment(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200e6
+    assert peak < 20e6
+
+
+def test_backward_graph_memory_does_not_grow_with_segment(rng, monkeypatch):
+    # The spectral loss holds O(samples) arrays of its own (33 MiB at 6 s),
+    # more than one window's graph, so under tracing it is replayed from a
+    # result computed beforehand; the prediction's 8 bytes a sample are left
+    # out too, which leaves the recorded graph.
+    cfg = nsf.NsfConfig(feature_dim=80)
+    params = nsf.nsf_init(cfg, seed=0)
+
+    def graph_bytes(seconds):
+        feats, source, target = default_segment(cfg, seconds, rng)
+        result = mr_stft_loss(nsf.nsf_forward(params, feats, source, cfg), target)
+        monkeypatch.setattr(nsf, "mr_stft_loss", lambda *_: result)
+        tracemalloc.start()
+        try:
+            nsf.nsf_backward(params, feats, source, target, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - source.samples.nbytes
+
+    assert graph_bytes(6.0) <= 1.2 * graph_bytes(1.0)
 
 
 # --- condition upsampling ---------------------------------------------------
