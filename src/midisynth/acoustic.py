@@ -88,7 +88,8 @@ class AmConfig:
         object.__setattr__(self, "prenet_widths", tuple(self.prenet_widths))
         if self.output_kind not in ("mel-fb", "midi-fb"):
             raise ValueError("output_kind must be mel-fb or midi-fb")
-        check_parameter_count(_layers(self))
+        check_parameter_count(sum(math.prod(shape)
+                                  for shape, _ in _layers(self).values()))
 
     @property
     def prenet_input_dim(self):

@@ -360,9 +360,10 @@ def _nsf_data(data_dir, model_section, train_section, data):
                           data["fft"], data["n_mels"])
         if feats.n_frames == 0:
             continue
-        target = excitation.fit_length(wave, feats.n_frames * shift)
-        source = _excitation(data["excitation"], notes, len(target), rate, 1.0,
-                             train_cfg.seed + idx)
+        # the source first: _excitation bounds the length before the target is padded
+        source = _excitation(data["excitation"], notes, feats.n_frames * shift, rate,
+                             1.0, train_cfg.seed + idx)
+        target = excitation.fit_length(wave, len(source))
         for lo, hi in _segment_frames(feats.n_frames, per_segment):
             dataset.append((
                 dataclasses.replace(feats, values=feats.values[lo:hi]),

@@ -71,9 +71,13 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 
 def write_wav(path, wave: WaveSignal) -> None:
-    """Write a PCM16 mono RIFF/WAVE file; non-finite samples are refused."""
+    """Write a PCM16 mono RIFF/WAVE file; non-finite samples are refused,
+    and so is a rate whose u32 byte rate, 2 x rate, would overflow."""
     if not np.isfinite(wave.samples).all():
         raise ValueError(f"{path}: refusing to write non-finite samples")
+    if not 1 <= wave.sample_rate <= 0xFFFFFFFF // 2:
+        raise ValueError(f"{path}: a WAV header cannot hold a sample rate of "
+                         f"{wave.sample_rate:.6g} Hz")
     rate = int(round(wave.sample_rate))
     payload = quantize_pcm16(wave.samples).tobytes()
     fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)

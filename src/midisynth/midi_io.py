@@ -322,7 +322,7 @@ def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
     never comes up it sounds to the end of the piece.  Onsets are never
     moved and notes are never shortened.
     """
-    events = sorted(notes.pedal)
+    events = sorted(notes.pedal, key=lambda e: e[0])  # stable: ties keep file order
     if not events:
         return notes
     intervals = []

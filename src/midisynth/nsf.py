@@ -62,7 +62,7 @@ class NsfConfig:
                   self.convs_per_block, self.channels, self.kernel)
         if any(type(f) is not int or f <= 0 for f in fields):
             raise ValueError("all config fields must be positive integers")
-        check_parameter_count(_layers(self))
+        check_parameter_count(_parameter_count(self))
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,14 @@ def _layers(cfg: NsfConfig) -> dict:
             layers.update(affine(f"block{b}.conv{j}", (k, c, c), k * c))
         layers.update(affine(f"block{b}.out", (c, 1), None))
     return layers
+
+
+def _parameter_count(cfg: NsfConfig) -> int:
+    """The number of values in _layers(cfg), counted without building a
+    table whose length grows with n_blocks and convs_per_block."""
+    c, k = cfg.channels, cfg.kernel
+    per_block = 3 * c + 1 + cfg.convs_per_block * (k * c + 1) * c
+    return (cfg.feature_dim + 1) * c + cfg.n_blocks * per_block
 
 
 def nsf_param_shapes(cfg: NsfConfig) -> dict:

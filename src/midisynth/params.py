@@ -44,10 +44,9 @@ def affine(name: str, shape, fan_in) -> dict:
     return {f"{name}.weight": (shape, fan_in), f"{name}.bias": (shape[-1:], fan_in)}
 
 
-def check_parameter_count(layers: dict) -> None:
-    """Refuse a layer table, name -> (shape, fan_in), of more than
-    MAX_PARAMETERS values before any of it is allocated."""
-    count = sum(math.prod(shape) for shape, _ in layers.values())
+def check_parameter_count(count: int) -> None:
+    """Refuse a model of more than MAX_PARAMETERS values before any of it
+    is allocated."""
     if count > MAX_PARAMETERS:
         raise TooLarge(f"the model has {count} parameters, "
                        f"the limit is {MAX_PARAMETERS}")
@@ -177,64 +176,12 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,
     return params, history
 
 
-def pack_state_tensors(params: ModelParams) -> dict:
-    """Flatten parameters and optimizer state into one name->tensor dict."""
-    out = dict(params.tensors)
-    for name, m in params.adam_m.items():
-        out[ADAM_PREFIX_M + name] = m
-    for name, v in params.adam_v.items():
-        out[ADAM_PREFIX_V + name] = v
-    out[STEP_TENSOR] = np.array([float(params.step)])
-    return out
-
-
-def _validate_state_shapes(path, params: ModelParams, shapes: dict) -> None:
-    """Check a loaded parameter set against the shapes a config implies."""
-    missing = set(shapes) - set(params.tensors)
-    extra = set(params.tensors) - set(shapes)
-    if missing or extra:
-        raise FileFormatError(
-            f"{path}: tensor names disagree with config "
-            f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
-    for name, shape in shapes.items():
-        if params.tensors[name].shape != tuple(shape):
-            raise FileFormatError(
-                f"{path}: tensor {name!r} has shape {params.tensors[name].shape}, "
-                f"config implies {tuple(shape)}")
-    for state in (params.adam_m, params.adam_v):
-        for name, value in state.items():
-            if name not in shapes:
-                raise FileFormatError(f"{path}: optimizer state for unknown "
-                                      f"tensor {name!r}")
-            if value.shape != tuple(shapes[name]):
-                raise FileFormatError(f"{path}: optimizer state shape "
-                                      f"mismatch for {name!r}")
-
-
-def unpack_state_tensors(path, tensors: dict) -> ModelParams:
-    """Inverse of pack_state_tensors for the file at path; unknown names
-    stay in tensors.  A step count that is not one finite, non-negative
-    number raises FileFormatError.
-    """
-    params = ModelParams(tensors={})
-    for name, value in tensors.items():
-        if name == STEP_TENSOR:
-            if value.size != 1 or not 0 <= value.item() < math.inf:
-                raise FileFormatError(f"{path}: {STEP_TENSOR} is not one finite, "
-                                      f"non-negative count")
-            params.step = int(round(value.item()))
-        elif name.startswith(ADAM_PREFIX_M):
-            params.adam_m[name[len(ADAM_PREFIX_M):]] = value
-        elif name.startswith(ADAM_PREFIX_V):
-            params.adam_v[name[len(ADAM_PREFIX_V):]] = value
-        else:
-            params.tensors[name] = value
-    return params
-
-
 def save_model(path, magic: bytes, params: ModelParams, cfg) -> None:
     """Checkpoint params, optimizer state and every field of cfg."""
-    write_container(path, magic, dataclasses.asdict(cfg), pack_state_tensors(params))
+    tensors = {**params.tensors, STEP_TENSOR: np.array([float(params.step)])}
+    for prefix, state in ((ADAM_PREFIX_M, params.adam_m), (ADAM_PREFIX_V, params.adam_v)):
+        tensors.update((prefix + name, value) for name, value in state.items())
+    write_container(path, magic, dataclasses.asdict(cfg), tensors)
 
 
 def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
@@ -243,9 +190,12 @@ def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
 
     v1_config maps the n_v1_fields u32 values of a version-1 file to
     config_cls arguments; fields it lacks come from expected_cfg if given,
-    so such a file is compared only on what it stored.  An invalid or
-    unexpected config, or tensors that do not fit param_shapes(config),
-    raise FileFormatError.
+    so such a file is compared only on what it stored.  The table holds
+    each tensor of param_shapes(config), Adam moments named after them,
+    and a step count.  An invalid or unexpected config, a missing tensor,
+    an unknown name, a shape that differs from the config's, or a step
+    count that is not one finite, non-negative number raises
+    FileFormatError.
     """
     config, tensors = read_container(path, magic, n_v1_fields)
     try:
@@ -263,6 +213,27 @@ def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
     if expected_cfg is not None and cfg != expected_cfg:
         raise FileFormatError(
             f"{path}: checkpoint config {cfg} does not match expected {expected_cfg}")
-    params = unpack_state_tensors(path, tensors)
-    _validate_state_shapes(path, params, param_shapes(cfg))
+    shapes = {name: tuple(shape) for name, shape in param_shapes(cfg).items()}
+    params = ModelParams(tensors={})
+    # the prefix of each name says where it goes; "" matches every name
+    states = {ADAM_PREFIX_M: params.adam_m, ADAM_PREFIX_V: params.adam_v,
+              "": params.tensors}
+    for name, value in tensors.items():
+        if name == STEP_TENSOR:
+            if value.size != 1 or not 0 <= value.item() < math.inf:
+                raise FileFormatError(f"{path}: {STEP_TENSOR} is not one finite, "
+                                      f"non-negative count")
+            params.step = int(round(value.item()))
+            continue
+        prefix = next(p for p in states if name.startswith(p))
+        key = name[len(prefix):]
+        if key not in shapes:
+            raise FileFormatError(f"{path}: unexpected tensor {name!r}")
+        if value.shape != shapes[key]:
+            raise FileFormatError(f"{path}: tensor {name!r} has shape {value.shape}, "
+                                  f"config implies {shapes[key]}")
+        states[prefix][key] = value
+    missing = shapes.keys() - params.tensors.keys()
+    if missing:
+        raise FileFormatError(f"{path}: tensors missing: {sorted(missing)}")
     return params, cfg

@@ -2,16 +2,21 @@
 
 Most cases drive cli.main(argv) in process and inspect files plus captured
 stdout/stderr.  The truncation-warning case shells out because pytest's
-warning capture would otherwise swallow the message, and the forged-step
-resume case so that a hang ends in a timeout.
+warning capture would otherwise swallow the message, the forged-step
+resume case so that a hang ends in a timeout, and the config sweep so that
+it runs under an address-space limit.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -784,6 +789,13 @@ def wav_with(command, seconds, *extra):
     return argv
 
 
+def huge_nsf_ckpt(path):
+    """A CRC-valid checkpoint, no tensors, whose config asks for 10**9 blocks."""
+    config = {**dataclasses.asdict(nsf.NsfConfig(128)), "n_blocks": 10 ** 9}
+    formats.write_container(path, nsf.NSF_MAGIC, config, {})
+    return path
+
+
 HOSTILE = {
     "synth-rate-0": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
                               "--nsf-ckpt", "nsf.ckpt", "--rate", "0"),
@@ -885,6 +897,20 @@ HOSTILE = {
                                         {"model": {"decoder_state_dim": 1000000000}}),
     "am-prenet-width-huge": train_with("am",
                                        {"model": {"prenet_widths": [1000000000, 8]}}),
+    # 4.0e12 and 1.6e12 parameters, counted before a layer table of 1.4e10
+    # or 4e9 entries is built
+    "nsf-n-blocks-huge": train_with("nsf", {"model": {"n_blocks": 10 ** 9}}),
+    "nsf-convs-huge": train_with("nsf", {"model": {"convs_per_block": 10 ** 9}}),
+    "synth-ckpt-n-blocks-huge": lambda p: midi_with(
+        "synth", helpers.note_smf([(0, 480, 64, 110)]),
+        "--nsf-ckpt", huge_nsf_ckpt(p / "huge.ckpt"))(p),
+    # 1.2e9 excitation samples, refused before the target is padded to them
+    "nsf-upsample-huge": train_with("nsf", {"model": {"upsample_factor": 10 ** 9}}),
+    # rates whose byte rate, 2 x rate, overflows the WAV header's u32
+    "excite-rate-over-wav-header": midi_with(
+        "excite", helpers.note_smf([(0, 1, 64, 110)]), "--rate", "2200000000"),
+    "gl-rate-over-wav-header": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", shift=288 / 5e9, rate=5e9), p / "out"],
 }
 # The config key that the error line of a case must name, or for a model
 # over the size bound, its parameter count.
@@ -895,7 +921,13 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-channels-huge": "parameters",
                 "am-decoder-state-huge": "parameters",
                 "am-prenet-width-huge": "parameters",
-                "am-resume-and-warm-start": "exclude each other"}
+                "am-resume-and-warm-start": "exclude each other",
+                "nsf-n-blocks-huge": "parameters",
+                "nsf-convs-huge": "parameters",
+                "synth-ckpt-n-blocks-huge": "parameters",
+                "nsf-upsample-huge": "excitation needs",
+                "excite-rate-over-wav-header": "WAV header",
+                "gl-rate-over-wav-header": "WAV header"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -919,12 +951,89 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     assert not (tmp_path / "out").exists()
 
 
+# Every value at every model, train and data key of both models, one at a
+# time, in a one-epoch run.  The keys come from the config classes and the
+# data tables, so a field is swept from the day it is added.
+SWEEP_VALUES = ["x", True, [1, 2], {}, None, np.nan, -1, 0, 0.5, 5, 10 ** 9]
+SWEEP_ADDRESS_SPACE = 2 ** 31  # a case that allocates without bound fails here
+
+
+def sweep_cases():
+    fields = lambda cls: {f.name for f in dataclasses.fields(cls)}
+    cases = []
+    for kind, model_cls, train_cls, data in (
+            ("nsf", nsf.NsfConfig, nsf.TrainConfig, cli.NSF_DATA),
+            ("am", acoustic.AmConfig, acoustic.AmTrainConfig, cli.AM_DATA)):
+        sections = {"model": fields(model_cls) - cli.FROM_DATA,
+                    "train": fields(train_cls), "data": set(data)}
+        for section, keys in sections.items():
+            for key in sorted(keys):
+                for value in SWEEP_VALUES:
+                    config = {"train": {"epochs": 1}}  # unless epochs is swept
+                    config.setdefault(section, {})[key] = value
+                    cases.append((kind, config))
+    return cases
+
+
+def run_sweep(data, work):
+    """Train on data with each sweep case; return a line for each case that
+    did not exit 0 or 2 with at most one stderr line and no warning."""
+    faults = []
+    for i, (kind, config) in enumerate(sweep_cases()):
+        cfg_path = Path(work) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = run_cli("train", kind, data, Path(work) / f"out{i}",
+                               "--config", cfg_path)
+            except Exception as exc:  # a traceback in a real run
+                code = repr(exc)
+        if code not in (0, 2) or err.getvalue().count("\n") > 1 or caught:
+            faults.append(f"{kind} {config}: exit {code}, stderr {err.getvalue()!r}, "
+                          f"warnings {[str(w.message) for w in caught]}")
+    return faults
+
+
+def test_config_sweep_exits_0_or_2_with_one_line_at_most(tmp_path):
+    assert len(sweep_cases()) == 418
+    data = make_pair(tmp_path / "data", seconds=0.3)
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({SWEEP_ADDRESS_SPACE},) * 2)\n"
+            "import test_cli\n"
+            "print(*test_cli.run_sweep(*sys.argv[1:]), sep='\\n')\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(data), str(tmp_path)],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])})
+    assert proc.returncode == 0 and not proc.stdout.strip(), \
+        proc.stdout + proc.stderr[-2000:]
+
+
 def test_gl_refusal_names_the_feature_file(tmp_path, capsys):
     for name, dim, value in (("overflow.mfb", 128, 400.0), ("width.mfb", 7, 0.0)):
         mfb = hostile_mfb(tmp_path / name, kind="midi-fb", dim=dim, value=value)
         assert run_cli("gl", mfb, tmp_path / "out.wav") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {mfb}: ") and err.count("\n") == 1, err
+
+
+def test_synth_refuses_a_checkpoint_tensor_of_the_wrong_shape(tmp_path, capsys):
+    ckpt = tmp_path / "nsf.ckpt"
+    helpers.write_zero_nsf_ckpt(ckpt)
+    config, tensors = formats.read_container(ckpt, nsf.NSF_MAGIC, 6)
+    tensors["cond.bias"] = np.zeros(5)
+    formats.write_container(ckpt, nsf.NSF_MAGIC, config, tensors)
+    midi = tmp_path / "in.mid"
+    midi.write_bytes(helpers.note_smf([(0, 480, 64, 110)]))
+    assert run_cli("synth", midi, tmp_path / "out.wav", "--nsf-ckpt", ckpt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.wav").exists()
 
 
 def test_bad_training_midi_file_is_named(tmp_path, capsys):

@@ -12,6 +12,7 @@ from midisynth import acoustic, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
 from midisynth.errors import FileFormatError, MidiSynthError
 from midisynth.midi_io import PianoRoll
+from midisynth.params import adam_update
 
 
 def build_wav(path, payload, channels=1, rate=24000, bits=16, audio_format=1):
@@ -42,6 +43,16 @@ def test_write_wav_refuses_non_finite_samples(tmp_path, bad):
     with pytest.raises(ValueError, match="non-finite"):
         formats.write_wav(path, WaveSignal(np.array([0.0, bad, 0.5]), 24000))
     assert not path.exists()
+
+
+def test_write_wav_refuses_a_rate_its_header_cannot_hold(tmp_path):
+    path = tmp_path / "x.wav"
+    for rate in (2 ** 31, 2.2e9, 0.4):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            formats.write_wav(path, WaveSignal(np.zeros(3), rate))
+        assert not path.exists()
+    formats.write_wav(path, WaveSignal(np.zeros(3), 2 ** 31 - 1))  # byte rate 2^32 - 2
+    assert formats.read_wav(path).sample_rate == 2 ** 31 - 1
 
 
 def test_wav_rejects_stereo(tmp_path):
@@ -387,4 +398,40 @@ def test_stored_config_over_size_bound_is_corrupt(tmp_path, model, build):
     with pytest.raises(FileFormatError,
                        match=f"^{re.escape(str(path))}: invalid stored config "
                              f"\\(the model has \\d+ parameters"):
+        load_any(model, path)
+
+
+# --- stored tensor tables ---------------------------------------------------
+
+# Each fault edits the tensor table of a model after one Adam step, whose
+# first tensor by name is `first`; the file stays CRC-valid.
+TABLE_FAULTS = {
+    "missing-tensor": lambda t, first: t.pop(first),
+    "unexpected-name": lambda t, first: t.update({"extra.weight": np.zeros(2)}),
+    "wrong-shape": lambda t, first: t.update({first: np.zeros(t[first].shape + (1,))}),
+    "adam-m-unknown": lambda t, first: t.update({"adam.m.extra.weight": np.zeros(2)}),
+    "adam-v-unknown": lambda t, first: t.update({"adam.v.extra.weight": np.zeros(2)}),
+    "adam-m-shape": lambda t, first: t.update({f"adam.m.{first}": np.zeros(3)}),
+    "adam-v-shape": lambda t, first: t.update({f"adam.v.{first}": np.zeros(3)}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+@pytest.mark.parametrize("model", [nsf, acoustic], ids=["nsf", "am"])
+def test_tensor_table_that_does_not_fit_the_config_is_corrupt(tmp_path, model, fault):
+    if model is nsf:
+        cfg, magic, n_v1 = helpers.tiny_nsf_cfg(), nsf.NSF_MAGIC, 6
+        params, save = nsf.nsf_init(cfg, seed=1), nsf.save_checkpoint
+    else:
+        cfg, magic, n_v1 = helpers.tiny_am_cfg(), acoustic.AM_MAGIC, 9
+        params, save = acoustic.am_init(cfg, seed=1), acoustic.am_save_checkpoint
+    adam_update(params, {k: np.ones_like(v) for k, v in params.tensors.items()}, lr=1e-2)
+    path = tmp_path / "model.ckpt"
+    save(path, params, cfg)
+    config, tensors = formats.read_container(path, magic, n_v1)
+    formats.write_container(path, magic, config, tensors)
+    assert load_any(model, path)[0].step == 1  # the table as written loads
+    TABLE_FAULTS[fault](tensors, min(params.tensors))
+    formats.write_container(path, magic, config, tensors)
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
         load_any(model, path)

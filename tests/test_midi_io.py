@@ -316,6 +316,22 @@ def test_pedal_multiple_intervals():
     assert out.notes[1].offset == pytest.approx(1.5)
 
 
+def test_pedal_events_on_one_tick_keep_file_order():
+    # 480 ticks a quarter at 120 bpm: the pedal goes down at 0 s, down
+    # then up on the tick of 1 s, and a note sounds from 3 s to 3.5 s
+    # before an end of track at 8 s
+    cc64 = lambda delta, value: helpers.vlq(delta) + bytes([0xB0, 64, value])
+    data = helpers.single_track_smf([
+        cc64(0, 127), cc64(960, 127), cc64(0, 0),
+        helpers.vlq(1920) + bytes([0x90, 64, 100]),
+        helpers.vlq(480) + bytes([0x80, 64, 64]),
+        helpers.eot(4320)], append_eot=False)
+    notes = midi_io.parse_midi(data)
+    assert notes.duration == pytest.approx(8.0)
+    out = midi_io.apply_sustain_pedal(notes)
+    assert out.notes[0].offset == pytest.approx(3.5)
+
+
 # --- piano roll -------------------------------------------------------------
 
 

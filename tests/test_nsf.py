@@ -13,7 +13,7 @@ from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal, mr_stft_loss
 from midisynth.errors import FileFormatError, TooLarge, TrainingDiverged
 from midisynth.midi_io import PianoRoll
 from midisynth.params import MAX_EPOCHS, MAX_PARAMETERS, ModelParams, adam_update, \
-    check_parameter_count, fit, pack_state_tensors
+    check_parameter_count, fit
 
 
 def make_inputs(cfg, n_frames, rng, kind="mel-fb"):
@@ -49,11 +49,22 @@ def test_param_shapes_cover_all_blocks():
 def test_parameter_bound():
     assert sum(math.prod(s) for s in nsf.nsf_param_shapes(
         nsf.NsfConfig(128, channels=512)).values()) == 7938562
-    check_parameter_count({"w": ((MAX_PARAMETERS,), None)})
+    check_parameter_count(MAX_PARAMETERS)
     with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
-        check_parameter_count({"w": ((MAX_PARAMETERS - 3,), 1), "b": ((4,), 1)})
-    with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
-        nsf.NsfConfig(128, channels=10 ** 9)
+        check_parameter_count(MAX_PARAMETERS + 1)
+    for field in ("channels", "n_blocks", "convs_per_block"):
+        with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
+            nsf.NsfConfig(128, **{field: 10 ** 9})
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"channels": 1, "kernel": 1}, {"n_blocks": 7, "convs_per_block": 1},
+    {"feature_dim": 80, "channels": 5, "kernel": 4, "n_blocks": 3, "convs_per_block": 6},
+])
+def test_parameter_count_is_the_size_of_the_layer_table(fields):
+    cfg = nsf.NsfConfig(**{"feature_dim": 128, **fields})
+    assert nsf._parameter_count(cfg) == sum(
+        math.prod(shape) for shape in nsf.nsf_param_shapes(cfg).values())
 
 
 def test_init_zeroes_output_projections():
@@ -659,8 +670,7 @@ def test_checkpoint_corrupt_file(tmp_path):
                          ids=["empty", "nan", "inf", "negative", "two"])
 def test_checkpoint_bad_step_is_corrupt(tmp_path, step):
     cfg = helpers.tiny_nsf_cfg()
-    tensors = pack_state_tensors(nsf.nsf_zero(cfg))
-    tensors["adam.step"] = step
+    tensors = {**nsf.nsf_zero(cfg).tensors, "adam.step": step}
     path = tmp_path / "model.ckpt"
     formats.write_container(path, nsf.NSF_MAGIC, dataclasses.asdict(cfg), tensors)
     with pytest.raises(FileFormatError, match="adam.step"):
