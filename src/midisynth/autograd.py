@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps an ndarray together with the tensors it was computed
 from (its parents) and one adjoint, which maps the Tensor's gradient to
@@ -7,6 +7,8 @@ topological order, zipping each node's parents with its adjoint's
 gradients and accumulating them.  Recording can be switched off globally
 with no_grad(), in which case the same op functions run as plain numpy
 with no tape, so forward inference and training share one code path.
+Every recorded value is float64; under no_grad() a Tensor keeps a float32
+array as float32, so inference can run the same ops at that precision.
 
 Convolutions, linear-interpolation upsampling and the GRU recurrence
 (gru_sequence, over the cell gru_cell) are single primitives with
@@ -43,7 +45,10 @@ class Tensor:
     __slots__ = ("value", "grad", "parents", "adjoint")
 
     def __init__(self, value, parents=(), adjoint=None):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        if _GRAD_ENABLED or value.dtype != np.float32:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.grad = None
         self.parents = tuple(parents) if _GRAD_ENABLED else ()
         self.adjoint = adjoint if _GRAD_ENABLED else None
@@ -158,6 +163,16 @@ def reshape(a, shape):
                   lambda g: (g.reshape(a.value.shape),))
 
 
+def astype(a, dtype):
+    """a's value in dtype, or a itself if it has that dtype; the gradient
+    passes through unchanged.  A recorded value is float64 whatever the
+    cast, so only no_grad() code sees a float32 result."""
+    a = as_tensor(a)
+    if a.value.dtype == dtype:
+        return a
+    return Tensor(a.value.astype(dtype), (a,), lambda g: (g,))
+
+
 def slice_rows(a, start: int, stop: int):
     a = as_tensor(a)
     n = a.value.shape[0]
@@ -231,7 +246,7 @@ def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
         pos = np.arange(start, stop) * (n_in - 1) / (out_rows - 1)
     idx0 = np.minimum(pos.astype(np.int64), n_in - 1)
     idx1 = np.minimum(idx0 + 1, n_in - 1)
-    frac = (pos - idx0)[:, None]
+    frac = (pos - idx0)[:, None].astype(a.value.dtype, copy=False)
     value = a.value[idx0] * (1.0 - frac) + a.value[idx1] * frac
 
     def adjoint(g):

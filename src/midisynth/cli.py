@@ -171,7 +171,7 @@ def _synthesize(args, notes, params, model_cfg):
         raise ValueError("nothing to synthesize: zero frames")
     source = _excitation(args.excitation, notes, feats.n_frames * shift, rate,
                          args.gain, args.seed)
-    return nsf.nsf_forward(params, feats, source, model_cfg)
+    return nsf.nsf_forward(params, feats, source, model_cfg, np.float32)
 
 
 def cmd_synth(args):

@@ -14,14 +14,22 @@ Inference runs in windows of _CHUNK_FRAMES frames.  Each window is
 computed from the receptive field's worth of samples before it (R =
 n_blocks * (kernel - 1) * (2^convs_per_block - 1), 124 at the defaults)
 and those first R rows are dropped, so the output equals the whole-clip
-graph bit for bit (up to the last bit that a multi-threaded BLAS may
-round differently in a large matrix-vector product, depending on how it
-splits the rows among threads).  The only per-clip arrays are the
-inputs, the output and the per-frame condition; working memory does not
-otherwise grow with clip length.  Training runs the same windows: the
-loss gradient on the whole prediction goes back through each window's
-graph, recorded again from its receptive field (gradient checkpointing
-with one recompute), so its memory does not grow with the segment either.
+graph of the same dtype bit for bit (up to the last bit that a
+multi-threaded BLAS may round differently in a large matrix-vector
+product, depending on how it splits the rows among threads).  The only
+per-clip arrays are the inputs, the output and the per-frame condition;
+working memory does not otherwise grow with clip length.  Training runs
+the same windows: the loss gradient on the whole prediction goes back
+through each window's graph, recorded again from its receptive field
+(gradient checkpointing with one recompute), so its memory does not grow
+with the segment either.
+
+Training runs in float64.  Synthesis asks for a float32 channel stack:
+the condition, each block's input projection, convolutions and tanh
+residuals are float32, while the running signal, the output projections
+and the output stay float64, so zero output projections still pass the
+excitation through exactly.  A model whose stack could overflow float32
+runs in float64 instead (_stack_dtype).
 """
 
 from __future__ import annotations
@@ -38,13 +46,19 @@ from .params import ModelParams, affine, check_parameter_count, check_train_conf
 
 NSF_MAGIC = b"NSF1"
 # Frames per window (96 ms at the defaults), in inference and in the
-# training backward alike.  Timing a 10 s nsf_forward on two cores, 8 frames
-# (median 346 ms) beat 4, 6, 12, 16 and 32 (361-508 ms).  A default-config
-# 1 s nsf_backward took 327, 316, 285, 300 and 371 ms at 4, 6, 8, 12 and 16
-# frames (medians of 15, interleaved), with tracemalloc peaks of 7, 10, 13,
-# 19 and 25 MiB; at 3 s, 4, 8 and 12 frames were within each other's spread
-# (649-713 ms) and 16 frames again the slowest (755 ms).
+# training backward alike.  Timing a 10 s float64 nsf_forward on two cores,
+# 8 frames (median 346 ms) beat 4, 6, 12, 16 and 32 (361-508 ms).  A
+# default-config 1 s nsf_backward took 327, 316, 285, 300 and 371 ms at 4,
+# 6, 8, 12 and 16 frames (medians of 15, interleaved), with tracemalloc
+# peaks of 7, 10, 13, 19 and 25 MiB; at 3 s, 4, 8 and 12 frames were within
+# each other's spread (649-713 ms) and 16 frames again the slowest (755 ms).
+# With the float32 stack, a 10 s nsf_forward took 297, 255 and 314 ms at 4,
+# 8 and 16 frames (medians of 9, interleaved with a 1 s nsf_backward at
+# 303, 261 and 345 ms), so 8 still wins in both.
 _CHUNK_FRAMES = 8
+# Most magnitude a value of a float32 channel stack may reach (see
+# _stack_dtype): far inside float32's range of 3.4e38, so none overflows.
+_FLOAT32_BOUND = 2.0 ** 64
 CONDITION_KINDS = ("mel-fb", "midi-fb", "piano-roll")
 
 
@@ -144,10 +158,46 @@ def _receptive_field(cfg: NsfConfig) -> int:
     return cfg.n_blocks * (cfg.kernel - 1) * (2 ** cfg.convs_per_block - 1)
 
 
+def _stack_tensors(params, dtype):
+    """Leaf tensors of the graph: the channel stack in dtype, the output
+    projections in float64, as the running signal they add to."""
+    return {name: ag.Tensor(v if ".out." in name else v.astype(dtype, copy=False))
+            for name, v in params.tensors.items()}
+
+
+def _stack_dtype(params, features, excitation, cfg):
+    """float32, unless a value of a float32 stack could pass _FLOAT32_BOUND.
+
+    The bound follows each layer from the largest magnitude of its inputs
+    and tensors: an affine of fan-in n gives at most n * |w| * |x| + |b|,
+    a tanh residual adds at most 1, and the float64 running signal enters
+    the next block's input projection.  Trained weights stay far below it;
+    a hostile checkpoint or feature matrix gets the float64 stack.
+    """
+    top = {name: float(np.abs(v).max(initial=0.0)) for name, v in params.tensors.items()}
+    c, k = cfg.channels, cfg.kernel
+    cond = cfg.feature_dim * top["cond.weight"] * float(
+        np.abs(features.values).max(initial=0.0)) + top["cond.bias"]
+    x = float(np.abs(excitation.samples).max(initial=0.0))
+    peak = cond
+    for b in range(cfg.n_blocks):
+        h = x * top[f"block{b}.in.weight"] + top[f"block{b}.in.bias"] + cond
+        peak = max(peak, x, h)
+        for j in range(cfg.convs_per_block):
+            conv = k * c * top[f"block{b}.conv{j}.weight"] * h \
+                + top[f"block{b}.conv{j}.bias"]
+            h += 1.0
+            peak = max(peak, conv, h)
+        x += c * top[f"block{b}.out.weight"] * h + top[f"block{b}.out.bias"]
+    return np.float32 if peak <= _FLOAT32_BOUND else np.float64
+
+
 def _frame_condition(tensors, feat_values):
-    """The per-frame condition affine, before upsampling."""
-    return ag.add(ag.matmul(ag.Tensor(feat_values), tensors["cond.weight"]),
-                  tensors["cond.bias"])
+    """The per-frame condition affine, before upsampling, in the dtype of
+    its weight."""
+    weight = tensors["cond.weight"]
+    feats = ag.Tensor(feat_values.astype(weight.value.dtype, copy=False))
+    return ag.add(ag.matmul(feats, weight), tensors["cond.bias"])
 
 
 def _build_graph(tensors, frame_cond, exc_values, cfg, start, stop):
@@ -160,7 +210,8 @@ def _build_graph(tensors, frame_cond, exc_values, cfg, start, stop):
     cond = ag.upsample_linear(frame_cond, t_total, start=start, stop=stop)
     x = ag.Tensor(exc_values[start:stop, None])
     for b in range(cfg.n_blocks):
-        h = ag.add(ag.add(ag.matmul(x, tensors[f"block{b}.in.weight"]),
+        h = ag.add(ag.add(ag.matmul(ag.astype(x, cond.value.dtype),
+                                    tensors[f"block{b}.in.weight"]),
                           tensors[f"block{b}.in.bias"]), cond)
         for j in range(cfg.convs_per_block):
             conv = ag.conv1d(h, tensors[f"block{b}.conv{j}.weight"],
@@ -183,19 +234,25 @@ def _windows(total: int, cfg: NsfConfig):
 
 
 def nsf_forward(params: ModelParams, features: FeatureMatrix,
-                excitation: WaveSignal, cfg: NsfConfig) -> WaveSignal:
+                excitation: WaveSignal, cfg: NsfConfig,
+                dtype=np.float64) -> WaveSignal:
     """Synthesize a waveform; length is exactly n_frames * upsample_factor.
 
-    The clip is rendered in windows of _CHUNK_FRAMES frames, each computed
-    from _receptive_field(cfg) extra samples before it, and written into
-    one output array.  The result equals the whole-clip graph bit for bit.
-    Apart from the output and the per-frame condition (n_frames x
-    channels), working memory does not grow with the clip.
+    dtype is that of the channel stack: float64, or float32, which is
+    taken only where _stack_dtype finds that nothing in the stack can
+    overflow it.  The output is float64 either way.  The clip is rendered
+    in windows of _CHUNK_FRAMES frames, each computed from
+    _receptive_field(cfg) extra samples before it, and written into one
+    output array.  The result equals the whole-clip graph of the same
+    dtype bit for bit.  Apart from the output and the per-frame condition
+    (n_frames x channels), working memory does not grow with the clip.
     """
     _check_inputs(params, features, excitation, cfg)
+    if dtype == np.float32:
+        dtype = _stack_dtype(params, features, excitation, cfg)
     out = np.empty(len(excitation))
     with ag.no_grad():
-        tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
+        tensors = _stack_tensors(params, dtype)
         frame_cond = _frame_condition(tensors, features.values)
         for lo, start, stop in _windows(len(out), cfg):
             window = _build_graph(tensors, frame_cond, excitation.samples, cfg,
@@ -223,7 +280,7 @@ def nsf_backward(params: ModelParams, features: FeatureMatrix,
     if len(pred) == 0:
         raise ValueError("cannot compute a loss on an empty segment")
     loss, grad_pred = mr_stft_loss(pred, target, resolutions)
-    tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
+    tensors = _stack_tensors(params, np.float64)
     frame_cond = _frame_condition(tensors, features.values)
     cond = ag.Tensor(frame_cond.value)
     for lo, start, stop in _windows(len(pred), cfg):

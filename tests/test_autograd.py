@@ -301,3 +301,29 @@ def test_deep_chain_iterative_backward():
         y = ag.add(y, x)
     ag.backward(scalarize(y))
     assert x.grad is not None
+
+
+def test_float32_values_are_kept_under_no_grad_only(rng):
+    x32 = rng.standard_normal((4, 3)).astype(np.float32)
+    with ag.no_grad():
+        assert ag.Tensor(x32).value.dtype == np.float32
+        assert ag.tanh(ag.matmul(x32, x32.T)).value.dtype == np.float32
+        assert ag.upsample_linear(x32, 9).value.dtype == np.float32
+    assert ag.Tensor(x32).value.dtype == np.float64
+    assert ag.astype(x32, np.float32).value.dtype == np.float64
+
+
+def test_recorded_float32_inputs_give_the_float64_gradients(rng):
+    arrays = [rng.standard_normal(shape).astype(np.float32)
+              for shape in ((7, 3), (3, 3), (3, 3, 2), (2,))]
+    seed = rng.standard_normal((7, 2))
+
+    def grads(dtype):
+        x, w, cw, cb = (ag.Tensor(a.astype(dtype)) for a in arrays)
+        h = ag.add(ag.matmul(ag.astype(x, np.float32), w), x)
+        ag.backward(ag.conv1d(h, cw, cb, dilation=2), seed)
+        return [x.grad, w.grad, cw.grad, cb.grad]
+
+    for got, want in zip(grads(np.float32), grads(np.float64)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)

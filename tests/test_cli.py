@@ -571,6 +571,43 @@ def test_train_nsf_resume_continues_steps(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["5", "6", "7", "8"]
 
 
+@pytest.mark.parametrize("mode", ["direct", "am+nsf"])
+@pytest.mark.parametrize("kind", ["sine", "noise"])
+def test_synth_is_within_one_pcm_step_of_the_float64_model(tmp_path, capsys,
+                                                          monkeypatch, mode, kind):
+    """synth runs the channel stack in float32; every sample it writes is
+    within one PCM16 step of the float64 model on the same inputs."""
+    data = make_pair(tmp_path / "data", seconds=0.3)
+    run = tmp_path / "run"
+    config = nsf_config(tmp_path, learning_rate=0.05, epochs=6)
+    assert run_cli("train", "nsf", data, run, "--config", config) == 0
+    params, cfg = nsf.load_checkpoint(run / "nsf.ckpt")
+    assert np.abs(params.tensors["block0.out.weight"]).max() > 0.05  # trained
+    calls = []
+    forward = nsf.nsf_forward
+
+    def spy(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(nsf, "nsf_forward", spy)
+    midi = tmp_path / "in.mid"
+    write_midi_file(midi, [(0.0, 0.6, 69, 100), (0.2, 0.9, 76, 80),
+                           (0.7, 1.2, 64, 110)])
+    helpers.write_tiny_am_ckpt(tmp_path / "am.ckpt")
+    out = tmp_path / "out.wav"
+    assert run_cli("synth", midi, out, "--nsf-ckpt", run / "nsf.ckpt", "--mode", mode,
+                   "--am-ckpt", tmp_path / "am.ckpt", "--excitation", kind) == 0
+    capsys.readouterr()
+    (_, feats, source, _, dtype), = calls
+    assert dtype == np.float32
+    assert nsf._stack_dtype(params, feats, source, cfg) == np.float32
+    want = formats.quantize_pcm16(forward(params, feats, source, cfg).samples)
+    got = np.frombuffer(out.read_bytes()[44:], "<i2")
+    assert len(got) == len(want)
+    assert np.abs(got.astype(int) - want).max() <= 1
+
+
 def test_resume_from_a_forged_step_exits_2(tmp_path):
     """A step count of 10 ** 12 would have the resumed run replay 5e11
     shuffles before its first epoch; it is refused at once instead."""
@@ -949,6 +986,46 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert HOSTILE_KEYS.get(case, "") in err
     assert not (tmp_path / "out").exists()
+
+
+def scaled_nsf_ckpt(path, scales):
+    """A seeded eight-block NSF checkpoint with non-zero output projections,
+    whose tensors named in scales are multiplied by the given factors."""
+    cfg = nsf.NsfConfig(feature_dim=128, channels=4, n_blocks=8, convs_per_block=2)
+    params = nsf.nsf_init(cfg, seed=3)
+    rng = np.random.default_rng(4)
+    for name, value in params.tensors.items():
+        if ".out." in name:
+            params.tensors[name] = rng.uniform(-0.1, 0.1, value.shape)
+    for name, scale in scales.items():
+        params.tensors[name] = params.tensors[name] * scale
+    nsf.save_checkpoint(path, params, cfg)
+    return path
+
+
+# Checkpoints whose weights are finite but large: synthesis falls back from
+# the float32 channel stack to float64 wherever float32 could overflow.
+# In the last, no tensor passes 2^16, but the blocks multiply the running
+# signal by so much that it leaves float32's range before the eighth.
+HOSTILE_WEIGHTS = {
+    "conv-1e39": {"block0.conv0.weight": 1e39},
+    "conv-1e300": {"block0.conv1.weight": 1e300},
+    "cond-1e20": {"cond.weight": 1e20},
+    "deep-gain": {f"block{b}.{part}.weight": scale for b in range(8)
+                  for part, scale in (("in", 2.0 ** 15), ("out", 2.0 ** 18))},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(HOSTILE_WEIGHTS))
+def test_synth_with_large_finite_weights_writes_a_finite_wav(tmp_path, capsys, case):
+    midi = tmp_path / "in.mid"
+    midi.write_bytes(helpers.note_smf([(0, 480, 64, 110), (240, 960, 71, 90)]))
+    ckpt = scaled_nsf_ckpt(tmp_path / "nsf.ckpt", HOSTILE_WEIGHTS[case])
+    out = tmp_path / "out.wav"
+    assert run_cli("synth", midi, out, "--nsf-ckpt", ckpt) == 0
+    assert capsys.readouterr().err == ""
+    assert np.isfinite(formats.read_wav(out).samples).all()
 
 
 # Every value at every model, train and data key of both models, one at a

@@ -98,6 +98,14 @@ def test_zero_params_forward_is_identity(rng):
     assert np.array_equal(out.samples, source.samples)
 
 
+def test_zero_params_float32_forward_is_identity(rng):
+    # the running signal stays float64, so the float32 stack adds exact zeros
+    cfg = helpers.tiny_nsf_cfg()
+    feats, source = make_inputs(cfg, 5, rng)
+    out = nsf.nsf_forward(nsf.nsf_zero(cfg), feats, source, cfg, np.float32)
+    assert np.array_equal(out.samples, source.samples)
+
+
 def test_random_init_forward_is_identity(rng):
     # output projections start at zero, so every block is a no-op
     cfg = helpers.tiny_nsf_cfg()
@@ -179,10 +187,10 @@ def test_forward_empty_features():
 # --- chunked inference ------------------------------------------------------
 
 
-def whole_clip_forward(params, feats, source, cfg):
+def whole_clip_forward(params, feats, source, cfg, dtype=np.float64):
     """The model over the whole clip in one graph, the reference for the windows."""
     with ag.no_grad():
-        tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
+        tensors = nsf._stack_tensors(params, dtype)
         out = nsf._build_graph(tensors, nsf._frame_condition(tensors, feats.values),
                                source.samples, cfg, 0, len(source))
     return out.value[:, 0]
@@ -213,6 +221,32 @@ def test_chunked_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
     want = whole_clip_forward(params, feats, source, cfg)
     assert np.abs(want).max() < 1.0  # nothing hidden by the output clip
     assert np.array_equal(out.samples, want)
+
+
+@pytest.mark.parametrize("n_frames, chunk", [(9, 1), (9, 4), (9, 20), (2, 1)])
+def test_chunked_float32_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
+    cfg = helpers.tiny_nsf_cfg(channels=4, blocks=2, convs=3)
+    params = nsf.nsf_init(cfg, seed=5)
+    for b in range(cfg.n_blocks):
+        params.tensors[f"block{b}.out.weight"][:] = \
+            rng.standard_normal((cfg.channels, 1)) * 0.05
+    feats, source = make_inputs(cfg, n_frames, rng)
+    monkeypatch.setattr(nsf, "_CHUNK_FRAMES", chunk)
+    conv_inputs = set()
+    real_conv1d = ag.conv1d
+
+    def conv1d(h, *args, **kwargs):
+        conv_inputs.add(h.value.dtype)
+        return real_conv1d(h, *args, **kwargs)
+
+    monkeypatch.setattr(ag, "conv1d", conv1d)
+    out = nsf.nsf_forward(params, feats, source, cfg, np.float32)
+    want = whole_clip_forward(params, feats, source, cfg, np.float32)
+    assert np.array_equal(out.samples, want)
+    # a float32 stack, within float32's rounding of the float64 one
+    assert conv_inputs == {np.dtype(np.float32)}
+    exact = whole_clip_forward(params, feats, source, cfg)
+    assert 0 < np.abs(want - exact).max() < 1e-5
 
 
 def whole_clip_backward(params, feats, source, target, cfg):
