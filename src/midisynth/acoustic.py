@@ -36,60 +36,42 @@ from . import autograd as ag
 from .dsp import FeatureMatrix
 from .errors import TrainingDiverged
 from .midi_io import PianoRoll
-from .params import ModelParams, affine, check_parameter_count, check_train_config, \
-    fit, init_params, is_number, load_model, save_model
+from .params import NON_NEGATIVE_INT, POSITIVE_INT, POSITIVE_INT_PAIR, POSITIVE_NUMBER, \
+    UNIT_INTERVAL, ModelParams, affine, check_fields, check_layer_table, declared, fit, \
+    init_params, load_model, one_of, save_model
 
 AM_MAGIC = b"ACM1"
 VARIANTS = ("taco2", "taco3", "taco4")
 MAX_REDUCTION = 4
-_VARIANT_DEFAULTS = {  # (downsample_factor, prenet_dropout)
-    "taco2": (4, 0.99),
-    "taco3": (4, 0.99),
-    "taco4": (1, 0.5),
-}
+# each variant's default (downsample_factor, prenet_dropout)
+_VARIANT_DEFAULTS = {"taco2": (4, 0.99), "taco3": (4, 0.99), "taco4": (1, 0.5)}
 
 
 @dataclass(frozen=True)
 class AmConfig:
-    variant: str = "taco2"
-    input_dim: int = 128
-    output_dim: int = 128
-    downsample_factor: int | None = None
-    prenet_dropout: float | None = None
-    encoder_channels: int = 64
-    decoder_state_dim: int = 64
-    prenet_widths: tuple = (256, 128)
-    postnet_channels: int = 64
-    output_kind: str = "midi-fb"
+    variant: str = declared(one_of(*VARIANTS), "taco2")
+    input_dim: int = declared(POSITIVE_INT, 128)
+    output_dim: int = declared(POSITIVE_INT, 128)
+    downsample_factor: int | None = declared(one_of(1, 2, 4), None)
+    prenet_dropout: float | None = declared(UNIT_INTERVAL, None)
+    encoder_channels: int = declared(POSITIVE_INT, 64)
+    decoder_state_dim: int = declared(POSITIVE_INT, 64)
+    prenet_widths: tuple = declared(POSITIVE_INT_PAIR, (256, 128))
+    postnet_channels: int = declared(POSITIVE_INT, 64)
+    output_kind: str = declared(one_of("mel-fb", "midi-fb"), "midi-fb")
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        factor, dropout = _VARIANT_DEFAULTS[self.variant]
-        if self.downsample_factor is None:
-            object.__setattr__(self, "downsample_factor", factor)
-        if self.prenet_dropout is None:
-            object.__setattr__(self, "prenet_dropout", dropout)
+        if self.variant in VARIANTS:  # else check_fields names it
+            factor, dropout = _VARIANT_DEFAULTS[self.variant]
+            if self.downsample_factor is None:
+                object.__setattr__(self, "downsample_factor", factor)
+            if self.prenet_dropout is None:
+                object.__setattr__(self, "prenet_dropout", dropout)
+        check_fields(self)
         if self.variant == "taco4" and self.downsample_factor != 1:
             raise ValueError("taco4 runs at the full frame rate (factor 1)")
-        if type(self.downsample_factor) is not int \
-                or self.downsample_factor not in (1, 2, 4):
-            raise ValueError("downsample_factor must be 1, 2, or 4")
-        if not (is_number(self.prenet_dropout) and 0 <= self.prenet_dropout < 1):
-            raise ValueError("prenet_dropout must lie in [0, 1)")
-        widths = (self.input_dim, self.output_dim, self.encoder_channels,
-                  self.decoder_state_dim, self.postnet_channels)
-        if any(type(w) is not int or w < 1 for w in widths):
-            raise ValueError("all widths must be positive integers")
-        if not isinstance(self.prenet_widths, (list, tuple)) \
-                or len(self.prenet_widths) != 2 \
-                or any(type(w) is not int or w < 1 for w in self.prenet_widths):
-            raise ValueError("prenet_widths must be two positive integers")
         object.__setattr__(self, "prenet_widths", tuple(self.prenet_widths))
-        if self.output_kind not in ("mel-fb", "midi-fb"):
-            raise ValueError("output_kind must be mel-fb or midi-fb")
-        check_parameter_count(sum(math.prod(shape)
-                                  for shape, _ in _layers(self).values()))
+        check_layer_table(_layers(self))
 
     @property
     def prenet_input_dim(self):
@@ -99,41 +81,39 @@ class AmConfig:
 
 @dataclass(frozen=True)
 class AmTrainConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    batch_size: int = 4
-    segment_frames: int = 800
-    epochs: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        check_train_config(self, ("batch_size", "epochs", "segment_frames"))
+    learning_rate: float = declared(POSITIVE_NUMBER, 1e-4)
+    beta1: float = declared(UNIT_INTERVAL, 0.9)
+    beta2: float = declared(UNIT_INTERVAL, 0.999)
+    batch_size: int = declared(POSITIVE_INT, 4)
+    segment_frames: int = declared(POSITIVE_INT, 800)
+    epochs: int = declared(POSITIVE_INT, 10)
+    seed: int = declared(NON_NEGATIVE_INT, 0)
+    __post_init__ = check_fields
 
 
-def _layers(cfg: AmConfig) -> dict:
-    """Every tensor as name -> (shape, fan_in).  The position offsets and
-    the postnet's residual layer start at zero."""
+def _layers(cfg: AmConfig):
+    """Every tensor as (name, (shape, fan_in)) pairs.  The position offsets
+    and the postnet's residual layer start at zero."""
     e, s, d = cfg.encoder_channels, cfg.decoder_state_dim, cfg.output_dim
     w1, w2 = cfg.prenet_widths
     gru_in = w2 + e
-    layers = {**affine("enc.in", (cfg.input_dim, e), cfg.input_dim),
-              **affine("enc.conv0", (3, e, e), 3 * e),
-              **affine("enc.conv1", (3, e, e), 3 * e),
-              **affine("prenet.fc1", (cfg.prenet_input_dim, w1), cfg.prenet_input_dim),
-              **affine("prenet.fc2", (w1, w2), w1)}
+    yield from affine("enc.in", (cfg.input_dim, e), cfg.input_dim)
+    yield from affine("enc.conv0", (3, e, e), 3 * e)
+    yield from affine("enc.conv1", (3, e, e), 3 * e)
+    yield from affine("prenet.fc1", (cfg.prenet_input_dim, w1), cfg.prenet_input_dim)
+    yield from affine("prenet.fc2", (w1, w2), w1)
     for g in "zrn":
-        layers[f"dec.gru.w{g}"] = ((gru_in, s), gru_in)
-        layers[f"dec.gru.u{g}"] = ((s, s), s)
-        layers[f"dec.gru.b{g}"] = ((s,), gru_in)
-    return {**layers, **affine("dec.out", (s, d), s),
-            "dec.pos.weight": ((MAX_REDUCTION, d), None),
-            **affine("post.conv0", (5, d, cfg.postnet_channels), 5 * d),
-            **affine("post.conv1", (5, cfg.postnet_channels, d), None)}
+        yield f"dec.gru.w{g}", ((gru_in, s), gru_in)
+        yield f"dec.gru.u{g}", ((s, s), s)
+        yield f"dec.gru.b{g}", ((s,), gru_in)
+    yield from affine("dec.out", (s, d), s)
+    yield "dec.pos.weight", ((MAX_REDUCTION, d), None)
+    yield from affine("post.conv0", (5, d, cfg.postnet_channels), 5 * d)
+    yield from affine("post.conv1", (5, cfg.postnet_channels, d), None)
 
 
 def am_param_shapes(cfg: AmConfig) -> dict:
-    return {name: shape for name, (shape, _) in _layers(cfg).items()}
+    return {name: shape for name, (shape, _) in _layers(cfg)}
 
 
 def am_init(cfg: AmConfig, seed: int = 0) -> ModelParams:
@@ -149,8 +129,6 @@ def downsample_roll(roll: PianoRoll, factor: int) -> PianoRoll:
     A trailing partial group is zero-padded before pooling.  The result
     has ceil(N / factor) frames at factor times the frame shift.
     """
-    if factor not in (1, 2, 4):
-        raise ValueError("factor must be 1, 2, or 4")
     if factor == 1:
         return roll
     n = roll.n_frames

@@ -18,12 +18,14 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import acoustic, dsp, evaluation, excitation, formats, midi_io, nsf
 from .errors import MidiSynthError, TooLarge
+from .params import POSITIVE_INT, check_fields, declared, one_of
 
 DEFAULT_RATE = 24000
 
@@ -270,12 +272,28 @@ def cmd_stats(args):
 # --- training -----------------------------------------------------------------
 
 
-# Each model's data-section keys with their defaults.  A given value must
-# have its default's type, and a number must be positive.
-NSF_DATA = {"rate": DEFAULT_RATE, "features": "piano-roll", "excitation": "sine",
-            "n_mels": 80, "frame_length": 1200, "fft": 2048}
-AM_DATA = {"rate": DEFAULT_RATE, "bank": "midi", "n_mels": 80, "frame_length": 1200,
-           "frame_shift": 288, "fft": 2048}
+# The data sections of train nsf and train am: how each .mid/.wav pair
+# becomes model input.
+@dataclass(frozen=True)
+class NsfData:
+    rate: int = declared(POSITIVE_INT, DEFAULT_RATE)
+    features: str = declared(one_of(*nsf.CONDITION_KINDS), "piano-roll")
+    excitation: str = declared(one_of("sine", "noise"), "sine")
+    n_mels: int = declared(POSITIVE_INT, 80)
+    frame_length: int = declared(POSITIVE_INT, 1200)
+    fft: int = declared(POSITIVE_INT, 2048)
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class AmData:
+    rate: int = declared(POSITIVE_INT, DEFAULT_RATE)
+    bank: str = declared(one_of("midi", "mel"), "midi")
+    n_mels: int = declared(POSITIVE_INT, 80)
+    frame_length: int = declared(POSITIVE_INT, 1200)
+    frame_shift: int = declared(POSITIVE_INT, 288)
+    fft: int = declared(POSITIVE_INT, 2048)
+    __post_init__ = check_fields
 
 
 # The model fields that the data section decides; a model section may not set them.
@@ -292,9 +310,9 @@ def _strict_section(config, key, allowed):
     return section
 
 
-def _load_config(path, model_cls, train_cls, data_defaults):
-    """The model, train and data sections of a JSON training config; the
-    data section is checked against data_defaults and completed from it."""
+def _load_config(path, model_cls, train_cls, data_cls):
+    """The model and train sections of a JSON training config, and its
+    data section as a data_cls."""
     if path is None:
         config = {}
     else:
@@ -308,16 +326,10 @@ def _load_config(path, model_cls, train_cls, data_defaults):
     unknown = set(config) - {"model", "train", "data"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    data = {**data_defaults, **_strict_section(config, "data", data_defaults)}
-    for key, value in data.items():
-        default = data_defaults[key]
-        if type(value) is not type(default) or (isinstance(value, int) and value <= 0):
-            expected = "a positive integer" if isinstance(default, int) else "a string"
-            raise ValueError(f"data key {key!r} must be {expected}, got {value!r}")
-    model_keys = {f.name for f in dataclasses.fields(model_cls)} - FROM_DATA
-    train_keys = {f.name for f in dataclasses.fields(train_cls)}
-    return (_strict_section(config, "model", model_keys),
-            _strict_section(config, "train", train_keys), data)
+    keys = lambda cls: {f.name for f in dataclasses.fields(cls)}
+    return (_strict_section(config, "model", keys(model_cls) - FROM_DATA),
+            _strict_section(config, "train", keys(train_cls)),
+            data_cls(**_strict_section(config, "data", keys(data_cls))))
 
 
 def _clips(data_dir, rate):
@@ -343,12 +355,8 @@ def _segment_frames(n_frames, per_segment):
 
 def _nsf_data(data_dir, model_section, train_section, data):
     """NsfConfig, TrainConfig and (features, source, target) segments."""
-    rate, kind = data["rate"], data["features"]
-    if kind not in nsf.CONDITION_KINDS:
-        raise ValueError(f"unknown feature kind {kind!r}")
-    if data["excitation"] not in ("sine", "noise"):
-        raise ValueError(f"unknown excitation kind {data['excitation']!r}")
-    model_cfg = nsf.NsfConfig(feature_dim=data["n_mels"] if kind == "mel-fb" else 128,
+    rate, kind = data.rate, data.features
+    model_cfg = nsf.NsfConfig(feature_dim=data.n_mels if kind == "mel-fb" else 128,
                               **model_section)
     train_cfg = nsf.TrainConfig(**train_section)
     shift = model_cfg.upsample_factor
@@ -356,12 +364,12 @@ def _nsf_data(data_dir, model_section, train_section, data):
 
     dataset = []
     for idx, (notes, wave) in enumerate(_clips(data_dir, rate)):
-        feats = _features(kind, notes, wave, rate, shift, data["frame_length"],
-                          data["fft"], data["n_mels"])
+        feats = _features(kind, notes, wave, rate, shift, data.frame_length,
+                          data.fft, data.n_mels)
         if feats.n_frames == 0:
             continue
         # the source first: _excitation bounds the length before the target is padded
-        source = _excitation(data["excitation"], notes, feats.n_frames * shift, rate,
+        source = _excitation(data.excitation, notes, feats.n_frames * shift, rate,
                              1.0, train_cfg.seed + idx)
         target = excitation.fit_length(wave, len(source))
         for lo, hi in _segment_frames(feats.n_frames, per_segment):
@@ -375,19 +383,17 @@ def _nsf_data(data_dir, model_section, train_section, data):
 
 def _am_data(data_dir, model_section, train_section, data):
     """AmConfig, AmTrainConfig and (roll, target features) segments."""
-    rate, bank, shift = data["rate"], data["bank"], data["frame_shift"]
-    if bank not in ("midi", "mel"):
-        raise ValueError(f"unknown filter bank {bank!r}")
+    rate, bank, shift = data.rate, data.bank, data.frame_shift
     kind = f"{bank}-fb"
     model_cfg = acoustic.AmConfig(
-        input_dim=128, output_dim=data["n_mels"] if bank == "mel" else 128,
+        input_dim=128, output_dim=data.n_mels if bank == "mel" else 128,
         output_kind=kind, **model_section)
     train_cfg = acoustic.AmTrainConfig(**train_section)
 
     dataset = []
     for notes, wave in _clips(data_dir, rate):
-        feats = _features(kind, None, wave, rate, shift, data["frame_length"],
-                          data["fft"], data["n_mels"])
+        feats = _features(kind, None, wave, rate, shift, data.frame_length,
+                          data.fft, data.n_mels)
         roll = _features("piano-roll", notes, None, rate, shift)
         n = min(feats.n_frames, roll.n_frames)
         if n == 0:
@@ -405,13 +411,13 @@ def cmd_train(args):
     if args.resume and args.warm_start:
         raise ValueError("--resume and --warm-start exclude each other")
     if args.kind == "am":
-        build, config = _am_data, (acoustic.AmConfig, acoustic.AmTrainConfig, AM_DATA)
+        build, config = _am_data, (acoustic.AmConfig, acoustic.AmTrainConfig, AmData)
         init, load, train, save = (acoustic.am_init, acoustic.am_load_checkpoint,
                                    acoustic.am_train, acoustic.am_save_checkpoint)
     elif args.warm_start:
         raise ValueError("--warm-start applies to train am only")
     else:
-        build, config = _nsf_data, (nsf.NsfConfig, nsf.TrainConfig, NSF_DATA)
+        build, config = _nsf_data, (nsf.NsfConfig, nsf.TrainConfig, NsfData)
         init, load, train, save = (nsf.nsf_init, nsf.load_checkpoint,
                                    nsf.nsf_train, nsf.save_checkpoint)
     model_cfg, train_cfg, dataset = build(args.data, *_load_config(args.config, *config))

@@ -34,15 +34,16 @@ runs in float64 instead (_stack_dtype).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
-from .params import ModelParams, affine, check_parameter_count, check_train_config, \
-    fit, init_params, is_number, load_model, save_model, zero_params
+from .errors import TooLarge
+from .params import NON_NEGATIVE_INT, POSITIVE_INT, POSITIVE_NUMBER, UNIT_INTERVAL, \
+    ModelParams, affine, check_fields, check_layer_table, declared, fit, init_params, \
+    load_model, save_model, zero_params
 
 NSF_MAGIC = b"NSF1"
 # Frames per window (96 ms at the defaults), in inference and in the
@@ -59,66 +60,59 @@ _CHUNK_FRAMES = 8
 # Most magnitude a value of a float32 channel stack may reach (see
 # _stack_dtype): far inside float32's range of 3.4e38, so none overflows.
 _FLOAT32_BOUND = 2.0 ** 64
+# Most samples one output sample may read back (5 blocks of 10 convolutions
+# at kernel 3 read 10,230): each window is computed from as many before it.
+MAX_RECEPTIVE_FIELD = 2 ** 16
 CONDITION_KINDS = ("mel-fb", "midi-fb", "piano-roll")
 
 
 @dataclass(frozen=True)
 class NsfConfig:
-    feature_dim: int
-    upsample_factor: int = 288
-    n_blocks: int = 2
-    convs_per_block: int = 5
-    channels: int = 16
-    kernel: int = 3
+    feature_dim: int = declared(POSITIVE_INT)
+    upsample_factor: int = declared(POSITIVE_INT, 288)
+    n_blocks: int = declared(POSITIVE_INT, 2)
+    convs_per_block: int = declared(POSITIVE_INT, 5)
+    channels: int = declared(POSITIVE_INT, 16)
+    kernel: int = declared(POSITIVE_INT, 3)
 
     def __post_init__(self):
-        fields = (self.feature_dim, self.upsample_factor, self.n_blocks,
-                  self.convs_per_block, self.channels, self.kernel)
-        if any(type(f) is not int or f <= 0 for f in fields):
-            raise ValueError("all config fields must be positive integers")
-        check_parameter_count(_parameter_count(self))
+        check_fields(self)
+        check_layer_table(_layers(self))
+        # after the walk, which bounds convs_per_block in 2 ** convs_per_block
+        if _receptive_field(self) > MAX_RECEPTIVE_FIELD:
+            raise TooLarge(f"the receptive field is {self.n_blocks} x {self.kernel - 1} "
+                           f"x (2^{self.convs_per_block} - 1) samples, "
+                           f"the limit is {MAX_RECEPTIVE_FIELD}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    batch_size: int = 5
-    segment_seconds: float = 3.0
-    epochs: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        check_train_config(self, ("batch_size", "epochs"))
-        if not (is_number(self.segment_seconds) and 0 < self.segment_seconds < math.inf):
-            raise ValueError("segment_seconds must be positive and finite")
+    learning_rate: float = declared(POSITIVE_NUMBER, 1e-4)
+    beta1: float = declared(UNIT_INTERVAL, 0.9)
+    beta2: float = declared(UNIT_INTERVAL, 0.999)
+    batch_size: int = declared(POSITIVE_INT, 5)
+    segment_seconds: float = declared(POSITIVE_NUMBER, 3.0)
+    epochs: int = declared(POSITIVE_INT, 10)
+    seed: int = declared(NON_NEGATIVE_INT, 0)
+    __post_init__ = check_fields
 
 
-def _layers(cfg: NsfConfig) -> dict:
-    """Every tensor as name -> (shape, fan_in).  The output projections
-    start at zero, so the initial model passes its excitation through
-    unchanged."""
+def _layers(cfg: NsfConfig):
+    """Every tensor as (name, (shape, fan_in)) pairs, yielded lazily, so
+    that check_layer_table refuses a huge table before it is built.  The
+    output projections start at zero, so the initial model passes its
+    excitation through unchanged."""
     c, k = cfg.channels, cfg.kernel
-    layers = affine("cond", (cfg.feature_dim, c), cfg.feature_dim)
+    yield from affine("cond", (cfg.feature_dim, c), cfg.feature_dim)
     for b in range(cfg.n_blocks):
-        layers.update(affine(f"block{b}.in", (1, c), 1))
+        yield from affine(f"block{b}.in", (1, c), 1)
         for j in range(cfg.convs_per_block):
-            layers.update(affine(f"block{b}.conv{j}", (k, c, c), k * c))
-        layers.update(affine(f"block{b}.out", (c, 1), None))
-    return layers
-
-
-def _parameter_count(cfg: NsfConfig) -> int:
-    """The number of values in _layers(cfg), counted without building a
-    table whose length grows with n_blocks and convs_per_block."""
-    c, k = cfg.channels, cfg.kernel
-    per_block = 3 * c + 1 + cfg.convs_per_block * (k * c + 1) * c
-    return (cfg.feature_dim + 1) * c + cfg.n_blocks * per_block
+            yield from affine(f"block{b}.conv{j}", (k, c, c), k * c)
+        yield from affine(f"block{b}.out", (c, 1), None)
 
 
 def nsf_param_shapes(cfg: NsfConfig) -> dict:
-    return {name: shape for name, (shape, _) in _layers(cfg).items()}
+    return {name: shape for name, (shape, _) in _layers(cfg)}
 
 
 def nsf_init(cfg: NsfConfig, seed: int = 0) -> ModelParams:

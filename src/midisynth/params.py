@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,9 @@ ADAM_PREFIX_M = "adam.m."
 ADAM_PREFIX_V = "adam.v."
 STEP_TENSOR = "adam.step"
 MAX_PARAMETERS = 2 ** 24  # 128 MiB of float64 per copy; Adam keeps three
+# Each tensor costs a name, a dict entry and an array header in every copy,
+# whatever its size, and a graph node per use; the models hold 30 or so.
+MAX_TENSORS = 2 ** 12
 # Most epochs a run may span, resumes included: a resumed run replays one
 # shuffle per finished epoch, so a forged step count could stall it.
 MAX_EPOCHS = 2 ** 16
@@ -39,27 +43,33 @@ class ModelParams:
         )
 
 
-def affine(name: str, shape, fan_in) -> dict:
+def affine(name: str, shape, fan_in) -> tuple:
     """Layer-table entries of a weight and its bias over the last axis."""
-    return {f"{name}.weight": (shape, fan_in), f"{name}.bias": (shape[-1:], fan_in)}
+    return ((f"{name}.weight", (shape, fan_in)), (f"{name}.bias", (shape[-1:], fan_in)))
 
 
-def check_parameter_count(count: int) -> None:
-    """Refuse a model of more than MAX_PARAMETERS values before any of it
-    is allocated."""
-    if count > MAX_PARAMETERS:
-        raise TooLarge(f"the model has {count} parameters, "
-                       f"the limit is {MAX_PARAMETERS}")
+def check_layer_table(layers) -> None:
+    """Refuse a layer table, an iterable of (name, (shape, fan_in)), of
+    more than MAX_TENSORS tensors or MAX_PARAMETERS values with TooLarge.
+    The walk stops at the first entry past either limit, so a table that
+    is yielded lazily is never built in full."""
+    values = 0
+    for tensors, (name, (shape, _)) in enumerate(layers, 1):
+        values += math.prod(shape)
+        for count, what, limit in ((tensors, "tensors", MAX_TENSORS),
+                                   (values, "parameters", MAX_PARAMETERS)):
+            if count > limit:
+                raise TooLarge(f"the model has {count} {what} up to {name!r}, "
+                               f"the limit is {limit}")
 
 
-def init_params(layers: dict, seed: int) -> ModelParams:
-    """Initialize a layer table, name -> (shape, fan_in), in sorted name
-    order for seed-stable layouts: uniform on [-sqrt(1/fan_in),
+def init_params(layers, seed: int) -> ModelParams:
+    """Initialize a layer table, (name, (shape, fan_in)) pairs, in sorted
+    name order for seed-stable layouts: uniform on [-sqrt(1/fan_in),
     sqrt(1/fan_in)], or zero where fan_in is None."""
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name in sorted(layers):
-        shape, fan_in = layers[name]
+    for name, (shape, fan_in) in sorted(layers):
         if fan_in is None:
             tensors[name] = np.zeros(shape)
         else:
@@ -94,35 +104,44 @@ def adam_update(params: ModelParams, grads: dict, lr: float,
         tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def is_number(value) -> bool:
-    """An int or a float; a bool is not taken as a number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class Domain:
+    """The values a config field accepts (see declared), and their text."""
+
+    text: str
+    accepts: Callable[[object], bool]
 
 
-def check_train_config(cfg, counts) -> None:
-    """Check the fields both training configs share, and their counts.
+POSITIVE_INT = Domain("a positive integer", lambda v: type(v) is int and v > 0)
+NON_NEGATIVE_INT = Domain("a non-negative integer", lambda v: type(v) is int and v >= 0)
+# a number is an int or a float, as JSON gives them: not a bool
+UNIT_INTERVAL = Domain("a number in [0, 1)",
+                       lambda v: type(v) in (int, float) and 0 <= v < 1)
+POSITIVE_NUMBER = Domain("a positive finite number",
+                         lambda v: type(v) in (int, float) and 0 < v < math.inf)
+POSITIVE_INT_PAIR = Domain("a list of two positive integers",
+                           lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                           and all(map(POSITIVE_INT.accepts, v)))
 
-    learning_rate must be positive and finite, beta1 and beta2 lie in
-    [0, 1), seed be a non-negative int, and every field named in counts
-    a positive int.
-    """
-    def number(name):
-        value = getattr(cfg, name)
-        if not is_number(value):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        return value
 
-    if not 0 < number("learning_rate") < math.inf:
-        raise ValueError("learning_rate must be positive and finite")
-    for name in ("beta1", "beta2"):
-        if not 0 <= number(name) < 1:
-            raise ValueError(f"{name} must lie in [0, 1)")
-    for name in ("seed", *counts):
-        value = getattr(cfg, name)
-        low = 0 if name == "seed" else 1
-        if type(value) is not int or value < low:
-            raise ValueError(f"{name} must be an integer of at least {low}, "
-                             f"got {value!r}")
+def one_of(*choices) -> Domain:
+    """One of choices, of the same type: a bool is not the int 1."""
+    return Domain("one of " + ", ".join(map(str, choices)),
+                  lambda v: any(type(v) is type(c) and v == c for c in choices))
+
+
+def declared(domain: Domain, default=dataclasses.MISSING):
+    """A config dataclass field of the given domain and default."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def check_fields(cfg) -> None:
+    """Raise ValueError naming the first field of cfg whose value is
+    outside its declared domain."""
+    for f in dataclasses.fields(cfg):
+        value, domain = getattr(cfg, f.name), f.metadata["domain"]
+        if not domain.accepts(value):
+            raise ValueError(f"{f.name} must be {domain.text}, got {value!r}")
 
 
 def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,

@@ -493,7 +493,7 @@ def test_checkpoint_bad_variant_code(tmp_path):
     for blob in (v1.patch_v1_field(v1.AM_TACO2_V1, 0, 9),
                  v1.as_v2(v1.AM_TACO2_V1, 9, {**fields, "variant": "taco9"})):
         path.write_bytes(blob)
-        with pytest.raises(FileFormatError, match="unknown variant 'taco9'"):
+        with pytest.raises(FileFormatError, match="variant must be one of taco2, taco3, taco4, got 'taco9'"):
             acoustic.am_load_checkpoint(path)
 
 

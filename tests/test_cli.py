@@ -25,6 +25,7 @@ import pytest
 import helpers
 from midisynth import (acoustic, cli, dsp, errors, evaluation, excitation, formats,
                        midi_io, nsf)
+from midisynth.params import Domain
 
 
 def run_cli(*argv):
@@ -826,11 +827,21 @@ def wav_with(command, seconds, *extra):
     return argv
 
 
-def huge_nsf_ckpt(path):
-    """A CRC-valid checkpoint, no tensors, whose config asks for 10**9 blocks."""
-    config = {**dataclasses.asdict(nsf.NsfConfig(128)), "n_blocks": 10 ** 9}
-    formats.write_container(path, nsf.NSF_MAGIC, config, {})
-    return path
+def synth_with_stored_nsf_config(**fields):
+    """synth through a CRC-valid checkpoint, with no tensors, whose stored
+    config sets fields."""
+    def argv(tmp_path):
+        config = {**dataclasses.asdict(nsf.NsfConfig(128)), **fields}
+        formats.write_container(tmp_path / "bad.ckpt", nsf.NSF_MAGIC, config, {})
+        return midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                         "--nsf-ckpt", tmp_path / "bad.ckpt")(tmp_path)
+    return argv
+
+
+# 16,777,215 parameters, one under params.MAX_PARAMETERS, in 16.8M tensors
+TINY_LAYERS = {"n_blocks": 2796181, "convs_per_block": 1, "channels": 1, "kernel": 1}
+# 3,662 parameters that read 2^32 - 4 samples back
+DEEP_FIELD = {"convs_per_block": 30, "channels": 4}
 
 
 HOSTILE = {
@@ -934,13 +945,16 @@ HOSTILE = {
                                         {"model": {"decoder_state_dim": 1000000000}}),
     "am-prenet-width-huge": train_with("am",
                                        {"model": {"prenet_widths": [1000000000, 8]}}),
-    # 4.0e12 and 1.6e12 parameters, counted before a layer table of 1.4e10
-    # or 4e9 entries is built
+    # layer tables of 1.4e10, 4e9 and 1.7e7 tensors, refused at the one
+    # past params.MAX_TENSORS, before the rest of the table is built
     "nsf-n-blocks-huge": train_with("nsf", {"model": {"n_blocks": 10 ** 9}}),
     "nsf-convs-huge": train_with("nsf", {"model": {"convs_per_block": 10 ** 9}}),
-    "synth-ckpt-n-blocks-huge": lambda p: midi_with(
-        "synth", helpers.note_smf([(0, 480, 64, 110)]),
-        "--nsf-ckpt", huge_nsf_ckpt(p / "huge.ckpt"))(p),
+    "synth-ckpt-n-blocks-huge": synth_with_stored_nsf_config(n_blocks=10 ** 9),
+    "nsf-tiny-layers": train_with("nsf", {"model": TINY_LAYERS}),
+    "synth-ckpt-tiny-layers": synth_with_stored_nsf_config(**TINY_LAYERS),
+    # a receptive field over nsf.MAX_RECEPTIVE_FIELD
+    "nsf-deep-field": train_with("nsf", {"model": DEEP_FIELD}),
+    "synth-ckpt-deep-field": synth_with_stored_nsf_config(**DEEP_FIELD),
     # 1.2e9 excitation samples, refused before the target is padded to them
     "nsf-upsample-huge": train_with("nsf", {"model": {"upsample_factor": 10 ** 9}}),
     # rates whose byte rate, 2 x rate, overflows the WAV header's u32
@@ -950,7 +964,7 @@ HOSTILE = {
         "gl", hostile_mfb(p / "x.mfb", shift=288 / 5e9, rate=5e9), p / "out"],
 }
 # The config key that the error line of a case must name, or for a model
-# over the size bound, its parameter count.
+# over a size bound, what it counts.
 HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-segment-seconds-true": "segment_seconds",
                 "am-prenet-widths-int": "prenet_widths",
@@ -959,9 +973,13 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "am-decoder-state-huge": "parameters",
                 "am-prenet-width-huge": "parameters",
                 "am-resume-and-warm-start": "exclude each other",
-                "nsf-n-blocks-huge": "parameters",
-                "nsf-convs-huge": "parameters",
-                "synth-ckpt-n-blocks-huge": "parameters",
+                "nsf-n-blocks-huge": "tensors",
+                "nsf-convs-huge": "tensors",
+                "synth-ckpt-n-blocks-huge": "tensors",
+                "nsf-tiny-layers": "tensors",
+                "synth-ckpt-tiny-layers": "tensors",
+                "nsf-deep-field": "receptive field",
+                "synth-ckpt-deep-field": "receptive field",
                 "nsf-upsample-huge": "excitation needs",
                 "excite-rate-over-wav-header": "WAV header",
                 "gl-rate-over-wav-header": "WAV header"}
@@ -1029,34 +1047,69 @@ def test_synth_with_large_finite_weights_writes_a_finite_wav(tmp_path, capsys, c
 
 
 # Every value at every model, train and data key of both models, one at a
-# time, in a one-epoch run.  The keys come from the config classes and the
-# data tables, so a field is swept from the day it is added.
+# time, in a one-epoch run.  The keys come from the config classes, data
+# sections included, so a field is swept from the day it is added.
 SWEEP_VALUES = ["x", True, [1, 2], {}, None, np.nan, -1, 0, 0.5, 5, 10 ** 9]
 SWEEP_ADDRESS_SPACE = 2 ** 31  # a case that allocates without bound fails here
 
 
 def sweep_cases():
+    """Each case as "kind section.key=value" -> (kind, config)."""
     fields = lambda cls: {f.name for f in dataclasses.fields(cls)}
-    cases = []
+    cases = {}
     for kind, model_cls, train_cls, data in (
-            ("nsf", nsf.NsfConfig, nsf.TrainConfig, cli.NSF_DATA),
-            ("am", acoustic.AmConfig, acoustic.AmTrainConfig, cli.AM_DATA)):
+            ("nsf", nsf.NsfConfig, nsf.TrainConfig, cli.NsfData),
+            ("am", acoustic.AmConfig, acoustic.AmTrainConfig, cli.AmData)):
         sections = {"model": fields(model_cls) - cli.FROM_DATA,
-                    "train": fields(train_cls), "data": set(data)}
+                    "train": fields(train_cls), "data": fields(data)}
         for section, keys in sections.items():
             for key in sorted(keys):
                 for value in SWEEP_VALUES:
                     config = {"train": {"epochs": 1}}  # unless epochs is swept
                     config.setdefault(section, {})[key] = value
-                    cases.append((kind, config))
+                    cases[f"{kind} {section}.{key}={value!r}"] = (kind, config)
     return cases
 
 
+def test_every_config_field_declares_its_domain():
+    """params.check_fields checks a field against its declared domain, so a
+    field added without one would go unchecked."""
+    for cls in (nsf.NsfConfig, nsf.TrainConfig, acoustic.AmConfig,
+                acoustic.AmTrainConfig, cli.NsfData, cli.AmData):
+        for f in dataclasses.fields(cls):
+            assert isinstance(f.metadata.get("domain"), Domain), \
+                f"{cls.__name__}.{f.name}"
+
+
+# The sweep cases that train and exit 0; every other case exits 2.
+SWEEP_EXIT_0 = {
+    *(f"nsf model.{key}=5" for key in ("channels", "convs_per_block", "kernel",
+                                        "n_blocks", "upsample_factor")),
+    *(f"am model.{key}=5" for key in ("decoder_state_dim", "encoder_channels",
+                                       "postnet_channels")),
+    "am model.downsample_factor=None", "am model.prenet_dropout=None",
+    "am model.prenet_dropout=0", "am model.prenet_dropout=0.5",
+    "am model.prenet_widths=[1, 2]",
+    *(f"{kind} train.{key}={value}" for kind in ("nsf", "am")
+      for key, values in (("batch_size", (5, 10 ** 9)), ("beta1", (0, 0.5)),
+                          ("beta2", (0, 0.5)), ("epochs", (5,)),
+                          ("learning_rate", (0.5, 5, 10 ** 9)),
+                          ("seed", (0, 5, 10 ** 9)))
+      for value in values),
+    *(f"nsf train.segment_seconds={v}" for v in (0.5, 5, 10 ** 9)),
+    *(f"am train.segment_frames={v}" for v in (5, 10 ** 9)),
+    *(f"nsf data.{key}={v}" for key in ("fft", "frame_length", "n_mels")
+      for v in (5, 10 ** 9)),
+    "am data.frame_shift=5", "am data.n_mels=5", "am data.n_mels=1000000000",
+}
+
+
 def run_sweep(data, work):
-    """Train on data with each sweep case; return a line for each case that
-    did not exit 0 or 2 with at most one stderr line and no warning."""
-    faults = []
-    for i, (kind, config) in enumerate(sweep_cases()):
+    """Train on data with each sweep case.  Returns a JSON object: "faults",
+    a line for each case that did not exit 0 or 2 with at most one stderr
+    line and no warning, and "exit_0", the cases that exited 0."""
+    faults, exit_0 = [], []
+    for i, (case, (kind, config)) in enumerate(sweep_cases().items()):
         cfg_path = Path(work) / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
@@ -1069,9 +1122,11 @@ def run_sweep(data, work):
             except Exception as exc:  # a traceback in a real run
                 code = repr(exc)
         if code not in (0, 2) or err.getvalue().count("\n") > 1 or caught:
-            faults.append(f"{kind} {config}: exit {code}, stderr {err.getvalue()!r}, "
+            faults.append(f"{case}: exit {code}, stderr {err.getvalue()!r}, "
                           f"warnings {[str(w.message) for w in caught]}")
-    return faults
+        elif code == 0:
+            exit_0.append(case)
+    return json.dumps({"faults": faults, "exit_0": exit_0})
 
 
 def test_config_sweep_exits_0_or_2_with_one_line_at_most(tmp_path):
@@ -1082,13 +1137,16 @@ def test_config_sweep_exits_0_or_2_with_one_line_at_most(tmp_path):
     code = ("import resource, sys\n"
             f"resource.setrlimit(resource.RLIMIT_AS, ({SWEEP_ADDRESS_SPACE},) * 2)\n"
             "import test_cli\n"
-            "print(*test_cli.run_sweep(*sys.argv[1:]), sep='\\n')\n")
+            "print(test_cli.run_sweep(*sys.argv[1:]))\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(data), str(tmp_path)],
         capture_output=True, text=True, timeout=600,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])})
-    assert proc.returncode == 0 and not proc.stdout.strip(), \
-        proc.stdout + proc.stderr[-2000:]
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    result = json.loads(proc.stdout)
+    assert result["faults"] == []
+    # a check that stopped refusing a value would show here
+    assert set(result["exit_0"]) == SWEEP_EXIT_0
 
 
 def test_gl_refusal_names_the_feature_file(tmp_path, capsys):

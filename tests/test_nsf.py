@@ -12,8 +12,8 @@ from midisynth import formats, nsf
 from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal, mr_stft_loss
 from midisynth.errors import FileFormatError, TooLarge, TrainingDiverged
 from midisynth.midi_io import PianoRoll
-from midisynth.params import MAX_EPOCHS, MAX_PARAMETERS, ModelParams, adam_update, \
-    check_parameter_count, fit
+from midisynth.params import MAX_EPOCHS, MAX_PARAMETERS, MAX_TENSORS, ModelParams, \
+    adam_update, check_layer_table, fit
 
 
 def make_inputs(cfg, n_frames, rng, kind="mel-fb"):
@@ -49,22 +49,51 @@ def test_param_shapes_cover_all_blocks():
 def test_parameter_bound():
     assert sum(math.prod(s) for s in nsf.nsf_param_shapes(
         nsf.NsfConfig(128, channels=512)).values()) == 7938562
-    check_parameter_count(MAX_PARAMETERS)
+    table = lambda *sizes: ((f"t{i}", ((n,), None)) for i, n in enumerate(sizes))
+    check_layer_table(table(MAX_PARAMETERS))
+    check_layer_table(table(*[1] * MAX_TENSORS))
     with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
-        check_parameter_count(MAX_PARAMETERS + 1)
-    for field in ("channels", "n_blocks", "convs_per_block"):
-        with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
-            nsf.NsfConfig(128, **{field: 10 ** 9})
+        check_layer_table(table(MAX_PARAMETERS, 1))
+    with pytest.raises(TooLarge, match=f"limit is {MAX_TENSORS}"):
+        check_layer_table(table(*[1] * (MAX_TENSORS + 1)))
+    with pytest.raises(TooLarge, match=f"limit is {MAX_PARAMETERS}"):
+        nsf.NsfConfig(128, channels=10 ** 9)
+    # many small layers pass the tensor bound long before the parameter bound
+    for fields in ({"n_blocks": 10 ** 9}, {"convs_per_block": 10 ** 9},
+                   {"n_blocks": 2796181, "convs_per_block": 1, "channels": 1,
+                    "kernel": 1}):
+        with pytest.raises(TooLarge, match=f"limit is {MAX_TENSORS}"):
+            nsf.NsfConfig(128, **fields)
 
 
-@pytest.mark.parametrize("fields", [
-    {}, {"channels": 1, "kernel": 1}, {"n_blocks": 7, "convs_per_block": 1},
-    {"feature_dim": 80, "channels": 5, "kernel": 4, "n_blocks": 3, "convs_per_block": 6},
-])
-def test_parameter_count_is_the_size_of_the_layer_table(fields):
-    cfg = nsf.NsfConfig(**{"feature_dim": 128, **fields})
-    assert nsf._parameter_count(cfg) == sum(
-        math.prod(shape) for shape in nsf.nsf_param_shapes(cfg).values())
+def test_layer_table_walk_stops_at_the_first_entry_past_a_limit():
+    read = []
+
+    def table():
+        for i in range(10 ** 9):
+            read.append(i)
+            yield f"t{i}", ((1,), None)
+
+    with pytest.raises(TooLarge, match="4097 tensors up to 't4096'"):
+        check_layer_table(table())
+    assert len(read) == MAX_TENSORS + 1
+
+
+def test_receptive_field_bound():
+    # a paper-sized stack: 5 blocks of 10 convolutions at kernel 3
+    assert nsf._receptive_field(
+        nsf.NsfConfig(128, n_blocks=5, convs_per_block=10)) == 10230
+    # one convolution of kernel 65537 reads exactly 2^16 samples back
+    nsf.NsfConfig(128, n_blocks=1, convs_per_block=1, channels=1,
+                  kernel=nsf.MAX_RECEPTIVE_FIELD + 1)
+    for fields in ({"n_blocks": 1, "convs_per_block": 1, "channels": 1,
+                    "kernel": nsf.MAX_RECEPTIVE_FIELD + 2},
+                   {"convs_per_block": 30, "channels": 4},
+                   {"convs_per_block": 2000, "channels": 1, "kernel": 2,
+                    "n_blocks": 1}):
+        with pytest.raises(TooLarge, match=f"receptive field .* limit is "
+                                           f"{nsf.MAX_RECEPTIVE_FIELD}"):
+            nsf.NsfConfig(128, **fields)
 
 
 def test_init_zeroes_output_projections():
