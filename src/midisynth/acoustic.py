@@ -36,9 +36,9 @@ from . import autograd as ag
 from .dsp import FeatureMatrix
 from .errors import TrainingDiverged
 from .midi_io import PianoRoll
-from .params import NON_NEGATIVE_INT, POSITIVE_INT, POSITIVE_INT_PAIR, POSITIVE_NUMBER, \
-    UNIT_INTERVAL, ModelParams, affine, check_fields, check_layer_table, declared, fit, \
-    init_params, load_model, one_of, save_model
+from .params import POSITIVE_INT, POSITIVE_INT_PAIR, UNIT_INTERVAL, FitConfig, \
+    ModelParams, affine, check_fields, check_layer_table, declared, fit, init_params, \
+    load_model, one_of, save_model
 
 AM_MAGIC = b"ACM1"
 VARIANTS = ("taco2", "taco3", "taco4")
@@ -80,15 +80,8 @@ class AmConfig:
 
 
 @dataclass(frozen=True)
-class AmTrainConfig:
-    learning_rate: float = declared(POSITIVE_NUMBER, 1e-4)
-    beta1: float = declared(UNIT_INTERVAL, 0.9)
-    beta2: float = declared(UNIT_INTERVAL, 0.999)
-    batch_size: int = declared(POSITIVE_INT, 4)
+class AmTrainConfig(FitConfig):
     segment_frames: int = declared(POSITIVE_INT, 800)
-    epochs: int = declared(POSITIVE_INT, 10)
-    seed: int = declared(NON_NEGATIVE_INT, 0)
-    __post_init__ = check_fields
 
 
 def _layers(cfg: AmConfig):

@@ -27,17 +27,17 @@ from . import acoustic, dsp, evaluation, excitation, formats, midi_io, nsf
 from .errors import MidiSynthError, TooLarge
 from .params import POSITIVE_INT, check_fields, declared, one_of
 
-DEFAULT_RATE = 24000
+# The default analysis of every command and data section
+ANALYSIS = dsp.StftConfig()
 
 
-def _stft_args(parser):
-    parser.add_argument("--rate", type=int, default=DEFAULT_RATE,
-                        help="sample rate in Hz")
-    parser.add_argument("--frame-length", type=int, default=1200,
+def _analysis_args(parser, shift=True):
+    parser.add_argument("--frame-length", type=int, default=ANALYSIS.frame_length,
                         help="analysis window length in samples")
-    parser.add_argument("--frame-shift", type=int, default=288,
-                        help="hop size in samples")
-    parser.add_argument("--fft", type=int, default=2048, help="FFT size")
+    if shift:
+        parser.add_argument("--frame-shift", type=int, default=ANALYSIS.frame_shift,
+                            help="hop size in samples")
+    parser.add_argument("--fft", type=int, default=ANALYSIS.fft_size, help="FFT size")
 
 
 def _load_notes(path, apply_pedal=True):
@@ -112,9 +112,9 @@ def cmd_roll(args):
 
 
 def cmd_feat(args):
-    wave = _read_wav_checked(args.wav, args.rate)
+    wave = formats.read_wav(args.wav)
     kind = "linear-spec" if args.bank == "linear" else f"{args.bank}-fb"
-    feat = _features(kind, None, wave, args.rate, args.frame_shift,
+    feat = _features(kind, None, wave, int(wave.sample_rate), args.frame_shift,
                      args.frame_length, args.fft, args.n_mels)
     formats.write_feature_file(args.out, feat)
     print(f"wrote {args.out}: {feat.n_frames} x {feat.dim} ({feat.kind})")
@@ -190,11 +190,12 @@ def cmd_synth(args):
 
 
 def cmd_pitch_ce(args):
-    cfg = dsp.StftConfig(sample_rate=args.rate, frame_length=args.frame_length,
+    wave = formats.read_wav(args.wav)
+    rate = int(wave.sample_rate)
+    cfg = dsp.StftConfig(sample_rate=rate, frame_length=args.frame_length,
                          frame_shift=args.frame_shift, fft_size=args.fft)
-    wave = _read_wav_checked(args.wav, cfg.sample_rate)
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
-    roll = _features("piano-roll", notes, None, args.rate, args.frame_shift)
+    roll = _features("piano-roll", notes, None, rate, args.frame_shift)
     if args.transpose:
         roll = midi_io.transpose_roll(roll, args.transpose)
     probs = evaluation.pitch_probability(wave, cfg)
@@ -273,31 +274,34 @@ def cmd_stats(args):
 
 
 # The data sections of train nsf and train am: how each .mid/.wav pair
-# becomes model input.
+# becomes model input.  Each decides some model fields (model_fields), which
+# a model section may not set.
 @dataclass(frozen=True)
-class NsfData:
-    rate: int = declared(POSITIVE_INT, DEFAULT_RATE)
+class DataSection:
+    rate: int = declared(POSITIVE_INT, ANALYSIS.sample_rate)
+    n_mels: int = declared(POSITIVE_INT, 80)
+    frame_length: int = declared(POSITIVE_INT, ANALYSIS.frame_length)
+    fft: int = declared(POSITIVE_INT, ANALYSIS.fft_size)
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class NsfData(DataSection):
     features: str = declared(one_of(*nsf.CONDITION_KINDS), "piano-roll")
     excitation: str = declared(one_of("sine", "noise"), "sine")
-    n_mels: int = declared(POSITIVE_INT, 80)
-    frame_length: int = declared(POSITIVE_INT, 1200)
-    fft: int = declared(POSITIVE_INT, 2048)
-    __post_init__ = check_fields
+
+    def model_fields(self):
+        return {"feature_dim": self.n_mels if self.features == "mel-fb" else 128}
 
 
 @dataclass(frozen=True)
-class AmData:
-    rate: int = declared(POSITIVE_INT, DEFAULT_RATE)
+class AmData(DataSection):
     bank: str = declared(one_of("midi", "mel"), "midi")
-    n_mels: int = declared(POSITIVE_INT, 80)
-    frame_length: int = declared(POSITIVE_INT, 1200)
-    frame_shift: int = declared(POSITIVE_INT, 288)
-    fft: int = declared(POSITIVE_INT, 2048)
-    __post_init__ = check_fields
+    frame_shift: int = declared(POSITIVE_INT, ANALYSIS.frame_shift)
 
-
-# The model fields that the data section decides; a model section may not set them.
-FROM_DATA = {"feature_dim", "input_dim", "output_dim", "output_kind"}
+    def model_fields(self):
+        width = self.n_mels if self.bank == "mel" else 128
+        return {"input_dim": 128, "output_dim": width, "output_kind": f"{self.bank}-fb"}
 
 
 def _strict_section(config, key, allowed):
@@ -311,8 +315,7 @@ def _strict_section(config, key, allowed):
 
 
 def _load_config(path, model_cls, train_cls, data_cls):
-    """The model and train sections of a JSON training config, and its
-    data section as a data_cls."""
+    """The model, train and data configs of a JSON training config."""
     if path is None:
         config = {}
     else:
@@ -327,9 +330,11 @@ def _load_config(path, model_cls, train_cls, data_cls):
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
     keys = lambda cls: {f.name for f in dataclasses.fields(cls)}
-    return (_strict_section(config, "model", keys(model_cls) - FROM_DATA),
-            _strict_section(config, "train", keys(train_cls)),
-            data_cls(**_strict_section(config, "data", keys(data_cls))))
+    data = data_cls(**_strict_section(config, "data", keys(data_cls)))
+    decided = data.model_fields()
+    model = _strict_section(config, "model", keys(model_cls) - decided.keys())
+    train = _strict_section(config, "train", keys(train_cls))
+    return model_cls(**model, **decided), train_cls(**train), data
 
 
 def _clips(data_dir, rate):
@@ -353,13 +358,9 @@ def _segment_frames(n_frames, per_segment):
             for lo in range(0, n_frames - per_segment + 1, per_segment)]
 
 
-def _nsf_data(data_dir, model_section, train_section, data):
-    """NsfConfig, TrainConfig and (features, source, target) segments."""
-    rate, kind = data.rate, data.features
-    model_cfg = nsf.NsfConfig(feature_dim=data.n_mels if kind == "mel-fb" else 128,
-                              **model_section)
-    train_cfg = nsf.TrainConfig(**train_section)
-    shift = model_cfg.upsample_factor
+def _nsf_data(data_dir, model_cfg, train_cfg, data):
+    """The (features, source, target) segments of train nsf."""
+    rate, kind, shift = data.rate, data.features, model_cfg.upsample_factor
     per_segment = max(1, round(train_cfg.segment_seconds * rate / shift))
 
     dataset = []
@@ -378,18 +379,12 @@ def _nsf_data(data_dir, model_section, train_section, data):
                 dsp.WaveSignal(source.samples[lo * shift:hi * shift], rate),
                 dsp.WaveSignal(target.samples[lo * shift:hi * shift], rate),
             ))
-    return model_cfg, train_cfg, dataset
+    return dataset
 
 
-def _am_data(data_dir, model_section, train_section, data):
-    """AmConfig, AmTrainConfig and (roll, target features) segments."""
-    rate, bank, shift = data.rate, data.bank, data.frame_shift
-    kind = f"{bank}-fb"
-    model_cfg = acoustic.AmConfig(
-        input_dim=128, output_dim=data.n_mels if bank == "mel" else 128,
-        output_kind=kind, **model_section)
-    train_cfg = acoustic.AmTrainConfig(**train_section)
-
+def _am_data(data_dir, model_cfg, train_cfg, data):
+    """The (roll, target features) segments of train am."""
+    rate, kind, shift = data.rate, model_cfg.output_kind, data.frame_shift
     dataset = []
     for notes, wave in _clips(data_dir, rate):
         feats = _features(kind, None, wave, rate, shift, data.frame_length,
@@ -401,7 +396,7 @@ def _am_data(data_dir, model_section, train_section, data):
         for lo, hi in _segment_frames(n, train_cfg.segment_frames):
             dataset.append((dataclasses.replace(roll, values=roll.values[lo:hi]),
                             dataclasses.replace(feats, values=feats.values[lo:hi])))
-    return model_cfg, train_cfg, dataset
+    return dataset
 
 
 def cmd_train(args):
@@ -420,7 +415,8 @@ def cmd_train(args):
         build, config = _nsf_data, (nsf.NsfConfig, nsf.TrainConfig, NsfData)
         init, load, train, save = (nsf.nsf_init, nsf.load_checkpoint,
                                    nsf.nsf_train, nsf.save_checkpoint)
-    model_cfg, train_cfg, dataset = build(args.data, *_load_config(args.config, *config))
+    model_cfg, train_cfg, data = _load_config(args.config, *config)
+    dataset = build(args.data, model_cfg, train_cfg, data)
     if args.resume:
         params, _ = load(args.resume, model_cfg)
     elif args.warm_start:
@@ -459,9 +455,10 @@ def build_parser():
     p = sub.add_parser("roll", help="quantize a MIDI file to a piano-roll file")
     p.add_argument("midi")
     p.add_argument("out")
-    p.add_argument("--shift", type=float, default=0.012,
+    p.add_argument("--shift", type=float,
+                   default=ANALYSIS.frame_shift / ANALYSIS.sample_rate,
                    help="frame shift in seconds")
-    p.add_argument("--rate", type=int, default=DEFAULT_RATE)
+    p.add_argument("--rate", type=int, default=ANALYSIS.sample_rate)
     p.add_argument("--no-pedal", action="store_true",
                    help="ignore sustain-pedal events")
     p.set_defaults(func=cmd_roll)
@@ -471,14 +468,14 @@ def build_parser():
     p.add_argument("out")
     p.add_argument("--bank", choices=("midi", "mel", "linear"), default="midi")
     p.add_argument("--n-mels", type=int, default=80)
-    _stft_args(p)
+    _analysis_args(p)
     p.set_defaults(func=cmd_feat)
 
     p = sub.add_parser("excite", help="render an excitation signal from MIDI")
     p.add_argument("midi")
     p.add_argument("out")
     p.add_argument("--kind", choices=("sine", "noise"), default="sine")
-    p.add_argument("--rate", type=int, default=DEFAULT_RATE)
+    p.add_argument("--rate", type=int, default=ANALYSIS.sample_rate)
     p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-pedal", action="store_true")
@@ -497,9 +494,8 @@ def build_parser():
     p.add_argument("--ref-wav", help="reference audio (mode abs)")
     p.add_argument("--bank", choices=("midi", "mel"), default="midi",
                    help="filter bank for mode abs")
-    p.add_argument("--rate", type=int, default=DEFAULT_RATE)
-    p.add_argument("--frame-length", type=int, default=1200)
-    p.add_argument("--fft", type=int, default=2048)
+    p.add_argument("--rate", type=int, default=ANALYSIS.sample_rate)
+    _analysis_args(p, shift=False)
     p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-pedal", action="store_true")
@@ -509,8 +505,7 @@ def build_parser():
     p.add_argument("feat")
     p.add_argument("out")
     p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--frame-length", type=int, default=1200)
-    p.add_argument("--fft", type=int, default=2048)
+    _analysis_args(p, shift=False)
     p.set_defaults(func=cmd_gl)
 
     p = sub.add_parser("pitch-ce", help="score audio against its MIDI pitches")
@@ -521,7 +516,7 @@ def build_parser():
     p.add_argument("--velocity-weights", action="store_true",
                    help="weight active pitches by velocity instead of 0/1")
     p.add_argument("--no-pedal", action="store_true")
-    _stft_args(p)
+    _analysis_args(p)
     p.set_defaults(func=cmd_pitch_ce)
 
     p = sub.add_parser("probe-set", help="write a small deterministic MIDI test set")

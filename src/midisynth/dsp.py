@@ -324,7 +324,8 @@ def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = 60,
     for _ in range(n_iters):
         spec = stft(x, cfg)
         mag = np.abs(spec)
-        history.append(float(np.linalg.norm(mag - magnitude)))
+        if return_history:
+            history.append(float(np.linalg.norm(mag - magnitude)))
         live = mag > 0
         np.divide(magnitude, mag, out=mag, where=live)
         spec *= mag

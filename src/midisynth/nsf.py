@@ -41,9 +41,9 @@ import numpy as np
 from . import autograd as ag
 from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
 from .errors import TooLarge
-from .params import NON_NEGATIVE_INT, POSITIVE_INT, POSITIVE_NUMBER, UNIT_INTERVAL, \
-    ModelParams, affine, check_fields, check_layer_table, declared, fit, init_params, \
-    load_model, save_model, zero_params
+from .params import POSITIVE_INT, POSITIVE_NUMBER, FitConfig, ModelParams, affine, \
+    check_fields, check_layer_table, declared, fit, init_params, load_model, save_model, \
+    zero_params
 
 NSF_MAGIC = b"NSF1"
 # Frames per window (96 ms at the defaults), in inference and in the
@@ -86,15 +86,9 @@ class NsfConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = declared(POSITIVE_NUMBER, 1e-4)
-    beta1: float = declared(UNIT_INTERVAL, 0.9)
-    beta2: float = declared(UNIT_INTERVAL, 0.999)
+class TrainConfig(FitConfig):
     batch_size: int = declared(POSITIVE_INT, 5)
     segment_seconds: float = declared(POSITIVE_NUMBER, 3.0)
-    epochs: int = declared(POSITIVE_INT, 10)
-    seed: int = declared(NON_NEGATIVE_INT, 0)
-    __post_init__ = check_fields
 
 
 def _layers(cfg: NsfConfig):

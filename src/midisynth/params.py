@@ -144,7 +144,20 @@ def check_fields(cfg) -> None:
             raise ValueError(f"{f.name} must be {domain.text}, got {value!r}")
 
 
-def fit(params: ModelParams, dataset, loss_and_grads, train_cfg,
+@dataclass(frozen=True)
+class FitConfig:
+    """The train fields fit reads; each model's train config adds a segment length."""
+
+    learning_rate: float = declared(POSITIVE_NUMBER, 1e-4)
+    beta1: float = declared(UNIT_INTERVAL, 0.9)
+    beta2: float = declared(UNIT_INTERVAL, 0.999)
+    batch_size: int = declared(POSITIVE_INT, 4)
+    epochs: int = declared(POSITIVE_INT, 10)
+    seed: int = declared(NON_NEGATIVE_INT, 0)
+    __post_init__ = check_fields
+
+
+def fit(params: ModelParams, dataset, loss_and_grads, train_cfg: FitConfig,
         on_epoch_end=None):
     """Adam training, visiting the items in a seeded shuffle each epoch.
 

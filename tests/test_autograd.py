@@ -57,6 +57,18 @@ def test_matmul_grads(rng):
     fd_check(lambda x, y: scalarize(ag.matmul(x, y)), [a, b])
 
 
+def test_outer_product_matmul(rng):
+    """matmul computes an (n, 1) @ (1, m) product as a broadcast: the
+    values equal numpy's matmul to the bit, and the adjoint holds."""
+    fd_check(lambda x, y: scalarize(ag.matmul(x, y)),
+             [rng.standard_normal((5, 1)), rng.standard_normal((1, 3))])
+    for dtype in (np.float32, np.float64):
+        a, b = (rng.standard_normal(s).astype(dtype) for s in ((2428, 1), (1, 16)))
+        with ag.no_grad():
+            out = ag.matmul(a, b).value
+        assert out.dtype == dtype and np.array_equal(out, a @ b)
+
+
 def test_nonlinearity_grads(rng):
     a = rng.standard_normal((3, 4)) * 0.8 + 0.1  # keep away from the relu kink
     fd_check(lambda x: scalarize(ag.tanh(x)), [a])

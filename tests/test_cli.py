@@ -9,9 +9,11 @@ it runs under an address-space limit.
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -23,9 +25,10 @@ import numpy as np
 import pytest
 
 import helpers
+import midisynth
 from midisynth import (acoustic, cli, dsp, errors, evaluation, excitation, formats,
                        midi_io, nsf)
-from midisynth.params import Domain
+from midisynth.params import Domain, FitConfig
 
 
 def run_cli(*argv):
@@ -317,6 +320,28 @@ def test_pitch_ce_velocity_weights(tmp_path, capsys):
         ce = evaluation.pitch_cross_entropy(probs, roll, weight_by_velocity=weighted)
         assert printed[-1] == f"{ce:.6f}\n"
     assert printed[0] != printed[1]
+
+
+def test_feat_and_pitch_ce_analyze_at_the_rate_of_the_wav(tmp_path, capsys):
+    rate = 16000
+    midi = tmp_path / "clip.mid"
+    notes = write_midi_file(midi, [(0.0, 1.0, 69, 100)])
+    wav = tmp_path / "tone.wav"
+    helpers.tone_wav(wav, freq=440.0, seconds=1.0, rate=rate)
+    wave = formats.read_wav(wav)
+    cfg = dsp.StftConfig(sample_rate=rate)
+
+    out, want = tmp_path / "feat.mfb", tmp_path / "want.mfb"
+    assert run_cli("feat", wav, out) == 0
+    formats.write_feature_file(want, dsp.extract_features(
+        wave, dsp.filter_bank("midi-fb", cfg, 80), cfg))
+    assert out.read_bytes() == want.read_bytes()
+
+    capsys.readouterr()
+    assert run_cli("pitch-ce", wav, midi) == 0
+    roll = midi_io.to_piano_roll(notes, cfg.frame_shift / rate, rate)
+    ce = evaluation.pitch_cross_entropy(evaluation.pitch_probability(wave, cfg), roll)
+    assert capsys.readouterr().out == f"{ce:.6f}\n"
 
 
 # --- --no-pedal -------------------------------------------------------------
@@ -827,6 +852,15 @@ def wav_with(command, seconds, *extra):
     return argv
 
 
+def pitch_ce_at(rate, smf):
+    """pitch-ce on 288 silent samples at rate and a MIDI file of smf."""
+    def argv(tmp_path):
+        formats.write_wav(tmp_path / "in.wav", dsp.WaveSignal(np.zeros(288), rate))
+        (tmp_path / "in.mid").write_bytes(smf)
+        return ["pitch-ce", tmp_path / "in.wav", tmp_path / "in.mid"]
+    return argv
+
+
 def synth_with_stored_nsf_config(**fields):
     """synth through a CRC-valid checkpoint, with no tensors, whose stored
     config sets fields."""
@@ -962,6 +996,10 @@ HOSTILE = {
         "excite", helpers.note_smf([(0, 1, 64, 110)]), "--rate", "2200000000"),
     "gl-rate-over-wav-header": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", shift=288 / 5e9, rate=5e9), p / "out"],
+    # the highest rate a WAV header holds: a 1 s roll at its 288-sample
+    # shift needs 7.5e6 frames, over midi_io.MAX_ROLL_FRAMES
+    "pitch-ce-top-wav-rate": pitch_ce_at(2 ** 31 - 1,
+                                         helpers.note_smf([(0, 960, 64, 110)])),
 }
 # The config key that the error line of a case must name, or for a model
 # over a size bound, what it counts.
@@ -982,7 +1020,8 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "synth-ckpt-deep-field": "receptive field",
                 "nsf-upsample-huge": "excitation needs",
                 "excite-rate-over-wav-header": "WAV header",
-                "gl-rate-over-wav-header": "WAV header"}
+                "gl-rate-over-wav-header": "WAV header",
+                "pitch-ce-top-wav-rate": "frames, the limit is"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -1060,7 +1099,7 @@ def sweep_cases():
     for kind, model_cls, train_cls, data in (
             ("nsf", nsf.NsfConfig, nsf.TrainConfig, cli.NsfData),
             ("am", acoustic.AmConfig, acoustic.AmTrainConfig, cli.AmData)):
-        sections = {"model": fields(model_cls) - cli.FROM_DATA,
+        sections = {"model": fields(model_cls) - data().model_fields().keys(),
                     "train": fields(train_cls), "data": fields(data)}
         for section, keys in sections.items():
             for key in sorted(keys):
@@ -1071,11 +1110,26 @@ def sweep_cases():
     return cases
 
 
+def config_classes():
+    """Every dataclass of the package with a declared field, and the
+    dataclasses it derives from."""
+    classes = set()
+    for info in pkgutil.iter_modules(midisynth.__path__):
+        module = importlib.import_module(f"midisynth.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) and any(
+                    "domain" in f.metadata for f in dataclasses.fields(obj)):
+                classes.update(filter(dataclasses.is_dataclass, obj.__mro__))
+    return classes
+
+
 def test_every_config_field_declares_its_domain():
     """params.check_fields checks a field against its declared domain, so a
     field added without one would go unchecked."""
-    for cls in (nsf.NsfConfig, nsf.TrainConfig, acoustic.AmConfig,
-                acoustic.AmTrainConfig, cli.NsfData, cli.AmData):
+    classes = config_classes()
+    assert {nsf.NsfConfig, nsf.TrainConfig, acoustic.AmConfig, acoustic.AmTrainConfig,
+            FitConfig, cli.DataSection, cli.NsfData, cli.AmData} <= classes
+    for cls in classes:
         for f in dataclasses.fields(cls):
             assert isinstance(f.metadata.get("domain"), Domain), \
                 f"{cls.__name__}.{f.name}"
