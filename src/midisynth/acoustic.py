@@ -126,18 +126,9 @@ def downsample_roll(roll: PianoRoll, factor: int) -> PianoRoll:
         return roll
     n = roll.n_frames
     m = math.ceil(n / factor)
-    padded = np.zeros((m * factor, 128))
-    padded[:n] = roll.values
+    padded = np.pad(roll.values, ((0, m * factor - n), (0, 0)))
     pooled = padded.reshape(m, factor, 128).max(axis=1)
     return PianoRoll(pooled, roll.frame_shift * factor, roll.sample_rate)
-
-
-def _pad_rows_edge(values: np.ndarray, rows: int) -> np.ndarray:
-    """Extend to `rows` rows by repeating the last row."""
-    if values.shape[0] == rows:
-        return values
-    pad = np.repeat(values[-1:], rows - values.shape[0], axis=0)
-    return np.concatenate([values, pad], axis=0)
 
 
 # --- forward -----------------------------------------------------------------
@@ -247,7 +238,7 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     roll_ds = downsample_roll(roll, cfg.downsample_factor)
     m = roll_ds.n_frames
     r = cfg.downsample_factor
-    padded = _pad_rows_edge(target.values, m * r)
+    padded = np.pad(target.values, ((0, m * r - target.n_frames), (0, 0)), mode="edge")
     prev = np.zeros((m, cfg.output_dim))
     prev[1:] = padded[r - 1 : (m - 1) * r : r]
     mask = _prenet_masks(cfg, seed, m)

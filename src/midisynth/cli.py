@@ -40,6 +40,19 @@ def _analysis_args(parser, shift=True):
     parser.add_argument("--fft", type=int, default=ANALYSIS.fft_size, help="FFT size")
 
 
+def _midi_args(parser, rate=True):
+    parser.add_argument("midi")
+    parser.add_argument("--no-pedal", action="store_true",
+                        help="ignore sustain-pedal events")
+    if rate:
+        parser.add_argument("--rate", type=int, default=ANALYSIS.sample_rate)
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
 def _load_notes(path, apply_pedal=True):
     with open(path, "rb") as fh:
         data = fh.read()
@@ -123,7 +136,7 @@ def cmd_feat(args):
 
 def cmd_excite(args):
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
-    n_samples = max(0, math.ceil(notes.duration * args.rate - 1e-9))
+    n_samples = excitation.sample_count(notes, args.rate)
     wave = _excitation(args.kind, notes, n_samples, args.rate, args.gain, args.seed)
     formats.write_wav(args.out, wave)
     print(f"wrote {args.out}: {len(wave)} samples ({args.kind})")
@@ -244,26 +257,19 @@ def cmd_stats(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     mos_path = out_dir / "mos.csv"
-    with open(mos_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["system", "count", "mean", "median", "q1", "q3"])
-        for row in summary:
-            writer.writerow([row["system"], row["count"], f"{row['mean']:.4f}",
-                             f"{row['median']:.4f}", f"{row['q1']:.4f}",
-                             f"{row['q3']:.4f}"])
-
+    _write_csv(mos_path, ("system", "count", "mean", "median", "q1", "q3"),
+               [(system, count, *(f"{v:.4f}" for v in values))
+                for system, count, *values in summary])
     sig_path = out_dir / "significance.csv"
-    with open(sig_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["system_a", "system_b", "u", "p_raw", "p_adjusted",
-                         "significant"])
-        for a, b, u, p_raw, p_adjusted, significant in pairs:
-            writer.writerow([a, b, f"{u:.1f}", f"{p_raw:.6g}", f"{p_adjusted:.6g}",
-                             "yes" if significant else "no"])
+    _write_csv(sig_path, ("system_a", "system_b", "u", "p_raw", "p_adjusted",
+                          "significant"),
+               [(a, b, f"{u:.1f}", f"{p_raw:.6g}", f"{p_adjusted:.6g}",
+                 "yes" if significant else "no")
+                for a, b, u, p_raw, p_adjusted, significant in pairs])
 
-    for row in summary:
-        print(f"{row['system']}: n={row['count']} mean={row['mean']:.2f} "
-              f"median={row['median']:.1f} IQR=[{row['q1']:.1f}, {row['q3']:.1f}]")
+    for system, count, mean, median, q1, q3 in summary:
+        print(f"{system}: n={count} mean={mean:.2f} "
+              f"median={median:.1f} IQR=[{q1:.1f}, {q3:.1f}]")
     n_sig = sum(row[-1] for row in pairs)
     print(f"{n_sig} of {len(pairs)} pairs differ at alpha={args.alpha} (Holm-corrected)")
     print(f"wrote {mos_path} and {sig_path}")
@@ -279,7 +285,7 @@ def cmd_stats(args):
 @dataclass(frozen=True)
 class DataSection:
     rate: int = declared(POSITIVE_INT, ANALYSIS.sample_rate)
-    n_mels: int = declared(POSITIVE_INT, 80)
+    n_mels: int = declared(POSITIVE_INT, dsp.N_MELS)
     frame_length: int = declared(POSITIVE_INT, ANALYSIS.frame_length)
     fft: int = declared(POSITIVE_INT, ANALYSIS.fft_size)
     __post_init__ = check_fields
@@ -400,8 +406,8 @@ def _am_data(data_dir, model_cfg, train_cfg, data):
 
 
 def cmd_train(args):
-    """Train either model, with a checkpoint after every epoch, and write
-    loss.csv.  The model functions are read off their modules on each call,
+    """Train either model, writing the checkpoint and loss.csv after every
+    epoch.  The model functions are read off their modules on each call,
     so a wrapper set on a module attribute sees the calls."""
     if args.resume and args.warm_start:
         raise ValueError("--resume and --warm-start exclude each other")
@@ -426,20 +432,19 @@ def cmd_train(args):
         params = init(model_cfg, seed=train_cfg.seed)
 
     out_dir = Path(args.out)
-    ckpt_path = out_dir / f"{args.kind}.ckpt"
+    ckpt_path, loss_path = out_dir / f"{args.kind}.ckpt", out_dir / "loss.csv"
 
-    def save_epoch(_epoch, p):
+    def save_epoch(_epoch, p, history):
         # made here, so a run refused before its first epoch leaves no directory
         out_dir.mkdir(parents=True, exist_ok=True)
         save(ckpt_path, p, model_cfg)
+        _write_csv(loss_path, ("step", "loss"),
+                   [(step, f"{loss:.6f}") for step, loss in history])
 
     _, history = train(params, dataset, train_cfg, model_cfg, on_epoch_end=save_epoch)
-    rows = [(step, f"{loss:.6f}") for step, loss in history]
-    with open(out_dir / "loss.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows([("step", "loss"), *rows])
     print(f"trained on {len(dataset)} segments for {train_cfg.epochs} epochs; "
           f"final loss {history[-1][1]:.4f}")
-    print(f"wrote {ckpt_path} and {out_dir / 'loss.csv'}")
+    print(f"wrote {ckpt_path} and {loss_path}")
     return 0
 
 
@@ -453,36 +458,31 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roll", help="quantize a MIDI file to a piano-roll file")
-    p.add_argument("midi")
+    _midi_args(p)
     p.add_argument("out")
     p.add_argument("--shift", type=float,
                    default=ANALYSIS.frame_shift / ANALYSIS.sample_rate,
                    help="frame shift in seconds")
-    p.add_argument("--rate", type=int, default=ANALYSIS.sample_rate)
-    p.add_argument("--no-pedal", action="store_true",
-                   help="ignore sustain-pedal events")
     p.set_defaults(func=cmd_roll)
 
     p = sub.add_parser("feat", help="extract filter-bank features from audio")
     p.add_argument("wav")
     p.add_argument("out")
     p.add_argument("--bank", choices=("midi", "mel", "linear"), default="midi")
-    p.add_argument("--n-mels", type=int, default=80)
+    p.add_argument("--n-mels", type=int, default=dsp.N_MELS)
     _analysis_args(p)
     p.set_defaults(func=cmd_feat)
 
     p = sub.add_parser("excite", help="render an excitation signal from MIDI")
-    p.add_argument("midi")
+    _midi_args(p)
     p.add_argument("out")
     p.add_argument("--kind", choices=("sine", "noise"), default="sine")
-    p.add_argument("--rate", type=int, default=ANALYSIS.sample_rate)
     p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-pedal", action="store_true")
     p.set_defaults(func=cmd_excite)
 
     p = sub.add_parser("synth", help="synthesize audio from MIDI")
-    p.add_argument("midi")
+    _midi_args(p)
     p.add_argument("out")
     p.add_argument("--nsf-ckpt", required=True,
                    help="waveform model checkpoint")
@@ -494,28 +494,25 @@ def build_parser():
     p.add_argument("--ref-wav", help="reference audio (mode abs)")
     p.add_argument("--bank", choices=("midi", "mel"), default="midi",
                    help="filter bank for mode abs")
-    p.add_argument("--rate", type=int, default=ANALYSIS.sample_rate)
     _analysis_args(p, shift=False)
     p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-pedal", action="store_true")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gl", help="invert a feature file to audio (Griffin-Lim)")
     p.add_argument("feat")
     p.add_argument("out")
-    p.add_argument("--iters", type=int, default=60)
+    p.add_argument("--iters", type=int, default=dsp.GL_ITERS)
     _analysis_args(p, shift=False)
     p.set_defaults(func=cmd_gl)
 
     p = sub.add_parser("pitch-ce", help="score audio against its MIDI pitches")
     p.add_argument("wav")
-    p.add_argument("midi")
+    _midi_args(p, rate=False)
     p.add_argument("--transpose", type=int, default=0,
                    help="shift the reference roll by semitones before scoring")
     p.add_argument("--velocity-weights", action="store_true",
                    help="weight active pitches by velocity instead of 0/1")
-    p.add_argument("--no-pedal", action="store_true")
     _analysis_args(p)
     p.set_defaults(func=cmd_pitch_ce)
 
@@ -528,7 +525,7 @@ def build_parser():
     p = sub.add_parser("stats", help="summarize listening-test scores")
     p.add_argument("scores", help="CSV with system,sample_id,listener_id,score")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=evaluation.ALPHA)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="train the waveform or acoustic model")

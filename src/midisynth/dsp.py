@@ -35,6 +35,9 @@ MAX_FILTER_BANK_ENTRIES = 2 ** 24
 # 1e100 summed over MAX_SPECTROGRAM_ENTRIES stay finite, so neither the
 # 10 ** value nor any sum inside Griffin-Lim can overflow float64.
 MAX_LOG10_MAGNITUDE = 100.0
+# Default mel band count and Griffin-Lim iteration count
+N_MELS = 80
+GL_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,7 @@ class FeatureMatrix:
     frame_shift: float
     sample_rate: float
 
+    # A kind's index here is its code in a feature file, so the order is fixed.
     KINDS = ("mel-fb", "midi-fb", "linear-spec", "piano-roll")
 
     def __post_init__(self):
@@ -184,7 +188,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_bank(cfg: StftConfig, n_filters: int = 80) -> FilterBank:
+def mel_filter_bank(cfg: StftConfig, n_filters: int = N_MELS) -> FilterBank:
     """Triangular filters on a mel-spaced grid from 0 Hz to Nyquist."""
     if n_filters < 1:
         raise ValueError("n_filters must be positive")
@@ -299,7 +303,7 @@ def linear_spectrogram(wave: WaveSignal, cfg: StftConfig) -> FeatureMatrix:
                          cfg.frame_shift / cfg.sample_rate, cfg.sample_rate)
 
 
-def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = 60,
+def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = GL_ITERS,
                 return_history: bool = False):
     """Reconstruct a waveform from a magnitude spectrogram.
 
@@ -370,7 +374,7 @@ def pseudo_inverse_magnitude(feat: FeatureMatrix, cfg: StftConfig) -> np.ndarray
 # --- multi-resolution STFT loss ------------------------------------------
 
 
-def default_loss_resolutions(sample_rate: int = 24000):
+def default_loss_resolutions(sample_rate: int = StftConfig.sample_rate):
     """Three analysis settings spanning coarse to fine time resolution."""
     make = lambda n, s: StftConfig(sample_rate=sample_rate, frame_length=n,
                                    frame_shift=s, fft_size=n)

@@ -27,6 +27,7 @@ from .midi_io import PianoRoll
 PROB_EPS = 1e-4
 SILENCE_ENERGY = 1e-6
 EXACT_LIMIT = 12
+ALPHA = 0.05  # default significance level
 
 
 def pitch_probability(wave: WaveSignal, cfg: StftConfig) -> np.ndarray:
@@ -152,7 +153,7 @@ def mann_whitney_u(a, b):
     return u_a, min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 
-def holm_bonferroni(p_values, alpha: float = 0.05):
+def holm_bonferroni(p_values, alpha: float = ALPHA):
     """Step-down Holm correction.
 
     Returns (reject flags, adjusted p-values), both in input order.  The
@@ -185,7 +186,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05):
     return reject, adjusted
 
 
-def pairwise_significance(pools: dict, alpha: float = 0.05) -> list:
+def pairwise_significance(pools: dict, alpha: float = ALPHA) -> list:
     """Pairwise Mann-Whitney U over pooled ratings, Holm-corrected jointly.
 
     pools maps each system to its scores.  Returns one (system_a,
@@ -201,23 +202,18 @@ def pairwise_significance(pools: dict, alpha: float = 0.05) -> list:
             in zip(pairs, tests, adjusted, reject)]
 
 
-def mos_summary(pools: dict):
+def mos_summary(pools: dict) -> list:
     """Per-system score summaries sorted by system name.
 
-    Returns a list of dicts with count, mean, median, and quartiles
-    (linear interpolation).
+    Returns one (system, count, mean, median, q1, q3) row per system,
+    the quartiles by linear interpolation.
     """
     if not pools:
         raise ValueError("score table is empty")
     out = []
     for system in sorted(pools):
         scores = np.array(pools[system], dtype=np.float64)
-        out.append({
-            "system": system,
-            "count": int(scores.size),
-            "mean": float(scores.mean()),
-            "median": float(np.median(scores)),
-            "q1": float(np.percentile(scores, 25)),
-            "q3": float(np.percentile(scores, 75)),
-        })
+        out.append((system, int(scores.size), float(scores.mean()),
+                    float(np.median(scores)), float(np.percentile(scores, 25)),
+                    float(np.percentile(scores, 75))))
     return out

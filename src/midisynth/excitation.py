@@ -14,27 +14,31 @@ import math
 
 import numpy as np
 
-from .dsp import WaveSignal, midi_center_freq
-from .midi_io import NoteEventList
+from .dsp import StftConfig, WaveSignal, midi_center_freq
+from .midi_io import EDGE_EPS, NoteEventList
 
 FADE_SECONDS = 0.005
 NOISE_STD = 0.1
-_EDGE_EPS = 1e-9
 # Most samples an excitation may hold: 1 GiB of float64, 93 minutes at
 # 24 kHz.  A huge sample rate would otherwise size it without bound.
 MAX_SAMPLES = 2 ** 27
 
 
-def sine_excitation(notes: NoteEventList, sample_rate: int = 24000,
+def sample_count(notes: NoteEventList, sample_rate: int) -> int:
+    """The samples the piece spans: ceil(duration * sample_rate)."""
+    return max(0, math.ceil(notes.duration * sample_rate - EDGE_EPS))
+
+
+def sine_excitation(notes: NoteEventList, sample_rate: int = StftConfig.sample_rate,
                     gain: float = 1.0) -> WaveSignal:
-    """Sum of per-note sinusoids over ceil(duration * sample_rate) samples.
+    """Sum of per-note sinusoids over sample_count(notes, sample_rate) samples.
 
     Each note contributes (velocity / 127) * sin(2 pi f (t - onset)) for
     t in [onset, offset), shaped by 5 ms linear fade-in/out ramps.  After
     summing and applying gain, the mix is scaled down to peak 0.89 only
     if it clips, as it does when gain times the mix overflows float64.
     """
-    n_total = max(0, math.ceil(notes.duration * sample_rate - _EDGE_EPS))
+    n_total = sample_count(notes, sample_rate)
     out = np.zeros(n_total)
     # a note's envelope is 1 from this many samples inside either end
     n_fade = math.ceil(FADE_SECONDS * sample_rate) + 2
@@ -44,8 +48,8 @@ def sine_excitation(notes: NoteEventList, sample_rate: int = 24000,
             raise ValueError(
                 f"note {note.pitch} at {freq:.1f} Hz needs a rate above "
                 f"{2 * freq:.0f} Hz, have {sample_rate}")
-        lo = max(0, math.ceil(note.onset * sample_rate - _EDGE_EPS))
-        hi = min(n_total, math.ceil(note.offset * sample_rate - _EDGE_EPS))
+        lo = max(0, math.ceil(note.onset * sample_rate - EDGE_EPS))
+        hi = min(n_total, math.ceil(note.offset * sample_rate - EDGE_EPS))
         if hi <= lo:
             continue
         n, amp = hi - lo, note.velocity / 127.0
@@ -84,7 +88,7 @@ def _sine(freq, lo, hi, onset, sample_rate):
 
 
 def noise_excitation(n_samples: int, seed: int,
-                     sample_rate: int = 24000) -> WaveSignal:
+                     sample_rate: int = StftConfig.sample_rate) -> WaveSignal:
     """Seeded Gaussian noise (PCG64) of std NOISE_STD, clipped to [-1, 1]."""
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
@@ -97,11 +101,7 @@ def fit_length(wave: WaveSignal, n_samples: int) -> WaveSignal:
     """Truncate or zero-pad to exactly n_samples, keeping the sample rate."""
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
-    cur = len(wave)
-    if cur == n_samples:
-        return wave
-    if cur > n_samples:
-        return WaveSignal(wave.samples[:n_samples], wave.sample_rate)
-    out = np.zeros(n_samples)
-    out[:cur] = wave.samples
-    return WaveSignal(out, wave.sample_rate)
+    samples = wave.samples[:n_samples]  # a view: truncation copies nothing
+    if len(samples) < n_samples:
+        samples = np.pad(samples, (0, n_samples - len(samples)))
+    return WaveSignal(samples, wave.sample_rate)

@@ -20,8 +20,6 @@ from .errors import FileFormatError
 
 FEATURE_MAGIC = b"MFB1"
 FEATURE_VERSION = 1
-KIND_CODES = {"mel-fb": 0, "midi-fb": 1, "linear-spec": 2, "piano-roll": 3}
-KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
 
 # --- WAV ------------------------------------------------------------------
@@ -94,12 +92,13 @@ def write_feature_file(path, feat: FeatureMatrix) -> None:
     """Write a feature matrix.
 
     Layout: magic "MFB1", u32 version, u32 n_frames, u32 dim, u32 kind
-    code (0 mel-fb, 1 midi-fb, 2 linear-spec, 3 piano-roll), f64
-    frame_shift seconds, f64 sample_rate, then float32 values row-major.
+    code (the kind's index in FeatureMatrix.KINDS: 0 mel-fb, 1 midi-fb,
+    2 linear-spec, 3 piano-roll), f64 frame_shift seconds, f64
+    sample_rate, then float32 values row-major.
     """
     header = FEATURE_MAGIC + struct.pack(
         "<IIIIdd", FEATURE_VERSION, feat.n_frames, feat.dim,
-        KIND_CODES[feat.kind], feat.frame_shift, feat.sample_rate)
+        FeatureMatrix.KINDS.index(feat.kind), feat.frame_shift, feat.sample_rate)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(feat.values.astype("<f4").tobytes())
@@ -113,7 +112,7 @@ def read_feature_file(path) -> FeatureMatrix:
     version, n, d, kind_code, shift, rate = struct.unpack("<IIIIdd", data[4:36])
     if version != FEATURE_VERSION:
         raise FileFormatError(f"{path}: unsupported feature file version {version}")
-    if kind_code not in KIND_NAMES:
+    if kind_code >= len(FeatureMatrix.KINDS):
         raise FileFormatError(f"{path}: unknown feature kind code {kind_code}")
     expected = 36 + 4 * n * d
     if len(data) < expected:
@@ -123,7 +122,7 @@ def read_feature_file(path) -> FeatureMatrix:
     if not np.isfinite(values).all():  # before the cast, which warns on NaN
         raise FileFormatError(f"{path}: payload holds non-finite values")
     try:
-        return FeatureMatrix(values.astype(np.float64), KIND_NAMES[kind_code],
+        return FeatureMatrix(values.astype(np.float64), FeatureMatrix.KINDS[kind_code],
                              shift, rate)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

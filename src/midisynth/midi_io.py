@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import FeatureMatrix
+from .dsp import FeatureMatrix, StftConfig
 from .errors import FileFormatError, TooLarge
 
 DEFAULT_TEMPO_US = 500000  # microseconds per quarter note, 120 bpm
@@ -33,9 +33,9 @@ MAX_DURATION_SECONDS = 3600.0
 # float64.  A tiny frame shift would otherwise size the roll without bound.
 MAX_ROLL_FRAMES = 2 ** 20
 
-# Fractional-frame slack so onsets/offsets that are exact frame multiples
-# do not drift across a floor/ceil boundary from float rounding.
-_FRAME_EPS = 1e-9
+# Slack so times that are exact frame or sample multiples do not drift
+# across a floor/ceil boundary from float rounding (rolls and excitation).
+EDGE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class PianoRoll(FeatureMatrix):
     """The piano-roll FeatureMatrix: values[n, d] in [0, 1], velocity over 127."""
 
     kind: str = field(default="piano-roll", init=False)
-    sample_rate: float = 24000.0
+    sample_rate: float = StftConfig.sample_rate
 
     def __post_init__(self):
         super().__post_init__()
@@ -363,7 +363,7 @@ def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
 
 
 def to_piano_roll(notes: NoteEventList, frame_shift: float,
-                  sample_rate: float = 24000.0) -> PianoRoll:
+                  sample_rate: float = StftConfig.sample_rate) -> PianoRoll:
     """Quantize notes onto frames of frame_shift seconds.
 
     A note activates every frame its [onset, offset) interval intersects.
@@ -372,7 +372,7 @@ def to_piano_roll(notes: NoteEventList, frame_shift: float,
     """
     if not frame_shift > 0:
         raise ValueError("frame_shift must be positive")
-    frames = notes.duration / frame_shift - _FRAME_EPS
+    frames = notes.duration / frame_shift - EDGE_EPS
     if frames > MAX_ROLL_FRAMES:
         raise TooLarge(f"{notes.duration:.4g} s at a {frame_shift:.4g} s frame "
                        f"shift needs {frames:.4g} frames, the limit is "
@@ -380,8 +380,8 @@ def to_piano_roll(notes: NoteEventList, frame_shift: float,
     n_frames = max(0, math.ceil(frames))
     values = np.zeros((n_frames, 128))
     for n in notes.notes:
-        lo = int(math.floor(n.onset / frame_shift + _FRAME_EPS))
-        hi = int(math.ceil(n.offset / frame_shift - _FRAME_EPS))
+        lo = int(math.floor(n.onset / frame_shift + EDGE_EPS))
+        hi = int(math.ceil(n.offset / frame_shift - EDGE_EPS))
         lo, hi = max(lo, 0), min(max(hi, lo + 1), n_frames)
         level = n.velocity / 127.0
         values[lo:hi, n.pitch] = np.maximum(values[lo:hi, n.pitch], level)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .dsp import FeatureMatrix, WaveSignal, mr_stft_loss
+from .dsp import FeatureMatrix, StftConfig, WaveSignal, mr_stft_loss
 from .errors import TooLarge
 from .params import POSITIVE_INT, POSITIVE_NUMBER, FitConfig, ModelParams, affine, \
     check_fields, check_layer_table, declared, fit, init_params, load_model, save_model, \
@@ -69,7 +69,7 @@ CONDITION_KINDS = ("mel-fb", "midi-fb", "piano-roll")
 @dataclass(frozen=True)
 class NsfConfig:
     feature_dim: int = declared(POSITIVE_INT)
-    upsample_factor: int = declared(POSITIVE_INT, 288)
+    upsample_factor: int = declared(POSITIVE_INT, StftConfig.frame_shift)
     n_blocks: int = declared(POSITIVE_INT, 2)
     convs_per_block: int = declared(POSITIVE_INT, 5)
     channels: int = declared(POSITIVE_INT, 16)

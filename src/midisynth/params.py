@@ -164,10 +164,11 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg: FitConfig,
     loss_and_grads(params, item, index) gives one item's (loss, grads);
     their batch means drive one Adam step, unless either is non-finite,
     which raises TrainingDiverged (numpy's overflow warnings are off in a
-    batch, as this check reports it).  on_epoch_end(epoch, params) runs
-    after every epoch.  A run whose finished epochs (params.step over the
-    batches per epoch) plus train_cfg.epochs exceed MAX_EPOCHS raises
-    TooLarge.  Returns (updated params copy, [(step, loss), ...]).
+    batch, as this check reports it).  on_epoch_end(epoch, params, history)
+    runs after every epoch, with the history so far.  A run whose finished
+    epochs (params.step over the batches per epoch) plus train_cfg.epochs
+    exceed MAX_EPOCHS raises TooLarge.  Returns (updated params copy,
+    [(step, loss), ...]).
     """
     dataset = list(dataset)
     if not dataset:
@@ -204,7 +205,7 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg: FitConfig,
                             train_cfg.beta1, train_cfg.beta2)
             history.append((params.step, mean_loss))
         if on_epoch_end is not None:
-            on_epoch_end(epoch, params)
+            on_epoch_end(epoch, params, history)
     return params, history
 
 

@@ -85,6 +85,15 @@ def test_roll_custom_shift(tmp_path, capsys):
     assert formats.read_feature_file(out).n_frames == 10
 
 
+def test_roll_warns_once_of_a_dangling_note_on(tmp_path, capsys):
+    midi = tmp_path / "clip.mid"
+    midi.write_bytes(helpers.single_track_smf(
+        [helpers.vlq(0) + bytes([0x90, 60, 90]), helpers.eot(480)], append_eot=False))
+    assert run_cli("roll", midi, tmp_path / "roll.mfb") == 0
+    assert capsys.readouterr().err == (
+        f"warning: {midi}: 1 dangling note-on event(s) closed at end of file\n")
+
+
 def test_feat_midi_bank_dims(tmp_path, capsys):
     wav = tmp_path / "tone.wav"
     helpers.tone_wav(wav, freq=440.0, seconds=1.0)
@@ -214,6 +223,35 @@ def test_synth_am_mode_requires_am_ckpt(tmp_path, capsys):
     assert run_cli("synth", midi, tmp_path / "x.wav", "--nsf-ckpt", ckpt,
                    "--mode", "am+nsf") == 2
     assert "--am-ckpt" in capsys.readouterr().err
+
+
+def test_synth_abs_mode_requires_ref_wav(tmp_path, capsys):
+    midi = tmp_path / "clip.mid"
+    write_midi_file(midi, [(0.0, 0.3, 64, 110)])
+    ckpt = tmp_path / "nsf.ckpt"
+    helpers.write_zero_nsf_ckpt(ckpt)
+    assert run_cli("synth", midi, tmp_path / "x.wav", "--nsf-ckpt", ckpt,
+                   "--mode", "abs") == 2
+    assert capsys.readouterr().err == "error: --ref-wav is required with --mode abs\n"
+
+
+@pytest.mark.parametrize("command", ["train", "synth-abs"])
+def test_a_wav_at_another_rate_is_named(tmp_path, capsys, command):
+    """A training WAV or a reference WAV sampled at 16 kHz, where 24 kHz
+    is expected, is refused in one line that names it."""
+    data = make_pair(tmp_path / "data")
+    wav = data / "clip.wav"
+    helpers.tone_wav(wav, seconds=0.2, rate=16000)
+    if command == "train":
+        argv = ["train", "nsf", data, tmp_path / "out", "--config", nsf_config(tmp_path)]
+    else:
+        ckpt = tmp_path / "nsf.ckpt"
+        helpers.write_zero_nsf_ckpt(ckpt)
+        argv = ["synth", data / "clip.mid", tmp_path / "x.wav", "--nsf-ckpt", ckpt,
+                "--mode", "abs", "--ref-wav", wav]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {wav}: sampled at 16000 Hz, expected 24000\n")
 
 
 # --- gl -------------------------------------------------------------------
@@ -597,6 +635,46 @@ def test_train_nsf_resume_continues_steps(tmp_path, capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["5", "6", "7", "8"]
 
 
+def test_a_run_stopped_early_leaves_loss_csv_at_its_checkpoint(tmp_path, capsys,
+                                                               monkeypatch):
+    """Three epochs of two steps (3 segments, batch 2), and the 4th
+    nsf_backward call, the first of step 3, returns a NaN loss: the run
+    exits 2, and loss.csv holds the steps of the step-2 checkpoint."""
+    data = make_pair(tmp_path / "data")
+    out = tmp_path / "run"
+    backward, calls = nsf.nsf_backward, []
+
+    def nan_from_the_4th_call(*args):
+        calls.append(args)
+        loss, grads = backward(*args)
+        return (np.nan if len(calls) >= 4 else loss), grads
+
+    monkeypatch.setattr(nsf, "nsf_backward", nan_from_the_4th_call)
+    assert run_cli("train", "nsf", data, out, "--config",
+                   nsf_config(tmp_path, epochs=3)) == 2
+    assert capsys.readouterr().err == "error: non-finite loss or gradient at step 3\n"
+    params, _ = nsf.load_checkpoint(out / "nsf.ckpt")
+    assert params.step == 2
+    lines = (out / "loss.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in lines] == ["step", "1", "2"]
+
+
+@pytest.mark.parametrize("kind", ["nsf", "am"])
+def test_a_clip_shorter_than_a_segment_trains_as_one_segment(tmp_path, capsys, kind):
+    """A 0.2 s clip with 1 s NSF segments, or its 17 frames with 100-frame
+    AM segments, is one whole segment: 2 epochs of one step each."""
+    data = make_pair(tmp_path / "data")
+    if kind == "nsf":
+        config = nsf_config(tmp_path, segment_seconds=1.0)
+    else:
+        config = am_config(tmp_path, segment_frames=100, epochs=2)
+    out = tmp_path / "run"
+    assert run_cli("train", kind, data, out, "--config", config) == 0
+    assert "trained on 1 segments for 2 epochs" in capsys.readouterr().out
+    lines = (out / "loss.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in lines] == ["step", "1", "2"]
+
+
 @pytest.mark.parametrize("mode", ["direct", "am+nsf"])
 @pytest.mark.parametrize("kind", ["sine", "noise"])
 def test_synth_is_within_one_pcm_step_of_the_float64_model(tmp_path, capsys,
@@ -821,7 +899,7 @@ def test_train_unknown_config_key_exits_2(tmp_path, capsys):
 
 def hostile_mfb(path, shift=0.012, rate=24e3, kind="midi-fb", dim=128, value=0.0):
     header = formats.FEATURE_MAGIC + struct.pack(
-        "<IIIIdd", 1, 2, dim, formats.KIND_CODES[kind], shift, rate)
+        "<IIIIdd", 1, 2, dim, dsp.FeatureMatrix.KINDS.index(kind), shift, rate)
     path.write_bytes(header + np.full(2 * dim, value, "<f4").tobytes())
     return path
 

@@ -263,9 +263,12 @@ def test_write_parse_round_trip(rng):
         dur = int(rng.integers(1, 400))
         specs.append((on * tick, (on + dur) * tick,
                       int(rng.integers(21, 108)), int(rng.integers(1, 128))))
-    notes = helpers.make_notes(specs)
+    # pedal events come back in file order, the two on one tick included
+    pedal = ((0.25, 127), (1.0, 0), (1.0, 127), (2.0, 0))
+    notes = helpers.make_notes(specs, pedal=pedal)
     data = midi_io.write_midi(notes)
     parsed = midi_io.parse_midi(data)
+    assert parsed.pedal == pedal
     assert len(parsed.notes) == len(notes.notes)
     for got, want in zip(parsed.notes, notes.notes):
         assert got.pitch == want.pitch

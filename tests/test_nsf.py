@@ -506,7 +506,7 @@ def test_train_non_finite_target_raises(rng):
     with pytest.raises(TrainingDiverged):
         nsf.nsf_train(params, [(feats, source, WaveSignal(target, 24000.0))],
                       tc, cfg, small_resolutions(),
-                      on_epoch_end=lambda epoch, p: saved.append(epoch))
+                      on_epoch_end=lambda epoch, p, history: saved.append(epoch))
     assert saved == []
 
 
