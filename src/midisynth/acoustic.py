@@ -346,25 +346,10 @@ def warm_start_from(base: ModelParams, new_cfg: AmConfig) -> ModelParams:
     return ModelParams(tensors=tensors)
 
 
-def _v1_config(fields):
-    """The nine u32 fields of a version-1 checkpoint as AmConfig arguments."""
-    code, input_dim, output_dim, factor, enc, dec, w1, w2, post = fields
-    return dict(variant=f"taco{code}", input_dim=input_dim,
-                output_dim=output_dim, downsample_factor=factor,
-                encoder_channels=enc, decoder_state_dim=dec,
-                prenet_widths=(w1, w2), postnet_channels=post)
-
-
 def am_save_checkpoint(path, params: ModelParams, cfg: AmConfig) -> None:
     save_model(path, AM_MAGIC, params, cfg)
 
 
 def am_load_checkpoint(path, expected_cfg: AmConfig | None = None):
-    """Read an acoustic checkpoint, returning (params, config).
-
-    Every config field is stored.  A version-1 file lacks prenet_dropout
-    and output_kind; they come from expected_cfg when given, else from
-    the defaults.
-    """
-    return load_model(path, AM_MAGIC, AmConfig, am_param_shapes, 9,
-                      _v1_config, expected_cfg)
+    """Read a checkpoint as params.load_model does: (params, config)."""
+    return load_model(path, AM_MAGIC, AmConfig, am_param_shapes, expected_cfg)

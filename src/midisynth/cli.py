@@ -117,6 +117,7 @@ def _excitation(kind, notes, n_samples, rate, gain, seed):
 
 
 def cmd_roll(args):
+    formats.check_wav_rate(args.rate, "--rate")
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
     roll = midi_io.to_piano_roll(notes, args.shift, args.rate)
     formats.write_feature_file(args.out, roll)
@@ -135,6 +136,7 @@ def cmd_feat(args):
 
 
 def cmd_excite(args):
+    formats.check_wav_rate(args.rate, "--rate")
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
     n_samples = excitation.sample_count(notes, args.rate)
     wave = _excitation(args.kind, notes, n_samples, args.rate, args.gain, args.seed)
@@ -145,10 +147,13 @@ def cmd_excite(args):
 
 def cmd_gl(args):
     feat = formats.read_feature_file(args.feat)
+    hop = feat.frame_shift * feat.sample_rate
+    if hop == math.inf:
+        raise ValueError(f"{args.feat}: a hop of {feat.frame_shift:.6g} s at "
+                         f"{feat.sample_rate:.6g} Hz overflows")
     cfg = dsp.StftConfig(sample_rate=int(round(feat.sample_rate)),
                          frame_length=args.frame_length,
-                         frame_shift=int(round(feat.frame_shift * feat.sample_rate)),
-                         fft_size=args.fft)
+                         frame_shift=int(round(hop)), fft_size=args.fft)
     try:
         magnitude = dsp.pseudo_inverse_magnitude(feat, cfg)
     except (MidiSynthError, ValueError) as exc:
@@ -164,8 +169,7 @@ def cmd_gl(args):
 
 def _synthesize(args, notes, params, model_cfg):
     rate, shift = args.rate, model_cfg.upsample_factor
-    if rate <= 0:
-        raise ValueError(f"--rate must be positive, got {rate}")
+    formats.check_wav_rate(rate, "--rate")
     if args.mode == "abs":  # analysis-by-synthesis from reference audio
         if not args.ref_wav:
             raise ValueError("--ref-wav is required with --mode abs")
@@ -367,7 +371,11 @@ def _segment_frames(n_frames, per_segment):
 def _nsf_data(data_dir, model_cfg, train_cfg, data):
     """The (features, source, target) segments of train nsf."""
     rate, kind, shift = data.rate, data.features, model_cfg.upsample_factor
-    per_segment = max(1, round(train_cfg.segment_seconds * rate / shift))
+    try:
+        per_segment = max(1, round(train_cfg.segment_seconds * rate / shift))
+    except OverflowError:
+        raise ValueError(f"a segment of {train_cfg.segment_seconds:.6g} s at the data "
+                         f"rate overflows a frame count") from None
 
     dataset = []
     for idx, (notes, wave) in enumerate(_clips(data_dir, rate)):

@@ -68,14 +68,19 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     return np.clip(scaled, -32768, 32767).astype("<i2")
 
 
+def check_wav_rate(rate, name) -> None:
+    """Refuse, naming name, a sample rate outside 1 to 2^31 - 1 Hz, which a
+    WAV header's u32 byte rate, 2 x rate, could not hold."""
+    if not 1 <= rate <= 0xFFFFFFFF // 2:
+        raise ValueError(f"{name}: a WAV header cannot hold a sample rate of {rate} Hz")
+
+
 def write_wav(path, wave: WaveSignal) -> None:
     """Write a PCM16 mono RIFF/WAVE file; non-finite samples are refused,
-    and so is a rate whose u32 byte rate, 2 x rate, would overflow."""
+    and so is a rate that check_wav_rate refuses."""
     if not np.isfinite(wave.samples).all():
         raise ValueError(f"{path}: refusing to write non-finite samples")
-    if not 1 <= wave.sample_rate <= 0xFFFFFFFF // 2:
-        raise ValueError(f"{path}: a WAV header cannot hold a sample rate of "
-                         f"{wave.sample_rate:.6g} Hz")
+    check_wav_rate(wave.sample_rate, path)
     rate = int(round(wave.sample_rate))
     payload = quantize_pcm16(wave.samples).tobytes()
     fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
@@ -138,7 +143,7 @@ def feature_from_roll(roll: FeatureMatrix) -> FeatureMatrix:
 
 
 CHECKPOINT_VERSION = 3
-TENSOR_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f4"), 3: np.dtype("<f8")}
+TENSOR_DTYPES = {2: np.dtype("<f4"), 3: np.dtype("<f8")}
 
 
 def write_container(path, magic: bytes, config: dict, tensors) -> None:
@@ -175,15 +180,12 @@ def write_container(path, magic: bytes, config: dict, tensors) -> None:
             os.unlink(tmp)
 
 
-def read_container(path, magic: bytes, n_config_fields: int):
-    """Read a container written by write_container, or of version 1 or 2.
-
-    Versions 1 and 2 store float32 data, and version 1 has n_config_fields
-    u32 values where later versions have the JSON block.  Returns (config,
-    dict of float64 tensors), where config is the JSON object of a later
-    version or the tuple of u32 fields of a version-1 file.  Any
-    structural defect, bad magic, short read, malformed config block,
-    non-finite tensor value, or CRC mismatch raises FileFormatError.
+def read_container(path, magic: bytes):
+    """Read a container written by write_container, or of version 2, which
+    stores float32 data.  Returns (config dict, dict of float64 tensors).
+    Any structural defect, bad magic, short read, malformed config block,
+    non-finite tensor value, or CRC mismatch raises FileFormatError, and so
+    does any other version.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -201,15 +203,11 @@ def read_container(path, magic: bytes, n_config_fields: int):
     dtype = TENSOR_DTYPES[version]
     tensors = {}
     try:
-        if version == 1:
-            config = struct.unpack_from(f"<{n_config_fields}I", body, 8)
-            pos = 8 + 4 * n_config_fields
-        else:
-            (size,) = struct.unpack_from("<I", body, 8)
-            pos = 12 + size
-            config = json.loads(body[12:pos].decode("utf-8"))
-            if not isinstance(config, dict):
-                raise FileFormatError(f"{path}: config block is not a JSON object")
+        (size,) = struct.unpack_from("<I", body, 8)
+        pos = 12 + size
+        config = json.loads(body[12:pos].decode("utf-8"))
+        if not isinstance(config, dict):
+            raise FileFormatError(f"{path}: config block is not a JSON object")
         (count,) = struct.unpack_from("<I", body, pos)
         pos += 4
         for _ in range(count):

@@ -298,21 +298,10 @@ def nsf_train(params: ModelParams, dataset, train_cfg: TrainConfig,
 # --- checkpoints -------------------------------------------------------------
 
 
-def _v1_config(fields):
-    """The six u32 fields of a version-1 checkpoint as NsfConfig arguments."""
-    return dict(zip(("feature_dim", "upsample_factor", "n_blocks",
-                     "convs_per_block", "channels", "kernel"), fields))
-
-
 def save_checkpoint(path, params: ModelParams, cfg: NsfConfig) -> None:
     save_model(path, NSF_MAGIC, params, cfg)
 
 
 def load_checkpoint(path, expected_cfg: NsfConfig | None = None):
-    """Read a checkpoint, returning (params, config).
-
-    The tensor table must match the config's shapes exactly; a checkpoint
-    whose stored config disagrees with expected_cfg is rejected.
-    """
-    return load_model(path, NSF_MAGIC, NsfConfig, nsf_param_shapes, 6,
-                      _v1_config, expected_cfg)
+    """Read a checkpoint as params.load_model does: (params, config)."""
+    return load_model(path, NSF_MAGIC, NsfConfig, nsf_param_shapes, expected_cfg)

@@ -217,30 +217,22 @@ def save_model(path, magic: bytes, params: ModelParams, cfg) -> None:
     write_container(path, magic, dataclasses.asdict(cfg), tensors)
 
 
-def load_model(path, magic: bytes, config_cls, param_shapes, n_v1_fields: int,
-               v1_config, expected_cfg=None):
+def load_model(path, magic: bytes, config_cls, param_shapes, expected_cfg=None):
     """Read a checkpoint written by save_model, returning (params, config).
 
-    v1_config maps the n_v1_fields u32 values of a version-1 file to
-    config_cls arguments; fields it lacks come from expected_cfg if given,
-    so such a file is compared only on what it stored.  The table holds
-    each tensor of param_shapes(config), Adam moments named after them,
-    and a step count.  An invalid or unexpected config, a missing tensor,
-    an unknown name, a shape that differs from the config's, or a step
-    count that is not one finite, non-negative number raises
-    FileFormatError.
+    The stored config must hold each config_cls field, and equal
+    expected_cfg if given.  The table holds each tensor of
+    param_shapes(config), Adam moments named after them, and a step count.
+    An invalid or unexpected config, a missing tensor, an unknown name, a
+    shape that differs from the config's, or a step count that is not one
+    finite, non-negative number raises FileFormatError.
     """
-    config, tensors = read_container(path, magic, n_v1_fields)
+    config, tensors = read_container(path, magic)
+    if set(config) != {f.name for f in dataclasses.fields(config_cls)}:
+        raise FileFormatError(f"{path}: stored config keys {sorted(config)} "
+                              f"are not the {config_cls.__name__} fields")
     try:
-        if isinstance(config, dict):
-            if set(config) != {f.name for f in dataclasses.fields(config_cls)}:
-                raise FileFormatError(f"{path}: stored config keys {sorted(config)} "
-                                      f"are not the {config_cls.__name__} fields")
-            cfg = config_cls(**config)
-        elif expected_cfg is not None:
-            cfg = dataclasses.replace(expected_cfg, **v1_config(config))
-        else:
-            cfg = config_cls(**v1_config(config))
+        cfg = config_cls(**config)
     except (TypeError, ValueError, TooLarge) as exc:
         raise FileFormatError(f"{path}: invalid stored config ({exc})") from exc
     if expected_cfg is not None and cfg != expected_cfg:

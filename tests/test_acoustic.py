@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-import v1_checkpoints as v1
+import frozen_checkpoints
 from midisynth import acoustic
 from midisynth.acoustic import VARIANTS, AmConfig, AmTrainConfig
 from midisynth.dsp import FeatureMatrix
@@ -465,19 +465,6 @@ def test_checkpoint_round_trip(tmp_path, rng):
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
 
 
-def test_checkpoint_variant_codes(tmp_path):
-    # version 1 numbers the variant in its first field; taco4 shares
-    # taco2's tensor shapes once its downsample field reads 1
-    taco4 = v1.patch_v1_field(v1.patch_v1_field(v1.AM_TACO2_V1, 0, 4), 3, 1)
-    path = tmp_path / "am.ckpt"
-    for variant, blob in (("taco2", v1.AM_TACO2_V1), ("taco3", v1.AM_TACO3_V1),
-                          ("taco4", taco4)):
-        path.write_bytes(blob)
-        _, cfg = acoustic.am_load_checkpoint(path)
-        assert cfg.variant == variant
-        assert cfg.downsample_factor == (1 if variant == "taco4" else 4)
-
-
 def test_checkpoint_expected_cfg_mismatch(tmp_path):
     cfg = helpers.tiny_am_cfg("taco2")
     path = tmp_path / "am.ckpt"
@@ -489,12 +476,11 @@ def test_checkpoint_expected_cfg_mismatch(tmp_path):
 
 def test_checkpoint_bad_variant_code(tmp_path):
     path = tmp_path / "am.ckpt"
-    fields = dataclasses.asdict(v1.am_v1_cfg("taco2"))
-    for blob in (v1.patch_v1_field(v1.AM_TACO2_V1, 0, 9),
-                 v1.as_v2(v1.AM_TACO2_V1, 9, {**fields, "variant": "taco9"})):
-        path.write_bytes(blob)
-        with pytest.raises(FileFormatError, match="variant must be one of taco2, taco3, taco4, got 'taco9'"):
-            acoustic.am_load_checkpoint(path)
+    fields = dataclasses.asdict(frozen_checkpoints.AM_TACO2_CFG)
+    path.write_bytes(frozen_checkpoints.as_v2(frozen_checkpoints.AM_TACO2_V2,
+                                              {**fields, "variant": "taco9"}))
+    with pytest.raises(FileFormatError, match="variant must be one of taco2, taco3, taco4, got 'taco9'"):
+        acoustic.am_load_checkpoint(path)
 
 
 def test_checkpoint_round_trip_every_field(tmp_path, rng):
@@ -521,41 +507,14 @@ def test_checkpoint_round_trip_every_field(tmp_path, rng):
             path, expected_cfg=dataclasses.replace(cfg, prenet_dropout=0.99))
 
 
-def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
-    path = tmp_path / "am.ckpt"
-    for variant, blob in (("taco2", v1.AM_TACO2_V1), ("taco3", v1.AM_TACO3_V1)):
-        cfg = v1.am_v1_cfg(variant)
-        expected = acoustic.am_init(cfg, seed=4)
-        path.write_bytes(blob)
-        loaded, loaded_cfg = acoustic.am_load_checkpoint(path)
-        assert loaded_cfg == cfg
-        assert loaded.step == 0
-        assert sorted(loaded.tensors) == sorted(expected.tensors)
-        for name, value in expected.tensors.items():
-            assert np.array_equal(loaded.tensors[name], value.astype(np.float32))
-
-
 def test_checkpoint_loads_frozen_v2_bytes(tmp_path):
-    cfg = v1.am_v1_cfg("taco2")
+    cfg = frozen_checkpoints.AM_TACO2_CFG
     expected = acoustic.am_init(cfg, seed=4)
     path = tmp_path / "am.ckpt"
-    path.write_bytes(v1.AM_TACO2_V2)
+    path.write_bytes(frozen_checkpoints.AM_TACO2_V2)
     loaded, loaded_cfg = acoustic.am_load_checkpoint(path, expected_cfg=cfg)
     assert loaded_cfg == cfg
     assert loaded.step == 0
     assert sorted(loaded.tensors) == sorted(expected.tensors)
     for name, value in expected.tensors.items():
         assert np.array_equal(loaded.tensors[name], value.astype(np.float32))
-
-
-def test_checkpoint_v1_compared_on_stored_fields(tmp_path):
-    # version 1 kept no dropout or output kind, so resuming a mel model
-    # from such a file takes both from the expected config
-    path = tmp_path / "am.ckpt"
-    path.write_bytes(v1.AM_TACO2_V1)
-    expected = dataclasses.replace(v1.am_v1_cfg("taco2"), prenet_dropout=0.5,
-                                   output_kind="mel-fb")
-    assert acoustic.am_load_checkpoint(path, expected_cfg=expected)[1] == expected
-    with pytest.raises(FileFormatError, match="does not match expected"):
-        acoustic.am_load_checkpoint(
-            path, expected_cfg=dataclasses.replace(expected, encoder_channels=2))

@@ -3,14 +3,15 @@
 Most cases drive cli.main(argv) in process and inspect files plus captured
 stdout/stderr.  The truncation-warning case shells out because pytest's
 warning capture would otherwise swallow the message, the forged-step
-resume case so that a hang ends in a timeout, and the config sweep so that
-it runs under an address-space limit.
+resume case so that a hang ends in a timeout, and the config and mutation
+sweeps so that they run under an address-space limit.
 """
 
 import contextlib
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -19,11 +20,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frozen_checkpoints
 import helpers
 import midisynth
 from midisynth import (acoustic, cli, dsp, errors, evaluation, excitation, formats,
@@ -950,6 +953,16 @@ def synth_with_stored_nsf_config(**fields):
     return argv
 
 
+def synth_with_version_1_nsf_ckpt(tmp_path):
+    """synth through a checkpoint whose version field reads 1, CRC fixed."""
+    argv = midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                     "--nsf-ckpt", "nsf.ckpt")(tmp_path)
+    body = bytearray((tmp_path / "nsf.ckpt").read_bytes()[:-4])
+    struct.pack_into("<I", body, 4, 1)
+    (tmp_path / "nsf.ckpt").write_bytes(frozen_checkpoints.with_crc(bytes(body)))
+    return argv
+
+
 # 16,777,215 parameters, one under params.MAX_PARAMETERS, in 16.8M tensors
 TINY_LAYERS = {"n_blocks": 2796181, "convs_per_block": 1, "channels": 1, "kernel": 1}
 # 3,662 parameters that read 2^32 - 4 samples back
@@ -1074,6 +1087,19 @@ HOSTILE = {
         "excite", helpers.note_smf([(0, 1, 64, 110)]), "--rate", "2200000000"),
     "gl-rate-over-wav-header": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", shift=288 / 5e9, rate=5e9), p / "out"],
+    # rates past the float range
+    "excite-rate-over-float": midi_with("excite", helpers.note_smf([(0, 1, 64, 110)]),
+                                        "--rate", str(10 ** 400)),
+    "roll-rate-over-float": midi_with("roll", helpers.note_smf([(0, 1, 64, 110)]),
+                                      "--rate", str(10 ** 400)),
+    # values whose product overflows a float: a hop of 1e400 samples, and
+    # segments of 2.4e312 and 3e400 samples
+    "gl-hop-overflow": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", shift=1e200, rate=1e200), p / "out"],
+    "nsf-segment-overflow": train_with("nsf", {"train": {"segment_seconds": 1e308}}),
+    "nsf-rate-over-float": train_with("nsf", {"data": {"rate": 10 ** 400}}),
+    # version 1 stored its config as u32 fields, and no longer loads
+    "synth-ckpt-version-1": synth_with_version_1_nsf_ckpt,
     # the highest rate a WAV header holds: a 1 s roll at its 288-sample
     # shift needs 7.5e6 frames, over midi_io.MAX_ROLL_FRAMES
     "pitch-ce-top-wav-rate": pitch_ce_at(2 ** 31 - 1,
@@ -1099,7 +1125,14 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-upsample-huge": "excitation needs",
                 "excite-rate-over-wav-header": "WAV header",
                 "gl-rate-over-wav-header": "WAV header",
-                "pitch-ce-top-wav-rate": "frames, the limit is"}
+                "pitch-ce-top-wav-rate": "frames, the limit is",
+                "synth-rate-0": "--rate",
+                "excite-rate-over-float": "--rate",
+                "roll-rate-over-float": "--rate",
+                "gl-hop-overflow": "overflows",
+                "nsf-segment-overflow": "overflows a frame count",
+                "nsf-rate-over-float": "overflows a frame count",
+                "synth-ckpt-version-1": "checkpoint version 1"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -1236,49 +1269,130 @@ SWEEP_EXIT_0 = {
 }
 
 
-def run_sweep(data, work):
-    """Train on data with each sweep case.  Returns a JSON object: "faults",
-    a line for each case that did not exit 0 or 2 with at most one stderr
-    line and no warning, and "exit_0", the cases that exited 0."""
-    faults, exit_0 = [], []
-    for i, (case, (kind, config)) in enumerate(sweep_cases().items()):
-        cfg_path = Path(work) / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+def run_cases(cases):
+    """Run each case, name -> argv, through cli.main.  Returns "faults", a
+    line for each case that did not exit 0 or 2 with at most one stderr line
+    and no warning, and "codes", the exit code of every other case."""
+    faults, codes = [], {}
+    for case, argv in cases.items():
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             try:
-                code = run_cli("train", kind, data, Path(work) / f"out{i}",
-                               "--config", cfg_path)
+                code = run_cli(*argv)
             except Exception as exc:  # a traceback in a real run
                 code = repr(exc)
         if code not in (0, 2) or err.getvalue().count("\n") > 1 or caught:
             faults.append(f"{case}: exit {code}, stderr {err.getvalue()!r}, "
                           f"warnings {[str(w.message) for w in caught]}")
-        elif code == 0:
-            exit_0.append(case)
-    return json.dumps({"faults": faults, "exit_0": exit_0})
+        else:
+            codes[case] = code
+    return {"faults": faults, "codes": codes}
+
+
+def run_in_child(build, *args):
+    """run_cases on the cases test_cli.<build>(*args) returns, in a child
+    process under a SWEEP_ADDRESS_SPACE address-space limit."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import json, resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({SWEEP_ADDRESS_SPACE},) * 2)\n"
+            "import test_cli\n"
+            f"print(json.dumps(test_cli.run_cases(test_cli.{build}(*sys.argv[1:]))))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])})
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def sweep_argv(data, work):
+    """Each sweep case as the argv of a run on data."""
+    cases = {}
+    for i, (case, (kind, config)) in enumerate(sweep_cases().items()):
+        cfg_path = Path(work) / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(config))
+        cases[case] = ["train", kind, data, Path(work) / f"out{i}", "--config", cfg_path]
+    return cases
 
 
 def test_config_sweep_exits_0_or_2_with_one_line_at_most(tmp_path):
     assert len(sweep_cases()) == 418
     data = make_pair(tmp_path / "data", seconds=0.3)
-    tests = str(Path(__file__).resolve().parent)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({SWEEP_ADDRESS_SPACE},) * 2)\n"
-            "import test_cli\n"
-            "print(test_cli.run_sweep(*sys.argv[1:]))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(data), str(tmp_path)],
-        capture_output=True, text=True, timeout=600,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])})
-    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
-    result = json.loads(proc.stdout)
+    result = run_in_child("sweep_argv", data, tmp_path)
     assert result["faults"] == []
     # a check that stopped refusing a value would show here
-    assert set(result["exit_0"]) == SWEEP_EXIT_0
+    assert {case for case, code in result["codes"].items() if code == 0} == SWEEP_EXIT_0
+
+
+# --- mutated input files ----------------------------------------------------
+
+MUTANTS = 60  # of each file's header, and as many of the whole file
+
+
+def mutant_files(work, name, blob, header, crc=False):
+    """MUTANTS copies of blob with its first header bytes mutated and MUTANTS
+    with any bytes mutated, written to work/<name>.<n>.  A checkpoint's CRC
+    is recomputed, so its reader sees the damaged fields."""
+    body = blob[:-4] if crc else blob
+    heads = (head + body[header:] for head in helpers.mutants(body[:header], MUTANTS, 1))
+    for n, data in enumerate(itertools.chain(heads, helpers.mutants(body, MUTANTS, 2))):
+        path = Path(work) / f"{name}.{n}"
+        path.write_bytes(frozen_checkpoints.with_crc(data) if crc else data)
+        yield path
+
+
+def mutation_cases(work):
+    """Each mutant input file with the commands that read it, as
+    "<kind> <command> <n>" -> argv."""
+    work = Path(work)
+    wav, mid, out = work / "in.wav", work / "in.mid", work / "out"
+    helpers.tone_wav(wav, seconds=0.25)
+    mid.write_bytes(helpers.FUZZ_SMF)
+    nsf_ckpt, am_ckpt = work / "nsf.ckpt", work / "am.ckpt"
+    cfg = nsf.NsfConfig(feature_dim=128, channels=2, n_blocks=1, convs_per_block=1)
+    nsf.save_checkpoint(nsf_ckpt, nsf.nsf_init(cfg, seed=1), cfg)
+    helpers.write_tiny_am_ckpt(am_ckpt)
+    ckpt_header = lambda path: 16 + struct.unpack_from("<I", path.read_bytes(), 8)[0]
+    # kind: (file, header bytes, CRC, {command: argv of the mutant m})
+    kinds = {
+        "wav": (wav, 44, False, {"feat": lambda m: ["feat", m, out],
+                                 "pitch-ce": lambda m: ["pitch-ce", m, mid]}),
+        "mfb": (hostile_mfb(work / "in.mfb"), 36, False,
+                {"gl": lambda m: ["gl", m, out, "--iters", "2"]}),
+        "nsf": (nsf_ckpt, ckpt_header(nsf_ckpt), True,
+                {"synth": lambda m: ["synth", mid, out, "--nsf-ckpt", m]}),
+        "am": (am_ckpt, ckpt_header(am_ckpt), True,
+               {"synth": lambda m: ["synth", mid, out, "--nsf-ckpt", nsf_ckpt,
+                                    "--mode", "am+nsf", "--am-ckpt", m]}),
+        "midi": (mid, 22, False,  # MThd and the first MTrk header
+                 {"synth": lambda m: ["synth", m, out, "--nsf-ckpt", nsf_ckpt]}),
+    }
+    cases = {}
+    for kind, (path, header, crc, commands) in kinds.items():
+        for n, mutant in enumerate(mutant_files(work, kind, path.read_bytes(), header, crc)):
+            for command, argv in commands.items():
+                cases[f"{kind} {command} {n}"] = argv(mutant)
+    return cases
+
+
+# How many mutants of each file kind exit 0 and 2 through each command
+# that reads it
+MUTANT_EXITS = {"wav feat": {0: 74, 2: 46}, "wav pitch-ce": {0: 73, 2: 47},
+                "mfb gl": {0: 79, 2: 41}, "nsf synth": {0: 58, 2: 62},
+                "am synth": {0: 62, 2: 58}, "midi synth": {0: 33, 2: 87}}
+
+
+def test_mutated_input_files_exit_0_or_2_with_one_line_at_most(tmp_path):
+    result = run_in_child("mutation_cases", tmp_path)
+    assert result["faults"] == []
+    counts = {}
+    for case, code in result["codes"].items():
+        counts.setdefault(case.rsplit(" ", 1)[0], Counter())[code] += 1
+    # a reader that stopped refusing a mutant would show here
+    assert counts == MUTANT_EXITS
 
 
 def test_gl_refusal_names_the_feature_file(tmp_path, capsys):
@@ -1292,7 +1406,7 @@ def test_gl_refusal_names_the_feature_file(tmp_path, capsys):
 def test_synth_refuses_a_checkpoint_tensor_of_the_wrong_shape(tmp_path, capsys):
     ckpt = tmp_path / "nsf.ckpt"
     helpers.write_zero_nsf_ckpt(ckpt)
-    config, tensors = formats.read_container(ckpt, nsf.NSF_MAGIC, 6)
+    config, tensors = formats.read_container(ckpt, nsf.NSF_MAGIC)
     tensors["cond.bias"] = np.zeros(5)
     formats.write_container(ckpt, nsf.NSF_MAGIC, config, tensors)
     midi = tmp_path / "in.mid"

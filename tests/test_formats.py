@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-import v1_checkpoints as v1
+import frozen_checkpoints as frozen
 from midisynth import acoustic, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
 from midisynth.errors import FileFormatError, MidiSynthError
@@ -228,7 +228,7 @@ def test_container_round_trip_byte_exact(tmp_path, rng):
     tensors = sample_tensors(rng)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     formats.write_container(p1, b"NSF1", CONFIG, tensors)
-    config, back = formats.read_container(p1, b"NSF1", 3)
+    config, back = formats.read_container(p1, b"NSF1")
     assert config == CONFIG
     assert sorted(back) == sorted(tensors)
     for name, v in tensors.items():
@@ -279,7 +279,7 @@ def test_container_write_is_atomic(tmp_path, rng, monkeypatch):
         formats.write_container(path, b"NSF1", {"a": 1}, sample_tensors(rng))
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert formats.read_container(path, b"NSF1", 1)[0] == CONFIG
+    assert formats.read_container(path, b"NSF1")[0] == CONFIG
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.ckpt"]
 
 
@@ -294,18 +294,18 @@ def test_container_wrong_magic(tmp_path, rng):
     path = tmp_path / "m.ckpt"
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     with pytest.raises(FileFormatError, match="bad magic"):
-        formats.read_container(path, b"ACM1", 1)
+        formats.read_container(path, b"ACM1")
 
 
-@pytest.mark.parametrize("version", [0, 4])
+@pytest.mark.parametrize("version", [0, 1, 4])
 def test_container_unknown_version_is_corrupt(tmp_path, rng, version):
     path = tmp_path / "v.ckpt"
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     body = bytearray(path.read_bytes()[:-4])
     struct.pack_into("<I", body, 4, version)
-    path.write_bytes(v1.with_crc(bytes(body)))
+    path.write_bytes(frozen.with_crc(bytes(body)))
     with pytest.raises(FileFormatError, match=f"checkpoint version {version}"):
-        formats.read_container(path, b"NSF1", 1)
+        formats.read_container(path, b"NSF1")
 
 
 def test_container_crc_detects_flip(tmp_path, rng):
@@ -315,7 +315,7 @@ def test_container_crc_detects_flip(tmp_path, rng):
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(FileFormatError, match="CRC mismatch"):
-        formats.read_container(path, b"NSF1", 1)
+        formats.read_container(path, b"NSF1")
 
 
 def test_container_truncation_and_trailing_bytes(tmp_path, rng):
@@ -324,38 +324,35 @@ def test_container_truncation_and_trailing_bytes(tmp_path, rng):
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
     with pytest.raises(FileFormatError, match="CRC mismatch"):
-        formats.read_container(path, b"NSF1", 1)
+        formats.read_container(path, b"NSF1")
     path.write_bytes(blob + b"\x00\x00")
     with pytest.raises(FileFormatError, match="CRC mismatch"):
-        formats.read_container(path, b"NSF1", 1)
+        formats.read_container(path, b"NSF1")
 
 
 # --- stored model configs ---------------------------------------------------
 
-NSF_FIELDS = dataclasses.asdict(v1.NSF_V1_CFG)
-AM_FIELDS = dataclasses.asdict(v1.am_v1_cfg("taco2"))
+NSF_FIELDS = dataclasses.asdict(frozen.NSF_CFG)
+AM_FIELDS = dataclasses.asdict(frozen.AM_TACO2_CFG)
 
 
 def nsf_v2(**changes):
-    return v1.as_v2(v1.NSF_V1, 6, {**NSF_FIELDS, **changes})
+    return frozen.as_v2(frozen.NSF_V2, {**NSF_FIELDS, **changes})
 
 
 def am_v2(**changes):
-    return v1.as_v2(v1.AM_TACO2_V1, 9, {**AM_FIELDS, **changes})
+    return frozen.as_v2(frozen.AM_TACO2_V2, {**AM_FIELDS, **changes})
 
 
 BAD_CONFIGS = {
-    "v1-nsf-feature-dim-0": (nsf, lambda: v1.patch_v1_field(v1.NSF_V1, 0, 0)),
-    "v1-am-downsample-3": (acoustic, lambda: v1.patch_v1_field(v1.AM_TACO2_V1, 3, 3)),
-    "v1-am-variant-0": (acoustic, lambda: v1.patch_v1_field(v1.AM_TACO2_V1, 0, 0)),
-    "v2-malformed-json": (nsf, lambda: v1.as_v2(v1.NSF_V1, 6, b'{"feature_dim": 2,')),
-    "v2-not-utf8": (nsf, lambda: v1.as_v2(v1.NSF_V1, 6, b"\xff\xfe")),
-    "v2-not-an-object": (nsf, lambda: v1.as_v2(v1.NSF_V1, 6, [2, 4, 1, 1, 1, 2])),
+    "v2-malformed-json": (nsf, lambda: frozen.as_v2(frozen.NSF_V2, b'{"feature_dim": 2,')),
+    "v2-not-utf8": (nsf, lambda: frozen.as_v2(frozen.NSF_V2, b"\xff\xfe")),
+    "v2-not-an-object": (nsf, lambda: frozen.as_v2(frozen.NSF_V2, [2, 4, 1, 1, 1, 2])),
     "v2-unknown-key": (nsf, lambda: nsf_v2(dilation=2)),
-    "v2-missing-required-key": (nsf, lambda: v1.as_v2(
-        v1.NSF_V1, 6, {k: v for k, v in NSF_FIELDS.items() if k != "feature_dim"})),
-    "v2-missing-defaulted-key": (acoustic, lambda: v1.as_v2(
-        v1.AM_TACO2_V1, 9, {k: v for k, v in AM_FIELDS.items() if k != "output_kind"})),
+    "v2-missing-required-key": (nsf, lambda: frozen.as_v2(
+        frozen.NSF_V2, {k: v for k, v in NSF_FIELDS.items() if k != "feature_dim"})),
+    "v2-missing-defaulted-key": (acoustic, lambda: frozen.as_v2(
+        frozen.AM_TACO2_V2, {k: v for k, v in AM_FIELDS.items() if k != "output_kind"})),
     "v2-nsf-channels-0": (nsf, lambda: nsf_v2(channels=0)),
     "v2-nsf-string-width": (nsf, lambda: nsf_v2(feature_dim="2")),
     "v2-am-dropout-1.5": (acoustic, lambda: am_v2(prenet_dropout=1.5)),
@@ -373,8 +370,8 @@ def load_any(model, path):
 
 def test_stored_config_fixtures_load(tmp_path):
     path = tmp_path / "ok.ckpt"
-    for model, blob, cfg in ((nsf, nsf_v2(), v1.NSF_V1_CFG),
-                             (acoustic, am_v2(), v1.am_v1_cfg("taco2"))):
+    for model, blob, cfg in ((nsf, nsf_v2(), frozen.NSF_CFG),
+                             (acoustic, am_v2(), frozen.AM_TACO2_CFG)):
         path.write_bytes(blob)
         assert load_any(model, path)[1] == cfg
 
@@ -420,15 +417,15 @@ TABLE_FAULTS = {
 @pytest.mark.parametrize("model", [nsf, acoustic], ids=["nsf", "am"])
 def test_tensor_table_that_does_not_fit_the_config_is_corrupt(tmp_path, model, fault):
     if model is nsf:
-        cfg, magic, n_v1 = helpers.tiny_nsf_cfg(), nsf.NSF_MAGIC, 6
+        cfg, magic = helpers.tiny_nsf_cfg(), nsf.NSF_MAGIC
         params, save = nsf.nsf_init(cfg, seed=1), nsf.save_checkpoint
     else:
-        cfg, magic, n_v1 = helpers.tiny_am_cfg(), acoustic.AM_MAGIC, 9
+        cfg, magic = helpers.tiny_am_cfg(), acoustic.AM_MAGIC
         params, save = acoustic.am_init(cfg, seed=1), acoustic.am_save_checkpoint
     adam_update(params, {k: np.ones_like(v) for k, v in params.tensors.items()}, lr=1e-2)
     path = tmp_path / "model.ckpt"
     save(path, params, cfg)
-    config, tensors = formats.read_container(path, magic, n_v1)
+    config, tensors = formats.read_container(path, magic)
     formats.write_container(path, magic, config, tensors)
     assert load_any(model, path)[0].step == 1  # the table as written loads
     TABLE_FAULTS[fault](tensors, min(params.tensors))

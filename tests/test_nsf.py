@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-import v1_checkpoints
+import frozen_checkpoints
 from midisynth import autograd as ag
 from midisynth import formats, nsf
 from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal, mr_stft_loss
@@ -682,13 +682,14 @@ def test_checkpoint_round_trip_every_field(tmp_path):
     assert loaded_cfg == cfg
 
 
-def check_frozen_float32_checkpoint(path, blob):
-    """blob holds NSF_V1_CFG, nsf_init(seed=3) and one Adam step, in float32."""
-    cfg = v1_checkpoints.NSF_V1_CFG
+def test_checkpoint_loads_frozen_v2_bytes(tmp_path):
+    # NSF_V2 holds NSF_CFG, nsf_init(seed=3) and one Adam step, in float32
+    cfg = frozen_checkpoints.NSF_CFG
     expected = nsf.nsf_init(cfg, seed=3)
     adam_update(expected, {k: np.full_like(v, 0.5)
                            for k, v in expected.tensors.items()}, lr=1e-2)
-    path.write_bytes(blob)
+    path = tmp_path / "v2.ckpt"
+    path.write_bytes(frozen_checkpoints.NSF_V2)
     loaded, loaded_cfg = nsf.load_checkpoint(path, expected_cfg=cfg)
     assert loaded_cfg == cfg
     assert loaded.step == 1
@@ -697,14 +698,6 @@ def check_frozen_float32_checkpoint(path, blob):
                           (loaded.adam_m, expected.adam_m),
                           (loaded.adam_v, expected.adam_v)):
             assert np.array_equal(got[name], want[name].astype(np.float32))
-
-
-def test_checkpoint_loads_frozen_v1_bytes(tmp_path):
-    check_frozen_float32_checkpoint(tmp_path / "v1.ckpt", v1_checkpoints.NSF_V1)
-
-
-def test_checkpoint_loads_frozen_v2_bytes(tmp_path):
-    check_frozen_float32_checkpoint(tmp_path / "v2.ckpt", v1_checkpoints.NSF_V2)
 
 
 def test_checkpoint_expected_cfg_mismatch(tmp_path):
