@@ -153,9 +153,7 @@ def dropout_mask(rng, keep_rate: float, dim: int, rows: int = 1) -> np.ndarray:
 
 
 def _prenet_masks(cfg, seed, steps):
-    """Every decoder step's prenet dropout mask, or None with dropout off."""
-    if cfg.prenet_dropout == 0.0:
-        return None
+    """Every decoder step's prenet dropout mask; with dropout off, all ones."""
     return dropout_mask(np.random.default_rng(seed), 1.0 - cfg.prenet_dropout,
                         cfg.output_dim, steps)
 
@@ -166,8 +164,7 @@ def _prenet(tensors, cfg, prev, roll_rows, mask):
     The dropout mask hits the frames only; taco3 then appends the roll
     rows of the same steps.
     """
-    if mask is not None:
-        prev = prev * mask
+    prev = prev * mask
     if cfg.variant == "taco3":
         prev = np.concatenate([prev, roll_rows], axis=1)
     q = ag.relu(ag.add(ag.matmul(ag.Tensor(prev), tensors["prenet.fc1.weight"]),
@@ -190,11 +187,15 @@ def _frames(tensors, states, r):
     """The r output frames of each state, in time order: (rows * r, d).
 
     Frame k of a step is the shared projection plus position offset k.
+    A matmul with r identity rows picks offsets 0 .. r-1 exactly: each
+    entry is one 1 * w term plus zeros, and the unused rows get exactly
+    zero gradient, so autograd needs no row-slice op.
     """
     base = ag.add(ag.matmul(states, tensors["dec.out.weight"]),
                   tensors["dec.out.bias"])
     rows, d = base.shape
-    offsets = ag.reshape(ag.slice_rows(tensors["dec.pos.weight"], 0, r), (1, r, d))
+    offsets = ag.matmul(np.eye(r, MAX_REDUCTION), tensors["dec.pos.weight"])
+    offsets = ag.reshape(offsets, (1, r, d))
     return ag.reshape(ag.add(ag.reshape(base, (rows, 1, d)), offsets), (rows * r, d))
 
 
@@ -288,8 +289,7 @@ def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
         frames = []
         for s in range(roll_ds.n_frames):
             rows = slice(s, s + 1)
-            q = _prenet(tensors, cfg, last, roll_ds.values[rows],
-                        None if masks is None else masks[rows])
+            q = _prenet(tensors, cfg, last, roll_ds.values[rows], masks[rows])
             x = [t.value for t in _gate_inputs(tensors, q, ag.Tensor(enc_out[rows]))]
             state, _ = ag.gru_cell(x, state, u, b)
             frames.append(_frames(tensors, ag.Tensor(state), cfg.downsample_factor).value)

@@ -175,20 +175,6 @@ def astype(a, dtype):
     return Tensor(a.value.astype(dtype), (a,), lambda g: (g,))
 
 
-def slice_rows(a, start: int, stop: int):
-    a = as_tensor(a)
-    n = a.value.shape[0]
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"slice [{start}:{stop}] outside {n} rows")
-
-    def adjoint(g):
-        out = np.zeros_like(a.value)
-        out[start:stop] = g
-        return (out,)
-
-    return Tensor(a.value[start:stop], (a,), adjoint)
-
-
 # --- sequence primitives ----------------------------------------------------
 
 
@@ -230,8 +216,8 @@ def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
 def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
     """Stretch rows to out_rows by linear interpolation with held endpoints.
 
-    Output row t samples input position t * (n_in - 1) / (out_rows - 1);
-    a single input row or a single output row degenerates to repetition.
+    Output row t samples input position t * (n_in - 1) / (out_rows - 1),
+    or position 0 for a single output row; a single input row is repeated.
     Only rows [start, stop) of that grid are produced, each equal to the
     same row of the whole output.  The adjoint sums the runs of the two
     sorted read indices.
@@ -242,10 +228,7 @@ def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
     if n_in == 0 or not 0 <= start < stop <= out_rows:
         raise ValueError(f"upsample needs at least one input row and a window "
                          f"inside {out_rows} output rows, got [{start}, {stop})")
-    if n_in == 1 or out_rows == 1:
-        pos = np.zeros(stop - start)
-    else:
-        pos = np.arange(start, stop) * (n_in - 1) / (out_rows - 1)
+    pos = np.arange(start, stop) * (n_in - 1) / max(out_rows - 1, 1)
     idx0 = np.minimum(pos.astype(np.int64), n_in - 1)
     idx1 = np.minimum(idx0 + 1, n_in - 1)
     frac = (pos - idx0)[:, None].astype(a.value.dtype, copy=False)

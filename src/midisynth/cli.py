@@ -12,6 +12,7 @@ its input files, 1 (an uncaught traceback) for internal errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -53,13 +54,20 @@ def _write_csv(path, header, rows):
         csv.writer(fh).writerows([header, *rows])
 
 
+@contextlib.contextmanager
+def _named(path):
+    """Prefix path to a MidiSynthError or ValueError raised inside."""
+    try:
+        yield
+    except (MidiSynthError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _load_notes(path, apply_pedal=True):
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
+    with _named(path):
         notes = midi_io.parse_midi(data)
-    except MidiSynthError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
     for message in notes.warnings:
         print(f"warning: {path}: {message}", file=sys.stderr)
     if apply_pedal:
@@ -147,17 +155,15 @@ def cmd_excite(args):
 
 def cmd_gl(args):
     feat = formats.read_feature_file(args.feat)
-    hop = feat.frame_shift * feat.sample_rate
-    if hop == math.inf:
-        raise ValueError(f"{args.feat}: a hop of {feat.frame_shift:.6g} s at "
-                         f"{feat.sample_rate:.6g} Hz overflows")
-    cfg = dsp.StftConfig(sample_rate=int(round(feat.sample_rate)),
-                         frame_length=args.frame_length,
-                         frame_shift=int(round(hop)), fft_size=args.fft)
-    try:
+    with _named(args.feat):
+        hop = feat.frame_shift * feat.sample_rate
+        if hop == math.inf:
+            raise ValueError(f"a hop of {feat.frame_shift:.6g} s at "
+                             f"{feat.sample_rate:.6g} Hz overflows")
+        cfg = dsp.StftConfig(sample_rate=int(round(feat.sample_rate)),
+                             frame_length=args.frame_length,
+                             frame_shift=int(round(hop)), fft_size=args.fft)
         magnitude = dsp.pseudo_inverse_magnitude(feat, cfg)
-    except (MidiSynthError, ValueError) as exc:
-        raise type(exc)(f"{args.feat}: {exc}") from exc
     wave = dsp.griffin_lim(magnitude, cfg, args.iters)
     formats.write_wav(args.out, wave)
     print(f"wrote {args.out}: {len(wave)} samples after {args.iters} iterations")
@@ -348,7 +354,7 @@ def _load_config(path, model_cls, train_cls, data_cls):
 
 
 def _clips(data_dir, rate):
-    """Each paired .mid/.wav file in data_dir, in name order, as (notes, wave)."""
+    """Each paired .mid/.wav file in data_dir, in name order, as (path, notes, wave)."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise ValueError(f"{data_dir} is not a directory")
@@ -357,7 +363,7 @@ def _clips(data_dir, rate):
     if not pairs:
         raise ValueError(f"{data_dir} holds no paired .mid/.wav files")
     for midi_path, wav_path in pairs:
-        yield _load_notes(midi_path), _read_wav_checked(wav_path, rate)
+        yield midi_path, _load_notes(midi_path), _read_wav_checked(wav_path, rate)
 
 
 def _segment_frames(n_frames, per_segment):
@@ -378,15 +384,16 @@ def _nsf_data(data_dir, model_cfg, train_cfg, data):
                          f"rate overflows a frame count") from None
 
     dataset = []
-    for idx, (notes, wave) in enumerate(_clips(data_dir, rate)):
-        feats = _features(kind, notes, wave, rate, shift, data.frame_length,
-                          data.fft, data.n_mels)
-        if feats.n_frames == 0:
-            continue
-        # the source first: _excitation bounds the length before the target is padded
-        source = _excitation(data.excitation, notes, feats.n_frames * shift, rate,
-                             1.0, train_cfg.seed + idx)
-        target = excitation.fit_length(wave, len(source))
+    for idx, (path, notes, wave) in enumerate(_clips(data_dir, rate)):
+        with _named(path):
+            feats = _features(kind, notes, wave, rate, shift, data.frame_length,
+                              data.fft, data.n_mels)
+            if feats.n_frames == 0:
+                continue
+            # the source first: _excitation bounds the length before padding the target
+            source = _excitation(data.excitation, notes, feats.n_frames * shift, rate,
+                                 1.0, train_cfg.seed + idx)
+            target = excitation.fit_length(wave, len(source))
         for lo, hi in _segment_frames(feats.n_frames, per_segment):
             dataset.append((
                 dataclasses.replace(feats, values=feats.values[lo:hi]),
@@ -400,10 +407,11 @@ def _am_data(data_dir, model_cfg, train_cfg, data):
     """The (roll, target features) segments of train am."""
     rate, kind, shift = data.rate, model_cfg.output_kind, data.frame_shift
     dataset = []
-    for notes, wave in _clips(data_dir, rate):
-        feats = _features(kind, None, wave, rate, shift, data.frame_length,
-                          data.fft, data.n_mels)
-        roll = _features("piano-roll", notes, None, rate, shift)
+    for path, notes, wave in _clips(data_dir, rate):
+        with _named(path):
+            feats = _features(kind, None, wave, rate, shift, data.frame_length,
+                              data.fft, data.n_mels)
+            roll = _features("piano-roll", notes, None, rate, shift)
         n = min(feats.n_frames, roll.n_frames)
         if n == 0:
             continue

@@ -140,7 +140,7 @@ def _check_bank_size(n_bands, cfg):
             f"{MAX_FILTER_BANK_ENTRIES} filter-bank entries")
 
 
-def _triangle_rows(bin_freqs, lefts, centers, rights, nyquist=None):
+def _triangle_rows(bin_freqs, lefts, centers, rights, nyquist):
     """Stack triangular rows peaking at 1.0 on each center.
 
     A degenerate edge (left == center or right == center) drops that
@@ -149,7 +149,7 @@ def _triangle_rows(bin_freqs, lefts, centers, rights, nyquist=None):
     """
     rows = np.zeros((len(centers), len(bin_freqs)))
     for k, (lo, c, hi) in enumerate(zip(lefts, centers, rights)):
-        if nyquist is not None and c > nyquist:
+        if c > nyquist:
             continue
         row = rows[k]
         if lo < c:
@@ -175,8 +175,7 @@ def midi_filter_bank(cfg: StftConfig) -> FilterBank:
     centers = np.array([midi_center_freq(d) for d in range(128)])
     lefts = np.concatenate(([centers[0]], centers[:-1]))
     rights = np.concatenate((centers[1:], [centers[-1]]))
-    weights = _triangle_rows(bin_freqs, lefts, centers, rights,
-                             nyquist=cfg.sample_rate / 2)
+    weights = _triangle_rows(bin_freqs, lefts, centers, rights, cfg.sample_rate / 2)
     return FilterBank(weights, "midi-fb")
 
 
@@ -196,7 +195,8 @@ def mel_filter_bank(cfg: StftConfig, n_filters: int = N_MELS) -> FilterBank:
     bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
     edges = mel_to_hz(np.linspace(0.0, float(hz_to_mel(cfg.sample_rate / 2)),
                                   n_filters + 2))
-    weights = _triangle_rows(bin_freqs, edges[:-2], edges[1:-1], edges[2:])
+    weights = _triangle_rows(bin_freqs, edges[:-2], edges[1:-1], edges[2:],
+                             cfg.sample_rate / 2)
     return FilterBank(weights, "mel-fb")
 
 
@@ -218,7 +218,7 @@ def _window_values(cfg: StftConfig) -> np.ndarray:
 
 
 def frame_count(n_samples: int, frame_shift: int) -> int:
-    return -(-n_samples // frame_shift) if n_samples > 0 else 0
+    return -(-n_samples // frame_shift)
 
 
 def _check_spectrogram_size(n_frames, cfg):
@@ -274,8 +274,6 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> WaveSignal:
         raise ValueError(f"spectrogram must be (N, {cfg.n_bins}), got {spec.shape}")
     n = spec.shape[0]
     _check_spectrogram_size(n, cfg)
-    if n == 0:
-        return WaveSignal(np.zeros(0), cfg.sample_rate)
     w = _window_values(cfg)
     frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.frame_length]
     frames *= w

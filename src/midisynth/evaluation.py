@@ -42,7 +42,7 @@ def pitch_probability(wave: WaveSignal, cfg: StftConfig) -> np.ndarray:
     peaks = energy.max(axis=1, keepdims=True)
     voiced = peaks >= SILENCE_ENERGY
     scaled = np.divide(energy, peaks, out=np.zeros_like(energy), where=voiced)
-    return np.clip(np.where(voiced, scaled, 0.0), PROB_EPS, 1.0 - PROB_EPS)
+    return np.clip(scaled, PROB_EPS, 1.0 - PROB_EPS)
 
 
 def pitch_cross_entropy(probs: np.ndarray, roll: PianoRoll,
@@ -168,8 +168,6 @@ def holm_bonferroni(p_values, alpha: float = ALPHA):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-value {p} outside [0, 1]")
     m = len(p_values)
-    if m == 0:
-        return [], []
     order = sorted(range(m), key=lambda i: p_values[i])
     reject = [False] * m
     adjusted = [0.0] * m

@@ -71,8 +71,13 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 def check_wav_rate(rate, name) -> None:
     """Refuse, naming name, a sample rate outside 1 to 2^31 - 1 Hz, which a
     WAV header's u32 byte rate, 2 x rate, could not hold."""
-    if not 1 <= rate <= 0xFFFFFFFF // 2:
-        raise ValueError(f"{name}: a WAV header cannot hold a sample rate of {rate} Hz")
+    limit = 0xFFFFFFFF // 2
+    if not 1 <= rate <= limit:
+        try:
+            shown = f"of {rate:.10g} Hz"
+        except OverflowError:  # an int past the float range
+            shown = f"above the {limit} Hz limit" if rate > limit else "below 1 Hz"
+        raise ValueError(f"{name}: a WAV header cannot hold a sample rate {shown}")
 
 
 def write_wav(path, wave: WaveSignal) -> None:

@@ -336,8 +336,6 @@ def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
     track_end = max(notes.duration, events[-1][0])
     if down_since is not None:
         intervals.append((down_since, math.inf))
-    if not intervals:
-        return notes
 
     starts = [s for s, _ in intervals]
     extended = []

@@ -90,13 +90,8 @@ def adam_update(params: ModelParams, grads: dict, lr: float,
     t = params.step
     for name, tensor in params.tensors.items():
         g = grads[name]
-        m = params.adam_m.get(name)
-        v = params.adam_v.get(name)
-        if m is None:
-            m = np.zeros_like(tensor)
-            v = np.zeros_like(tensor)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
+        m = beta1 * params.adam_m.get(name, 0.0) + (1.0 - beta1) * g
+        v = beta2 * params.adam_v.get(name, 0.0) + (1.0 - beta2) * g * g
         params.adam_m[name] = m
         params.adam_v[name] = v
         m_hat = m / (1.0 - beta1 ** t)

@@ -6,6 +6,7 @@ import pytest
 import helpers
 import frozen_checkpoints
 from midisynth import acoustic
+from midisynth import autograd as ag
 from midisynth.acoustic import VARIANTS, AmConfig, AmTrainConfig
 from midisynth.dsp import FeatureMatrix
 from midisynth.errors import FileFormatError, TrainingDiverged
@@ -176,6 +177,26 @@ def test_gradient_spot_check_all_variants(rng):
             fd = (up - down) / (2 * eps)
             assert helpers.rel_err(grads[name][idx], fd) < 1e-4, \
                 f"{variant} {name}"
+
+
+def test_output_head_adds_one_offset_row_per_frame_of_a_step(rng):
+    """At factor 2, frame k of a step is the shared projection plus
+    dec.pos.weight[k], and the unused offset rows 2-3 get exactly zero
+    gradient."""
+    cfg = helpers.tiny_am_cfg("taco2", downsample_factor=2)
+    params = acoustic.am_init(cfg, seed=1)
+    pos = params.tensors["dec.pos.weight"] = rng.standard_normal((4, cfg.output_dim))
+    tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
+    states = rng.standard_normal((5, cfg.decoder_state_dim))
+    frames = acoustic._frames(tensors, ag.Tensor(states), 2)
+    base = states @ params.tensors["dec.out.weight"] + params.tensors["dec.out.bias"]
+    for k in range(2):
+        assert np.array_equal(frames.value[k::2], base + pos[k])
+    g = rng.standard_normal(frames.shape)
+    ag.backward(frames, seed=g)
+    grad = tensors["dec.pos.weight"].grad
+    assert np.array_equal(grad[:2], g.reshape(5, 2, cfg.output_dim).sum(axis=0))
+    assert np.array_equal(grad[2:], np.zeros((2, cfg.output_dim)))
 
 
 # --- dropout ------------------------------------------------------------------

@@ -918,6 +918,17 @@ def train_with(kind, config, *extra, midi_seconds=None):
     return argv
 
 
+def train_nsf_above_nyquist(tmp_path):
+    """train nsf at 16 kHz on a clip whose note 127 (12.5 kHz) the rate
+    cannot carry."""
+    data = tmp_path / "data"
+    data.mkdir()
+    write_midi_file(data / "clip.mid", [(0.0, 0.2, 127, 100)])
+    helpers.tone_wav(data / "clip.wav", seconds=0.2, rate=16000)
+    (tmp_path / "cfg.json").write_text(json.dumps({"data": {"rate": 16000}}))
+    return ["train", "nsf", data, tmp_path / "out", "--config", tmp_path / "cfg.json"]
+
+
 def midi_with(command, smf, *extra):
     def argv(tmp_path):
         (tmp_path / "in.mid").write_bytes(smf)
@@ -1096,6 +1107,14 @@ HOSTILE = {
     # segments of 2.4e312 and 3e400 samples
     "gl-hop-overflow": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", shift=1e200, rate=1e200), p / "out"],
+    # an analysis the feature file's shift and rate cannot give: a hop of
+    # 24000 samples over the 1200-sample frame, and a rate that rounds to 0
+    "gl-hop-over-frame-length": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", shift=1.0, rate=24e3), p / "out"],
+    "gl-rate-rounds-to-zero": lambda p: [
+        "gl", hostile_mfb(p / "x.mfb", rate=0.4), p / "out"],
+    # a clip's note above the Nyquist frequency of the data rate
+    "nsf-note-above-nyquist": train_nsf_above_nyquist,
     "nsf-segment-overflow": train_with("nsf", {"train": {"segment_seconds": 1e308}}),
     "nsf-rate-over-float": train_with("nsf", {"data": {"rate": 10 ** 400}}),
     # version 1 stored its config as u32 fields, and no longer loads
@@ -1130,6 +1149,9 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "excite-rate-over-float": "--rate",
                 "roll-rate-over-float": "--rate",
                 "gl-hop-overflow": "overflows",
+                "gl-hop-over-frame-length": "x.mfb",
+                "gl-rate-rounds-to-zero": "x.mfb",
+                "nsf-note-above-nyquist": "clip.mid",
                 "nsf-segment-overflow": "overflows a frame count",
                 "nsf-rate-over-float": "overflows a frame count",
                 "synth-ckpt-version-1": "checkpoint version 1"}
@@ -1154,6 +1176,13 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert HOSTILE_KEYS.get(case, "") in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["excite-rate-over-float", "roll-rate-over-float"])
+def test_rate_past_the_float_range_is_refused_in_a_short_line(tmp_path, capsys, case):
+    assert run_cli(*HOSTILE[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 120 and "--rate" in err, err
 
 
 def scaled_nsf_ckpt(path, scales):
