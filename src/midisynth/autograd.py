@@ -10,12 +10,14 @@ with no tape, so forward inference and training share one code path.
 Every recorded value is float64; under no_grad() a Tensor keeps a float32
 array as float32, so inference can run the same ops at that precision.
 
-Convolutions, linear-interpolation upsampling and the GRU recurrence
-(gru_sequence, over the cell gru_cell) are single primitives with
-hand-written adjoints rather than compositions, which keeps the tape
-small for long sequences: its size does not grow with their length.
-Nor do they copy their inputs: a convolution tap is one matmul between
-row-slice views, and the upsampling adjoint sums runs of sorted indices.
+Convolutions, linear-interpolation upsampling, the GRU recurrence
+(gru_sequence, over the cell gru_cell) and the waveform model's residual
+block (residual_block) are single primitives with hand-written adjoints
+rather than compositions, which keeps the tape small for long sequences:
+its size does not grow with their length, and a block is one node, not
+one per projection, convolution, tanh and sum.  Nor do they copy their
+inputs: a convolution tap is one matmul between row-slice views, and the
+upsampling adjoint sums runs of sorted indices.
 """
 
 from __future__ import annotations
@@ -114,10 +116,7 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError("matmul handles 2-D operands only")
-    # an (n, 1) @ (1, m) outer product is faster, and bit-equal, as a broadcast
-    outer = a.value.shape[1] == b.value.shape[0] == 1
-    return Tensor(a.value * b.value if outer else a.value @ b.value, (a, b),
-                  lambda g: (g @ b.value.T, a.value.T @ g))
+    return Tensor(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
 
 
 def tanh(a):
@@ -165,17 +164,42 @@ def reshape(a, shape):
                   lambda g: (g.reshape(a.value.shape),))
 
 
-def astype(a, dtype):
-    """a's value in dtype, or a itself if it has that dtype; the gradient
-    passes through unchanged.  A recorded value is float64 whatever the
-    cast, so only no_grad() code sees a float32 result."""
-    a = as_tensor(a)
-    if a.value.dtype == dtype:
-        return a
-    return Tensor(a.value.astype(dtype), (a,), lambda g: (g,))
-
-
 # --- sequence primitives ----------------------------------------------------
+
+
+def _conv_taps(n: int, taps: int, dilation: int, causal: bool):
+    """The center tap, which reads every one of n rows, and (j, dst, src)
+    for each other tap j that reads inside them: tap j reads row t - off,
+    so output rows dst come from input rows src."""
+    center = 0 if causal else taps // 2
+    offsets = [(j - center) * dilation for j in range(taps)]
+    return center, [(j, slice(max(off, 0), n + min(off, 0)),
+                     slice(max(-off, 0), n - max(off, 0)))
+                    for j, off in enumerate(offsets) if 0 < abs(off) < n]
+
+
+def _conv(xv, w, b, taps):
+    """A convolution's value on arrays, in a fresh buffer: the center tap,
+    the bias, then one matmul per other tap."""
+    center, others = taps
+    out = xv @ w[center]
+    out += b
+    for j, dst, src in others:
+        out[dst] += xv[src] @ w[j]
+    return out
+
+
+def _conv_adjoint(g, xv, w, taps):
+    """Gradients of a convolution's input, weight and bias, walking the
+    taps of _conv once."""
+    center, others = taps
+    gx = g @ w[center].T
+    gw = np.zeros_like(w)
+    gw[center] = xv.T @ g
+    for j, dst, src in others:
+        gx[src] += g[dst] @ w[j].T
+        gw[j] = xv[src].T @ g[dst]
+    return gx, gw, g.sum(axis=0)
 
 
 def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
@@ -189,28 +213,62 @@ def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
     adjoint walks the same taps once for the input and weight gradients.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    xv, w, n = x.value, weight.value, x.value.shape[0]
-    center = 0 if causal else w.shape[0] // 2
-    offsets = [(j - center) * dilation for j in range(w.shape[0])]
-    # tap j reads row t - off: output rows [off, n) from input rows [0, n - off)
-    taps = [(j, slice(max(off, 0), n + min(off, 0)),
-             slice(max(-off, 0), n - max(off, 0)))
-            for j, off in enumerate(offsets) if 0 < abs(off) < n]
-    out = xv @ w[center]
-    out += bias.value
-    for j, dst, src in taps:
-        out[dst] += xv[src] @ w[j]
+    xv, w = x.value, weight.value
+    taps = _conv_taps(xv.shape[0], w.shape[0], dilation, causal)
+    return Tensor(_conv(xv, w, bias.value, taps), (x, weight, bias),
+                  lambda g: _conv_adjoint(g, xv, w, taps))
+
+
+def residual_block(x, cond, w_in, b_in, convs, w_out, b_out):
+    """One residual block of the waveform model: x (rows, 1) plus a
+    projection of its refined channel state, as one tape node.
+
+    The channel state h (rows, channels) starts as x * w_in + b_in + cond,
+    with x cast to cond's dtype, and each causal convolution of convs, a
+    list of (weight, bias, dilation), adds tanh(conv(h)) to it; the block
+    returns x + (h @ w_out + b_out).  These are the numpy operations of the
+    composed matmul, add, conv1d and tanh graph in the same order, so the
+    value and every gradient equal its bits.  Under no_grad() h is updated
+    in place, in a buffer of its own; while recording, each convolution
+    keeps its input and its tanh output for the adjoint, which walks the
+    convolutions in reverse and returns the 6 + 2 * len(convs) gradients
+    in argument order.
+    """
+    x, cond, w_in, b_in, w_out, b_out = (
+        as_tensor(t) for t in (x, cond, w_in, b_in, w_out, b_out))
+    convs = [(as_tensor(w), as_tensor(b), dilation) for w, b, dilation in convs]
+    xv = x.value.astype(cond.value.dtype, copy=False)
+    h = xv * w_in.value
+    h += b_in.value
+    h += cond.value
+    layers = []  # weight, taps, input and tanh output of each convolution
+    for w, b, dilation in convs:
+        taps = _conv_taps(h.shape[0], w.value.shape[0], dilation, True)
+        y = _conv(h, w.value, b.value, taps)
+        np.tanh(y, out=y)
+        if _GRAD_ENABLED:
+            layers.append((w.value, taps, h, y))
+            h = h + y
+        else:
+            h += y
 
     def adjoint(g):
-        gx = g @ w[center].T
-        gw = np.zeros_like(w)
-        gw[center] = xv.T @ g
-        for j, dst, src in taps:
-            gx[src] += g[dst] @ w[j].T
-            gw[j] = xv[src].T @ g[dst]
-        return gx, gw, g.sum(axis=0)
+        gh = g @ w_out.value.T
+        conv_grads = []
+        for w, taps, hj, y in reversed(layers):
+            gy = y * y  # the tanh adjoint, g * (1 - y^2), in one buffer
+            np.subtract(1.0, gy, out=gy)
+            gy *= gh
+            gx, gw, gb = _conv_adjoint(gy, hj, w, taps)
+            gx += gh  # the residual's share
+            gh = gx
+            conv_grads[:0] = [gw, gb]
+        return (g + gh @ w_in.value.T, gh, xv.T @ gh, gh.sum(axis=0), *conv_grads,
+                h.T @ g, g.sum(axis=0))
 
-    return Tensor(out, (x, weight, bias), adjoint)
+    return Tensor(x.value + (h @ w_out.value + b_out.value),
+                  (x, cond, w_in, b_in, *(t for w, b, _ in convs for t in (w, b)),
+                   w_out, b_out), adjoint)
 
 
 def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):

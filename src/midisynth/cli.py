@@ -163,6 +163,7 @@ def cmd_gl(args):
         cfg = dsp.StftConfig(sample_rate=int(round(feat.sample_rate)),
                              frame_length=args.frame_length,
                              frame_shift=int(round(hop)), fft_size=args.fft)
+        formats.check_wav_rate(cfg.sample_rate, "sample_rate")
         magnitude = dsp.pseudo_inverse_magnitude(feat, cfg)
     wave = dsp.griffin_lim(magnitude, cfg, args.iters)
     formats.write_wav(args.out, wave)

@@ -22,14 +22,18 @@ working memory does not otherwise grow with clip length.  Training runs
 the same windows: the loss gradient on the whole prediction goes back
 through each window's graph, recorded again from its receptive field
 (gradient checkpointing with one recompute), so its memory does not grow
-with the segment either.
+with the segment either.  A window's graph is the upsampled condition,
+one ag.residual_block node per block and the output clip; a recorded
+block holds two (rows x channels) arrays per convolution, its input and
+its tanh output.
 
 Training runs in float64.  Synthesis asks for a float32 channel stack:
 the condition, each block's input projection, convolutions and tanh
-residuals are float32, while the running signal, the output projections
-and the output stay float64, so zero output projections still pass the
-excitation through exactly.  A model whose stack could overflow float32
-runs in float64 instead (_stack_dtype).
+residuals are float32, and each block updates its channel state in place,
+while the running signal, the output projections and the output stay
+float64, so zero output projections still pass the excitation through
+exactly.  A model whose stack could overflow float32 runs in float64
+instead (_stack_dtype).
 """
 
 from __future__ import annotations
@@ -47,15 +51,12 @@ from .params import POSITIVE_INT, POSITIVE_NUMBER, FitConfig, ModelParams, affin
 
 NSF_MAGIC = b"NSF1"
 # Frames per window (96 ms at the defaults), in inference and in the
-# training backward alike.  Timing a 10 s float64 nsf_forward on two cores,
-# 8 frames (median 346 ms) beat 4, 6, 12, 16 and 32 (361-508 ms).  A
-# default-config 1 s nsf_backward took 327, 316, 285, 300 and 371 ms at 4,
-# 6, 8, 12 and 16 frames (medians of 15, interleaved), with tracemalloc
-# peaks of 7, 10, 13, 19 and 25 MiB; at 3 s, 4, 8 and 12 frames were within
-# each other's spread (649-713 ms) and 16 frames again the slowest (755 ms).
-# With the float32 stack, a 10 s nsf_forward took 297, 255 and 314 ms at 4,
-# 8 and 16 frames (medians of 9, interleaved with a 1 s nsf_backward at
-# 303, 261 and 345 ms), so 8 still wins in both.
+# training backward alike.  On two cores (medians of 15, sizes interleaved,
+# mean of two runs), a 10 s float32 nsf_forward took 227, 176, 167 and 239
+# ms at 4, 8, 12 and 16 frames, and a default-config 1 s nsf_backward 162,
+# 169, 177 and 206 ms, with tracemalloc peaks of 5.7, 9.0, 13.0 and 17.0
+# MiB.  No size beats 8 in both, and another size sums the windows'
+# gradients in another order, which changes the checkpoint bytes.
 _CHUNK_FRAMES = 8
 # Most magnitude a value of a float32 channel stack may reach (see
 # _stack_dtype): far inside float32's range of 3.4e38, so none overflows.
@@ -191,23 +192,20 @@ def _frame_condition(tensors, feat_values):
 def _build_graph(tensors, frame_cond, exc_values, cfg, start, stop):
     """Model output for samples [start, stop) of the clip, shaped (rows, 1).
 
-    The causal convolutions read zeros before start, so a window that does
+    The graph is the upsampled condition, one ag.residual_block node per
+    block, whose running signal feeds the next, and the output clip.  The
+    causal convolutions read zeros before start, so a window that does
     not begin at sample 0 is exact only from _receptive_field(cfg) rows in.
     """
     t_total = frame_cond.shape[0] * cfg.upsample_factor
     cond = ag.upsample_linear(frame_cond, t_total, start=start, stop=stop)
     x = ag.Tensor(exc_values[start:stop, None])
     for b in range(cfg.n_blocks):
-        h = ag.add(ag.add(ag.matmul(ag.astype(x, cond.value.dtype),
-                                    tensors[f"block{b}.in.weight"]),
-                          tensors[f"block{b}.in.bias"]), cond)
-        for j in range(cfg.convs_per_block):
-            conv = ag.conv1d(h, tensors[f"block{b}.conv{j}.weight"],
-                             tensors[f"block{b}.conv{j}.bias"],
-                             dilation=2 ** j, causal=True)
-            h = ag.add(h, ag.tanh(conv))
-        x = ag.add(x, ag.add(ag.matmul(h, tensors[f"block{b}.out.weight"]),
-                             tensors[f"block{b}.out.bias"]))
+        x = ag.residual_block(
+            x, cond, tensors[f"block{b}.in.weight"], tensors[f"block{b}.in.bias"],
+            [(tensors[f"block{b}.conv{j}.weight"], tensors[f"block{b}.conv{j}.bias"],
+              2 ** j) for j in range(cfg.convs_per_block)],
+            tensors[f"block{b}.out.weight"], tensors[f"block{b}.out.bias"])
     return ag.hard_clip(x, -1.0, 1.0)
 
 

@@ -36,6 +36,10 @@ def scalarize(t):
     return ag.square_error_mean(t, ag.Tensor(np.zeros_like(t.value)))
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # --- elementwise ops ----------------------------------------------------------
 
 
@@ -58,15 +62,15 @@ def test_matmul_grads(rng):
 
 
 def test_outer_product_matmul(rng):
-    """matmul computes an (n, 1) @ (1, m) product as a broadcast: the
-    values equal numpy's matmul to the bit, and the adjoint holds."""
+    """An (n, 1) @ (1, m) matmul equals the broadcast product to the bit,
+    as residual_block computes its input projection, and the adjoint holds."""
     fd_check(lambda x, y: scalarize(ag.matmul(x, y)),
              [rng.standard_normal((5, 1)), rng.standard_normal((1, 3))])
     for dtype in (np.float32, np.float64):
         a, b = (rng.standard_normal(s).astype(dtype) for s in ((2428, 1), (1, 16)))
         with ag.no_grad():
             out = ag.matmul(a, b).value
-        assert out.dtype == dtype and np.array_equal(out, a @ b)
+        assert same_bits(out, a * b)
 
 
 def test_nonlinearity_grads(rng):
@@ -244,6 +248,75 @@ def test_gru_sequence_rows_are_cell_steps(rng):
         assert np.array_equal(states[t : t + 1], h)
 
 
+def composed_block(x, cond, w_in, b_in, convs, w_out, b_out):
+    """The residual block as the graph of single ops that it fuses."""
+    x, cond = ag.as_tensor(x), ag.as_tensor(cond)
+    cast = x if x.value.dtype == cond.value.dtype else \
+        ag.Tensor(x.value.astype(cond.value.dtype))
+    h = ag.add(ag.add(ag.matmul(cast, w_in), b_in), cond)
+    for w, b, dilation in convs:
+        h = ag.add(h, ag.tanh(ag.conv1d(h, w, b, dilation=dilation)))
+    return ag.add(x, ag.add(ag.matmul(h, w_out), b_out))
+
+
+def block_arrays(rng, rows, channels, kernel, dilations):
+    """x, cond, w_in and b_in, each convolution's weight and bias, then
+    w_out and b_out."""
+    c = channels
+    convs = [a for _ in dilations for a in (0.4 * rng.standard_normal((kernel, c, c)),
+                                            0.1 * rng.standard_normal(c))]
+    return [0.5 * rng.standard_normal((rows, 1)), rng.standard_normal((rows, c)),
+            rng.standard_normal((1, c)), 0.1 * rng.standard_normal(c), *convs,
+            0.3 * rng.standard_normal((c, 1)), 0.1 * rng.standard_normal(1)]
+
+
+def run_block(block, args, dilations):
+    x, cond, w_in, b_in, *convs, w_out, b_out = args
+    return block(x, cond, w_in, b_in, list(zip(convs[::2], convs[1::2], dilations)),
+                 w_out, b_out)
+
+
+@pytest.mark.parametrize("rows, kernel, dilations", [
+    (40, 3, (1, 2, 4, 8, 16)),
+    (12, 2, (1, 12, 3)),  # dilation 12 reaches past every row: its tap is skipped
+    (9, 1, (1, 2)),
+    (1, 3, (1, 2)),
+], ids=["kernel-3", "kernel-2-tap-past-the-rows", "kernel-1", "one-row"])
+def test_residual_block_equals_composed_graph(rng, rows, kernel, dilations):
+    arrays = block_arrays(rng, rows, 4, kernel, dilations)
+    seed = rng.standard_normal((rows, 1))
+    results = []
+    for block in (ag.residual_block, composed_block):
+        tensors = [ag.Tensor(a) for a in arrays]
+        out = run_block(block, tensors, dilations)
+        ag.backward(out, seed)
+        results.append([out.value] + [t.grad for t in tensors])
+    got, want = results
+    assert len(got) == 1 + 6 + 2 * len(dilations)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert same_bits(a, b), i
+
+
+def test_residual_block_grads(rng):
+    dilations = (1, 2)
+    fd_check(lambda *t: scalarize(run_block(ag.residual_block, t, dilations)),
+             block_arrays(rng, 6, 2, 2, dilations))
+
+
+def test_residual_block_float32_stack_under_no_grad(rng):
+    # the channel stack in float32; x, w_out and b_out stay float64
+    dilations = (1, 2, 4)
+    arrays = block_arrays(rng, 30, 4, 3, dilations)
+    arrays[1:-2] = [a.astype(np.float32) for a in arrays[1:-2]]
+    before = [a.copy() for a in arrays]
+    with ag.no_grad():
+        got = run_block(ag.residual_block, arrays, dilations).value
+        want = run_block(composed_block, arrays, dilations).value
+    assert got.dtype == np.float64 and same_bits(got, want)
+    for after, kept in zip(arrays, before):
+        assert same_bits(after, kept)
+
+
 def _tape_size(root):
     seen = {id(root)}
     stack = [root]
@@ -321,24 +394,25 @@ def test_deep_chain_iterative_backward():
 
 def test_float32_values_are_kept_under_no_grad_only(rng):
     x32 = rng.standard_normal((4, 3)).astype(np.float32)
+    block = [a.astype(np.float32) for a in block_arrays(rng, 4, 3, 2, (1,))]
     with ag.no_grad():
         assert ag.Tensor(x32).value.dtype == np.float32
         assert ag.tanh(ag.matmul(x32, x32.T)).value.dtype == np.float32
         assert ag.upsample_linear(x32, 9).value.dtype == np.float32
+        assert run_block(ag.residual_block, block, (1,)).value.dtype == np.float32
     assert ag.Tensor(x32).value.dtype == np.float64
-    assert ag.astype(x32, np.float32).value.dtype == np.float64
+    assert run_block(ag.residual_block, block, (1,)).value.dtype == np.float64
 
 
 def test_recorded_float32_inputs_give_the_float64_gradients(rng):
-    arrays = [rng.standard_normal(shape).astype(np.float32)
-              for shape in ((7, 3), (3, 3), (3, 3, 2), (2,))]
-    seed = rng.standard_normal((7, 2))
+    dilations = (1, 2)
+    arrays = [a.astype(np.float32) for a in block_arrays(rng, 7, 3, 2, dilations)]
+    seed = rng.standard_normal((7, 1))
 
     def grads(dtype):
-        x, w, cw, cb = (ag.Tensor(a.astype(dtype)) for a in arrays)
-        h = ag.add(ag.matmul(ag.astype(x, np.float32), w), x)
-        ag.backward(ag.conv1d(h, cw, cb, dilation=2), seed)
-        return [x.grad, w.grad, cw.grad, cb.grad]
+        tensors = [ag.Tensor(a.astype(dtype)) for a in arrays]
+        ag.backward(run_block(ag.residual_block, tensors, dilations), seed)
+        return [t.grad for t in tensors]
 
     for got, want in zip(grads(np.float32), grads(np.float64)):
         assert got.dtype == np.float64

@@ -1185,6 +1185,15 @@ def test_rate_past_the_float_range_is_refused_in_a_short_line(tmp_path, capsys, 
     assert len(err) < 120 and "--rate" in err, err
 
 
+def test_gl_refuses_a_rate_over_a_wav_header_before_griffin_lim(tmp_path, capsys,
+                                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(dsp, "griffin_lim", lambda *a, **k: calls.append(a))
+    assert run_cli(*HOSTILE["gl-rate-over-wav-header"](tmp_path)) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'x.mfb'}: ")
+
+
 def scaled_nsf_ckpt(path, scales):
     """A seeded eight-block NSF checkpoint with non-zero output projections,
     whose tensors named in scales are multiplied by the given factors."""

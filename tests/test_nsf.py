@@ -261,19 +261,19 @@ def test_chunked_float32_forward_equals_whole_clip(rng, monkeypatch, n_frames, c
             rng.standard_normal((cfg.channels, 1)) * 0.05
     feats, source = make_inputs(cfg, n_frames, rng)
     monkeypatch.setattr(nsf, "_CHUNK_FRAMES", chunk)
-    conv_inputs = set()
-    real_conv1d = ag.conv1d
+    stack_dtypes = set()
+    real_block = ag.residual_block
 
-    def conv1d(h, *args, **kwargs):
-        conv_inputs.add(h.value.dtype)
-        return real_conv1d(h, *args, **kwargs)
+    def residual_block(x, cond, *args):
+        stack_dtypes.add(cond.value.dtype)  # the dtype of the channel state
+        return real_block(x, cond, *args)
 
-    monkeypatch.setattr(ag, "conv1d", conv1d)
+    monkeypatch.setattr(ag, "residual_block", residual_block)
     out = nsf.nsf_forward(params, feats, source, cfg, np.float32)
     want = whole_clip_forward(params, feats, source, cfg, np.float32)
     assert np.array_equal(out.samples, want)
     # a float32 stack, within float32's rounding of the float64 one
-    assert conv_inputs == {np.dtype(np.float32)}
+    assert stack_dtypes == {np.dtype(np.float32)}
     exact = whole_clip_forward(params, feats, source, cfg)
     assert 0 < np.abs(want - exact).max() < 1e-5
 
@@ -355,8 +355,8 @@ def default_segment(cfg, seconds, rng):
 
 
 def test_backward_memory_of_one_second_segment(rng):
-    # one second measures about 14 MB, most of it one window's graph; the
-    # whole-segment graph measured 131 MB, and a (samples x taps * channels)
+    # one second measures about 9.5 MB, most of it one window's graph; the
+    # whole-segment graph measured 88 MB, and a (samples x taps * channels)
     # copy held on the tape by each of the ten convolutions would add 9 MB
     cfg = nsf.NsfConfig(feature_dim=80)
     feats, source, target = default_segment(cfg, 1.0, rng)
