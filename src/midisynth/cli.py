@@ -99,25 +99,19 @@ def _features(kind, notes, wave, rate, shift, frame_length=None, fft=None,
     return dsp.extract_features(wave, dsp.filter_bank(kind, cfg, n_filters), cfg)
 
 
-def _excitation(kind, notes, n_samples, rate, gain, seed):
+def _excitation(kind, notes, n_samples, rate, seed):
     """The n_samples-long source signal: the notes as sines, or seeded noise.
 
     Sines are first rendered over the notes' whole duration, so that
     length and n_samples are both held to excitation.MAX_SAMPLES before
-    anything is allocated.  A non-finite gain, or any gain but 1 for
-    noise, is refused.
+    anything is allocated.
     """
-    if not math.isfinite(gain):
-        raise ValueError(f"--gain must be finite, got {gain}")
-    if kind == "noise" and gain != 1.0:
-        raise ValueError("--gain applies to sine excitation only")
     longest = max(n_samples, notes.duration * rate)
     if longest > excitation.MAX_SAMPLES:
         raise TooLarge(f"the excitation needs {longest:.4g} samples, "
                        f"the limit is {excitation.MAX_SAMPLES}")
     if kind == "sine":
-        return excitation.fit_length(excitation.sine_excitation(notes, rate, gain),
-                                     n_samples)
+        return excitation.fit_length(excitation.sine_excitation(notes, rate), n_samples)
     return excitation.noise_excitation(n_samples, seed, sample_rate=rate)
 
 
@@ -147,7 +141,7 @@ def cmd_excite(args):
     formats.check_wav_rate(args.rate, "--rate")
     notes = _load_notes(args.midi, apply_pedal=not args.no_pedal)
     n_samples = excitation.sample_count(notes, args.rate)
-    wave = _excitation(args.kind, notes, n_samples, args.rate, args.gain, args.seed)
+    wave = _excitation(args.kind, notes, n_samples, args.rate, args.seed)
     formats.write_wav(args.out, wave)
     print(f"wrote {args.out}: {len(wave)} samples ({args.kind})")
     return 0
@@ -195,8 +189,7 @@ def _synthesize(args, notes, params, model_cfg):
                          f"waveform model wants {model_cfg.feature_dim}")
     if feats.n_frames == 0:
         raise ValueError("nothing to synthesize: zero frames")
-    source = _excitation(args.excitation, notes, feats.n_frames * shift, rate,
-                         args.gain, args.seed)
+    source = _excitation(args.excitation, notes, feats.n_frames * shift, rate, args.seed)
     return nsf.nsf_forward(params, feats, source, model_cfg, np.float32)
 
 
@@ -336,10 +329,11 @@ def _load_config(path, model_cls, train_cls, data_cls):
     if path is None:
         config = {}
     else:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
-            except json.JSONDecodeError as exc:
+            # a byte that is not UTF-8, bad syntax, or arrays nested past the stack
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ValueError("config root must be a JSON object")
@@ -393,7 +387,7 @@ def _nsf_data(data_dir, model_cfg, train_cfg, data):
                 continue
             # the source first: _excitation bounds the length before padding the target
             source = _excitation(data.excitation, notes, feats.n_frames * shift, rate,
-                                 1.0, train_cfg.seed + idx)
+                                 train_cfg.seed + idx)
             target = excitation.fit_length(wave, len(source))
         for lo, hi in _segment_frames(feats.n_frames, per_segment):
             dataset.append((
@@ -439,7 +433,7 @@ def cmd_train(args):
         init, load, train, save = (nsf.nsf_init, nsf.load_checkpoint,
                                    nsf.nsf_train, nsf.save_checkpoint)
     model_cfg, train_cfg, data = _load_config(args.config, *config)
-    dataset = build(args.data, model_cfg, train_cfg, data)
+    # the model first, so a bad checkpoint is refused before any clip is read
     if args.resume:
         params, _ = load(args.resume, model_cfg)
     elif args.warm_start:
@@ -447,6 +441,7 @@ def cmd_train(args):
         params = acoustic.warm_start_from(base, model_cfg)
     else:
         params = init(model_cfg, seed=train_cfg.seed)
+    dataset = build(args.data, model_cfg, train_cfg, data)
 
     out_dir = Path(args.out)
     ckpt_path, loss_path = out_dir / f"{args.kind}.ckpt", out_dir / "loss.csv"
@@ -494,7 +489,6 @@ def build_parser():
     _midi_args(p)
     p.add_argument("out")
     p.add_argument("--kind", choices=("sine", "noise"), default="sine")
-    p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_excite)
 
@@ -512,7 +506,6 @@ def build_parser():
     p.add_argument("--bank", choices=("midi", "mel"), default="midi",
                    help="filter bank for mode abs")
     _analysis_args(p, shift=False)
-    p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

@@ -14,6 +14,7 @@ Holm-Bonferroni correction across all pairs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from itertools import combinations
@@ -73,20 +74,28 @@ def load_scores_csv(path) -> dict:
     """Read a listening-test CSV with header system,sample_id,listener_id,score.
 
     Returns {system: [score, ...]}, systems in sorted order and each
-    system's scores in file order.
+    system's scores in file order.  A file that is not UTF-8 text, or that
+    the csv module cannot parse, is refused naming the line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"{path}: line {line}: not UTF-8 text "
+                              f"({exc.reason})") from None
     pools = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file") from None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FileFormatError(f"{path}: empty file")
         expected = ["system", "sample_id", "listener_id", "score"]
         if [h.strip() for h in header] != expected:
             raise FileFormatError(
                 f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 4:
@@ -102,6 +111,8 @@ def load_scores_csv(path) -> dict:
                 raise FileFormatError(f"{path}: line {lineno}: score {score} "
                                       f"outside 1..5")
             pools.setdefault(system, []).append(score)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise FileFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return {system: pools[system] for system in sorted(pools)}
 
 

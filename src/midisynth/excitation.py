@@ -29,14 +29,13 @@ def sample_count(notes: NoteEventList, sample_rate: int) -> int:
     return max(0, math.ceil(notes.duration * sample_rate - EDGE_EPS))
 
 
-def sine_excitation(notes: NoteEventList, sample_rate: int = StftConfig.sample_rate,
-                    gain: float = 1.0) -> WaveSignal:
+def sine_excitation(notes: NoteEventList,
+                    sample_rate: int = StftConfig.sample_rate) -> WaveSignal:
     """Sum of per-note sinusoids over sample_count(notes, sample_rate) samples.
 
     Each note contributes (velocity / 127) * sin(2 pi f (t - onset)) for
     t in [onset, offset), shaped by 5 ms linear fade-in/out ramps.  After
-    summing and applying gain, the mix is scaled down to peak 0.89 only
-    if it clips, as it does when gain times the mix overflows float64.
+    summing, the mix is scaled down to peak 0.89 only if it clips.
     """
     n_total = sample_count(notes, sample_rate)
     out = np.zeros(n_total)
@@ -62,13 +61,8 @@ def sine_excitation(notes: NoteEventList, sample_rate: int = StftConfig.sample_r
             wave[a:b] = amp * np.clip(envelope, 0.0, 1.0) * sine[a:b]
         out[lo:hi] += wave
     peak = float(np.abs(out).max()) if out.size else 0.0
-    if math.isinf(peak * gain):  # the gained mix would overflow float64
-        out *= math.copysign(0.89 / peak, gain)
-    else:
-        out *= gain
-        peak *= abs(gain)  # rounds as the max of the gained samples does
-        if peak > 1.0:
-            out *= 0.89 / peak
+    if peak > 1.0:
+        out *= 0.89 / peak
     return WaveSignal(out, sample_rate)
 
 

@@ -20,6 +20,8 @@ from .errors import FileFormatError
 
 FEATURE_MAGIC = b"MFB1"
 FEATURE_VERSION = 1
+# The highest sample rate a WAV header holds: its u32 byte rate is 2 x rate
+MAX_WAV_RATE = 0xFFFFFFFF // 2
 
 
 # --- WAV ------------------------------------------------------------------
@@ -69,14 +71,12 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 
 def check_wav_rate(rate, name) -> None:
-    """Refuse, naming name, a sample rate outside 1 to 2^31 - 1 Hz, which a
-    WAV header's u32 byte rate, 2 x rate, could not hold."""
-    limit = 0xFFFFFFFF // 2
-    if not 1 <= rate <= limit:
+    """Refuse, naming name, a sample rate outside 1 to MAX_WAV_RATE Hz."""
+    if not 1 <= rate <= MAX_WAV_RATE:
         try:
             shown = f"of {rate:.10g} Hz"
         except OverflowError:  # an int past the float range
-            shown = f"above the {limit} Hz limit" if rate > limit else "below 1 Hz"
+            shown = f"above the {MAX_WAV_RATE} Hz limit" if rate > 0 else "below 1 Hz"
         raise ValueError(f"{name}: a WAV header cannot hold a sample rate {shown}")
 
 

@@ -161,6 +161,15 @@ def test_excite_bogus_kind_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_excite_has_no_gain_option(tmp_path, capsys):
+    # the source level is fixed: the one every model is trained on
+    midi = tmp_path / "clip.mid"
+    write_midi_file(midi, [(0.0, 0.3, 60, 90)])
+    assert run_cli("excite", midi, tmp_path / "x.wav", "--gain", "2") == 2
+    assert "--gain" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
 # --- synth ----------------------------------------------------------------
 
 
@@ -175,7 +184,7 @@ def test_synth_direct_zero_model_passes_excitation(tmp_path, capsys):
 
     n_frames = midi_io.to_piano_roll(notes, 288 / 24000, 24000).n_frames
     source = excitation.fit_length(
-        excitation.sine_excitation(notes, 24000, 1.0), n_frames * 288)
+        excitation.sine_excitation(notes, 24000), n_frames * 288)
     expected = formats.quantize_pcm16(source.samples) / 32768.0
     wave = formats.read_wav(out)
     assert len(wave) == n_frames * 288
@@ -748,6 +757,21 @@ def test_train_refused_before_its_first_epoch_makes_no_output_dir(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind,flag", [("nsf", "--resume"), ("am", "--warm-start")])
+def test_train_refuses_a_corrupt_checkpoint_before_reading_a_clip(tmp_path, capsys,
+                                                                  monkeypatch, kind, flag):
+    data = make_pair(tmp_path / "data")
+    corrupt = tmp_path / "corrupt.ckpt"
+    corrupt.write_bytes(b"not a checkpoint")
+    reads, read_wav = [], formats.read_wav
+    monkeypatch.setattr(formats, "read_wav", lambda path: reads.append(path) or read_wav(path))
+    assert run_cli("train", kind, data, tmp_path / "out", flag, corrupt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corrupt}: ") and err.count("\n") == 1, err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind,model,data", [
     ("nsf", {}, {"excitation": "sine"}),
     ("nsf", {}, {"excitation": "noise"}),
@@ -910,12 +934,23 @@ def hostile_mfb(path, shift=0.012, rate=24e3, kind="midi-fb", dim=128, value=0.0
 def train_with(kind, config, *extra, midi_seconds=None):
     def argv(tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_bytes(config if isinstance(config, bytes)
+                             else json.dumps(config).encode())
         data = make_pair(tmp_path / "data")
         if midi_seconds is not None:
             write_midi_file(data / "clip.mid", [(0.0, midi_seconds, 69, 100)])
         return ["train", kind, data, tmp_path / "out", "--config", cfg_path, *extra]
     return argv
+
+
+def stats_with(blob):
+    def argv(tmp_path):
+        (tmp_path / "scores.csv").write_bytes(blob)
+        return ["stats", tmp_path / "scores.csv", "--out-dir", tmp_path / "out"]
+    return argv
+
+
+SCORES_HEADER = b"system,sample_id,listener_id,score\n"
 
 
 def train_nsf_above_nyquist(tmp_path):
@@ -1026,13 +1061,7 @@ HOSTILE = {
     "feat-huge-fft": wav_with("feat", 1.0, "--fft", "100000000"),
     "feat-huge-n-mels": wav_with("feat", 1.0, "--bank", "mel", "--n-mels",
                                  "10000000"),
-    # non-finite audio: a gain that is not a number, and 10 ** 400 magnitudes
-    "excite-gain-nan": midi_with("excite", helpers.note_smf([(0, 480, 64, 110)]),
-                                 "--gain", "nan"),
-    "excite-gain-inf": midi_with("excite", helpers.note_smf([(0, 480, 64, 110)]),
-                                 "--gain", "inf"),
-    "synth-gain-inf": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
-                                "--nsf-ckpt", "nsf.ckpt", "--gain", "inf"),
+    # non-finite audio: 10 ** 400 magnitudes
     "gl-linear-overflow": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=1025, value=400.0),
         p / "out"],
@@ -1060,12 +1089,6 @@ HOSTILE = {
     "am-output-kind-mel": train_with("am", {"model": {"output_kind": "mel-fb"},
                                             "train": {"epochs": 1}}),
     "am-input-dim-5": train_with("am", {"model": {"input_dim": 5}}),
-    # noise has no gain to set
-    "excite-noise-gain": midi_with("excite", helpers.note_smf([(0, 480, 64, 110)]),
-                                   "--kind", "noise", "--gain", "5"),
-    "synth-noise-gain": midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
-                                  "--nsf-ckpt", "nsf.ckpt", "--excitation", "noise",
-                                  "--gain", "5"),
     "nsf-features-linear-spec": train_with("nsf", {"data": {"features": "linear-spec"}}),
     "nsf-excitation-pulse": train_with("nsf", {"data": {"excitation": "pulse"}}),
     "am-bank-bark": train_with("am", {"data": {"bank": "bark"}}),
@@ -1123,6 +1146,12 @@ HOSTILE = {
     # shift needs 7.5e6 frames, over midi_io.MAX_ROLL_FRAMES
     "pitch-ce-top-wav-rate": pitch_ce_at(2 ** 31 - 1,
                                          helpers.note_smf([(0, 960, 64, 110)])),
+    # text files the json and csv modules cannot read: arrays nested past
+    # the stack, a byte that is not UTF-8, and a field over the csv field limit
+    "nsf-config-deep": train_with("nsf", b"[" * 200000 + b"]" * 200000),
+    "nsf-config-not-utf8": train_with("nsf", b'{"train": {"epochs": 1, "\xff": 2}}'),
+    "stats-huge-field": stats_with(SCORES_HEADER + b"a," + b"x" * 131073 + b",l1,3\n"),
+    "stats-not-utf8": stats_with(SCORES_HEADER + b"a,s1,l1,4\n\xff,s2,l1,3\n"),
 }
 # The config key that the error line of a case must name, or for a model
 # over a size bound, what it counts.
@@ -1154,7 +1183,11 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-note-above-nyquist": "clip.mid",
                 "nsf-segment-overflow": "overflows a frame count",
                 "nsf-rate-over-float": "overflows a frame count",
-                "synth-ckpt-version-1": "checkpoint version 1"}
+                "synth-ckpt-version-1": "checkpoint version 1",
+                "nsf-config-deep": "cfg.json: invalid JSON",
+                "nsf-config-not-utf8": "cfg.json: invalid JSON",
+                "stats-huge-field": "scores.csv: line 2: field larger",
+                "stats-not-utf8": "scores.csv: line 3: not UTF-8"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -1394,6 +1427,17 @@ def mutation_cases(work):
     nsf.save_checkpoint(nsf_ckpt, nsf.nsf_init(cfg, seed=1), cfg)
     helpers.write_tiny_am_ckpt(am_ckpt)
     ckpt_header = lambda path: 16 + struct.unpack_from("<I", path.read_bytes(), 8)[0]
+    # the text files: a training config, one section a line, and a scores
+    # table; the first line of each is its header
+    data = make_pair(work / "data", seconds=0.25)
+    config, scores = work / "cfg.json", work / "scores.csv"
+    config.write_text('{"model": {"channels": 2, "n_blocks": 1, "convs_per_block": 1},\n'
+                      ' "train": {"epochs": 1, "segment_seconds": 0.25},\n'
+                      ' "data": {"rate": 24000, "excitation": "sine"}}\n')
+    scores.write_bytes(SCORES_HEADER + b"".join(
+        b"%s,s%d,l%d,%d\n" % (system, i, i % 3, 1 + (3 * i + len(system)) % 5)
+        for system in (b"ref", b"am", b"nsf") for i in range(4)))
+    first_line = lambda path: path.read_bytes().index(b"\n") + 1
     # kind: (file, header bytes, CRC, {command: argv of the mutant m})
     kinds = {
         "wav": (wav, 44, False, {"feat": lambda m: ["feat", m, out],
@@ -1407,6 +1451,10 @@ def mutation_cases(work):
                                     "--mode", "am+nsf", "--am-ckpt", m]}),
         "midi": (mid, 22, False,  # MThd and the first MTrk header
                  {"synth": lambda m: ["synth", m, out, "--nsf-ckpt", nsf_ckpt]}),
+        "config": (config, first_line(config), False,
+                   {"train": lambda m: ["train", "nsf", data, work / "run", "--config", m]}),
+        "csv": (scores, first_line(scores), False,
+                {"stats": lambda m: ["stats", m, "--out-dir", work / "stats"]}),
     }
     cases = {}
     for kind, (path, header, crc, commands) in kinds.items():
@@ -1420,7 +1468,8 @@ def mutation_cases(work):
 # that reads it
 MUTANT_EXITS = {"wav feat": {0: 74, 2: 46}, "wav pitch-ce": {0: 73, 2: 47},
                 "mfb gl": {0: 79, 2: 41}, "nsf synth": {0: 58, 2: 62},
-                "am synth": {0: 62, 2: 58}, "midi synth": {0: 33, 2: 87}}
+                "am synth": {0: 62, 2: 58}, "midi synth": {0: 33, 2: 87},
+                "config train": {2: 120}, "csv stats": {0: 16, 2: 104}}
 
 
 def test_mutated_input_files_exit_0_or_2_with_one_line_at_most(tmp_path):

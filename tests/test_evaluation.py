@@ -378,3 +378,12 @@ def test_load_scores_csv_bad_rows_report_line(tmp_path):
     path.write_text("system,sample_id,listener_id,score\na,s1,l1,x\n")
     with pytest.raises(FileFormatError, match="line 2"):
         evaluation.load_scores_csv(path)
+    # a quoted field over two lines: the bad score is on line 4
+    path.write_text('system,sample_id,listener_id,score\n"a\nb",s1,l1,4\nb,s2,l1,9\n')
+    with pytest.raises(FileFormatError, match="line 4"):
+        evaluation.load_scores_csv(path)
+    # a byte that is not UTF-8, after a byte-order mark that does not count
+    path.write_bytes(b"\xef\xbb\xbfsystem,sample_id,listener_id,score\n"
+                     b"a,s1,l1,4\nb,s1,l1,\xff\n")
+    with pytest.raises(FileFormatError, match="line 3: not UTF-8"):
+        evaluation.load_scores_csv(path)

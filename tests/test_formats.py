@@ -51,6 +51,7 @@ def test_write_wav_refuses_a_rate_its_header_cannot_hold(tmp_path):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             formats.write_wav(path, WaveSignal(np.zeros(3), rate))
         assert not path.exists()
+    assert formats.MAX_WAV_RATE == 2 ** 31 - 1
     formats.write_wav(path, WaveSignal(np.zeros(3), 2 ** 31 - 1))  # byte rate 2^32 - 2
     assert formats.read_wav(path).sample_rate == 2 ** 31 - 1
 
