@@ -242,9 +242,8 @@ def cmd_probe_set(args):
         else:
             pitches = [root, min(root + 4, 127), min(root + 7, 127)]
             tag = "chord"
-        notes = midi_io.NoteEventList(notes=tuple(
-            midi_io.NoteEvent(p, onset, onset + duration, velocity)
-            for p in pitches))
+        notes = midi_io.NoteEventList(
+            *zip(*((p, onset, onset + duration, velocity) for p in pitches)))
         path = out_dir / f"probe_{i:03d}_{tag}.mid"
         with open(path, "wb") as fh:
             fh.write(midi_io.write_midi(notes))

@@ -41,22 +41,23 @@ def sine_excitation(notes: NoteEventList,
     out = np.zeros(n_total)
     # a note's envelope is 1 from this many samples inside either end
     n_fade = math.ceil(FADE_SECONDS * sample_rate) + 2
-    for note in notes.notes:
-        freq = midi_center_freq(note.pitch)
+    columns = notes.pitch, notes.onset, notes.offset, notes.velocity
+    for pitch, onset, offset, velocity in zip(*(column.tolist() for column in columns)):
+        freq = midi_center_freq(pitch)
         if freq >= sample_rate / 2:
             raise ValueError(
-                f"note {note.pitch} at {freq:.1f} Hz needs a rate above "
+                f"note {pitch} at {freq:.1f} Hz needs a rate above "
                 f"{2 * freq:.0f} Hz, have {sample_rate}")
-        lo = max(0, math.ceil(note.onset * sample_rate - EDGE_EPS))
-        hi = min(n_total, math.ceil(note.offset * sample_rate - EDGE_EPS))
+        lo = max(0, math.ceil(onset * sample_rate - EDGE_EPS))
+        hi = min(n_total, math.ceil(offset * sample_rate - EDGE_EPS))
         if hi <= lo:
             continue
-        n, amp = hi - lo, note.velocity / 127.0
-        sine = _sine(freq, lo, hi, note.onset, sample_rate)
+        n, amp = hi - lo, velocity / 127.0
+        sine = _sine(freq, lo, hi, onset, sample_rate)
         wave = amp * sine
         for a, b in ((0, min(n_fade, n)), (max(0, n - n_fade), n)):
-            t = np.arange(lo + a, lo + b) / sample_rate - note.onset
-            envelope = np.minimum(1.0, np.minimum(t, note.offset - note.onset - t)
+            t = np.arange(lo + a, lo + b) / sample_rate - onset
+            envelope = np.minimum(1.0, np.minimum(t, offset - onset - t)
                                   / FADE_SECONDS)
             wave[a:b] = amp * np.clip(envelope, 0.0, 1.0) * sine[a:b]
         out[lo:hi] += wave

@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 from .dsp import FeatureMatrix, WaveSignal
-from .errors import FileFormatError
+from .errors import FileFormatError, TooLarge
 
 FEATURE_MAGIC = b"MFB1"
 FEATURE_VERSION = 1
@@ -185,12 +185,12 @@ def write_container(path, magic: bytes, config: dict, tensors) -> None:
             os.unlink(tmp)
 
 
-def read_container(path, magic: bytes):
+def read_container(path, magic: bytes, max_tensors: int):
     """Read a container written by write_container, or of version 2, which
     stores float32 data.  Returns (config dict, dict of float64 tensors).
     Any structural defect, bad magic, short read, malformed config block,
     non-finite tensor value, or CRC mismatch raises FileFormatError, and so
-    does any other version.
+    does any other version.  A table over max_tensors tensors is TooLarge.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -214,6 +214,8 @@ def read_container(path, magic: bytes):
         if not isinstance(config, dict):
             raise FileFormatError(f"{path}: config block is not a JSON object")
         (count,) = struct.unpack_from("<I", body, pos)
+        if count > max_tensors:
+            raise TooLarge(f"{path}: {count} tensors, the limit is {max_tensors}")
         pos += 4
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, pos)

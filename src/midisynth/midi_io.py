@@ -12,10 +12,12 @@ changes between notes land exactly.
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from array import array
+from collections import defaultdict, deque, namedtuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,51 +40,56 @@ MAX_ROLL_FRAMES = 2 ** 20
 EDGE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """One note: pitch 0-127, onset < offset in seconds, velocity 1-127."""
-
-    pitch: int
-    onset: float
-    offset: float
-    velocity: int
-
-    def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch {self.pitch} outside 0..127")
-        if not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity {self.velocity} outside 1..127")
-        if not (self.onset >= 0 and self.offset > self.onset):
-            raise ValueError(
-                f"need 0 <= onset < offset, got onset={self.onset} offset={self.offset}"
-            )
+# One note of NoteEventList.notes
+NoteEvent = namedtuple("NoteEvent", "pitch onset offset velocity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoteEventList:
-    """Notes sorted by (onset, pitch) plus timing metadata.
+    """Notes as four columns, sorted stably by (onset, pitch, offset), plus
+    timing metadata: pitch 0-127 and velocity 1-127 as uint8, and 0 <=
+    onset < offset in seconds as float64.
 
     duration defaults to the largest offset and may be set longer to keep
     trailing silence; it can never undercut the last note.  pedal holds
     (time, value) pairs for controller 64 in file order.
     """
 
-    notes: tuple = ()
+    pitch: np.ndarray = ()
+    onset: np.ndarray = ()
+    offset: np.ndarray = ()
+    velocity: np.ndarray = ()
     ticks_per_quarter: int = 480
     duration: float | None = None
     pedal: tuple = ()
     warnings: tuple = ()
 
     def __post_init__(self):
-        notes = tuple(sorted(self.notes, key=lambda n: (n.onset, n.pitch, n.offset)))
-        object.__setattr__(self, "notes", notes)
-        last = max((n.offset for n in notes), default=0.0)
+        columns = {name: np.asarray(getattr(self, name)) for name in NoteEvent._fields}
+        pitch, onset, offset, velocity = columns.values()
+        # on the values as given, so that a pitch of 300 is not wrapped to 44
+        for name, inside, domain in (
+                ("pitch", (pitch >= 0) & (pitch <= 127), "0..127"),
+                ("velocity", (velocity >= 1) & (velocity <= 127), "1..127"),
+                ("onset", (onset >= 0) & (offset > onset), "[0, offset)")):
+            if not inside.all():
+                raise ValueError(f"{name} {columns[name][~inside][0]} outside {domain}")
+        order = np.lexsort((offset, pitch, onset))
+        for name, dtype in zip(columns, (np.uint8, np.float64, np.float64, np.uint8)):
+            object.__setattr__(self, name, columns[name][order].astype(dtype, copy=False))
+        last = float(self.offset.max(initial=0.0))
         if self.duration is None:
             object.__setattr__(self, "duration", last)
         elif self.duration < last:
             raise ValueError(f"duration {self.duration} < final offset {last}")
         if self.ticks_per_quarter <= 0:
             raise ValueError("ticks_per_quarter must be positive")
+
+    @property
+    def notes(self) -> tuple:
+        """The notes as NoteEvent records, built on each call."""
+        return tuple(map(NoteEvent, self.pitch.tolist(), self.onset.tolist(),
+                         self.offset.tolist(), self.velocity.tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,11 +133,10 @@ def _data_byte(data, pos, end, what):
 
 
 def _parse_track(data, start, end):
-    """Decode one MTrk payload into (tick, kind, a, b) tuples in file order.
-
-    kind is one of "on", "off", "cc64", "tempo".
+    """Yield one MTrk payload's events as (tick, kind, a, b) tuples in file
+    order.  kind is "on", "off", "cc64" or "tempo", and "end" for the last,
+    at the track's end tick.
     """
-    events = []
     pos = start
     tick = 0
     status = None
@@ -154,8 +160,7 @@ def _parse_track(data, start, end):
             if pos + length > end:
                 raise FileFormatError("meta event payload runs past track end")
             if meta == 0x51 and length == 3:
-                tempo = int.from_bytes(data[pos : pos + 3], "big")
-                events.append((tick, "tempo", tempo, 0))
+                yield tick, "tempo", int.from_bytes(data[pos : pos + 3], "big"), 0
             pos += length
             status = None
             if meta == 0x2F:
@@ -175,12 +180,12 @@ def _parse_track(data, start, end):
                 continue
             bb, pos = _data_byte(data, pos, end, "channel event")
             if hi == 0x90 and bb > 0:
-                events.append((tick, "on", a, bb))
+                yield tick, "on", a, bb
             elif hi == 0x80 or (hi == 0x90 and bb == 0):
-                events.append((tick, "off", a, 0))
+                yield tick, "off", a, 0
             elif hi == 0xB0 and a == SUSTAIN_CONTROLLER:
-                events.append((tick, "cc64", bb, 0))
-    return events, tick
+                yield tick, "cc64", bb, 0
+    yield tick, "end", 0, 0
 
 
 def parse_midi(data: bytes) -> NoteEventList:
@@ -207,13 +212,11 @@ def parse_midi(data: bytes) -> NoteEventList:
         raise FileFormatError(f"format 0 file declares {n_tracks} tracks")
 
     pos = 8 + header_len
-    merged = []
-    tracks_seen = 0
-    max_tick = 0
-    while tracks_seen < n_tracks:
+    tracks = []
+    while len(tracks) < n_tracks:
         if pos + 8 > len(data):
             raise FileFormatError(
-                f"expected {n_tracks} tracks, found {tracks_seen} before end of file"
+                f"expected {n_tracks} tracks, found {len(tracks)} before end of file"
             )
         tag = data[pos : pos + 4]
         (chunk_len,) = struct.unpack(">I", data[pos + 4 : pos + 8])
@@ -221,12 +224,10 @@ def parse_midi(data: bytes) -> NoteEventList:
         if body + chunk_len > len(data):
             raise FileFormatError("track chunk overruns end of file")
         if tag == b"MTrk":
-            events, end_tick = _parse_track(data, body, body + chunk_len)
-            merged += events
-            max_tick = max(max_tick, end_tick)
-            tracks_seen += 1
+            tracks.append(_parse_track(data, body, body + chunk_len))
         pos = body + chunk_len
-    merged.sort(key=lambda e: e[0])  # stable: ties keep track, then file order
+    # the tracks are read as they merge; ties keep track, then file order
+    merged = heapq.merge(*tracks, key=lambda e: e[0])
 
     # Tick-to-second walk with the tempo map applied in stream order.
     tempo = DEFAULT_TEMPO_US
@@ -234,10 +235,9 @@ def parse_midi(data: bytes) -> NoteEventList:
     anchor_sec = 0.0
     scale = lambda t: anchor_sec + (t - anchor_tick) * tempo / (division * 1e6)
 
-    open_notes = {}
-    notes = []
+    open_notes = defaultdict(deque)
+    rows = array("d")  # pitch, onset, offset, velocity of each note
     pedal = []
-    warnings = []
     last_sec = 0.0
     for tick, kind, a, b in merged:
         sec = scale(tick)
@@ -247,34 +247,33 @@ def parse_midi(data: bytes) -> NoteEventList:
             anchor_tick = tick
             tempo = a if a > 0 else tempo
         elif kind == "on":
-            open_notes.setdefault(a, []).append((sec, b))
+            open_notes[a].append((sec, b))
         elif kind == "off":
             queue = open_notes.get(a)
             if queue:
-                onset, velocity = queue.pop(0)
-                offset = sec if sec > onset else onset + 1e-9
-                notes.append(NoteEvent(a, onset, offset, velocity))
+                onset, velocity = queue.popleft()
+                rows.extend((a, onset, sec if sec > onset else onset + 1e-9, velocity))
         elif kind == "cc64":
             pedal.append((sec, a))
-    last_sec = max(last_sec, scale(max_tick))
     if last_sec > MAX_DURATION_SECONDS:
         raise TooLarge(f"file lasts {last_sec:.4g} s, the limit is "
                        f"{MAX_DURATION_SECONDS:.0f} s")
 
     dangling = sum(len(q) for q in open_notes.values())
-    if dangling:
-        warnings.append(f"{dangling} dangling note-on event(s) closed at end of file")
-        for pitch, queue in open_notes.items():
-            for onset, velocity in queue:
-                offset = last_sec if last_sec > onset else onset + 1e-9
-                notes.append(NoteEvent(pitch, onset, offset, velocity))
+    warnings = (f"{dangling} dangling note-on event(s) closed at end of file",) \
+        if dangling else ()
+    for pitch, queue in open_notes.items():
+        for onset, velocity in queue:
+            offset = last_sec if last_sec > onset else onset + 1e-9
+            rows.extend((pitch, onset, offset, velocity))
 
+    pitch, onset, offset, velocity = np.frombuffer(rows).reshape(-1, 4).T
     return NoteEventList(
-        notes=tuple(notes),
+        pitch, onset, offset, velocity,
         ticks_per_quarter=division,
-        duration=max(last_sec, max((n.offset for n in notes), default=0.0)),
+        duration=max(last_sec, float(offset.max(initial=0.0))),
         pedal=tuple(pedal),
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -284,10 +283,11 @@ def write_midi(notes: NoteEventList) -> bytes:
     to_tick = lambda sec: int(round(sec * tpq * 1e6 / DEFAULT_TEMPO_US))
     # order key: offs before ons at the same tick so zero-gap repeats re-trigger
     items = [(0, 0, bytes([0xFF, 0x51, 0x03]) + DEFAULT_TEMPO_US.to_bytes(3, "big"))]
-    for n in notes.notes:
-        items.append((to_tick(n.onset), 1, bytes([0x90, n.pitch, n.velocity])))
-        items.append((max(to_tick(n.offset), to_tick(n.onset) + 1), 0,
-                      bytes([0x80, n.pitch, 0])))
+    columns = notes.pitch, notes.onset, notes.offset, notes.velocity
+    for pitch, onset, offset, velocity in zip(*(column.tolist() for column in columns)):
+        items.append((to_tick(onset), 1, bytes([0x90, pitch, velocity])))
+        items.append((max(to_tick(offset), to_tick(onset) + 1), 0,
+                      bytes([0x80, pitch, 0])))
     for sec, value in notes.pedal:
         items.append((to_tick(sec), 1, bytes([0xB0, SUSTAIN_CONTROLLER, value])))
     items.sort(key=lambda e: (e[0], e[1]))
@@ -323,8 +323,6 @@ def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
     moved and notes are never shortened.
     """
     events = sorted(notes.pedal, key=lambda e: e[0])  # stable: ties keep file order
-    if not events:
-        return notes
     intervals = []
     down_since = None
     for sec, value in events:
@@ -333,28 +331,17 @@ def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
         elif value < SUSTAIN_THRESHOLD and down_since is not None:
             intervals.append((down_since, sec))
             down_since = None
-    track_end = max(notes.duration, events[-1][0])
     if down_since is not None:
-        intervals.append((down_since, math.inf))
+        intervals.append((down_since, max(notes.duration, events[-1][0])))
+    if not intervals:
+        return notes
 
-    starts = [s for s, _ in intervals]
-    extended = []
-    for n in notes.notes:
-        idx = bisect_right(starts, n.offset) - 1
-        offset = n.offset
-        if idx >= 0:
-            lo, hi = intervals[idx]
-            if lo <= n.offset < hi:
-                offset = max(offset, track_end if math.isinf(hi) else hi)
-        extended.append(NoteEvent(n.pitch, n.onset, offset, n.velocity))
-    duration = max([notes.duration] + [n.offset for n in extended])
-    return NoteEventList(
-        notes=tuple(extended),
-        ticks_per_quarter=notes.ticks_per_quarter,
-        duration=duration,
-        pedal=notes.pedal,
-        warnings=notes.warnings,
-    )
+    starts, ends = np.array(intervals).T
+    idx = np.searchsorted(starts, notes.offset, side="right") - 1
+    held = (idx >= 0) & (notes.offset < ends[idx])
+    offset = np.where(held, ends[idx], notes.offset)
+    return replace(notes, offset=offset, duration=max(
+        notes.duration, float(offset.max(initial=0.0))))
 
 
 # --- piano rolls --------------------------------------------------------
@@ -377,12 +364,22 @@ def to_piano_roll(notes: NoteEventList, frame_shift: float,
                        f"{MAX_ROLL_FRAMES}")
     n_frames = max(0, math.ceil(frames))
     values = np.zeros((n_frames, 128))
-    for n in notes.notes:
-        lo = int(math.floor(n.onset / frame_shift + EDGE_EPS))
-        hi = int(math.ceil(n.offset / frame_shift - EDGE_EPS))
-        lo, hi = max(lo, 0), min(max(hi, lo + 1), n_frames)
-        level = n.velocity / 127.0
-        values[lo:hi, n.pitch] = np.maximum(values[lo:hi, n.pitch], level)
+    lo = np.floor(notes.onset / frame_shift + EDGE_EPS).astype(np.int64)
+    hi = np.ceil(notes.offset / frame_shift - EDGE_EPS).astype(np.int64)
+    counts = np.maximum(np.minimum(np.maximum(hi, lo + 1), n_frames) - lo, 0)
+    starts = np.cumsum(counts) - counts
+    # The notes become one (roll entry, level) pair per frame they cover, a
+    # group at a time: the notes starting within 16 n_frames pairs of the
+    # group's first.  No note has over n_frames pairs, so a group's pairs
+    # take a fraction of the roll's bytes, however long the notes are.
+    bounds = sorted({len(counts), *np.searchsorted(
+        starts, np.arange(0, counts.sum(), 16 * n_frames + 1)).tolist()})
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = counts[a:b]
+        frames = np.repeat(lo[a:b] - starts[a:b], n)
+        frames += np.arange(starts[a], starts[a] + len(frames))
+        np.maximum.at(values.reshape(-1), frames * 128 + np.repeat(notes.pitch[a:b], n),
+                      np.repeat(notes.velocity[a:b] / 127.0, n))
     return PianoRoll(values, frame_shift, sample_rate)
 
 
@@ -392,17 +389,15 @@ def roll_to_notes(roll: PianoRoll) -> NoteEventList:
     Velocity is the run's peak level scaled back to 1..127.  Runs that
     were frame-aligned round-trip exactly through to_piano_roll.
     """
-    notes = []
-    shift = roll.frame_shift
-    for pitch in range(128):
-        active = np.flatnonzero(roll.values[:, pitch] > 0)
-        if not active.size:
-            continue
-        for run in np.split(active, np.where(np.diff(active) != 1)[0] + 1):
-            level = roll.values[run, pitch].max()
-            velocity = int(np.clip(round(level * 127.0), 1, 127))
-            notes.append(NoteEvent(pitch, run[0] * shift, (run[-1] + 1) * shift, velocity))
-    return NoteEventList(notes=tuple(notes))
+    active = np.pad(roll.values.T > 0, ((0, 0), (1, 1)))
+    pitch, onset = np.nonzero(active[:, 1:-1] & ~active[:, :-2])
+    offset = np.nonzero(active[:, 1:-1] & ~active[:, 2:])[1] + 1
+    # a run's peak is the maximum from its first frame to the next run's,
+    # in the pitch-major values, since the frames between are 0
+    peak = np.maximum.reduceat(roll.values.T.ravel(), pitch * roll.n_frames + onset)
+    velocity = np.clip(np.round(peak * 127.0), 1, 127)
+    return NoteEventList(pitch, onset * roll.frame_shift, offset * roll.frame_shift,
+                         velocity)
 
 
 def transpose_roll(roll: PianoRoll, semitones: int) -> PianoRoll:

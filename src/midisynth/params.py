@@ -222,7 +222,8 @@ def load_model(path, magic: bytes, config_cls, param_shapes, expected_cfg=None):
     shape that differs from the config's, or a step count that is not one
     finite, non-negative number raises FileFormatError.
     """
-    config, tensors = read_container(path, magic)
+    # each tensor, its two Adam moments, and the step
+    config, tensors = read_container(path, magic, 3 * MAX_TENSORS + 1)
     if set(config) != {f.name for f in dataclasses.fields(config_cls)}:
         raise FileFormatError(f"{path}: stored config keys {sorted(config)} "
                               f"are not the {config_cls.__name__} fields")

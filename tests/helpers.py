@@ -10,7 +10,7 @@ import numpy as np
 
 from midisynth import acoustic, formats, nsf
 from midisynth.dsp import WaveSignal
-from midisynth.midi_io import NoteEvent, NoteEventList
+from midisynth.midi_io import NoteEventList
 
 
 # --- raw SMF bytes ------------------------------------------------------------
@@ -104,9 +104,8 @@ def mutants(blob, count, seed):
 def make_notes(specs, duration=None, pedal=()) -> NoteEventList:
     """specs: (onset, offset, pitch, velocity) tuples in seconds; pedal:
     (time, CC64 value) pairs."""
-    notes = tuple(NoteEvent(onset=o, offset=f, pitch=p, velocity=v)
-                  for o, f, p, v in specs)
-    return NoteEventList(notes=notes, duration=duration, pedal=tuple(pedal))
+    columns = zip(*((p, o, f, v) for o, f, p, v in specs))
+    return NoteEventList(*columns, duration=duration, pedal=tuple(pedal))
 
 
 def random_notes(rng, n_notes: int, lo: int = 48, hi: int = 84) -> NoteEventList:

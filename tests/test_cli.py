@@ -31,7 +31,7 @@ import helpers
 import midisynth
 from midisynth import (acoustic, cli, dsp, errors, evaluation, excitation, formats,
                        midi_io, nsf)
-from midisynth.params import Domain, FitConfig
+from midisynth.params import MAX_TENSORS, Domain, FitConfig
 
 
 def run_cli(*argv):
@@ -1009,6 +1009,22 @@ def synth_with_version_1_nsf_ckpt(tmp_path):
     return argv
 
 
+def synth_with_many_tensors(tmp_path):
+    """synth through a CRC-valid checkpoint whose table holds 1,000,000
+    scalar tensors."""
+    argv = midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                     "--nsf-ckpt", "many.ckpt")(tmp_path)
+    table = np.zeros(10 ** 6, [("size", "<u2"), ("name", "S8"), ("ndim", "u1"),
+                               ("value", "<f8")])
+    table["size"] = 8
+    table["name"] = [b"t%07d" % i for i in range(10 ** 6)]
+    block = json.dumps(dataclasses.asdict(nsf.NsfConfig(128))).encode()
+    body = nsf.NSF_MAGIC + struct.pack("<II", 3, len(block)) + block \
+        + struct.pack("<I", 10 ** 6) + table.tobytes()
+    (tmp_path / "many.ckpt").write_bytes(frozen_checkpoints.with_crc(body))
+    return argv
+
+
 # 16,777,215 parameters, one under params.MAX_PARAMETERS, in 16.8M tensors
 TINY_LAYERS = {"n_blocks": 2796181, "convs_per_block": 1, "channels": 1, "kernel": 1}
 # 3,662 parameters that read 2^32 - 4 samples back
@@ -1140,6 +1156,9 @@ HOSTILE = {
     "nsf-note-above-nyquist": train_nsf_above_nyquist,
     "nsf-segment-overflow": train_with("nsf", {"train": {"segment_seconds": 1e308}}),
     "nsf-rate-over-float": train_with("nsf", {"data": {"rate": 10 ** 400}}),
+    # a tensor table over 3 x params.MAX_TENSORS + 1 entries, refused
+    # before any tensor is built
+    "synth-ckpt-many-tensors": synth_with_many_tensors,
     # version 1 stored its config as u32 fields, and no longer loads
     "synth-ckpt-version-1": synth_with_version_1_nsf_ckpt,
     # the highest rate a WAV header holds: a 1 s roll at its 288-sample
@@ -1184,6 +1203,7 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-segment-overflow": "overflows a frame count",
                 "nsf-rate-over-float": "overflows a frame count",
                 "synth-ckpt-version-1": "checkpoint version 1",
+                "synth-ckpt-many-tensors": "many.ckpt: 1000000 tensors, the limit is 12289",
                 "nsf-config-deep": "cfg.json: invalid JSON",
                 "nsf-config-not-utf8": "cfg.json: invalid JSON",
                 "stats-huge-field": "scores.csv: line 2: field larger",
@@ -1415,6 +1435,21 @@ def mutant_files(work, name, blob, header, crc=False):
         yield path
 
 
+def text_inputs(work):
+    """The text files the sweeps mutate, and the clips a config trains on:
+    (data dir, a training config, one section a line, a scores table).
+    The first line of each file is its header."""
+    data = make_pair(work / "data", seconds=0.25)
+    config, scores = work / "cfg.json", work / "scores.csv"
+    config.write_text('{"model": {"channels": 2, "n_blocks": 1, "convs_per_block": 1},\n'
+                      ' "train": {"epochs": 1, "segment_seconds": 0.25},\n'
+                      ' "data": {"rate": 24000, "excitation": "sine"}}\n')
+    scores.write_bytes(SCORES_HEADER + b"".join(
+        b"%s,s%d,l%d,%d\n" % (system, i, i % 3, 1 + (3 * i + len(system)) % 5)
+        for system in (b"ref", b"am", b"nsf") for i in range(4)))
+    return data, config, scores
+
+
 def mutation_cases(work):
     """Each mutant input file with the commands that read it, as
     "<kind> <command> <n>" -> argv."""
@@ -1427,16 +1462,7 @@ def mutation_cases(work):
     nsf.save_checkpoint(nsf_ckpt, nsf.nsf_init(cfg, seed=1), cfg)
     helpers.write_tiny_am_ckpt(am_ckpt)
     ckpt_header = lambda path: 16 + struct.unpack_from("<I", path.read_bytes(), 8)[0]
-    # the text files: a training config, one section a line, and a scores
-    # table; the first line of each is its header
-    data = make_pair(work / "data", seconds=0.25)
-    config, scores = work / "cfg.json", work / "scores.csv"
-    config.write_text('{"model": {"channels": 2, "n_blocks": 1, "convs_per_block": 1},\n'
-                      ' "train": {"epochs": 1, "segment_seconds": 0.25},\n'
-                      ' "data": {"rate": 24000, "excitation": "sine"}}\n')
-    scores.write_bytes(SCORES_HEADER + b"".join(
-        b"%s,s%d,l%d,%d\n" % (system, i, i % 3, 1 + (3 * i + len(system)) % 5)
-        for system in (b"ref", b"am", b"nsf") for i in range(4)))
+    data, config, scores = text_inputs(work)
     first_line = lambda path: path.read_bytes().index(b"\n") + 1
     # kind: (file, header bytes, CRC, {command: argv of the mutant m})
     kinds = {
@@ -1482,6 +1508,88 @@ def test_mutated_input_files_exit_0_or_2_with_one_line_at_most(tmp_path):
     assert counts == MUTANT_EXITS
 
 
+class Pairs(tuple):
+    """A JSON object as (key, value) pairs, so that a key can repeat."""
+
+
+def to_json(value):
+    """value as JSON text; a Pairs object keeps its repeated keys."""
+    if isinstance(value, dict):
+        value = Pairs(value.items())
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value) + "}"
+    return json.dumps(value)
+
+
+def config_mutants(config):
+    """One-fault copies of a parsed training config, as "<fault> <where>"
+    -> JSON text: a section as a list, a number as a string, a key dropped
+    and a key written twice."""
+    without = lambda d, key: {k: v for k, v in d.items() if k != key}
+    out = {}
+    for name, section in config.items():
+        out[f"section-list {name}"] = {**config, name: list(section.values())}
+        out[f"drop {name}"] = without(config, name)
+        out[f"duplicate {name}"] = Pairs([*config.items(), (name, section)])
+        edit = lambda new: {**config, name: new}
+        for key, value in section.items():
+            where = f"{name}.{key}"
+            if type(value) in (int, float):
+                out[f"number-string {where}"] = edit({**section, key: str(value)})
+            out[f"drop {where}"] = edit(without(section, key))
+            out[f"duplicate {where}"] = edit(Pairs([*section.items(), (key, value)]))
+    return {case: to_json(value) for case, value in out.items()}
+
+
+def row_mutants(blob):
+    """Copies of a CSV table with one row given an extra field or missing
+    its last, as "<fault> <row>" -> bytes."""
+    rows = blob.splitlines(keepends=True)
+    out = {}
+    for i, row in enumerate(rows):
+        fields = row.rstrip(b"\n")
+        for fault, new in (("extra-field", fields + b",x"),
+                           ("missing-field", fields.rsplit(b",", 1)[0])):
+            out[f"{fault} {i}"] = b"".join([*rows[:i], new + b"\n", *rows[i + 1:]])
+    return out
+
+
+def structure_cases(work):
+    """Each structure mutant of the text inputs with the command that reads
+    it, as "<kind> <fault> <where>" -> argv.  The mutants are made on the
+    parsed value, so they reach the checks behind the parsers, which
+    random bytes seldom do."""
+    work = Path(work)
+    data, config, scores = text_inputs(work)
+    mutants = {f"config {case}": text.encode()
+               for case, text in config_mutants(json.loads(config.read_text())).items()}
+    mutants.update((f"csv {case}", blob) for case, blob in row_mutants(scores.read_bytes()).items())
+    cases = {}
+    for n, (case, blob) in enumerate(mutants.items()):
+        path = work / f"structure.{n}"
+        path.write_bytes(blob)
+        cases[case] = (["train", "nsf", data, work / f"run{n}", "--config", path]
+                       if case.startswith("config") else
+                       ["stats", path, "--out-dir", work / f"stats{n}"])
+    return cases
+
+
+# How many structure mutants of each fault exit 0 and 2.  Every dropped key
+# has a default, and json keeps the last of a repeated key.
+STRUCTURE_EXITS = {"config section-list": {2: 3}, "config number-string": {2: 6},
+                   "config drop": {0: 10}, "config duplicate": {0: 10},
+                   "csv extra-field": {2: 13}, "csv missing-field": {2: 13}}
+
+
+def test_structure_mutants_of_text_inputs_exit_0_or_2_with_one_line_at_most(tmp_path):
+    result = run_in_child("structure_cases", tmp_path)
+    assert result["faults"] == []
+    counts = {}
+    for case, code in result["codes"].items():
+        counts.setdefault(" ".join(case.split()[:2]), Counter())[code] += 1
+    assert counts == STRUCTURE_EXITS
+
+
 def test_gl_refusal_names_the_feature_file(tmp_path, capsys):
     for name, dim, value in (("overflow.mfb", 128, 400.0), ("width.mfb", 7, 0.0)):
         mfb = hostile_mfb(tmp_path / name, kind="midi-fb", dim=dim, value=value)
@@ -1493,7 +1601,7 @@ def test_gl_refusal_names_the_feature_file(tmp_path, capsys):
 def test_synth_refuses_a_checkpoint_tensor_of_the_wrong_shape(tmp_path, capsys):
     ckpt = tmp_path / "nsf.ckpt"
     helpers.write_zero_nsf_ckpt(ckpt)
-    config, tensors = formats.read_container(ckpt, nsf.NSF_MAGIC)
+    config, tensors = formats.read_container(ckpt, nsf.NSF_MAGIC, 3 * MAX_TENSORS + 1)
     tensors["cond.bias"] = np.zeros(5)
     formats.write_container(ckpt, nsf.NSF_MAGIC, config, tensors)
     midi = tmp_path / "in.mid"

@@ -10,9 +10,9 @@ import helpers
 import frozen_checkpoints as frozen
 from midisynth import acoustic, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
-from midisynth.errors import FileFormatError, MidiSynthError
+from midisynth.errors import FileFormatError, MidiSynthError, TooLarge
 from midisynth.midi_io import PianoRoll
-from midisynth.params import adam_update
+from midisynth.params import MAX_TENSORS, adam_update
 
 
 def build_wav(path, payload, channels=1, rate=24000, bits=16, audio_format=1):
@@ -223,13 +223,14 @@ def sample_tensors(rng):
 
 
 CONFIG = {"b": 2, "a": [1, 2], "c": "taco2", "d": 0.5}
+MAX_TABLE = 3 * MAX_TENSORS + 1  # the bound params.load_model passes
 
 
 def test_container_round_trip_byte_exact(tmp_path, rng):
     tensors = sample_tensors(rng)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     formats.write_container(p1, b"NSF1", CONFIG, tensors)
-    config, back = formats.read_container(p1, b"NSF1")
+    config, back = formats.read_container(p1, b"NSF1", MAX_TABLE)
     assert config == CONFIG
     assert sorted(back) == sorted(tensors)
     for name, v in tensors.items():
@@ -280,8 +281,16 @@ def test_container_write_is_atomic(tmp_path, rng, monkeypatch):
         formats.write_container(path, b"NSF1", {"a": 1}, sample_tensors(rng))
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert formats.read_container(path, b"NSF1")[0] == CONFIG
+    assert formats.read_container(path, b"NSF1", MAX_TABLE)[0] == CONFIG
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.ckpt"]
+
+
+def test_container_refuses_a_table_over_max_tensors(tmp_path, rng):
+    path = tmp_path / "n.ckpt"
+    formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
+    assert len(formats.read_container(path, b"NSF1", 3)[1]) == 3
+    with pytest.raises(TooLarge, match=f"^{re.escape(str(path))}: 3 tensors, the limit is 2$"):
+        formats.read_container(path, b"NSF1", 2)
 
 
 def test_container_names_stored_sorted(tmp_path, rng):
@@ -295,7 +304,7 @@ def test_container_wrong_magic(tmp_path, rng):
     path = tmp_path / "m.ckpt"
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     with pytest.raises(FileFormatError, match="bad magic"):
-        formats.read_container(path, b"ACM1")
+        formats.read_container(path, b"ACM1", MAX_TABLE)
 
 
 @pytest.mark.parametrize("version", [0, 1, 4])
@@ -306,7 +315,7 @@ def test_container_unknown_version_is_corrupt(tmp_path, rng, version):
     struct.pack_into("<I", body, 4, version)
     path.write_bytes(frozen.with_crc(bytes(body)))
     with pytest.raises(FileFormatError, match=f"checkpoint version {version}"):
-        formats.read_container(path, b"NSF1")
+        formats.read_container(path, b"NSF1", MAX_TABLE)
 
 
 def test_container_crc_detects_flip(tmp_path, rng):
@@ -316,7 +325,7 @@ def test_container_crc_detects_flip(tmp_path, rng):
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(FileFormatError, match="CRC mismatch"):
-        formats.read_container(path, b"NSF1")
+        formats.read_container(path, b"NSF1", MAX_TABLE)
 
 
 def test_container_truncation_and_trailing_bytes(tmp_path, rng):
@@ -325,10 +334,10 @@ def test_container_truncation_and_trailing_bytes(tmp_path, rng):
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
     with pytest.raises(FileFormatError, match="CRC mismatch"):
-        formats.read_container(path, b"NSF1")
+        formats.read_container(path, b"NSF1", MAX_TABLE)
     path.write_bytes(blob + b"\x00\x00")
     with pytest.raises(FileFormatError, match="CRC mismatch"):
-        formats.read_container(path, b"NSF1")
+        formats.read_container(path, b"NSF1", MAX_TABLE)
 
 
 # --- stored model configs ---------------------------------------------------
@@ -426,7 +435,7 @@ def test_tensor_table_that_does_not_fit_the_config_is_corrupt(tmp_path, model, f
     adam_update(params, {k: np.ones_like(v) for k, v in params.tensors.items()}, lr=1e-2)
     path = tmp_path / "model.ckpt"
     save(path, params, cfg)
-    config, tensors = formats.read_container(path, magic)
+    config, tensors = formats.read_container(path, magic, MAX_TABLE)
     formats.write_container(path, magic, config, tensors)
     assert load_any(model, path)[0].step == 1  # the table as written loads
     TABLE_FAULTS[fault](tensors, min(params.tensors))

@@ -1,4 +1,11 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,22 +14,23 @@ import helpers
 from midisynth import midi_io
 from midisynth.dsp import FeatureMatrix
 from midisynth.errors import FileFormatError, MidiSynthError, TooLarge
-from midisynth.midi_io import NoteEvent, NoteEventList, PianoRoll
+from midisynth.midi_io import PianoRoll
 
 
 # --- domain types -----------------------------------------------------------
 
 
 def test_note_event_validation():
-    NoteEvent(onset=0.0, offset=1.0, pitch=60, velocity=64)
-    with pytest.raises(ValueError):
-        NoteEvent(onset=0.0, offset=1.0, pitch=128, velocity=64)
-    with pytest.raises(ValueError):
-        NoteEvent(onset=0.0, offset=1.0, pitch=-1, velocity=64)
-    with pytest.raises(ValueError):
-        NoteEvent(onset=0.0, offset=1.0, pitch=60, velocity=0)
-    with pytest.raises(ValueError):
-        NoteEvent(onset=1.0, offset=1.0, pitch=60, velocity=64)
+    # each bad note follows a good one, so the checks read whole columns
+    helpers.make_notes([(0.0, 1.0, 60, 64)])
+    for bad, message in (((0.0, 1.0, 128, 64), "pitch 128"),
+                         ((0.0, 1.0, -1, 64), "pitch -1"),
+                         ((0.0, 1.0, 300, 64), "pitch 300"),  # not wrapped to 44
+                         ((0.0, 1.0, 60, 0), "velocity 0"),
+                         ((1.0, 1.0, 60, 64), r"onset 1.0 outside \[0, offset\)"),
+                         ((np.nan, 1.0, 60, 64), "onset nan outside")):
+        with pytest.raises(ValueError, match=message):
+            helpers.make_notes([(0.0, 2.0, 62, 64), bad])
 
 
 def test_note_list_sorts_by_onset_then_pitch():
@@ -160,9 +168,9 @@ def test_parse_rejects_duration_over_limit():
     with pytest.raises(TooLarge, match="the limit is 3600 s"):
         midi_io.parse_midi(helpers.LONG_SMF)
     limit = midi_io.MAX_DURATION_SECONDS
-    ok = NoteEventList(notes=(NoteEvent(60, 0.0, limit - 1.0, 100),))
+    ok = helpers.make_notes([(0.0, limit - 1.0, 60, 100)])
     assert midi_io.parse_midi(midi_io.write_midi(ok)).duration == limit - 1.0
-    long = NoteEventList(notes=(NoteEvent(60, 0.0, limit + 1.0, 100),))
+    long = helpers.make_notes([(0.0, limit + 1.0, 60, 100)])
     with pytest.raises(TooLarge, match="file lasts 3601 s"):
         midi_io.parse_midi(midi_io.write_midi(long))
 
@@ -250,6 +258,54 @@ def test_parse_format1_merges_tracks():
     result = midi_io.parse_midi(data)
     assert len(result.notes) == 1
 
+def many_notes_smf(n_notes, ons_first=False):
+    """One track of n_notes notes of pitch 60, two ticks each and one after
+    another, in 6 bytes a note.  With ons_first, every note-on comes at
+    tick 0 and every note-off at tick 1, so all n_notes are open at once."""
+    if ons_first:
+        events = bytes([0, 0x90, 60, 100]) + bytes([0, 60, 100]) * (n_notes - 1) \
+            + bytes([1, 60, 0]) + bytes([0, 60, 0]) * (n_notes - 1)
+    else:
+        events = bytes([0, 0x90, 60, 100, 2, 60, 0]) \
+            + bytes([0, 60, 100, 2, 60, 0]) * (n_notes - 1)
+    return helpers.single_track_smf([events])
+
+
+def test_stacked_note_ons_parse_in_linear_time():
+    files = {n: many_notes_smf(n, ons_first=True) for n in (100000, 200000)}
+    seconds = {n: [] for n in files}
+    for _ in range(3):
+        for n, data in files.items():
+            start = time.perf_counter()
+            notes = midi_io.parse_midi(data)
+            seconds[n].append(time.perf_counter() - start)
+            assert len(notes.pitch) == n and notes.offset.max() == notes.offset.min()
+    # closing the first open note must not cost time in the number open
+    assert min(seconds[200000]) <= 2.6 * min(seconds[100000]), seconds
+
+
+def test_many_notes_parse_in_bounded_memory(tmp_path):
+    """The columns take 18 bytes a note.  The peak is taken as the growth of
+    a child process's max RSS, since tracemalloc would slow the parse of a
+    third of a million notes several times over."""
+    path = tmp_path / "many.mid"
+    path.write_bytes(many_notes_smf(333000))
+    assert 1.9e6 < path.stat().st_size < 2.1e6
+    code = ("import resource, sys\n"
+            "from midisynth import midi_io\n"
+            "data = open(sys.argv[1], 'rb').read()\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "notes = midi_io.parse_midi(data)\n"
+            "print(len(notes.pitch), (peak() - before) * 1024)\n")
+    src = str(Path(midi_io.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    n_notes, growth = map(int, proc.stdout.split())
+    assert n_notes == 333000
+    assert growth < 50e6
+
 
 # --- writing ----------------------------------------------------------------
 
@@ -335,6 +391,46 @@ def test_pedal_events_on_one_tick_keep_file_order():
     assert out.notes[0].offset == pytest.approx(3.5)
 
 
+def reference_pedal_offsets(notes):
+    """Each note's offset through the pedal, found one note at a time."""
+    events = sorted(notes.pedal, key=lambda e: e[0])
+    intervals, down_since = [], None
+    for sec, value in events:
+        if value >= 64 and down_since is None:
+            down_since = sec
+        elif value < 64 and down_since is not None:
+            intervals.append((down_since, sec))
+            down_since = None
+    if down_since is not None:
+        intervals.append((down_since, max(notes.duration, events[-1][0])))
+    offsets = []
+    for note in notes.notes:
+        offset = note.offset
+        for lo, hi in intervals:
+            if lo <= note.offset < hi:
+                offset = hi  # the last interval that starts by the release
+        offsets.append(offset)
+    return offsets
+
+
+def test_pedal_matches_the_note_by_note_reference(rng):
+    for trial in range(20):
+        specs = []
+        for _ in range(30):
+            onset = float(rng.uniform(0.0, 4.0))
+            specs.append((onset, onset + float(rng.uniform(0.01, 1.0)),
+                          int(rng.integers(50, 60)), int(rng.integers(1, 128))))
+        times = np.sort(rng.uniform(0.0, 5.0, 8)).round(2)
+        pedal = [(float(t), int(v)) for t, v in zip(times, rng.choice([0, 127], 8))]
+        notes = helpers.make_notes(specs, pedal=pedal)
+        out = midi_io.apply_sustain_pedal(notes)
+        want = helpers.make_notes(
+            [(n.onset, off, n.pitch, n.velocity)
+             for n, off in zip(notes.notes, reference_pedal_offsets(notes))])
+        for column in ("pitch", "onset", "offset", "velocity"):
+            assert np.array_equal(getattr(out, column), getattr(want, column)), trial
+
+
 # --- piano roll -------------------------------------------------------------
 
 
@@ -364,6 +460,54 @@ def test_to_piano_roll_duration_sets_frames():
     notes = helpers.make_notes([(0.0, 0.1, 60, 90)], duration=1.0)
     roll = midi_io.to_piano_roll(notes, 0.012)
     assert roll.n_frames == 84  # ceil(1.0 / 0.012)
+
+
+def reference_roll(notes, shift):
+    """to_piano_roll's values, filled one note at a time."""
+    values = np.zeros((max(0, math.ceil(notes.duration / shift - 1e-9)), 128))
+    for note in notes.notes:
+        lo = max(math.floor(note.onset / shift + 1e-9), 0)
+        hi = min(max(math.ceil(note.offset / shift - 1e-9), lo + 1), len(values))
+        values[lo:hi, note.pitch] = np.maximum(values[lo:hi, note.pitch],
+                                               note.velocity / 127.0)
+    return values
+
+
+@pytest.mark.parametrize("samples", [288, 96, 300])
+def test_to_piano_roll_matches_the_note_by_note_reference(rng, samples):
+    shift = samples / 24000
+    # 400 overlapping notes on 8 pitches, long enough that the roll is
+    # built over several groups of notes
+    specs = []
+    for _ in range(400):
+        onset = float(rng.uniform(0.0, 2.0))
+        specs.append((onset, onset + float(rng.uniform(0.001, 1.0)),
+                      int(rng.integers(60, 68)), int(rng.integers(1, 128))))
+    notes = helpers.make_notes(specs, duration=3.0)
+    roll = midi_io.to_piano_roll(notes, shift)
+    assert np.array_equal(roll.values, reference_roll(notes, shift))
+    # a piece too short for one frame
+    blip = helpers.make_notes([(0.0, 1e-12, 60, 64)])
+    assert midi_io.to_piano_roll(blip, shift).values.shape == (0, 128)
+    assert reference_roll(blip, shift).shape == (0, 128)
+
+
+def test_to_piano_roll_memory_is_bounded_by_the_roll():
+    # 2000 notes of one pitch, each over 20k frames: 40M note frames in a
+    # roll of 39,990 frames
+    shift = 0.012
+    notes = helpers.make_notes([(10 * i * shift, (10 * i + 20000) * shift, 60, 100)
+                                for i in range(2000)])
+    tracemalloc.start()
+    try:
+        roll = midi_io.to_piano_roll(notes, shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * roll.values.nbytes
+    assert roll.values.shape == (39990, 128)
+    assert (roll.values[:, 60] == 100 / 127).all()
+    assert np.count_nonzero(roll.values) == 39990
 
 
 def test_roll_round_trip_exact(rng):
