@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -50,8 +51,9 @@ def _midi_args(parser, rate=True):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    formats.write_file(path, text.getvalue().encode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -64,8 +66,7 @@ def _named(path):
 
 
 def _load_notes(path, apply_pedal=True):
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     with _named(path):
         notes = midi_io.parse_midi(data)
     for message in notes.warnings:
@@ -230,25 +231,17 @@ def cmd_probe_set(args):
     rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for i in range(args.count):
         root = int(rng.integers(48, 85))
         velocity = int(rng.integers(60, 121))
         duration = float(rng.uniform(0.3, 0.8))
-        onset = 0.05
-        if i % 2 == 0:
-            pitches = [root]
-            tag = "note"
-        else:
-            pitches = [root, min(root + 4, 127), min(root + 7, 127)]
-            tag = "chord"
+        # even probes are one note, odd ones a major triad, all from 50 ms
+        pitches = [root] if i % 2 == 0 else [root, min(root + 4, 127), min(root + 7, 127)]
         notes = midi_io.NoteEventList(
-            *zip(*((p, onset, onset + duration, velocity) for p in pitches)))
-        path = out_dir / f"probe_{i:03d}_{tag}.mid"
-        with open(path, "wb") as fh:
-            fh.write(midi_io.write_midi(notes))
-        written.append(path)
-    print(f"wrote {len(written)} probe files to {out_dir}")
+            *zip(*((p, 0.05, 0.05 + duration, velocity) for p in pitches)))
+        tag = "note" if i % 2 == 0 else "chord"
+        formats.write_file(out_dir / f"probe_{i:03d}_{tag}.mid", midi_io.write_midi(notes))
+    print(f"wrote {max(args.count, 0)} probe files to {out_dir}")
     return 0
 
 
@@ -313,38 +306,45 @@ class AmData(DataSection):
         return {"input_dim": 128, "output_dim": width, "output_kind": f"{self.bank}-fb"}
 
 
-def _strict_section(config, key, allowed):
-    section = config.get(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {key!r} must be an object")
-    unknown = set(section) - set(allowed)
+def _strict_object(value, what, allowed):
+    """value, which must be a JSON object whose keys are all allowed."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object")
+    unknown = set(value) - set(allowed)
     if unknown:
-        raise ValueError(f"unknown {key} config keys: {sorted(unknown)}")
-    return section
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return value
+
+
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict, refusing a key written twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _load_config(path, model_cls, train_cls, data_cls):
-    """The model, train and data configs of a JSON training config."""
-    if path is None:
-        config = {}
-    else:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                config = json.load(fh)
-            # a byte that is not UTF-8, bad syntax, or arrays nested past the stack
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(config, dict):
-        raise ValueError("config root must be a JSON object")
-    unknown = set(config) - {"model", "train", "data"}
-    if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    keys = lambda cls: {f.name for f in dataclasses.fields(cls)}
-    data = data_cls(**_strict_section(config, "data", keys(data_cls)))
-    decided = data.model_fields()
-    model = _strict_section(config, "model", keys(model_cls) - decided.keys())
-    train = _strict_section(config, "train", keys(train_cls))
-    return model_cls(**model, **decided), train_cls(**train), data
+    """The model, train and data configs of a JSON training config, or the
+    defaults with no path.  Every refusal names the config file."""
+    with _named(path):
+        try:
+            config = {} if path is None else json.loads(
+                Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        # a byte that is not UTF-8, bad syntax, or arrays nested past the stack
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON ({exc})") from exc
+        _strict_object(config, "config", ("model", "train", "data"))
+        keys = lambda cls: {f.name for f in dataclasses.fields(cls)}
+        section = lambda key, allowed: _strict_object(
+            config.get(key, {}), f"config section {key!r}", allowed)
+        data = data_cls(**section("data", keys(data_cls)))
+        decided = data.model_fields()
+        model = section("model", keys(model_cls) - decided.keys())
+        train = section("train", keys(train_cls))
+        return model_cls(**model, **decided), train_cls(**train), data
 
 
 def _clips(data_dir, rate):

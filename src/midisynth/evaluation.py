@@ -22,13 +22,14 @@ from itertools import combinations
 import numpy as np
 
 from .dsp import StftConfig, WaveSignal, midi_filter_bank, stft
-from .errors import FileFormatError
+from .errors import FileFormatError, TooLarge
 from .midi_io import PianoRoll
 
 PROB_EPS = 1e-4
 SILENCE_ENERGY = 1e-6
 EXACT_LIMIT = 12
 ALPHA = 0.05  # default significance level
+MAX_SYSTEMS = 64  # most systems a scores file holds; stats tests all 2016 pairs
 
 
 def pitch_probability(wave: WaveSignal, cfg: StftConfig) -> np.ndarray:
@@ -113,6 +114,8 @@ def load_scores_csv(path) -> dict:
             pools.setdefault(system, []).append(score)
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise FileFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if len(pools) > MAX_SYSTEMS:
+        raise TooLarge(f"{path}: {len(pools)} systems, the limit is {MAX_SYSTEMS}")
     return {system: pools[system] for system in sorted(pools)}
 
 
@@ -120,12 +123,11 @@ def _exact_two_sided(n_a, n_b, u_obs):
     """Tie-free exact p by enumerating all rank assignments to group a."""
     n = n_a + n_b
     offset = n_a * (n_a + 1) // 2
-    total = 0
+    total = math.comb(n, n_a)
     at_most = 0
     at_least = 0
     for combo in combinations(range(1, n + 1), n_a):
         u = sum(combo) - offset
-        total += 1
         at_most += u <= u_obs
         at_least += u >= u_obs
     return min(1.0, 2.0 * min(at_most / total, at_least / total))

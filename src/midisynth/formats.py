@@ -3,7 +3,10 @@
 All multi-byte fields are little-endian.  The feature file and the
 checkpoint container are layouts described field by field in the
 writer docstrings; readers validate magic numbers, declared sizes, and
-(for checkpoints) a trailing CRC32 before trusting any payload.
+(for checkpoints) a trailing CRC32 before trusting any payload.  Only
+the checkpoint version written, 3, is read.  Every file the package
+writes goes through write_file: a temp file beside the target, then a
+rename, except onto a device or a pipe.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -24,13 +28,31 @@ FEATURE_VERSION = 1
 MAX_WAV_RATE = 0xFFFFFFFF // 2
 
 
+def write_file(path, data: bytes) -> None:
+    """Write data to a temp file beside path, then rename it over path, so
+    a failed write leaves an earlier file at path intact and no temp file.
+    A path that is not a regular file, a FIFO or a device, say, is written
+    in place: the rename would replace the node itself."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 # --- WAV ------------------------------------------------------------------
 
 
 def read_wav(path) -> WaveSignal:
     """Read a PCM16 mono RIFF/WAVE file; anything else is rejected."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise FileFormatError(f"{path}: not a RIFF/WAVE file")
     pos = 12
@@ -88,11 +110,10 @@ def write_wav(path, wave: WaveSignal) -> None:
     check_wav_rate(wave.sample_rate, path)
     rate = int(round(wave.sample_rate))
     payload = quantize_pcm16(wave.samples).tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
-        + b"data" + struct.pack("<I", len(payload)) + payload
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+    # RIFF size, then a 16-byte PCM fmt chunk: mono, 2-byte frames, 16 bits
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
+                         b"fmt ", 16, 1, 1, rate, rate * 2, 2, 16, b"data", len(payload))
+    write_file(path, header + payload)
 
 
 # --- feature matrices -----------------------------------------------------
@@ -109,14 +130,11 @@ def write_feature_file(path, feat: FeatureMatrix) -> None:
     header = FEATURE_MAGIC + struct.pack(
         "<IIIIdd", FEATURE_VERSION, feat.n_frames, feat.dim,
         FeatureMatrix.KINDS.index(feat.kind), feat.frame_shift, feat.sample_rate)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(feat.values.astype("<f4").tobytes())
+    write_file(path, header + feat.values.astype("<f4").tobytes())
 
 
 def read_feature_file(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     if len(data) < 36 or data[:4] != FEATURE_MAGIC:
         raise FileFormatError(f"{path}: not a feature file")
     version, n, d, kind_code, shift, rate = struct.unpack("<IIIIdd", data[4:36])
@@ -148,7 +166,6 @@ def feature_from_roll(roll: FeatureMatrix) -> FeatureMatrix:
 
 
 CHECKPOINT_VERSION = 3
-TENSOR_DTYPES = {2: np.dtype("<f4"), 3: np.dtype("<f8")}
 
 
 def write_container(path, magic: bytes, config: dict, tensors) -> None:
@@ -158,15 +175,10 @@ def write_container(path, magic: bytes, config: dict, tensors) -> None:
     block, the config block (the config dict as compact sorted-key JSON,
     UTF-8), u32 tensor count, then per tensor in sorted name order: u16
     name length, UTF-8 name, u8 ndim, u32 per dimension, float64 data
-    row-major.  A CRC32 of everything before it closes the file.  The
-    bytes go to a temporary file that then replaces path, so a failed
-    write leaves an earlier file at path intact.
+    row-major.  A CRC32 of everything before it closes the file.
     """
     block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    out = bytearray()
-    out += magic
-    out += struct.pack("<II", CHECKPOINT_VERSION, len(block))
-    out += block
+    out = bytearray(magic + struct.pack("<II", CHECKPOINT_VERSION, len(block)) + block)
     out += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
         arr = np.asarray(tensors[name], dtype="<f8")
@@ -175,25 +187,17 @@ def write_container(path, magic: bytes, config: dict, tensors) -> None:
         out += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
         out += arr.tobytes()
     out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(out)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    write_file(path, out)
 
 
 def read_container(path, magic: bytes, max_tensors: int):
-    """Read a container written by write_container, or of version 2, which
-    stores float32 data.  Returns (config dict, dict of float64 tensors).
-    Any structural defect, bad magic, short read, malformed config block,
-    non-finite tensor value, or CRC mismatch raises FileFormatError, and so
-    does any other version.  A table over max_tensors tensors is TooLarge.
+    """Read a container written by write_container.  Returns (config dict,
+    dict of float64 tensors).  Any structural defect, bad magic, short read,
+    malformed config block, non-finite tensor value, or CRC mismatch raises
+    FileFormatError, and so does any version but 3.  A table over
+    max_tensors tensors is TooLarge.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != magic:
         raise FileFormatError(f"{path}: bad magic, expected {magic!r}")
     if len(data) < 12:
@@ -203,9 +207,8 @@ def read_container(path, magic: bytes, max_tensors: int):
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise FileFormatError(f"{path}: CRC mismatch, file is corrupt")
     (version,) = struct.unpack("<I", body[4:8])
-    if version not in TENSOR_DTYPES:
+    if version != CHECKPOINT_VERSION:
         raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
-    dtype = TENSOR_DTYPES[version]
     tensors = {}
     try:
         (size,) = struct.unpack_from("<I", body, 8)
@@ -219,20 +222,18 @@ def read_container(path, magic: bytes, max_tensors: int):
         pos += 4
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, pos)
-            pos += 2
-            name = body[pos : pos + name_len].decode("utf-8")
-            pos += name_len
+            name = body[pos + 2 : pos + 2 + name_len].decode("utf-8")
+            pos += 2 + name_len
             ndim = body[pos]
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", body, pos)
-            pos += 4 * ndim
-            n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            shape = struct.unpack_from(f"<{ndim}I", body, pos + 1)
+            pos += 1 + 4 * ndim
+            n_bytes = 8 * int(np.prod(shape, dtype=np.int64))
             if pos + n_bytes > len(body):
                 raise FileFormatError(f"{path}: tensor {name!r} overruns payload")
-            flat = np.frombuffer(body[pos : pos + n_bytes], dtype=dtype)
-            if not np.isfinite(flat).all():  # before the cast, which warns on NaN
+            value = np.frombuffer(body[pos : pos + n_bytes], dtype="<f8").reshape(shape)
+            if not np.isfinite(value).all():
                 raise FileFormatError(f"{path}: tensor {name!r} is not finite")
-            tensors[name] = flat.astype(np.float64).reshape(shape)
+            tensors[name] = value.astype(np.float64)
             pos += n_bytes
     except (struct.error, IndexError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: malformed header or tensor table "

@@ -3,6 +3,7 @@ training loop, and the checkpoints both models share."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from collections.abc import Callable
@@ -35,12 +36,7 @@ class ModelParams:
     adam_v: dict = field(default_factory=dict)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            step=self.step,
-            adam_m={k: v.copy() for k, v in self.adam_m.items()},
-            adam_v={k: v.copy() for k, v in self.adam_v.items()},
-        )
+        return copy.deepcopy(self)
 
 
 def affine(name: str, shape, fan_in) -> tuple:

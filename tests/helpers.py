@@ -4,7 +4,9 @@ The SMF byte builders here are written from the file-format definition,
 independently of midi_io.write_midi, so parser tests have a second
 implementation to check against.
 """
+import json
 import struct
+import zlib
 
 import numpy as np
 
@@ -152,6 +154,20 @@ def write_tiny_am_ckpt(path, variant="taco2", output_dim=128, seed=0):
                             prenet_widths=(16, 8), postnet_channels=8)
     acoustic.am_save_checkpoint(path, acoustic.am_init(cfg, seed=seed), cfg)
     return cfg
+
+
+def with_crc(body: bytes) -> bytes:
+    """body closed by its CRC32, as a checkpoint container ends."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_config_block(blob: bytes, config) -> bytes:
+    """The checkpoint blob with its config block replaced by config (a JSON
+    value, or raw bytes for the block) and its CRC recomputed."""
+    block = config if isinstance(config, bytes) else json.dumps(config).encode()
+    (size,) = struct.unpack_from("<I", blob, 8)
+    return with_crc(blob[:8] + struct.pack("<I", len(block)) + block
+                    + blob[12 + size : -4])
 
 
 # --- misc -----------------------------------------------------------------

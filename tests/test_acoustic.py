@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import helpers
-import frozen_checkpoints
 from midisynth import acoustic
 from midisynth import autograd as ag
 from midisynth.acoustic import VARIANTS, AmConfig, AmTrainConfig
@@ -496,10 +495,11 @@ def test_checkpoint_expected_cfg_mismatch(tmp_path):
 
 
 def test_checkpoint_bad_variant_code(tmp_path):
+    cfg = helpers.tiny_am_cfg("taco2")
     path = tmp_path / "am.ckpt"
-    fields = dataclasses.asdict(frozen_checkpoints.AM_TACO2_CFG)
-    path.write_bytes(frozen_checkpoints.as_v2(frozen_checkpoints.AM_TACO2_V2,
-                                              {**fields, "variant": "taco9"}))
+    acoustic.am_save_checkpoint(path, acoustic.am_init(cfg, seed=4), cfg)
+    path.write_bytes(helpers.with_config_block(
+        path.read_bytes(), {**dataclasses.asdict(cfg), "variant": "taco9"}))
     with pytest.raises(FileFormatError, match="variant must be one of taco2, taco3, taco4, got 'taco9'"):
         acoustic.am_load_checkpoint(path)
 
@@ -526,16 +526,3 @@ def test_checkpoint_round_trip_every_field(tmp_path, rng):
     with pytest.raises(FileFormatError, match="does not match expected"):
         acoustic.am_load_checkpoint(
             path, expected_cfg=dataclasses.replace(cfg, prenet_dropout=0.99))
-
-
-def test_checkpoint_loads_frozen_v2_bytes(tmp_path):
-    cfg = frozen_checkpoints.AM_TACO2_CFG
-    expected = acoustic.am_init(cfg, seed=4)
-    path = tmp_path / "am.ckpt"
-    path.write_bytes(frozen_checkpoints.AM_TACO2_V2)
-    loaded, loaded_cfg = acoustic.am_load_checkpoint(path, expected_cfg=cfg)
-    assert loaded_cfg == cfg
-    assert loaded.step == 0
-    assert sorted(loaded.tensors) == sorted(expected.tensors)
-    for name, value in expected.tensors.items():
-        assert np.array_equal(loaded.tensors[name], value.astype(np.float32))

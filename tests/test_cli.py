@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import frozen_checkpoints
 import helpers
 import midisynth
 from midisynth import (acoustic, cli, dsp, errors, evaluation, excitation, formats,
@@ -915,6 +914,18 @@ def test_train_nsf_huge_finite_steps_save_a_loadable_checkpoint(tmp_path, capsys
     assert max(np.abs(v).max() for v in values) > np.finfo(np.float32).max
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"model": [2, 1, 1]}, "config section 'model' must be an object"),
+    ({"train": {"epochs": "1"}}, "epochs must be a positive integer, got '1'"),
+    (b'{"train": {"epochs": "x", "epochs": 2}}', "duplicate key 'epochs'"),
+], ids=["section-list", "number-string", "duplicate-key"])
+def test_config_refusal_names_the_file(tmp_path, capsys, config, message):
+    argv = train_with("nsf", config)(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'cfg.json'}: {message}\n"
+
+
 def test_train_unknown_config_key_exits_2(tmp_path, capsys):
     data = make_pair(tmp_path / "data")
     cfg_path = tmp_path / "bad.json"
@@ -999,13 +1010,15 @@ def synth_with_stored_nsf_config(**fields):
     return argv
 
 
-def synth_with_version_1_nsf_ckpt(tmp_path):
-    """synth through a checkpoint whose version field reads 1, CRC fixed."""
-    argv = midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
-                     "--nsf-ckpt", "nsf.ckpt")(tmp_path)
-    body = bytearray((tmp_path / "nsf.ckpt").read_bytes()[:-4])
-    struct.pack_into("<I", body, 4, 1)
-    (tmp_path / "nsf.ckpt").write_bytes(frozen_checkpoints.with_crc(bytes(body)))
+def synth_with_nsf_ckpt_version(version):
+    """synth through a checkpoint whose version field reads version, CRC fixed."""
+    def argv(tmp_path):
+        args = midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                         "--nsf-ckpt", "nsf.ckpt")(tmp_path)
+        body = bytearray((tmp_path / "nsf.ckpt").read_bytes()[:-4])
+        struct.pack_into("<I", body, 4, version)
+        (tmp_path / "nsf.ckpt").write_bytes(helpers.with_crc(bytes(body)))
+        return args
     return argv
 
 
@@ -1021,7 +1034,7 @@ def synth_with_many_tensors(tmp_path):
     block = json.dumps(dataclasses.asdict(nsf.NsfConfig(128))).encode()
     body = nsf.NSF_MAGIC + struct.pack("<II", 3, len(block)) + block \
         + struct.pack("<I", 10 ** 6) + table.tobytes()
-    (tmp_path / "many.ckpt").write_bytes(frozen_checkpoints.with_crc(body))
+    (tmp_path / "many.ckpt").write_bytes(helpers.with_crc(body))
     return argv
 
 
@@ -1159,8 +1172,10 @@ HOSTILE = {
     # a tensor table over 3 x params.MAX_TENSORS + 1 entries, refused
     # before any tensor is built
     "synth-ckpt-many-tensors": synth_with_many_tensors,
-    # version 1 stored its config as u32 fields, and no longer loads
-    "synth-ckpt-version-1": synth_with_version_1_nsf_ckpt,
+    # version 1 stored its config as u32 fields and version 2 float32
+    # tensors; neither loads
+    "synth-ckpt-version-1": synth_with_nsf_ckpt_version(1),
+    "synth-ckpt-version-2": synth_with_nsf_ckpt_version(2),
     # the highest rate a WAV header holds: a 1 s roll at its 288-sample
     # shift needs 7.5e6 frames, over midi_io.MAX_ROLL_FRAMES
     "pitch-ce-top-wav-rate": pitch_ce_at(2 ** 31 - 1,
@@ -1171,6 +1186,9 @@ HOSTILE = {
     "nsf-config-not-utf8": train_with("nsf", b'{"train": {"epochs": 1, "\xff": 2}}'),
     "stats-huge-field": stats_with(SCORES_HEADER + b"a," + b"x" * 131073 + b",l1,3\n"),
     "stats-not-utf8": stats_with(SCORES_HEADER + b"a,s1,l1,4\n\xff,s2,l1,3\n"),
+    # one system over evaluation.MAX_SYSTEMS, whose pairs would all be tested
+    "stats-65-systems": stats_with(SCORES_HEADER + b"".join(
+        b"s%d,x,l1,3\n" % i for i in range(65))),
 }
 # The config key that the error line of a case must name, or for a model
 # over a size bound, what it counts.
@@ -1203,11 +1221,13 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-segment-overflow": "overflows a frame count",
                 "nsf-rate-over-float": "overflows a frame count",
                 "synth-ckpt-version-1": "checkpoint version 1",
+                "synth-ckpt-version-2": "nsf.ckpt: unsupported checkpoint version 2",
                 "synth-ckpt-many-tensors": "many.ckpt: 1000000 tensors, the limit is 12289",
                 "nsf-config-deep": "cfg.json: invalid JSON",
                 "nsf-config-not-utf8": "cfg.json: invalid JSON",
                 "stats-huge-field": "scores.csv: line 2: field larger",
-                "stats-not-utf8": "scores.csv: line 3: not UTF-8"}
+                "stats-not-utf8": "scores.csv: line 3: not UTF-8",
+                "stats-65-systems": "scores.csv: 65 systems, the limit is 64"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -1431,7 +1451,7 @@ def mutant_files(work, name, blob, header, crc=False):
     heads = (head + body[header:] for head in helpers.mutants(body[:header], MUTANTS, 1))
     for n, data in enumerate(itertools.chain(heads, helpers.mutants(body, MUTANTS, 2))):
         path = Path(work) / f"{name}.{n}"
-        path.write_bytes(frozen_checkpoints.with_crc(data) if crc else data)
+        path.write_bytes(helpers.with_crc(data) if crc else data)
         yield path
 
 
@@ -1575,9 +1595,9 @@ def structure_cases(work):
 
 
 # How many structure mutants of each fault exit 0 and 2.  Every dropped key
-# has a default, and json keeps the last of a repeated key.
+# has a default, and a key written twice is refused.
 STRUCTURE_EXITS = {"config section-list": {2: 3}, "config number-string": {2: 6},
-                   "config drop": {0: 10}, "config duplicate": {0: 10},
+                   "config drop": {0: 10}, "config duplicate": {2: 10},
                    "csv extra-field": {2: 13}, "csv missing-field": {2: 13}}
 
 

@@ -7,7 +7,7 @@ import pytest
 import helpers
 from midisynth import evaluation, excitation, midi_io
 from midisynth.dsp import StftConfig, WaveSignal
-from midisynth.errors import FileFormatError
+from midisynth.errors import FileFormatError, TooLarge
 from midisynth.evaluation import (holm_bonferroni, mann_whitney_u, mos_summary,
                                   pairwise_significance, pitch_cross_entropy,
                                   pitch_probability)
@@ -358,6 +358,16 @@ def test_load_scores_csv_sorts_systems_and_keeps_file_order(tmp_path):
     pools = evaluation.load_scores_csv(path)
     assert list(pools) == ["a", "b"]
     assert pools["a"] == [4, 3]
+
+
+def test_load_scores_csv_refuses_systems_over_the_limit(tmp_path):
+    path = tmp_path / "scores.csv"
+    rows = [f"s{i},x,l1,3\n" for i in range(evaluation.MAX_SYSTEMS + 1)]
+    path.write_text("system,sample_id,listener_id,score\n" + "".join(rows[:-1]))
+    assert len(evaluation.load_scores_csv(path)) == evaluation.MAX_SYSTEMS == 64
+    path.write_text("system,sample_id,listener_id,score\n" + "".join(rows))
+    with pytest.raises(TooLarge, match=f"^{path}: 65 systems, the limit is 64$"):
+        evaluation.load_scores_csv(path)
 
 
 def test_load_scores_csv_bad_header(tmp_path):

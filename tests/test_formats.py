@@ -1,14 +1,16 @@
 import dataclasses
+import os
 import re
+import stat
 import struct
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
 import helpers
-import frozen_checkpoints as frozen
-from midisynth import acoustic, formats, nsf
+from midisynth import acoustic, cli, formats, nsf
 from midisynth.dsp import FeatureMatrix, WaveSignal
 from midisynth.errors import FileFormatError, MidiSynthError, TooLarge
 from midisynth.midi_io import PianoRoll
@@ -256,25 +258,28 @@ def test_container_v3_header_layout(tmp_path, rng):
     assert blob[pos : pos + len(head) + len(data)] == head + data
 
 
+class HalfWriter:
+    """A file opened for formats whose write stores half its bytes, then
+    fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
 def test_container_write_is_atomic(tmp_path, rng, monkeypatch):
     path = tmp_path / "w.ckpt"
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     before = path.read_bytes()
-
-    class HalfWriter:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[: len(data) // 2])
-            raise OSError("disk full")
-
     monkeypatch.setattr(formats, "open",
                         lambda p, mode: HalfWriter(open(p, mode)), raising=False)
     with pytest.raises(OSError, match="disk full"):
@@ -283,6 +288,72 @@ def test_container_write_is_atomic(tmp_path, rng, monkeypatch):
     assert path.read_bytes() == before
     assert formats.read_container(path, b"NSF1", MAX_TABLE)[0] == CONFIG
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.ckpt"]
+
+
+# One call of each writer of a file the package leaves behind
+WRITERS = {
+    "checkpoint": lambda path: nsf.save_checkpoint(
+        path, nsf.nsf_init(helpers.tiny_nsf_cfg(), seed=1), helpers.tiny_nsf_cfg()),
+    "wav": lambda path: formats.write_wav(path, WaveSignal(np.full(50, 0.25), 24000)),
+    "mfb": lambda path: formats.write_feature_file(
+        path, FeatureMatrix(np.ones((3, 4)), "mel-fb", 0.012, 24000.0)),
+    "loss.csv": lambda path: cli._write_csv(path, ("step", "loss"), [(1, "0.500000")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, kind):
+    path = tmp_path / "out"
+    path.write_bytes(b"earlier bytes")
+    monkeypatch.setattr(formats, "open",
+                        lambda p, mode: HalfWriter(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[kind](path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"earlier bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def drain(path):
+    """A started thread that reads the FIFO at path to its end, and the
+    list its bytes go to."""
+    got = []
+
+    def read():
+        with open(path, "rb") as fh:
+            got.append(fh.read())
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    return thread, got
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_writers_write_into_a_fifo_in_place(tmp_path, kind):
+    WRITERS[kind](tmp_path / "file")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    thread, got = drain(fifo)
+    WRITERS[kind](fifo)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [(tmp_path / "file").read_bytes()]
+
+
+def test_gl_writes_into_a_fifo_in_place(tmp_path):
+    mfb = tmp_path / "in.mfb"
+    formats.write_feature_file(mfb, FeatureMatrix(np.ones((4, 128)), "midi-fb",
+                                                  0.012, 24000.0))
+    assert cli.main(["gl", str(mfb), str(tmp_path / "out.wav"), "--iters", "2"]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    thread, got = drain(fifo)
+    assert cli.main(["gl", str(mfb), str(fifo), "--iters", "2"]) == 0
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [(tmp_path / "out.wav").read_bytes()]
 
 
 def test_container_refuses_a_table_over_max_tensors(tmp_path, rng):
@@ -307,14 +378,15 @@ def test_container_wrong_magic(tmp_path, rng):
         formats.read_container(path, b"ACM1", MAX_TABLE)
 
 
-@pytest.mark.parametrize("version", [0, 1, 4])
+@pytest.mark.parametrize("version", [0, 1, 2, 4])
 def test_container_unknown_version_is_corrupt(tmp_path, rng, version):
     path = tmp_path / "v.ckpt"
     formats.write_container(path, b"NSF1", CONFIG, sample_tensors(rng))
     body = bytearray(path.read_bytes()[:-4])
     struct.pack_into("<I", body, 4, version)
-    path.write_bytes(frozen.with_crc(bytes(body)))
-    with pytest.raises(FileFormatError, match=f"checkpoint version {version}"):
+    path.write_bytes(helpers.with_crc(bytes(body)))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: unsupported "
+                                              f"checkpoint version {version}$"):
         formats.read_container(path, b"NSF1", MAX_TABLE)
 
 
@@ -342,33 +414,40 @@ def test_container_truncation_and_trailing_bytes(tmp_path, rng):
 
 # --- stored model configs ---------------------------------------------------
 
-NSF_FIELDS = dataclasses.asdict(frozen.NSF_CFG)
-AM_FIELDS = dataclasses.asdict(frozen.AM_TACO2_CFG)
+# The tiny models whose stored config the cases below rewrite
+MODELS = {nsf: (helpers.tiny_nsf_cfg(), nsf.nsf_init, nsf.save_checkpoint),
+          acoustic: (helpers.tiny_am_cfg("taco2"), acoustic.am_init,
+                     acoustic.am_save_checkpoint)}
+NSF_FIELDS = dataclasses.asdict(MODELS[nsf][0])
+AM_FIELDS = dataclasses.asdict(MODELS[acoustic][0])
 
 
-def nsf_v2(**changes):
-    return frozen.as_v2(frozen.NSF_V2, {**NSF_FIELDS, **changes})
+def with_stored_config(tmp_path, model, config):
+    """The bytes of a CRC-valid checkpoint of model's tiny config whose
+    config block holds config: a JSON value, or raw bytes for the block."""
+    cfg, init, save = MODELS[model]
+    path = tmp_path / "fixture.ckpt"
+    save(path, init(cfg, seed=3), cfg)
+    return helpers.with_config_block(path.read_bytes(), config)
 
 
-def am_v2(**changes):
-    return frozen.as_v2(frozen.AM_TACO2_V2, {**AM_FIELDS, **changes})
-
-
+# The cases keep the "v2-" of the JSON config block that version 2
+# introduced; every blob is version 3.
 BAD_CONFIGS = {
-    "v2-malformed-json": (nsf, lambda: frozen.as_v2(frozen.NSF_V2, b'{"feature_dim": 2,')),
-    "v2-not-utf8": (nsf, lambda: frozen.as_v2(frozen.NSF_V2, b"\xff\xfe")),
-    "v2-not-an-object": (nsf, lambda: frozen.as_v2(frozen.NSF_V2, [2, 4, 1, 1, 1, 2])),
-    "v2-unknown-key": (nsf, lambda: nsf_v2(dilation=2)),
-    "v2-missing-required-key": (nsf, lambda: frozen.as_v2(
-        frozen.NSF_V2, {k: v for k, v in NSF_FIELDS.items() if k != "feature_dim"})),
-    "v2-missing-defaulted-key": (acoustic, lambda: frozen.as_v2(
-        frozen.AM_TACO2_V2, {k: v for k, v in AM_FIELDS.items() if k != "output_kind"})),
-    "v2-nsf-channels-0": (nsf, lambda: nsf_v2(channels=0)),
-    "v2-nsf-string-width": (nsf, lambda: nsf_v2(feature_dim="2")),
-    "v2-am-dropout-1.5": (acoustic, lambda: am_v2(prenet_dropout=1.5)),
-    "v2-am-output-kind": (acoustic, lambda: am_v2(output_kind="linear-spec")),
-    "v2-am-widths-not-a-list": (acoustic, lambda: am_v2(prenet_widths=5)),
-    "v2-am-string-dim": (acoustic, lambda: am_v2(output_dim="1")),
+    "v2-malformed-json": (nsf, b'{"feature_dim": 2,'),
+    "v2-not-utf8": (nsf, b"\xff\xfe"),
+    "v2-not-an-object": (nsf, [2, 4, 1, 1, 1, 2]),
+    "v2-unknown-key": (nsf, {**NSF_FIELDS, "dilation": 2}),
+    "v2-missing-required-key": (nsf, {k: v for k, v in NSF_FIELDS.items()
+                                      if k != "feature_dim"}),
+    "v2-missing-defaulted-key": (acoustic, {k: v for k, v in AM_FIELDS.items()
+                                            if k != "output_kind"}),
+    "v2-nsf-channels-0": (nsf, {**NSF_FIELDS, "channels": 0}),
+    "v2-nsf-string-width": (nsf, {**NSF_FIELDS, "feature_dim": "2"}),
+    "v2-am-dropout-1.5": (acoustic, {**AM_FIELDS, "prenet_dropout": 1.5}),
+    "v2-am-output-kind": (acoustic, {**AM_FIELDS, "output_kind": "linear-spec"}),
+    "v2-am-widths-not-a-list": (acoustic, {**AM_FIELDS, "prenet_widths": 5}),
+    "v2-am-string-dim": (acoustic, {**AM_FIELDS, "output_dim": "1"}),
 }
 
 
@@ -380,28 +459,27 @@ def load_any(model, path):
 
 def test_stored_config_fixtures_load(tmp_path):
     path = tmp_path / "ok.ckpt"
-    for model, blob, cfg in ((nsf, nsf_v2(), frozen.NSF_CFG),
-                             (acoustic, am_v2(), frozen.AM_TACO2_CFG)):
-        path.write_bytes(blob)
-        assert load_any(model, path)[1] == cfg
+    for model, fields in ((nsf, NSF_FIELDS), (acoustic, AM_FIELDS)):
+        path.write_bytes(with_stored_config(tmp_path, model, fields))
+        assert load_any(model, path)[1] == MODELS[model][0]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_bad_stored_config_is_corrupt(tmp_path, case):
-    model, build = BAD_CONFIGS[case]
+    model, config = BAD_CONFIGS[case]
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(build())
+    path.write_bytes(with_stored_config(tmp_path, model, config))
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
         load_any(model, path)
 
 
-@pytest.mark.parametrize("model, build", [
-    (nsf, lambda: nsf_v2(channels=10 ** 9)),
-    (acoustic, lambda: am_v2(decoder_state_dim=10 ** 9)),
+@pytest.mark.parametrize("model, config", [
+    (nsf, {**NSF_FIELDS, "channels": 10 ** 9}),
+    (acoustic, {**AM_FIELDS, "decoder_state_dim": 10 ** 9}),
 ], ids=["nsf-channels", "am-decoder-state"])
-def test_stored_config_over_size_bound_is_corrupt(tmp_path, model, build):
+def test_stored_config_over_size_bound_is_corrupt(tmp_path, model, config):
     path = tmp_path / "huge.ckpt"
-    path.write_bytes(build())
+    path.write_bytes(with_stored_config(tmp_path, model, config))
     with pytest.raises(FileFormatError,
                        match=f"^{re.escape(str(path))}: invalid stored config "
                              f"\\(the model has \\d+ parameters"):

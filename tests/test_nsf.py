@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import helpers
-import frozen_checkpoints
 from midisynth import autograd as ag
 from midisynth import formats, nsf
 from midisynth.dsp import FeatureMatrix, StftConfig, WaveSignal, mr_stft_loss
@@ -680,24 +679,6 @@ def test_checkpoint_round_trip_every_field(tmp_path):
     nsf.save_checkpoint(path, nsf.nsf_init(cfg, seed=1), cfg)
     _, loaded_cfg = nsf.load_checkpoint(path, expected_cfg=cfg)
     assert loaded_cfg == cfg
-
-
-def test_checkpoint_loads_frozen_v2_bytes(tmp_path):
-    # NSF_V2 holds NSF_CFG, nsf_init(seed=3) and one Adam step, in float32
-    cfg = frozen_checkpoints.NSF_CFG
-    expected = nsf.nsf_init(cfg, seed=3)
-    adam_update(expected, {k: np.full_like(v, 0.5)
-                           for k, v in expected.tensors.items()}, lr=1e-2)
-    path = tmp_path / "v2.ckpt"
-    path.write_bytes(frozen_checkpoints.NSF_V2)
-    loaded, loaded_cfg = nsf.load_checkpoint(path, expected_cfg=cfg)
-    assert loaded_cfg == cfg
-    assert loaded.step == 1
-    for name in expected.tensors:
-        for got, want in ((loaded.tensors, expected.tensors),
-                          (loaded.adam_m, expected.adam_m),
-                          (loaded.adam_v, expected.adam_v)):
-            assert np.array_equal(got[name], want[name].astype(np.float32))
 
 
 def test_checkpoint_expected_cfg_mismatch(tmp_path):

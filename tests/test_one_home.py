@@ -3,7 +3,8 @@
 The default analysis (sample rate and hop) is `dsp.StftConfig`: no other
 package module may write its numbers.  A feature kind's file code is its
 index in `dsp.FeatureMatrix.KINDS`: `formats` names no kind itself, so it
-cannot hold a second kind table.
+cannot hold a second kind table.  `formats.write_file` is the one place
+that opens a file for writing.
 """
 
 import ast
@@ -32,3 +33,28 @@ def test_formats_names_no_feature_kind():
     names = [value for value in constants(PACKAGE / "formats.py")
              if value in FeatureMatrix.KINDS]
     assert names == []
+
+
+def write_opens(path):
+    """Where path calls open (the builtin, io's or Path's) with a write,
+    append or create mode, or os.open, Path.write_bytes or write_text."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        # the builtin takes its mode second, Path.open first
+        modes = [k.value for k in node.keywords if k.arg == "mode"]
+        modes += node.args[1:] if isinstance(func, ast.Name) else node.args
+        writes = any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                     and set("wax+") & set(m.value) for m in modes)
+        os_open = name == "open" and getattr(getattr(func, "value", None), "id", None) == "os"
+        if name == "open" and writes or os_open or name in ("write_bytes", "write_text"):
+            yield f"{path.stem}:{node.lineno}"
+
+
+def test_only_formats_opens_a_file_for_writing():
+    assert list(write_opens(PACKAGE / "formats.py"))  # the walk finds write_file
+    opens = [where for path in sorted(PACKAGE.glob("*.py")) if path.stem != "formats"
+             for where in write_opens(path)]
+    assert opens == []
