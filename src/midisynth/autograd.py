@@ -17,12 +17,15 @@ rather than compositions, which keeps the tape small for long sequences:
 its size does not grow with their length, and a block is one node, not
 one per projection, convolution, tanh and sum.  Nor do they copy their
 inputs: a convolution tap is one matmul between row-slice views, and the
-upsampling adjoint sums runs of sorted indices.
+upsampling adjoint sums runs of sorted indices.  Numpy loops once per
+row over an operand broadcast along the channels, so operands are whole
+rows: inference adds parameters broadcast to whole rows, the same bits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -167,15 +170,16 @@ def reshape(a, shape):
 # --- sequence primitives ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def _conv_taps(n: int, taps: int, dilation: int, causal: bool):
     """The center tap, which reads every one of n rows, and (j, dst, src)
     for each other tap j that reads inside them: tap j reads row t - off,
-    so output rows dst come from input rows src."""
+    so output rows dst come from input rows src.  Cached, so all tuples."""
     center = 0 if causal else taps // 2
     offsets = [(j - center) * dilation for j in range(taps)]
-    return center, [(j, slice(max(off, 0), n + min(off, 0)),
-                     slice(max(-off, 0), n - max(off, 0)))
-                    for j, off in enumerate(offsets) if 0 < abs(off) < n]
+    return center, tuple((j, slice(max(off, 0), n + min(off, 0)),
+                          slice(max(-off, 0), n - max(off, 0)))
+                         for j, off in enumerate(offsets) if 0 < abs(off) < n)
 
 
 def _conv(xv, w, b, taps):
@@ -232,13 +236,15 @@ def residual_block(x, cond, w_in, b_in, convs, w_out, b_out):
     in place, in a buffer of its own; while recording, each convolution
     keeps its input and its tanh output for the adjoint, which walks the
     convolutions in reverse and returns the 6 + 2 * len(convs) gradients
-    in argument order.
+    in argument order.  Under no_grad() w_in, b_in and the convolution
+    biases may also be (rows, channels) arrays.
     """
     x, cond, w_in, b_in, w_out, b_out = (
         as_tensor(t) for t in (x, cond, w_in, b_in, w_out, b_out))
     convs = [(as_tensor(w), as_tensor(b), dilation) for w, b, dilation in convs]
     xv = x.value.astype(cond.value.dtype, copy=False)
-    h = xv * w_in.value
+    h = np.repeat(xv, cond.value.shape[1], axis=1)
+    h *= w_in.value
     h += b_in.value
     h += cond.value
     layers = []  # weight, taps, input and tanh output of each convolution
@@ -290,11 +296,12 @@ def upsample_linear(a, out_rows: int, start: int = 0, stop: int | None = None):
     idx0 = np.minimum(pos.astype(np.int64), n_in - 1)
     idx1 = np.minimum(idx0 + 1, n_in - 1)
     frac = (pos - idx0)[:, None].astype(a.value.dtype, copy=False)
-    value = a.value[idx0] * (1.0 - frac) + a.value[idx1] * frac
+    w0, w1 = (np.repeat(w, a.value.shape[1], axis=1) for w in (1.0 - frac, frac))
+    value = np.take(a.value, idx0, axis=0) * w0 + np.take(a.value, idx1, axis=0) * w1
 
     def adjoint(g):
         out = np.zeros_like(a.value)
-        for idx, weight in ((idx0, 1.0 - frac), (idx1, frac)):
+        for idx, weight in ((idx0, w0), (idx1, w1)):
             starts = np.flatnonzero(np.diff(idx, prepend=-1))
             out[idx[starts]] += np.add.reduceat(g * weight, starts, axis=0)
         return (out,)

@@ -29,17 +29,28 @@ MAX_WAV_RATE = 0xFFFFFFFF // 2
 
 
 def write_file(path, data: bytes) -> None:
-    """Write data to a temp file beside path, then rename it over path, so
-    a failed write leaves an earlier file at path intact and no temp file.
-    A path that is not a regular file, a FIFO or a device, say, is written
-    in place: the rename would replace the node itself."""
+    """Write data to a temp file beside path, <path>.<8 hex digits>.tmp,
+    made under a name no file has, then rename it over path, so a failed
+    write leaves an earlier file at path intact and no temp file; an error
+    creating it names path.  A path that is not a regular file, a FIFO or
+    a device, say, is written in place: the rename would replace the node."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             fh.write(data)
         return
-    tmp = f"{os.fspath(path)}.tmp"
+    while True:
+        tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+        try:
+            fh = open(tmp, "xb")
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            if exc.filename == tmp:
+                exc.filename = os.fspath(path)
+            raise
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     finally:

@@ -33,7 +33,9 @@ residuals are float32, and each block updates its channel state in place,
 while the running signal, the output projections and the output stay
 float64, so zero output projections still pass the excitation through
 exactly.  A model whose stack could overflow float32 runs in float64
-instead (_stack_dtype).
+instead (_stack_dtype).  Inference adds each block's input weights and
+biases and conv biases broadcast to whole rows, which spares numpy a loop
+per row and keeps the bits; training records their (channels,) leaves.
 """
 
 from __future__ import annotations
@@ -237,12 +239,17 @@ def nsf_forward(params: ModelParams, features: FeatureMatrix,
     if dtype == np.float32:
         dtype = _stack_dtype(params, features, excitation, cfg)
     out = np.empty(len(excitation))
+    windows = list(_windows(len(out), cfg))
+    rows = max((stop - lo for lo, _, stop in windows), default=0)
     with ag.no_grad():
         tensors = _stack_tensors(params, dtype)
         frame_cond = _frame_condition(tensors, features.values)
-        for lo, start, stop in _windows(len(out), cfg):
-            window = _build_graph(tensors, frame_cond, excitation.samples, cfg,
-                                  lo, stop)
+        wide = {name: np.ascontiguousarray(np.broadcast_to(t.value, (rows, cfg.channels)))
+                for name, t in tensors.items()
+                if ".in." in name or ".conv" in name and name.endswith(".bias")}
+        for lo, start, stop in windows:
+            leaves = {**tensors, **{name: v[:stop - lo] for name, v in wide.items()}}
+            window = _build_graph(leaves, frame_cond, excitation.samples, cfg, lo, stop)
             out[start:stop] = window.value[start - lo:, 0]
     return WaveSignal(out, excitation.sample_rate)
 

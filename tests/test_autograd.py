@@ -225,6 +225,52 @@ def test_upsample_linear_window_outside_grid(start, stop):
         ag.upsample_linear(ag.Tensor(np.ones((2, 1))), 10, start=start, stop=stop)
 
 
+def gathered_upsample(a, g, out_rows, start, stop):
+    """The value and adjoint of upsampling by a[idx] * weight, with the
+    weights broadcast along the channels: the reference bits."""
+    pos = np.arange(start, stop) * (len(a) - 1) / max(out_rows - 1, 1)
+    idx0 = np.minimum(pos.astype(np.int64), len(a) - 1)
+    idx1 = np.minimum(idx0 + 1, len(a) - 1)
+    frac = (pos - idx0)[:, None].astype(a.dtype, copy=False)
+    grad = np.zeros_like(a)
+    for idx, weight in ((idx0, 1.0 - frac), (idx1, frac)):
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        grad[idx[starts]] += np.add.reduceat(g * weight, starts, axis=0)
+    return a[idx0] * (1.0 - frac) + a[idx1] * frac, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("start, stop", [(0, 2304), (2180, 4608), (6788, 7776)])
+def test_upsample_linear_equals_gathered_rows(rng, dtype, start, stop):
+    # an NSF clip's first, full and last windows: 27 frames to 288 rows each
+    a = rng.standard_normal((27, 16)).astype(dtype)
+    g = rng.standard_normal((stop - start, 16))
+    want_value, _ = gathered_upsample(a, g, 7776, start, stop)
+    with ag.no_grad():
+        value = ag.upsample_linear(ag.Tensor(a), 7776, start, stop).value
+    assert value.dtype == dtype and same_bits(value, want_value)
+    # recording runs in float64, so the adjoint only ever meets float64
+    a64 = a.astype(np.float64)
+    leaf = ag.Tensor(a64)
+    out = ag.upsample_linear(leaf, 7776, start, stop)
+    ag.backward(out, seed=g)
+    want_value, want_grad = gathered_upsample(a64, g, 7776, start, stop)
+    assert same_bits(out.value, want_value) and same_bits(leaf.grad, want_grad)
+
+
+def test_cached_conv_taps_cannot_be_changed():
+    center, others = ag._conv_taps(50, 3, 4, True)
+    assert ag._conv_taps(50, 3, 4, True)[1] is others  # the cached entry
+    with pytest.raises(TypeError):
+        others[0] = (1, slice(0, 50), slice(0, 50))
+    with pytest.raises(TypeError):
+        others[0][1:] = (slice(0, 50), slice(0, 50))
+    with pytest.raises(AttributeError):
+        others[0][1].start = 0
+    assert ag._conv_taps(50, 3, 4, True) == (0, ((1, slice(4, 50), slice(0, 46)),
+                                                 (2, slice(8, 50), slice(0, 42))))
+
+
 @pytest.mark.parametrize("m", [1, 7])
 def test_gru_sequence_grads(rng, m):
     s = 3

@@ -169,6 +169,14 @@ def test_excite_has_no_gain_option(tmp_path, capsys):
     assert not (tmp_path / "x.wav").exists()
 
 
+def test_excite_into_a_missing_directory_names_the_output(tmp_path, capsys, monkeypatch):
+    write_midi_file(tmp_path / "clip.mid", [(0.0, 0.3, 60, 90)])
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("excite", "clip.mid", "nodir/x.wav") == 2
+    err = capsys.readouterr().err
+    assert "'nodir/x.wav'" in err and ".tmp" not in err
+
+
 # --- synth ----------------------------------------------------------------
 
 

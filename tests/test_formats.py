@@ -314,6 +314,21 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, kind):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_write_leaves_files_named_like_its_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    taken = [tmp_path / "out.tmp", tmp_path / "out.00000000.tmp"]
+    for other in taken:
+        other.write_bytes(b"a user's file")
+    draws = iter([bytes(4), bytes(4), bytes([0, 0, 0, 1])])  # two taken names first
+    monkeypatch.setattr(formats.os, "urandom", lambda n: next(draws))
+    formats.write_file(path, b"new bytes")
+    monkeypatch.undo()
+    assert path.read_bytes() == b"new bytes"
+    assert [other.read_bytes() for other in taken] == [b"a user's file"] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.00000000.tmp",
+                                                          "out.tmp"]
+
+
 def drain(path):
     """A started thread that reads the FIFO at path to its end, and the
     list its bytes go to."""

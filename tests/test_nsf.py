@@ -277,6 +277,25 @@ def test_chunked_float32_forward_equals_whole_clip(rng, monkeypatch, n_frames, c
     assert 0 < np.abs(want - exact).max() < 1e-5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_default_config_forward_equals_whole_clip(rng, dtype):
+    """27 frames of 288 samples: a first window of 2304 rows, two full
+    ones of 2428 and a last one of 988, each adding its parameters as
+    whole rows, against one graph of the (channels,) tensors."""
+    cfg = nsf.NsfConfig(feature_dim=8)
+    params = nsf.nsf_init(cfg, seed=5)
+    for name, value in params.tensors.items():
+        value[...] = rng.uniform(-0.1, 0.1, value.shape)
+    feats, source = make_inputs(cfg, 27, rng)
+    assert nsf._stack_dtype(params, feats, source, cfg) is np.float32
+    assert [stop - lo for lo, _, stop in nsf._windows(len(source), cfg)] == \
+        [2304, 2428, 2428, 988]
+    out = nsf.nsf_forward(params, feats, source, cfg, dtype)
+    want = whole_clip_forward(params, feats, source, cfg, dtype)
+    assert np.abs(want).max() < 1.0  # nothing hidden by the output clip
+    assert np.array_equal(out.samples, want)
+
+
 def whole_clip_backward(params, feats, source, target, cfg):
     """Loss and gradients through one graph over the whole clip."""
     tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
