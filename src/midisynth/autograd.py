@@ -17,9 +17,8 @@ rather than compositions, which keeps the tape small for long sequences:
 its size does not grow with their length, and a block is one node, not
 one per projection, convolution, tanh and sum.  Nor do they copy their
 inputs: a convolution tap is one matmul between row-slice views, and the
-upsampling adjoint sums runs of sorted indices.  Numpy loops once per
-row over an operand broadcast along the channels, so operands are whole
-rows: inference adds parameters broadcast to whole rows, the same bits.
+upsampling adjoint sums runs of sorted indices.  Inference adds parameters
+broadcast to whole rows: numpy loops once per row over a channel broadcast.
 """
 
 from __future__ import annotations
@@ -236,12 +235,15 @@ def residual_block(x, cond, w_in, b_in, convs, w_out, b_out):
     in place, in a buffer of its own; while recording, each convolution
     keeps its input and its tanh output for the adjoint, which walks the
     convolutions in reverse and returns the 6 + 2 * len(convs) gradients
-    in argument order.  Under no_grad() w_in, b_in and the convolution
-    biases may also be (rows, channels) arrays.
+    in argument order.  Only under no_grad() may w_in, b_in and the
+    convolution biases be (rows, channels) arrays.
     """
     x, cond, w_in, b_in, w_out, b_out = (
         as_tensor(t) for t in (x, cond, w_in, b_in, w_out, b_out))
     convs = [(as_tensor(w), as_tensor(b), dilation) for w, b, dilation in convs]
+    if _GRAD_ENABLED and (w_in.shape[0] != 1 or b_in.value.ndim != 1
+                          or any(b.value.ndim != 1 for _, b, _ in convs)):
+        raise ValueError("while recording, w_in is (1, channels) and biases (channels,)")
     xv = x.value.astype(cond.value.dtype, copy=False)
     h = np.repeat(xv, cond.value.shape[1], axis=1)
     h *= w_in.value

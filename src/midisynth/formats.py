@@ -29,11 +29,10 @@ MAX_WAV_RATE = 0xFFFFFFFF // 2
 
 
 def write_file(path, data: bytes) -> None:
-    """Write data to a temp file beside path, <path>.<8 hex digits>.tmp,
-    made under a name no file has, then rename it over path, so a failed
-    write leaves an earlier file at path intact and no temp file; an error
-    creating it names path.  A path that is not a regular file, a FIFO or
-    a device, say, is written in place: the rename would replace the node."""
+    """Write data to a new temp file beside path, <path>.<8 hex digits>.tmp,
+    then rename it over path, so a failed write leaves an earlier file at
+    path intact and no temp file.  A path that is not a regular file, a
+    FIFO or a device, say, is written in place: the rename would replace it."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             fh.write(data)
@@ -44,11 +43,9 @@ def write_file(path, data: bytes) -> None:
             fh = open(tmp, "xb")
             break
         except FileExistsError:
-            continue
-        except OSError as exc:
-            if exc.filename == tmp:
-                exc.filename = os.fspath(path)
-            raise
+            pass
+        except OSError as exc:  # name the output, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     try:
         with fh:
             fh.write(data)

@@ -33,9 +33,8 @@ residuals are float32, and each block updates its channel state in place,
 while the running signal, the output projections and the output stay
 float64, so zero output projections still pass the excitation through
 exactly.  A model whose stack could overflow float32 runs in float64
-instead (_stack_dtype).  Inference adds each block's input weights and
-biases and conv biases broadcast to whole rows, which spares numpy a loop
-per row and keeps the bits; training records their (channels,) leaves.
+instead (_stack_dtype).  Inference adds parameters broadcast to whole
+rows, up to _WIDE_BYTES, with the same bits; training keeps (channels,) leaves.
 """
 
 from __future__ import annotations
@@ -66,6 +65,9 @@ _FLOAT32_BOUND = 2.0 ** 64
 # Most samples one output sample may read back (5 blocks of 10 convolutions
 # at kernel 3 read 10,230): each window is computed from as many before it.
 MAX_RECEPTIVE_FIELD = 2 ** 16
+# Most bytes of the (rows, channels) copies of (channels,) parameters that
+# nsf_forward adds: the defaults take 14 of 2428 x 16 float32, 2.1 MiB.
+_WIDE_BYTES = 2 ** 23
 CONDITION_KINDS = ("mel-fb", "midi-fb", "piano-roll")
 
 
@@ -239,15 +241,14 @@ def nsf_forward(params: ModelParams, features: FeatureMatrix,
     if dtype == np.float32:
         dtype = _stack_dtype(params, features, excitation, cfg)
     out = np.empty(len(excitation))
-    windows = list(_windows(len(out), cfg))
-    rows = max((stop - lo for lo, _, stop in windows), default=0)
+    rows = min(len(out), _CHUNK_FRAMES * cfg.upsample_factor + _receptive_field(cfg))
     with ag.no_grad():
         tensors = _stack_tensors(params, dtype)
         frame_cond = _frame_condition(tensors, features.values)
-        wide = {name: np.ascontiguousarray(np.broadcast_to(t.value, (rows, cfg.channels)))
-                for name, t in tensors.items()
-                if ".in." in name or ".conv" in name and name.endswith(".bias")}
-        for lo, start, stop in windows:
+        names = [n for n in tensors if ".in." in n or ".conv" in n and n.endswith(".bias")]
+        fit = _WIDE_BYTES // (max(rows, 1) * cfg.channels * np.dtype(dtype).itemsize)
+        wide = {n: np.repeat(tensors[n].value.reshape(1, -1), rows, axis=0) for n in names[:fit]}
+        for lo, start, stop in _windows(len(out), cfg):
             leaves = {**tensors, **{name: v[:stop - lo] for name, v in wide.items()}}
             window = _build_graph(leaves, frame_cond, excitation.samples, cfg, lo, stop)
             out[start:stop] = window.value[start - lo:, 0]

@@ -363,6 +363,20 @@ def test_residual_block_float32_stack_under_no_grad(rng):
         assert same_bits(after, kept)
 
 
+@pytest.mark.parametrize("which", [2, 3, 5], ids=["w_in", "b_in", "conv-bias"])
+def test_residual_block_takes_whole_row_parameters_only_under_no_grad(rng, which):
+    dilations = (1, 2)
+    arrays = block_arrays(rng, 6, 2, 2, dilations)
+    wide = list(arrays)
+    wide[which] = np.repeat(arrays[which].reshape(1, -1), 6, axis=0)
+    with ag.no_grad():
+        got = run_block(ag.residual_block, wide, dilations).value
+        want = run_block(ag.residual_block, arrays, dilations).value
+    assert same_bits(got, want)
+    with pytest.raises(ValueError, match="while recording"):
+        run_block(ag.residual_block, wide, dilations)
+
+
 def _tape_size(root):
     seen = {id(root)}
     stack = [root]

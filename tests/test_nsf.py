@@ -277,11 +277,14 @@ def test_chunked_float32_forward_equals_whole_clip(rng, monkeypatch, n_frames, c
     assert 0 < np.abs(want - exact).max() < 1e-5
 
 
+@pytest.mark.parametrize("widened", [14, 5, 0])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_default_config_forward_equals_whole_clip(rng, dtype):
+def test_default_config_forward_equals_whole_clip(rng, monkeypatch, dtype, widened):
     """27 frames of 288 samples: a first window of 2304 rows, two full
-    ones of 2428 and a last one of 988, each adding its parameters as
-    whole rows, against one graph of the (channels,) tensors."""
+    ones of 2428 and a last one of 988, each adding all, some or none of
+    its 14 parameters as whole rows, against one graph of the (channels,)
+    tensors."""
+    monkeypatch.setattr(nsf, "_WIDE_BYTES", widened * 2428 * 16 * np.dtype(dtype).itemsize)
     cfg = nsf.NsfConfig(feature_dim=8)
     params = nsf.nsf_init(cfg, seed=5)
     for name, value in params.tensors.items():
@@ -359,6 +362,22 @@ def test_forward_working_memory_does_not_grow_with_clip(rng):
         return peak - out.samples.nbytes - n_frames * cfg.channels * 8
 
     assert working_bytes(40.0) <= 1.05 * working_bytes(5.0)
+
+
+def test_forward_whole_row_parameters_stay_within_bound(rng):
+    # 20 blocks of 4 convolutions at 64 channels have 120 parameters to add
+    # as whole rows: 2904 x 64 float32 each, 85 MiB in all, past the bound
+    cfg = nsf.NsfConfig(feature_dim=2, n_blocks=20, convs_per_block=4, channels=64)
+    params = nsf.nsf_zero(cfg)
+    feats, source = make_inputs(cfg, 11, rng)
+    tracemalloc.start()
+    try:
+        nsf.nsf_forward(params, feats, source, cfg, np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 120 * 2904 * 64 * 4 > 10 * nsf._WIDE_BYTES
+    assert peak < nsf._WIDE_BYTES + 16 * 2 ** 20  # the float32 weights take 3.8 MiB
 
 
 def default_segment(cfg, seconds, rng):

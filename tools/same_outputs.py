@@ -1,15 +1,13 @@
 """Check that the working tree writes the same bytes as a git revision.
 
-    python3 tools/same_outputs.py REV [--threads N] [--workload W ...]
+    python3 tools/same_outputs.py REV [--threads N]
 
 Exports REV with `git archive`.  For REV and for the working tree, it
 builds the benchmark's inputs with that tree's perfbench/inputs.py at
 seeds 1 and 2, and runs one pass of every render, train and invert
 operation through that tree's midisynth.cli.main, one child process per
-workload pass.  --workload, which may be repeated, limits the check to
-those workloads (default: all three).  Both sides run at the same BLAS
-thread count (--threads, default 1), because train checkpoints differ
-between thread counts.
+workload pass.  Both sides run at the same BLAS thread count (--threads,
+default 1), because train checkpoints differ between thread counts.
 
 Prints one digest pair per operation, REV's first.  A digest covers the
 files the operation wrote or changed (their paths under the work
@@ -89,8 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--threads", type=int, default=1,
                         help="BLAS threads of both sides (default 1)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to check, may be repeated (default: all)")
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be positive")
@@ -103,7 +99,7 @@ def main(argv=None) -> int:
         rev_tree = Path(base) / "tree"
         with tarfile.open(tar_path) as tar:
             tar.extractall(rev_tree, filter="data")
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             for seed in SEEDS:
                 old = _digests(rev_tree, workload, seed, args.threads)
                 new = _digests(ROOT, workload, seed, args.threads)
