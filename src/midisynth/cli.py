@@ -78,9 +78,9 @@ def _load_notes(path, apply_pedal=True):
 
 def _read_wav_checked(path, rate):
     wave = formats.read_wav(path)
-    if wave.sample_rate != rate:
+    if rate is not None and wave.sample_rate != rate:
         raise ValueError(
-            f"{path}: sampled at {wave.sample_rate:.0f} Hz, expected {rate}")
+            f"{path}: sampled at {wave.sample_rate:.0f} Hz, expected {rate:.0f}")
     return wave
 
 
@@ -180,16 +180,17 @@ def _synthesize(args, notes, params, model_cfg):
                           args.fft, model_cfg.feature_dim)
     else:  # the roll conditions the NSF directly, or through the AM
         feats = _features("piano-roll", notes, None, rate, shift)
-        if args.mode == "am+nsf":
-            if not args.am_ckpt:
-                raise ValueError("--am-ckpt is required with --mode am+nsf")
-            am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
-            feats = acoustic.am_generate(am_params, feats, am_cfg, seed=args.seed)
+    if feats.n_frames == 0:
+        origin = args.ref_wav if args.mode == "abs" else args.midi
+        raise ValueError(f"{origin}: nothing to synthesize: zero frames")
+    if args.mode == "am+nsf":
+        if not args.am_ckpt:
+            raise ValueError("--am-ckpt is required with --mode am+nsf")
+        am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
+        feats = acoustic.am_generate(am_params, feats, am_cfg, seed=args.seed)
     if feats.dim != model_cfg.feature_dim:
         raise ValueError(f"{args.mode} mode gives {feats.dim}-dim features, "
                          f"waveform model wants {model_cfg.feature_dim}")
-    if feats.n_frames == 0:
-        raise ValueError("nothing to synthesize: zero frames")
     source = _excitation(args.excitation, notes, feats.n_frames * shift, rate, args.seed)
     return nsf.nsf_forward(params, feats, source, model_cfg, np.float32)
 
@@ -216,11 +217,12 @@ def cmd_pitch_ce(args):
     roll = _features("piano-roll", notes, None, rate, args.frame_shift)
     if args.transpose:
         roll = midi_io.transpose_roll(roll, args.transpose)
-    probs = evaluation.pitch_probability(wave, cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ce = evaluation.pitch_cross_entropy(probs, roll,
-                                            weight_by_velocity=args.velocity_weights)
+    with _named(args.wav):
+        probs = evaluation.pitch_probability(wave, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ce = evaluation.pitch_cross_entropy(probs, roll,
+                                                weight_by_velocity=args.velocity_weights)
     for warning in caught:
         print(f"warning: {args.wav}: {warning.message}", file=sys.stderr)
     print(f"{ce:.6f}")
@@ -280,7 +282,6 @@ def cmd_stats(args):
 # a model section may not set.
 @dataclass(frozen=True)
 class DataSection:
-    rate: int = declared(POSITIVE_INT, ANALYSIS.sample_rate)
     n_mels: int = declared(POSITIVE_INT, dsp.N_MELS)
     frame_length: int = declared(POSITIVE_INT, ANALYSIS.frame_length)
     fft: int = declared(POSITIVE_INT, ANALYSIS.fft_size)
@@ -347,8 +348,9 @@ def _load_config(path, model_cls, train_cls, data_cls):
         return model_cls(**model, **decided), train_cls(**train), data
 
 
-def _clips(data_dir, rate):
-    """Each paired .mid/.wav file in data_dir, in name order, as (path, notes, wave)."""
+def _clips(data_dir):
+    """Each paired .mid/.wav file in data_dir, in name order, as (path, notes,
+    wave); every WAV must be sampled at the rate of the first."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise ValueError(f"{data_dir} is not a directory")
@@ -356,8 +358,11 @@ def _clips(data_dir, rate):
              if m.with_suffix(".wav").exists()]
     if not pairs:
         raise ValueError(f"{data_dir} holds no paired .mid/.wav files")
+    rate = None
     for midi_path, wav_path in pairs:
-        yield midi_path, _load_notes(midi_path), _read_wav_checked(wav_path, rate)
+        notes, wave = _load_notes(midi_path), _read_wav_checked(wav_path, rate)
+        rate = wave.sample_rate
+        yield midi_path, notes, wave
 
 
 def _segment_frames(n_frames, per_segment):
@@ -370,20 +375,21 @@ def _segment_frames(n_frames, per_segment):
 
 def _nsf_data(data_dir, model_cfg, train_cfg, data):
     """The (features, source, target) segments of train nsf."""
-    rate, kind, shift = data.rate, data.features, model_cfg.upsample_factor
-    try:
-        per_segment = max(1, round(train_cfg.segment_seconds * rate / shift))
-    except OverflowError:
-        raise ValueError(f"a segment of {train_cfg.segment_seconds:.6g} s at the data "
-                         f"rate overflows a frame count") from None
-
+    kind, shift = data.features, model_cfg.upsample_factor
     dataset = []
-    for idx, (path, notes, wave) in enumerate(_clips(data_dir, rate)):
+    for idx, (path, notes, wave) in enumerate(_clips(data_dir)):
+        rate = int(wave.sample_rate)
         with _named(path):
             feats = _features(kind, notes, wave, rate, shift, data.frame_length,
                               data.fft, data.n_mels)
             if feats.n_frames == 0:
                 continue
+            # a segment longer than the clip is the clip, however long it is
+            per_segment = max(1, round(min(train_cfg.segment_seconds * rate / shift,
+                                           feats.n_frames)))
+            if per_segment * shift > nsf.MAX_SEGMENT_SAMPLES:
+                raise TooLarge(f"a segment of {per_segment * shift} samples, "
+                               f"the limit is {nsf.MAX_SEGMENT_SAMPLES}")
             # the source first: _excitation bounds the length before padding the target
             source = _excitation(data.excitation, notes, feats.n_frames * shift, rate,
                                  train_cfg.seed + idx)
@@ -399,9 +405,10 @@ def _nsf_data(data_dir, model_cfg, train_cfg, data):
 
 def _am_data(data_dir, model_cfg, train_cfg, data):
     """The (roll, target features) segments of train am."""
-    rate, kind, shift = data.rate, model_cfg.output_kind, data.frame_shift
+    kind, shift = model_cfg.output_kind, data.frame_shift
     dataset = []
-    for path, notes, wave in _clips(data_dir, rate):
+    for path, notes, wave in _clips(data_dir):
+        rate = int(wave.sample_rate)
         with _named(path):
             feats = _features(kind, None, wave, rate, shift, data.frame_length,
                               data.fft, data.n_mels)

@@ -65,6 +65,9 @@ _FLOAT32_BOUND = 2.0 ** 64
 # Most samples one output sample may read back (5 blocks of 10 convolutions
 # at kernel 3 read 10,230): each window is computed from as many before it.
 MAX_RECEPTIVE_FIELD = 2 ** 16
+# Most samples of one training segment (87 s at 24 kHz): the spectral loss
+# holds about 270 bytes a sample, 540 MiB at the limit.
+MAX_SEGMENT_SAMPLES = 2 ** 21
 # Most bytes of the (rows, channels) copies of (channels,) parameters that
 # nsf_forward adds: the defaults take 14 of 2428 x 16 float32, 2.1 MiB.
 _WIDE_BYTES = 2 ** 23

@@ -256,10 +256,12 @@ def test_synth_abs_mode_requires_ref_wav(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "synth-abs"])
 def test_a_wav_at_another_rate_is_named(tmp_path, capsys, command):
-    """A training WAV or a reference WAV sampled at 16 kHz, where 24 kHz
-    is expected, is refused in one line that names it."""
+    """A reference WAV sampled at 16 kHz under the default --rate, or a
+    training WAV at 16 kHz after a 24 kHz one in name order, is refused in
+    one line that names it."""
     data = make_pair(tmp_path / "data")
-    wav = data / "clip.wav"
+    wav = data / ("later.wav" if command == "train" else "clip.wav")
+    write_midi_file(wav.with_suffix(".mid"), [(0.0, 0.2, 69, 100)])
     helpers.tone_wav(wav, seconds=0.2, rate=16000)
     if command == "train":
         argv = ["train", "nsf", data, tmp_path / "out", "--config", nsf_config(tmp_path)]
@@ -613,11 +615,11 @@ def nsf_config(tmp_path, **train_overrides):
     return path
 
 
-def make_pair(tmp_path, seconds=0.2):
+def make_pair(tmp_path, seconds=0.2, rate=24000):
     tmp_path.mkdir(exist_ok=True)
     midi = tmp_path / "clip.mid"
     write_midi_file(midi, [(0.0, seconds, 69, 100)])
-    helpers.tone_wav(tmp_path / "clip.wav", freq=440.0, seconds=seconds)
+    helpers.tone_wav(tmp_path / "clip.wav", freq=440.0, seconds=seconds, rate=rate)
     return tmp_path
 
 
@@ -678,13 +680,19 @@ def test_a_run_stopped_early_leaves_loss_csv_at_its_checkpoint(tmp_path, capsys,
     assert [row.split(",")[0] for row in lines] == ["step", "1", "2"]
 
 
-@pytest.mark.parametrize("kind", ["nsf", "am"])
-def test_a_clip_shorter_than_a_segment_trains_as_one_segment(tmp_path, capsys, kind):
-    """A 0.2 s clip with 1 s NSF segments, or its 17 frames with 100-frame
-    AM segments, is one whole segment: 2 epochs of one step each."""
+@pytest.mark.parametrize("kind, seconds", [
+    pytest.param("nsf", 1.0, id="nsf"),
+    pytest.param("nsf", 1e308, id="nsf-1e308"),
+    pytest.param("am", None, id="am"),
+])
+def test_a_clip_shorter_than_a_segment_trains_as_one_segment(tmp_path, capsys, kind,
+                                                             seconds):
+    """A 0.2 s clip with 1 s or 1e308 s NSF segments (a frame count past
+    the float range), or its 17 frames with 100-frame AM segments, is one
+    whole segment: 2 epochs of one step each."""
     data = make_pair(tmp_path / "data")
     if kind == "nsf":
-        config = nsf_config(tmp_path, segment_seconds=1.0)
+        config = nsf_config(tmp_path, segment_seconds=seconds)
     else:
         config = am_config(tmp_path, segment_frames=100, epochs=2)
     out = tmp_path / "run"
@@ -692,6 +700,18 @@ def test_a_clip_shorter_than_a_segment_trains_as_one_segment(tmp_path, capsys, k
     assert "trained on 1 segments for 2 epochs" in capsys.readouterr().out
     lines = (out / "loss.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in lines] == ["step", "1", "2"]
+
+
+@pytest.mark.parametrize("kind, segments", [("nsf", 4), ("am", 2)])
+def test_train_takes_the_rate_of_its_wavs(tmp_path, capsys, kind, segments):
+    """A 0.2 s clip at 16 kHz with no rate in the config trains at 16 kHz:
+    50 frames of 64 samples in 12-frame NSF segments (75 frames in 19 at
+    24 kHz), or 12 AM frames in 5-frame segments (17 at 24 kHz)."""
+    data = make_pair(tmp_path / "data", rate=16000)
+    config = (nsf_config(tmp_path, epochs=1) if kind == "nsf"
+              else am_config(tmp_path, segment_frames=5))
+    assert run_cli("train", kind, data, tmp_path / "run", "--config", config) == 0
+    assert f"trained on {segments} segments" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", ["direct", "am+nsf"])
@@ -979,8 +999,20 @@ def train_nsf_above_nyquist(tmp_path):
     data.mkdir()
     write_midi_file(data / "clip.mid", [(0.0, 0.2, 127, 100)])
     helpers.tone_wav(data / "clip.wav", seconds=0.2, rate=16000)
-    (tmp_path / "cfg.json").write_text(json.dumps({"data": {"rate": 16000}}))
-    return ["train", "nsf", data, tmp_path / "out", "--config", tmp_path / "cfg.json"]
+    return ["train", "nsf", data, tmp_path / "out"]
+
+
+def train_at_wav_rate(kind, rate):
+    """train kind on a 0.2 s clip whose WAV header says rate Hz, which
+    formats.write_wav would refuse past 2^31 - 1."""
+    def argv(tmp_path):
+        args = train_with(kind, {})(tmp_path)
+        wav = tmp_path / "data" / "clip.wav"
+        blob = bytearray(wav.read_bytes())
+        struct.pack_into("<II", blob, 24, rate, min(2 * rate, 2 ** 32 - 1))
+        wav.write_bytes(blob)
+        return args
+    return argv
 
 
 def midi_with(command, smf, *extra):
@@ -998,12 +1030,21 @@ def wav_with(command, seconds, *extra):
     return argv
 
 
-def pitch_ce_at(rate, smf):
-    """pitch-ce on 288 silent samples at rate and a MIDI file of smf."""
+def pitch_ce_at(rate, smf, samples=288):
+    """pitch-ce on silent samples at rate and a MIDI file of smf."""
     def argv(tmp_path):
-        formats.write_wav(tmp_path / "in.wav", dsp.WaveSignal(np.zeros(288), rate))
+        formats.write_wav(tmp_path / "in.wav", dsp.WaveSignal(np.zeros(samples), rate))
         (tmp_path / "in.mid").write_bytes(smf)
         return ["pitch-ce", tmp_path / "in.wav", tmp_path / "in.mid"]
+    return argv
+
+
+def synth_am_with(smf):
+    """synth in am+nsf mode through a tiny acoustic model."""
+    def argv(tmp_path):
+        helpers.write_tiny_am_ckpt(tmp_path / "am.ckpt")
+        return midi_with("synth", smf, "--nsf-ckpt", "nsf.ckpt", "--mode", "am+nsf",
+                         "--am-ckpt", "am.ckpt")(tmp_path)
     return argv
 
 
@@ -1061,10 +1102,9 @@ HOSTILE = {
     "excite-long-smf": midi_with("excite", helpers.LONG_SMF),
     "synth-long-smf": midi_with("synth", helpers.LONG_SMF, "--nsf-ckpt", "nsf.ckpt"),
     "nsf-segment-inf": train_with("nsf", {"train": {"segment_seconds": np.inf}}),
-    "nsf-rate-inf": train_with("nsf", {"data": {"rate": np.inf}}),
-    "nsf-rate-0": train_with("nsf", {"data": {"rate": 0}}),
-    "am-rate-inf": train_with("am", {"data": {"rate": np.inf}}),
-    "am-rate-0": train_with("am", {"data": {"rate": 0}}),
+    # the WAVs fix the sample rate, so a config may not
+    "nsf-rate-key": train_with("nsf", {"data": {"rate": 24000}}),
+    "am-rate-key": train_with("am", {"data": {"rate": 24000}}),
     "nsf-fractional-channels": train_with("nsf", {"model": {"channels": 4.5}}),
     "nsf-warm-start": train_with("nsf", {}, "--warm-start", "am.ckpt"),
     "am-resume-and-warm-start": train_with("am", {}, "--resume", "am.ckpt",
@@ -1117,6 +1157,9 @@ HOSTILE = {
     "gl-linear-513-bins": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=513), p / "out"],
     "synth-empty-midi": midi_with("synth", helpers.note_smf([]), "--nsf-ckpt", "nsf.ckpt"),
+    "synth-am-empty-midi": synth_am_with(helpers.note_smf([])),
+    "pitch-ce-empty-wav": pitch_ce_at(24000, helpers.note_smf([(0, 480, 64, 110)]),
+                                      samples=0),
     "nsf-feature-dim-7": train_with("nsf", {"model": {"feature_dim": 7}}),
     "am-output-dim-7": train_with("am", {"model": {"output_dim": 7}}),
     # the data section alone sets a model's feature kind and widths, so a
@@ -1151,8 +1194,15 @@ HOSTILE = {
     # a receptive field over nsf.MAX_RECEPTIVE_FIELD
     "nsf-deep-field": train_with("nsf", {"model": DEEP_FIELD}),
     "synth-ckpt-deep-field": synth_with_stored_nsf_config(**DEEP_FIELD),
-    # 1.2e9 excitation samples, refused before the target is padded to them
+    # segments of 1e9, 1e7 and 2.4e6 samples, over nsf.MAX_SEGMENT_SAMPLES:
+    # one frame of 1e9, a 0.2 s roll at 5e7 Hz, and a 100 s roll trained whole
     "nsf-upsample-huge": train_with("nsf", {"model": {"upsample_factor": 10 ** 9}}),
+    "nsf-wav-rate-50mhz": train_at_wav_rate("nsf", 5 * 10 ** 7),
+    "nsf-long-clip-whole": train_with("nsf", {"train": {"segment_seconds": 1e9}},
+                                      midi_seconds=100.0),
+    # a 0.2 s roll at the top u32 rate of a WAV header: 3e6 frames, over
+    # midi_io.MAX_ROLL_FRAMES
+    "am-wav-rate-top": train_at_wav_rate("am", 2 ** 32 - 1),
     # rates whose byte rate, 2 x rate, overflows the WAV header's u32
     "excite-rate-over-wav-header": midi_with(
         "excite", helpers.note_smf([(0, 1, 64, 110)]), "--rate", "2200000000"),
@@ -1163,8 +1213,7 @@ HOSTILE = {
                                         "--rate", str(10 ** 400)),
     "roll-rate-over-float": midi_with("roll", helpers.note_smf([(0, 1, 64, 110)]),
                                       "--rate", str(10 ** 400)),
-    # values whose product overflows a float: a hop of 1e400 samples, and
-    # segments of 2.4e312 and 3e400 samples
+    # a product that overflows a float: a hop of 1e400 samples
     "gl-hop-overflow": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", shift=1e200, rate=1e200), p / "out"],
     # an analysis the feature file's shift and rate cannot give: a hop of
@@ -1173,10 +1222,10 @@ HOSTILE = {
         "gl", hostile_mfb(p / "x.mfb", shift=1.0, rate=24e3), p / "out"],
     "gl-rate-rounds-to-zero": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", rate=0.4), p / "out"],
-    # a clip's note above the Nyquist frequency of the data rate
+    # a clip's note above the Nyquist frequency of its WAV's rate: 16 kHz,
+    # and 1 Hz in the header of a 0.2 s clip
     "nsf-note-above-nyquist": train_nsf_above_nyquist,
-    "nsf-segment-overflow": train_with("nsf", {"train": {"segment_seconds": 1e308}}),
-    "nsf-rate-over-float": train_with("nsf", {"data": {"rate": 10 ** 400}}),
+    "nsf-wav-rate-1": train_at_wav_rate("nsf", 1),
     # a tensor table over 3 x params.MAX_TENSORS + 1 entries, refused
     # before any tensor is built
     "synth-ckpt-many-tensors": synth_with_many_tensors,
@@ -1215,7 +1264,15 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "synth-ckpt-tiny-layers": "tensors",
                 "nsf-deep-field": "receptive field",
                 "synth-ckpt-deep-field": "receptive field",
-                "nsf-upsample-huge": "excitation needs",
+                "nsf-upsample-huge": "clip.mid: a segment of 1000000000 samples",
+                "nsf-wav-rate-50mhz": "clip.mid: a segment of",
+                "nsf-long-clip-whole": "clip.mid: a segment of",
+                "am-wav-rate-top": "clip.mid: 0.2 s at a",
+                "nsf-rate-key": "'rate'",
+                "am-rate-key": "'rate'",
+                "synth-empty-midi": "in.mid: nothing to synthesize",
+                "synth-am-empty-midi": "in.mid: nothing to synthesize",
+                "pitch-ce-empty-wav": "in.wav: no overlapping frames",
                 "excite-rate-over-wav-header": "WAV header",
                 "gl-rate-over-wav-header": "WAV header",
                 "pitch-ce-top-wav-rate": "frames, the limit is",
@@ -1226,8 +1283,7 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "gl-hop-over-frame-length": "x.mfb",
                 "gl-rate-rounds-to-zero": "x.mfb",
                 "nsf-note-above-nyquist": "clip.mid",
-                "nsf-segment-overflow": "overflows a frame count",
-                "nsf-rate-over-float": "overflows a frame count",
+                "nsf-wav-rate-1": "clip.mid",
                 "synth-ckpt-version-1": "checkpoint version 1",
                 "synth-ckpt-version-2": "nsf.ckpt: unsupported checkpoint version 2",
                 "synth-ckpt-many-tensors": "many.ckpt: 1000000 tensors, the limit is 12289",
@@ -1438,7 +1494,7 @@ def sweep_argv(data, work):
 
 
 def test_config_sweep_exits_0_or_2_with_one_line_at_most(tmp_path):
-    assert len(sweep_cases()) == 418
+    assert len(sweep_cases()) == 396
     data = make_pair(tmp_path / "data", seconds=0.3)
     result = run_in_child("sweep_argv", data, tmp_path)
     assert result["faults"] == []
@@ -1471,7 +1527,7 @@ def text_inputs(work):
     config, scores = work / "cfg.json", work / "scores.csv"
     config.write_text('{"model": {"channels": 2, "n_blocks": 1, "convs_per_block": 1},\n'
                       ' "train": {"epochs": 1, "segment_seconds": 0.25},\n'
-                      ' "data": {"rate": 24000, "excitation": "sine"}}\n')
+                      ' "data": {"n_mels": 80, "excitation": "sine"}}\n')
     scores.write_bytes(SCORES_HEADER + b"".join(
         b"%s,s%d,l%d,%d\n" % (system, i, i % 3, 1 + (3 * i + len(system)) % 5)
         for system in (b"ref", b"am", b"nsf") for i in range(4)))
