@@ -1105,6 +1105,10 @@ HOSTILE = {
     # the WAVs fix the sample rate, so a config may not
     "nsf-rate-key": train_with("nsf", {"data": {"rate": 24000}}),
     "am-rate-key": train_with("am", {"data": {"rate": 24000}}),
+    "nsf-rate-inf": train_with("nsf", {"data": {"rate": np.inf}}),
+    "nsf-rate-0": train_with("nsf", {"data": {"rate": 0}}),
+    "am-rate-inf": train_with("am", {"data": {"rate": np.inf}}),
+    "am-rate-0": train_with("am", {"data": {"rate": 0}}),
     "nsf-fractional-channels": train_with("nsf", {"model": {"channels": 4.5}}),
     "nsf-warm-start": train_with("nsf", {}, "--warm-start", "am.ckpt"),
     "am-resume-and-warm-start": train_with("am", {}, "--resume", "am.ckpt",
@@ -1270,6 +1274,10 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "am-wav-rate-top": "clip.mid: 0.2 s at a",
                 "nsf-rate-key": "'rate'",
                 "am-rate-key": "'rate'",
+                "nsf-rate-inf": "'rate'",
+                "nsf-rate-0": "'rate'",
+                "am-rate-inf": "'rate'",
+                "am-rate-0": "'rate'",
                 "synth-empty-midi": "in.mid: nothing to synthesize",
                 "synth-am-empty-midi": "in.mid: nothing to synthesize",
                 "pitch-ce-empty-wav": "in.wav: no overlapping frames",
