@@ -188,9 +188,6 @@ def _synthesize(args, notes, params, model_cfg):
             raise ValueError("--am-ckpt is required with --mode am+nsf")
         am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
         feats = acoustic.am_generate(am_params, feats, am_cfg, seed=args.seed)
-    if feats.dim != model_cfg.feature_dim:
-        raise ValueError(f"{args.mode} mode gives {feats.dim}-dim features, "
-                         f"waveform model wants {model_cfg.feature_dim}")
     source = _excitation(args.excitation, notes, feats.n_frames * shift, rate, args.seed)
     return nsf.nsf_forward(params, feats, source, model_cfg, np.float32)
 
@@ -367,8 +364,7 @@ def _clips(data_dir):
 
 def _segment_frames(n_frames, per_segment):
     """Half-open frame ranges: whole segments, or the whole clip if short."""
-    if n_frames <= per_segment:
-        return [(0, n_frames)]
+    per_segment = min(per_segment, n_frames)
     return [(lo, lo + per_segment)
             for lo in range(0, n_frames - per_segment + 1, per_segment)]
 
@@ -380,16 +376,19 @@ def _nsf_data(data_dir, model_cfg, train_cfg, data):
     for idx, (path, notes, wave) in enumerate(_clips(data_dir)):
         rate = int(wave.sample_rate)
         with _named(path):
-            feats = _features(kind, notes, wave, rate, shift, data.frame_length,
-                              data.fft, data.n_mels)
-            if feats.n_frames == 0:
+            # the frame count first, so that a segment is refused before any input is built
+            n_frames = (midi_io.roll_frame_count(notes.duration, shift / rate)
+                        if kind == "piano-roll" else dsp.frame_count(len(wave), shift))
+            if n_frames == 0:
                 continue
             # a segment longer than the clip is the clip, however long it is
             per_segment = max(1, round(min(train_cfg.segment_seconds * rate / shift,
-                                           feats.n_frames)))
+                                           n_frames)))
             if per_segment * shift > nsf.MAX_SEGMENT_SAMPLES:
                 raise TooLarge(f"a segment of {per_segment * shift} samples, "
                                f"the limit is {nsf.MAX_SEGMENT_SAMPLES}")
+            feats = _features(kind, notes, wave, rate, shift, data.frame_length,
+                              data.fft, data.n_mels)
             # the source first: _excitation bounds the length before padding the target
             source = _excitation(data.excitation, notes, feats.n_frames * shift, rate,
                                  train_cfg.seed + idx)

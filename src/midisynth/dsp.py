@@ -143,21 +143,19 @@ def _check_bank_size(n_bands, cfg):
 def _triangle_rows(bin_freqs, lefts, centers, rights, nyquist):
     """Stack triangular rows peaking at 1.0 on each center.
 
-    A degenerate edge (left == center or right == center) drops that
-    slope, leaving a half triangle.  Centers above nyquist produce
-    all-zero rows.
+    A degenerate edge (left == center or right == center) selects no bin,
+    dropping that slope and leaving a half triangle.  Centers above nyquist
+    produce all-zero rows.
     """
     rows = np.zeros((len(centers), len(bin_freqs)))
     for k, (lo, c, hi) in enumerate(zip(lefts, centers, rights)):
         if c > nyquist:
             continue
         row = rows[k]
-        if lo < c:
-            m = (bin_freqs > lo) & (bin_freqs < c)
-            row[m] = (bin_freqs[m] - lo) / (c - lo)
-        if hi > c:
-            m = (bin_freqs > c) & (bin_freqs < hi)
-            row[m] = (hi - bin_freqs[m]) / (hi - c)
+        m = (bin_freqs > lo) & (bin_freqs < c)
+        row[m] = (bin_freqs[m] - lo) / (c - lo)
+        m = (bin_freqs > c) & (bin_freqs < hi)
+        row[m] = (hi - bin_freqs[m]) / (hi - c)
         row[bin_freqs == c] = 1.0
     return rows
 
@@ -391,7 +389,8 @@ def _rfft_adjoint_frames(grad_spec, cfg):
 
 def _single_resolution_loss(pred, target, cfg):
     spec_p = stft(pred, cfg)
-    mag_p = np.maximum(np.abs(spec_p), MAG_FLOOR)
+    abs_p = np.abs(spec_p)
+    mag_p = np.maximum(abs_p, MAG_FLOOR)
     mag_t = np.maximum(np.abs(stft(target, cfg)), MAG_FLOOR)
 
     diff = mag_p - mag_t
@@ -403,8 +402,8 @@ def _single_resolution_loss(pred, target, cfg):
     grad_mag = np.sign(log_diff) / (log_diff.size * mag_p)
     if sc_num > 0:
         grad_mag = grad_mag + diff / (sc_num * sc_den)
-    grad_mag = np.where(np.abs(spec_p) > MAG_FLOOR, grad_mag, 0.0)
-    denom = np.maximum(np.abs(spec_p), np.finfo(np.float64).tiny)
+    grad_mag = np.where(abs_p > MAG_FLOOR, grad_mag, 0.0)
+    denom = np.maximum(abs_p, np.finfo(np.float64).tiny)
     grad_spec = grad_mag * (spec_p / denom)
 
     frames = _rfft_adjoint_frames(grad_spec, cfg)

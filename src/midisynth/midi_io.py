@@ -347,22 +347,27 @@ def apply_sustain_pedal(notes: NoteEventList) -> NoteEventList:
 # --- piano rolls --------------------------------------------------------
 
 
+def roll_frame_count(duration: float, frame_shift: float) -> int:
+    """ceil(duration / frame_shift) frames, refused past MAX_ROLL_FRAMES."""
+    if not frame_shift > 0:
+        raise ValueError("frame_shift must be positive")
+    frames = duration / frame_shift - EDGE_EPS
+    if frames > MAX_ROLL_FRAMES:
+        raise TooLarge(f"{duration:.4g} s at a {frame_shift:.4g} s frame "
+                       f"shift needs {frames:.4g} frames, the limit is "
+                       f"{MAX_ROLL_FRAMES}")
+    return max(0, math.ceil(frames))
+
+
 def to_piano_roll(notes: NoteEventList, frame_shift: float,
                   sample_rate: float = StftConfig.sample_rate) -> PianoRoll:
     """Quantize notes onto frames of frame_shift seconds.
 
     A note activates every frame its [onset, offset) interval intersects.
     Overlapping notes on one pitch keep the larger velocity.  Frame count
-    is ceil(duration / frame_shift), at most MAX_ROLL_FRAMES.
+    is roll_frame_count(notes.duration, frame_shift).
     """
-    if not frame_shift > 0:
-        raise ValueError("frame_shift must be positive")
-    frames = notes.duration / frame_shift - EDGE_EPS
-    if frames > MAX_ROLL_FRAMES:
-        raise TooLarge(f"{notes.duration:.4g} s at a {frame_shift:.4g} s frame "
-                       f"shift needs {frames:.4g} frames, the limit is "
-                       f"{MAX_ROLL_FRAMES}")
-    n_frames = max(0, math.ceil(frames))
+    n_frames = roll_frame_count(notes.duration, frame_shift)
     values = np.zeros((n_frames, 128))
     lo = np.floor(notes.onset / frame_shift + EDGE_EPS).astype(np.int64)
     hi = np.ceil(notes.offset / frame_shift - EDGE_EPS).astype(np.int64)
@@ -405,12 +410,7 @@ def transpose_roll(roll: PianoRoll, semitones: int) -> PianoRoll:
 
     Content shifted past either end of the 128-pitch range is dropped.
     """
+    s = min(max(semitones, -128), 128)
     out = np.zeros_like(roll.values)
-    if semitones >= 0:
-        if semitones < 128:
-            out[:, semitones:] = roll.values[:, : 128 - semitones]
-    else:
-        k = -semitones
-        if k < 128:
-            out[:, : 128 - k] = roll.values[:, k:]
+    out[:, max(s, 0) : 128 + min(s, 0)] = roll.values[:, max(-s, 0) : 128 - max(s, 0)]
     return PianoRoll(out, roll.frame_shift, roll.sample_rate)

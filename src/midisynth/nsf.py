@@ -130,8 +130,8 @@ def nsf_zero(cfg: NsfConfig) -> ModelParams:
 
 def _check_inputs(params, features, excitation, cfg):
     if features.dim != cfg.feature_dim:
-        raise ValueError(
-            f"features have {features.dim} dims, model wants {cfg.feature_dim}")
+        raise ValueError(f"{features.kind} features have {features.dim} dims, "
+                         f"model wants {cfg.feature_dim}")
     if features.kind not in CONDITION_KINDS:
         raise ValueError(f"cannot condition on features of kind {features.kind!r}")
     expected = features.n_frames * cfg.upsample_factor

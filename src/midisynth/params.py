@@ -24,6 +24,7 @@ MAX_TENSORS = 2 ** 12
 # Most epochs a run may span, resumes included: a resumed run replays one
 # shuffle per finished epoch, so a forged step count could stall it.
 MAX_EPOCHS = 2 ** 16
+ADAM_EPS = 1e-8  # keeps an Adam step finite where a second moment is 0
 
 
 @dataclass
@@ -78,9 +79,8 @@ def zero_params(shapes: dict) -> ModelParams:
     return ModelParams(tensors={k: np.zeros(v) for k, v in sorted(shapes.items())})
 
 
-def adam_update(params: ModelParams, grads: dict, lr: float,
-                beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> None:
+def adam_update(params: ModelParams, grads: dict, lr: float, beta1: float,
+                beta2: float) -> None:
     """One Adam step in place, with bias correction, over params.tensors."""
     params.step += 1
     t = params.step
@@ -92,7 +92,7 @@ def adam_update(params: ModelParams, grads: dict, lr: float,
         params.adam_v[name] = v
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
-        tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        tensor -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)

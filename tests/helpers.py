@@ -52,6 +52,19 @@ def single_track_smf(events, fmt: int = 0, division: int = 480,
     return smf_header(fmt, 1, division) + track_chunk(payload)
 
 
+def many_notes_smf(n_notes, ons_first=False):
+    """One track of n_notes notes of pitch 60, two ticks each and one after
+    another, in 6 bytes a note.  With ons_first, every note-on comes at
+    tick 0 and every note-off at tick 1, so all n_notes are open at once."""
+    if ons_first:
+        events = bytes([0, 0x90, 60, 100]) + bytes([0, 60, 100]) * (n_notes - 1) \
+            + bytes([1, 60, 0]) + bytes([0, 60, 0]) * (n_notes - 1)
+    else:
+        events = bytes([0, 0x90, 60, 100, 2, 60, 0]) \
+            + bytes([0, 60, 100, 2, 60, 0]) * (n_notes - 1)
+    return single_track_smf([events])
+
+
 def note_smf(notes, division: int = 480, tempo_us=None) -> bytes:
     """Build a one-track SMF from (on_tick, off_tick, pitch, velocity) tuples."""
     items = []

@@ -3,8 +3,8 @@
 Most cases drive cli.main(argv) in process and inspect files plus captured
 stdout/stderr.  The truncation-warning case shells out because pytest's
 warning capture would otherwise swallow the message, the forged-step
-resume case so that a hang ends in a timeout, and the config and mutation
-sweeps so that they run under an address-space limit.
+resume case so that a hang ends in a timeout, and the config, mutation
+and size sweeps so that they run under resource limits.
 """
 
 import contextlib
@@ -167,6 +167,18 @@ def test_excite_has_no_gain_option(tmp_path, capsys):
     assert run_cli("excite", midi, tmp_path / "x.wav", "--gain", "2") == 2
     assert "--gain" in capsys.readouterr().err
     assert not (tmp_path / "x.wav").exists()
+
+
+def test_excite_skips_a_note_that_starts_and_ends_between_two_samples(tmp_path, capsys):
+    # at division 7 and 120 bpm one tick is 1/14 s: 1714.29 samples at 24 kHz
+    midi = tmp_path / "clip.mid"
+    midi.write_bytes(helpers.single_track_smf(
+        [helpers.vlq(1) + bytes([0x90, 69, 100]), helpers.vlq(0) + bytes([0x80, 69, 64])],
+        division=7))
+    assert run_cli("excite", midi, tmp_path / "x.wav") == 0
+    assert capsys.readouterr().err == ""
+    samples = formats.read_wav(tmp_path / "x.wav").samples
+    assert len(samples) == 1715 and not samples.any()
 
 
 def test_excite_into_a_missing_directory_names_the_output(tmp_path, capsys, monkeypatch):
@@ -714,6 +726,26 @@ def test_train_takes_the_rate_of_its_wavs(tmp_path, capsys, kind, segments):
     assert f"trained on {segments} segments" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["nsf", "am"])
+def test_a_clip_with_no_frames_is_skipped(tmp_path, capsys, kind):
+    """An empty MIDI file gives its clip no frames, so train takes the next
+    clip's 3 segments only: the run writes the bytes of a run on that clip
+    alone."""
+    alone = make_pair(tmp_path / "alone")
+    both = make_pair(tmp_path / "both")
+    (both / "a.mid").write_bytes(helpers.note_smf([]))
+    helpers.tone_wav(both / "a.wav", seconds=0.2)
+    config = (nsf_config(tmp_path, epochs=1) if kind == "nsf"
+              else am_config(tmp_path, segment_frames=5))
+    written = []
+    for data in (alone, both):
+        run = tmp_path / f"run-{data.name}"
+        assert run_cli("train", kind, data, run, "--config", config) == 0
+        assert "trained on 3 segments" in capsys.readouterr().out
+        written.append([(run / name).read_bytes() for name in (f"{kind}.ckpt", "loss.csv")])
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("mode", ["direct", "am+nsf"])
 @pytest.mark.parametrize("kind", ["sine", "noise"])
 def test_synth_is_within_one_pcm_step_of_the_float64_model(tmp_path, capsys,
@@ -1071,11 +1103,20 @@ def synth_with_nsf_ckpt_version(version):
     return argv
 
 
+def synth_direct_on_80_dim_nsf(tmp_path):
+    """synth, direct from a roll of 128 pitches, through an NSF model that
+    wants 80-dim features."""
+    argv = midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
+                     "--nsf-ckpt", "nsf.ckpt")(tmp_path)
+    helpers.write_zero_nsf_ckpt(tmp_path / "nsf.ckpt", feature_dim=80)
+    return argv
+
+
 def synth_with_many_tensors(tmp_path):
     """synth through a CRC-valid checkpoint whose table holds 1,000,000
     scalar tensors."""
     argv = midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
-                     "--nsf-ckpt", "many.ckpt")(tmp_path)
+                     "--nsf-ckpt", tmp_path / "many.ckpt")(tmp_path)
     table = np.zeros(10 ** 6, [("size", "<u2"), ("name", "S8"), ("ndim", "u1"),
                                ("value", "<f8")])
     table["size"] = 8
@@ -1161,6 +1202,7 @@ HOSTILE = {
     "gl-linear-513-bins": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=513), p / "out"],
     "synth-empty-midi": midi_with("synth", helpers.note_smf([]), "--nsf-ckpt", "nsf.ckpt"),
+    "synth-direct-on-80-dim-nsf": synth_direct_on_80_dim_nsf,
     "synth-am-empty-midi": synth_am_with(helpers.note_smf([])),
     "pitch-ce-empty-wav": pitch_ce_at(24000, helpers.note_smf([(0, 480, 64, 110)]),
                                       samples=0),
@@ -1198,10 +1240,13 @@ HOSTILE = {
     # a receptive field over nsf.MAX_RECEPTIVE_FIELD
     "nsf-deep-field": train_with("nsf", {"model": DEEP_FIELD}),
     "synth-ckpt-deep-field": synth_with_stored_nsf_config(**DEEP_FIELD),
-    # segments of 1e9, 1e7 and 2.4e6 samples, over nsf.MAX_SEGMENT_SAMPLES:
-    # one frame of 1e9, a 0.2 s roll at 5e7 Hz, and a 100 s roll trained whole
+    # segments of 1e9, 1e7, 1e8 and 2.4e6 samples, over nsf.MAX_SEGMENT_SAMPLES:
+    # one frame of 1e9, 0.2 s rolls at 5e7 and 5e8 Hz, and a 100 s roll
+    # trained whole.  The 5e8 Hz roll would take 339 MiB, so the segment is
+    # refused before the roll is built.
     "nsf-upsample-huge": train_with("nsf", {"model": {"upsample_factor": 10 ** 9}}),
     "nsf-wav-rate-50mhz": train_at_wav_rate("nsf", 5 * 10 ** 7),
+    "nsf-wav-rate-500mhz": train_at_wav_rate("nsf", 5 * 10 ** 8),
     "nsf-long-clip-whole": train_with("nsf", {"train": {"segment_seconds": 1e9}},
                                       midi_seconds=100.0),
     # a 0.2 s roll at the top u32 rate of a WAV header: 3e6 frames, over
@@ -1270,6 +1315,7 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "synth-ckpt-deep-field": "receptive field",
                 "nsf-upsample-huge": "clip.mid: a segment of 1000000000 samples",
                 "nsf-wav-rate-50mhz": "clip.mid: a segment of",
+                "nsf-wav-rate-500mhz": "clip.mid: a segment of",
                 "nsf-long-clip-whole": "clip.mid: a segment of",
                 "am-wav-rate-top": "clip.mid: 0.2 s at a",
                 "nsf-rate-key": "'rate'",
@@ -1279,6 +1325,8 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "am-rate-inf": "'rate'",
                 "am-rate-0": "'rate'",
                 "synth-empty-midi": "in.mid: nothing to synthesize",
+                "synth-direct-on-80-dim-nsf":
+                    "piano-roll features have 128 dims, model wants 80",
                 "synth-am-empty-midi": "in.mid: nothing to synthesize",
                 "pitch-ce-empty-wav": "in.wav: no overlapping frames",
                 "excite-rate-over-wav-header": "WAV header",
@@ -1474,15 +1522,18 @@ def run_cases(cases):
     return {"faults": faults, "codes": codes}
 
 
-def run_in_child(build, *args):
+def run_in_child(build, *args, address_space=SWEEP_ADDRESS_SPACE, cpu_seconds=None):
     """run_cases on the cases test_cli.<build>(*args) returns, in a child
-    process under a SWEEP_ADDRESS_SPACE address-space limit."""
+    process under an address_space-byte limit and, given cpu_seconds, a
+    CPU-time limit.  The limits act on the child alone."""
     tests = str(Path(__file__).resolve().parent)
     src = str(Path(cli.__file__).resolve().parents[1])
+    limits = {"RLIMIT_AS": address_space, "RLIMIT_CPU": cpu_seconds}
     code = ("import json, resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({SWEEP_ADDRESS_SPACE},) * 2)\n"
-            "import test_cli\n"
-            f"print(json.dumps(test_cli.run_cases(test_cli.{build}(*sys.argv[1:]))))\n")
+            + "".join(f"resource.setrlimit(resource.{name}, ({value},) * 2)\n"
+                      for name, value in limits.items() if value is not None)
+            + "import test_cli\n"
+            + f"print(json.dumps(test_cli.run_cases(test_cli.{build}(*sys.argv[1:]))))\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, timeout=600,
@@ -1508,6 +1559,49 @@ def test_config_sweep_exits_0_or_2_with_one_line_at_most(tmp_path):
     assert result["faults"] == []
     # a check that stopped refusing a value would show here
     assert {case for case, code in result["codes"].items() if code == 0} == SWEEP_EXIT_0
+
+
+# --- inputs that describe the most work a small file can -------------------
+
+SIZE_ADDRESS_SPACE = 2 ** 29
+SIZE_CPU_SECONDS = 10  # for the whole sweep, building its files included
+# "roll" on the four MIDI files, "stats" on 2000 systems and "synth"
+# through a checkpoint of a million tensors
+SIZE_EXITS = {"roll-300k-notes": 0, "roll-299k-tempos": 0, "roll-65535-tracks": 0,
+              "roll-100k-stacked-notes": 0, "stats-2000-systems": 2,
+              "synth-ckpt-many-tensors": 2}
+
+
+def size_cases(work):
+    """Each case of SIZE_EXITS, name -> argv, on a file of at most 2 MiB."""
+    work = Path(work)
+    one_note = helpers.track_chunk(bytes([0, 0x90, 60, 100, 2, 60, 0]) + helpers.eot())
+    midis = {
+        "roll-300k-notes": helpers.many_notes_smf(300000),
+        "roll-299k-tempos": helpers.single_track_smf(
+            [helpers.tempo_meta(1, 400000 + i % 2) for i in range(299000)]),
+        "roll-65535-tracks": helpers.smf_header(1, 65535) + one_note * 65535,
+        "roll-100k-stacked-notes": helpers.many_notes_smf(100000, ons_first=True),
+    }
+    cases = {}
+    for name, smf in midis.items():
+        assert len(smf) <= 2 ** 21, name
+        (work / f"{name}.mid").write_bytes(smf)
+        cases[name] = ["roll", work / f"{name}.mid", work / f"{name}.mfb"]
+    builders = {"stats-2000-systems": stats_with(SCORES_HEADER + b"".join(
+        b"s%d,x,l1,3\n" % i for i in range(2000))),
+                "synth-ckpt-many-tensors": synth_with_many_tensors}
+    for name, build in builders.items():
+        (work / name).mkdir()
+        cases[name] = build(work / name)
+    return cases
+
+
+def test_largest_small_inputs_run_within_memory_and_cpu_limits(tmp_path):
+    result = run_in_child("size_cases", tmp_path, address_space=SIZE_ADDRESS_SPACE,
+                          cpu_seconds=SIZE_CPU_SECONDS)
+    assert result["faults"] == []
+    assert result["codes"] == SIZE_EXITS
 
 
 # --- mutated input files ----------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -36,6 +37,25 @@ def test_center_freq_domain():
 
 
 # --- filter banks -------------------------------------------------------------
+
+
+# sha256 prefixes of the float64 bank weights.  The MIDI bank's first and
+# last rows have a degenerate edge, so they pin its half triangles too.
+FROZEN_BANKS = {(24000, 2048, "midi-fb"): "76cd06ee53f6e118",
+                (24000, 2048, "mel-fb"): "6c327ad76188efbc",
+                (16000, 512, "midi-fb"): "413103c306d9c4b0",
+                (16000, 512, "mel-fb"): "dfcca024bd28494a",
+                (48000, 4096, "midi-fb"): "2f8e76f0f6628fdc",
+                (48000, 4096, "mel-fb"): "843481d56f03c2d2"}
+
+
+@pytest.mark.parametrize("rate, fft, kind", sorted(FROZEN_BANKS))
+def test_filter_banks_frozen(rate, fft, kind):
+    cfg = StftConfig(sample_rate=rate, frame_length=fft, frame_shift=fft // 4,
+                     fft_size=fft)
+    weights = dsp.filter_bank(kind, cfg, dsp.N_MELS).weights
+    assert hashlib.sha256(weights.tobytes()).hexdigest()[:16] == \
+        FROZEN_BANKS[rate, fft, kind]
 
 
 def test_midi_bank_shape_and_kind(stft_cfg):

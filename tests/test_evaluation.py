@@ -164,6 +164,11 @@ def test_identical_multisets_give_p_one():
     assert p == 1.0
 
 
+def test_one_value_repeated_has_zero_variance_and_p_one():
+    # 14 tied values take the normal approximation, whose variance is 0
+    assert mann_whitney_u([3] * 7, [3] * 7) == (24.5, 1.0)
+
+
 def test_monotone_transform_invariance(rng):
     a = rng.normal(3.0, 1.0, size=8).tolist()
     b = rng.normal(3.5, 1.0, size=9).tolist()

@@ -525,7 +525,8 @@ def test_tensor_table_that_does_not_fit_the_config_is_corrupt(tmp_path, model, f
     else:
         cfg, magic = helpers.tiny_am_cfg(), acoustic.AM_MAGIC
         params, save = acoustic.am_init(cfg, seed=1), acoustic.am_save_checkpoint
-    adam_update(params, {k: np.ones_like(v) for k, v in params.tensors.items()}, lr=1e-2)
+    adam_update(params, {k: np.ones_like(v) for k, v in params.tensors.items()}, lr=1e-2,
+                beta1=0.9, beta2=0.999)
     path = tmp_path / "model.ckpt"
     save(path, params, cfg)
     config, tensors = formats.read_container(path, magic, MAX_TABLE)

@@ -258,21 +258,8 @@ def test_parse_format1_merges_tracks():
     result = midi_io.parse_midi(data)
     assert len(result.notes) == 1
 
-def many_notes_smf(n_notes, ons_first=False):
-    """One track of n_notes notes of pitch 60, two ticks each and one after
-    another, in 6 bytes a note.  With ons_first, every note-on comes at
-    tick 0 and every note-off at tick 1, so all n_notes are open at once."""
-    if ons_first:
-        events = bytes([0, 0x90, 60, 100]) + bytes([0, 60, 100]) * (n_notes - 1) \
-            + bytes([1, 60, 0]) + bytes([0, 60, 0]) * (n_notes - 1)
-    else:
-        events = bytes([0, 0x90, 60, 100, 2, 60, 0]) \
-            + bytes([0, 60, 100, 2, 60, 0]) * (n_notes - 1)
-    return helpers.single_track_smf([events])
-
-
 def test_stacked_note_ons_parse_in_linear_time():
-    files = {n: many_notes_smf(n, ons_first=True) for n in (100000, 200000)}
+    files = {n: helpers.many_notes_smf(n, ons_first=True) for n in (100000, 200000)}
     seconds = {n: [] for n in files}
     for _ in range(5):  # CPU time, so that other processes' load does not count
         for n, data in files.items():
@@ -289,7 +276,7 @@ def test_many_notes_parse_in_bounded_memory(tmp_path):
     a child process's max RSS, since tracemalloc would slow the parse of a
     third of a million notes several times over."""
     path = tmp_path / "many.mid"
-    path.write_bytes(many_notes_smf(333000))
+    path.write_bytes(helpers.many_notes_smf(333000))
     assert 1.9e6 < path.stat().st_size < 2.1e6
     code = ("import resource, sys\n"
             "from midisynth import midi_io\n"
@@ -546,6 +533,18 @@ def test_transpose_roll_shifts_columns():
     up = midi_io.transpose_roll(roll, 2)
     assert np.array_equal(up.values[:, 62], values[:, 60])
     assert up.values[:, 60].sum() == 0
+
+
+def test_transpose_roll_matches_a_column_by_column_reference():
+    values = np.random.default_rng(7).uniform(0.0, 1.0, (3, 128))
+    roll = PianoRoll(values, 0.012)
+    for semitones in range(-300, 301):
+        expected = np.zeros_like(values)
+        for pitch in range(128):
+            if 0 <= pitch + semitones < 128:
+                expected[:, pitch + semitones] = values[:, pitch]
+        assert np.array_equal(midi_io.transpose_roll(roll, semitones).values,
+                              expected), semitones
 
 
 def test_transpose_roll_clips_at_edges():

@@ -591,7 +591,7 @@ def test_adam_zero_lr_keeps_values():
     params = nsf.nsf_init(cfg, seed=0)
     before = {k: v.copy() for k, v in params.tensors.items()}
     grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
-    adam_update(params, grads, lr=0.0)
+    adam_update(params, grads, lr=0.0, beta1=0.9, beta2=0.999)
     assert params.step == 1
     for name, v in params.tensors.items():
         assert np.array_equal(v, before[name])
