@@ -257,8 +257,7 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatri
     if not math.isfinite(loss.value):
         raise TrainingDiverged("non-finite loss in the teacher-forced pass")
     ag.backward(loss)
-    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-             for name, t in tensors.items()}
+    grads = {name: t.grad for name, t in tensors.items()}
     pred = FeatureMatrix(y2.value[: roll.n_frames], target.kind,
                          target.frame_shift, target.sample_rate)
     return float(loss.value), grads, pred

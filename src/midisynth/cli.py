@@ -187,7 +187,9 @@ def _synthesize(args, notes, params, model_cfg):
         if not args.am_ckpt:
             raise ValueError("--am-ckpt is required with --mode am+nsf")
         am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
+        nsf.check_features(am_cfg.output_kind, am_cfg.output_dim, model_cfg)
         feats = acoustic.am_generate(am_params, feats, am_cfg, seed=args.seed)
+    nsf.check_features(feats.kind, feats.dim, model_cfg)
     source = _excitation(args.excitation, notes, feats.n_frames * shift, rate, args.seed)
     return nsf.nsf_forward(params, feats, source, model_cfg, np.float32)
 

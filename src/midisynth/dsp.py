@@ -315,7 +315,7 @@ def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = GL_ITERS,
     magnitude = np.asarray(magnitude, dtype=np.float64)
     if magnitude.ndim != 2 or magnitude.shape[1] != cfg.n_bins:
         raise ValueError(f"magnitude must be (N, {cfg.n_bins}), got {magnitude.shape}")
-    if magnitude.size and magnitude.min() < 0:
+    if magnitude.min(initial=0.0) < 0:
         raise ValueError("magnitude entries must be non-negative")
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
@@ -333,7 +333,7 @@ def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = GL_ITERS,
         del mag, live  # free before istft allocates its frames
         x = istft(spec, cfg)
     samples = x.samples
-    peak = np.abs(samples).max() if samples.size else 0.0
+    peak = np.abs(samples).max(initial=0.0)
     if peak > 1.0:
         samples = samples * (0.99 / peak)
     out = WaveSignal(samples, cfg.sample_rate)
@@ -359,7 +359,7 @@ def pseudo_inverse_magnitude(feat: FeatureMatrix, cfg: StftConfig) -> np.ndarray
     if feat.dim != width:
         raise ValueError(f"{feat.kind} features have {feat.dim} dims, want {width}")
     _check_spectrogram_size(feat.n_frames, cfg)
-    if feat.values.size and feat.values.max() > MAX_LOG10_MAGNITUDE:
+    if feat.values.max(initial=0.0) > MAX_LOG10_MAGNITUDE:
         raise ValueError(f"log10 magnitudes exceed the limit of {MAX_LOG10_MAGNITUDE:g}")
     linear = 10.0 ** feat.values
     if bank is None:

@@ -61,7 +61,7 @@ def sine_excitation(notes: NoteEventList,
                                   / FADE_SECONDS)
             wave[a:b] = amp * np.clip(envelope, 0.0, 1.0) * sine[a:b]
         out[lo:hi] += wave
-    peak = float(np.abs(out).max()) if out.size else 0.0
+    peak = float(np.abs(out).max(initial=0.0))
     if peak > 1.0:
         out *= 0.89 / peak
     return WaveSignal(out, sample_rate)

@@ -103,7 +103,7 @@ class PianoRoll(FeatureMatrix):
         super().__post_init__()
         if self.dim != 128:
             raise ValueError(f"piano roll must be (N, 128), got {self.values.shape}")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
+        if self.values.min(initial=0.0) < 0.0 or self.values.max(initial=0.0) > 1.0:
             raise ValueError("piano roll entries must lie in [0, 1]")
 
 

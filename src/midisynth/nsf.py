@@ -12,11 +12,11 @@ All shapes are (time, channels) with time = n_frames * upsample_factor.
 
 Inference runs in windows of _CHUNK_FRAMES frames.  Each window is
 computed from the receptive field's worth of samples before it (R =
-n_blocks * (kernel - 1) * (2^convs_per_block - 1), 124 at the defaults)
-and those first R rows are dropped, so the output equals the whole-clip
-graph of the same dtype bit for bit (up to the last bit that a
-multi-threaded BLAS may round differently in a large matrix-vector
-product, depending on how it splits the rows among threads).  The only
+n_blocks * (kernel - 1) * (2^convs_per_block - 1), 124 at the defaults),
+from a 4-row boundary since BLAS rounds a row by its offset modulo 4, and
+those first rows are dropped.  So the output equals the whole-clip graph
+of the same dtype bit for bit, up to the last bit that a multi-threaded
+BLAS may round by how it splits a large product among threads.  The only
 per-clip arrays are the inputs, the output and the per-frame condition;
 working memory does not otherwise grow with clip length.  Training runs
 the same windows: the loss gradient on the whole prediction goes back
@@ -128,12 +128,16 @@ def nsf_zero(cfg: NsfConfig) -> ModelParams:
 # --- forward graph -----------------------------------------------------------
 
 
+def check_features(kind, dim, cfg: NsfConfig):
+    """Refuse features of a kind or width that the model cannot take."""
+    if dim != cfg.feature_dim:
+        raise ValueError(f"{kind} features have {dim} dims, model wants {cfg.feature_dim}")
+    if kind not in CONDITION_KINDS:
+        raise ValueError(f"cannot condition on features of kind {kind!r}")
+
+
 def _check_inputs(params, features, excitation, cfg):
-    if features.dim != cfg.feature_dim:
-        raise ValueError(f"{features.kind} features have {features.dim} dims, "
-                         f"model wants {cfg.feature_dim}")
-    if features.kind not in CONDITION_KINDS:
-        raise ValueError(f"cannot condition on features of kind {features.kind!r}")
+    check_features(features.kind, features.dim, cfg)
     expected = features.n_frames * cfg.upsample_factor
     if len(excitation) != expected:
         raise ValueError(
@@ -219,11 +223,12 @@ def _build_graph(tensors, frame_cond, exc_values, cfg, start, stop):
 def _windows(total: int, cfg: NsfConfig):
     """(lo, start, stop) for each window of _CHUNK_FRAMES frames: the
     window owns rows [start, stop) and computes them from rows [lo, stop),
-    which reach _receptive_field(cfg) rows back."""
+    at least _receptive_field(cfg) rows back, with lo a multiple of 4."""
     reach = _receptive_field(cfg)
     step = _CHUNK_FRAMES * cfg.upsample_factor
     for start in range(0, total, step):
-        yield max(0, start - reach), start, min(start + step, total)
+        # a row keeps its whole-clip offset modulo 4, by which BLAS rounds it
+        yield max(0, start - reach) // 4 * 4, start, min(start + step, total)
 
 
 def nsf_forward(params: ModelParams, features: FeatureMatrix,
@@ -233,23 +238,23 @@ def nsf_forward(params: ModelParams, features: FeatureMatrix,
 
     dtype is that of the channel stack: float64, or float32, which is
     taken only where _stack_dtype finds that nothing in the stack can
-    overflow it.  The output is float64 either way.  The clip is rendered
-    in windows of _CHUNK_FRAMES frames, each computed from
-    _receptive_field(cfg) extra samples before it, and written into one
-    output array.  The result equals the whole-clip graph of the same
-    dtype bit for bit.  Apart from the output and the per-frame condition
+    overflow it.  The output is float64 either way.  Each window of
+    _CHUNK_FRAMES frames is computed from the 4-row boundary at or before
+    _receptive_field(cfg) samples back, where BLAS rounds rows as the
+    whole-clip graph of the same dtype does, so the result equals it bit
+    for bit.  Apart from the output and the per-frame condition
     (n_frames x channels), working memory does not grow with the clip.
     """
     _check_inputs(params, features, excitation, cfg)
     if dtype == np.float32:
         dtype = _stack_dtype(params, features, excitation, cfg)
     out = np.empty(len(excitation))
-    rows = min(len(out), _CHUNK_FRAMES * cfg.upsample_factor + _receptive_field(cfg))
+    rows = max((stop - lo for lo, _, stop in _windows(len(out), cfg)), default=1)
     with ag.no_grad():
         tensors = _stack_tensors(params, dtype)
         frame_cond = _frame_condition(tensors, features.values)
         names = [n for n in tensors if ".in." in n or ".conv" in n and n.endswith(".bias")]
-        fit = _WIDE_BYTES // (max(rows, 1) * cfg.channels * np.dtype(dtype).itemsize)
+        fit = _WIDE_BYTES // (rows * cfg.channels * np.dtype(dtype).itemsize)
         wide = {n: np.repeat(tensors[n].value.reshape(1, -1), rows, axis=0) for n in names[:fit]}
         for lo, start, stop in _windows(len(out), cfg):
             leaves = {**tensors, **{name: v[:stop - lo] for name, v in wide.items()}}
@@ -286,9 +291,7 @@ def nsf_backward(params: ModelParams, features: FeatureMatrix,
         ag.backward(_build_graph(tensors, cond, excitation.samples, cfg, lo, stop),
                     seed)
     ag.backward(frame_cond, seed=cond.grad)
-    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-             for name, t in tensors.items()}
-    return loss, grads
+    return loss, {name: t.grad for name, t in tensors.items()}
 
 
 def nsf_train(params: ModelParams, dataset, train_cfg: TrainConfig,

@@ -139,10 +139,10 @@ def random_notes(rng, n_notes: int, lo: int = 48, hi: int = 84) -> NoteEventList
 # --- tiny model configs ---------------------------------------------------
 
 
-def tiny_nsf_cfg(feature_dim=3, upsample=8, channels=2, blocks=1, convs=2):
+def tiny_nsf_cfg(feature_dim=3, upsample=8, channels=2, blocks=1, convs=2, kernel=3):
     return nsf.NsfConfig(feature_dim=feature_dim, upsample_factor=upsample,
                          n_blocks=blocks, convs_per_block=convs,
-                         channels=channels)
+                         channels=channels, kernel=kernel)
 
 
 def tiny_am_cfg(variant="taco2", **kw):
@@ -161,8 +161,9 @@ def write_zero_nsf_ckpt(path, feature_dim=128, upsample=288, channels=4,
     return cfg
 
 
-def write_tiny_am_ckpt(path, variant="taco2", output_dim=128, seed=0):
-    cfg = acoustic.AmConfig(variant=variant, output_dim=output_dim,
+def write_tiny_am_ckpt(path, variant="taco2", output_dim=128, seed=0,
+                       output_kind="midi-fb"):
+    cfg = acoustic.AmConfig(variant=variant, output_dim=output_dim, output_kind=output_kind,
                             encoder_channels=8, decoder_state_dim=8,
                             prenet_widths=(16, 8), postnet_channels=8)
     acoustic.am_save_checkpoint(path, acoustic.am_init(cfg, seed=seed), cfg)

@@ -1034,6 +1034,12 @@ def train_nsf_above_nyquist(tmp_path):
     return ["train", "nsf", data, tmp_path / "out"]
 
 
+def train_nsf_on_a_file(tmp_path):
+    """train nsf with a regular file where the data directory should be."""
+    (tmp_path / "data").write_bytes(b"")
+    return ["train", "nsf", tmp_path / "data", tmp_path / "out"]
+
+
 def train_at_wav_rate(kind, rate):
     """train kind on a 0.2 s clip whose WAV header says rate Hz, which
     formats.write_wav would refuse past 2^31 - 1."""
@@ -1071,10 +1077,10 @@ def pitch_ce_at(rate, smf, samples=288):
     return argv
 
 
-def synth_am_with(smf):
-    """synth in am+nsf mode through a tiny acoustic model."""
+def synth_am_with(smf, **am):
+    """synth in am+nsf mode through a tiny acoustic model, of am's fields."""
     def argv(tmp_path):
-        helpers.write_tiny_am_ckpt(tmp_path / "am.ckpt")
+        helpers.write_tiny_am_ckpt(tmp_path / "am.ckpt", **am)
         return midi_with("synth", smf, "--nsf-ckpt", "nsf.ckpt", "--mode", "am+nsf",
                          "--am-ckpt", "am.ckpt")(tmp_path)
     return argv
@@ -1103,12 +1109,14 @@ def synth_with_nsf_ckpt_version(version):
     return argv
 
 
-def synth_direct_on_80_dim_nsf(tmp_path):
-    """synth, direct from a roll of 128 pitches, through an NSF model that
-    wants 80-dim features."""
-    argv = midi_with("synth", helpers.note_smf([(0, 480, 64, 110)]),
-                     "--nsf-ckpt", "nsf.ckpt")(tmp_path)
-    helpers.write_zero_nsf_ckpt(tmp_path / "nsf.ckpt", feature_dim=80)
+def synth_direct_on_80_dim_nsf(ticks):
+    """synth, direct from a roll of 128 pitches over one note of ticks
+    (960 a second), through an NSF model that wants 80-dim features."""
+    def argv(tmp_path):
+        args = midi_with("synth", helpers.note_smf([(0, ticks, 64, 110)]),
+                         "--nsf-ckpt", "nsf.ckpt")(tmp_path)
+        helpers.write_zero_nsf_ckpt(tmp_path / "nsf.ckpt", feature_dim=80)
+        return args
     return argv
 
 
@@ -1202,7 +1210,12 @@ HOSTILE = {
     "gl-linear-513-bins": lambda p: [
         "gl", hostile_mfb(p / "x.mfb", kind="linear-spec", dim=513), p / "out"],
     "synth-empty-midi": midi_with("synth", helpers.note_smf([]), "--nsf-ckpt", "nsf.ckpt"),
-    "synth-direct-on-80-dim-nsf": synth_direct_on_80_dim_nsf,
+    "synth-direct-on-80-dim-nsf": synth_direct_on_80_dim_nsf(480),
+    # a model that does not fit is refused before the AM or the excitation
+    # runs: a 300 s roll takes 25.6 MB, its excitation would add 57.6 MB
+    "synth-direct-300-s-on-80-dim-nsf": synth_direct_on_80_dim_nsf(288000),
+    "synth-am-80-dim-mel-on-128-dim-nsf": synth_am_with(
+        helpers.note_smf([(0, 288000, 64, 110)]), output_dim=80, output_kind="mel-fb"),
     "synth-am-empty-midi": synth_am_with(helpers.note_smf([])),
     "pitch-ce-empty-wav": pitch_ce_at(24000, helpers.note_smf([(0, 480, 64, 110)]),
                                       samples=0),
@@ -1295,6 +1308,9 @@ HOSTILE = {
     # one system over evaluation.MAX_SYSTEMS, whose pairs would all be tested
     "stats-65-systems": stats_with(SCORES_HEADER + b"".join(
         b"s%d,x,l1,3\n" % i for i in range(65))),
+    # paths that hold no input: a file for the data directory, an empty CSV
+    "nsf-data-is-a-file": train_nsf_on_a_file,
+    "stats-empty-file": stats_with(b""),
 }
 # The config key that the error line of a case must name, or for a model
 # over a size bound, what it counts.
@@ -1327,6 +1343,10 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "synth-empty-midi": "in.mid: nothing to synthesize",
                 "synth-direct-on-80-dim-nsf":
                     "piano-roll features have 128 dims, model wants 80",
+                "synth-direct-300-s-on-80-dim-nsf":
+                    "piano-roll features have 128 dims, model wants 80",
+                "synth-am-80-dim-mel-on-128-dim-nsf":
+                    "mel-fb features have 80 dims, model wants 128",
                 "synth-am-empty-midi": "in.mid: nothing to synthesize",
                 "pitch-ce-empty-wav": "in.wav: no overlapping frames",
                 "excite-rate-over-wav-header": "WAV header",
@@ -1347,7 +1367,9 @@ HOSTILE_KEYS = {"nsf-segment-seconds-str": "segment_seconds",
                 "nsf-config-not-utf8": "cfg.json: invalid JSON",
                 "stats-huge-field": "scores.csv: line 2: field larger",
                 "stats-not-utf8": "scores.csv: line 3: not UTF-8",
-                "stats-65-systems": "scores.csv: 65 systems, the limit is 64"}
+                "stats-65-systems": "scores.csv: 65 systems, the limit is 64",
+                "nsf-data-is-a-file": "data is not a directory",
+                "stats-empty-file": "scores.csv: empty file"}
 
 
 # A warning, numpy's included, would print to stderr in a real run, so
@@ -1362,7 +1384,7 @@ def test_hostile_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     try:
         assert run_cli(*argv) == 2
         # the limits hold before the large array is allocated
-        assert tracemalloc.get_traced_memory()[1] < 2 ** 28
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 26
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err

@@ -392,6 +392,25 @@ def test_mr_stft_gradient_matches_finite_differences(rng):
         assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+@pytest.mark.parametrize("fft", [13, 15, 17])
+def test_mr_stft_gradient_matches_finite_differences_at_odd_fft_sizes(rng, fft):
+    # an odd size has no lone Nyquist bin, so the rfft adjoint halves its last bin too
+    res = (StftConfig(sample_rate=24000, frame_length=fft, frame_shift=4, fft_size=fft),)
+    pred = rng.standard_normal(60) * 0.3
+    target = WaveSignal(rng.standard_normal(60) * 0.3, 24000)
+    _, grad = dsp.mr_stft_loss(WaveSignal(pred, 24000), target, res)
+    eps = 1e-6
+    fd = np.empty_like(pred)
+    for idx in range(len(pred)):
+        bumped = pred.copy()
+        bumped[idx] += eps
+        up, _ = dsp.mr_stft_loss(WaveSignal(bumped, 24000), target, res)
+        bumped[idx] -= 2 * eps
+        down, _ = dsp.mr_stft_loss(WaveSignal(bumped, 24000), target, res)
+        fd[idx] = (up - down) / (2 * eps)
+    assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
 def test_mr_stft_loss_gradient_of_short_signals(rng):
     # fewer samples than one frame, and exactly one frame
     for n in (1, 100, 128):

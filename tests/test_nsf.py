@@ -229,20 +229,38 @@ def test_receptive_field_default_config():
     assert nsf._receptive_field(nsf.NsfConfig(feature_dim=1)) == 2 * 2 * 31
 
 
-@pytest.mark.parametrize("n_frames, chunk", [
+# Models by their receptive field R, as tiny_nsf_cfg arguments.  Windows
+# that start R rows back, not rounded down to a 4-row boundary, leave the
+# whole-clip bits on the first four; 124 is the default model's stack.
+SHAPES = {90: dict(blocks=3, convs=4, channels=8),
+          6: dict(blocks=1, convs=2, channels=16),
+          1: dict(blocks=1, convs=1, channels=16, kernel=2),
+          62: dict(blocks=2, convs=5, channels=16, kernel=2),
+          124: dict(blocks=2, convs=5, channels=16)}
+TINY = dict(blocks=2, convs=3, channels=4)  # R = 28
+
+
+def on_shapes(cases):
+    """(n_frames, chunk, shape): cases on TINY, then 41 frames in one-frame
+    windows, 328 rows, on each of SHAPES."""
+    return [pytest.param(n, chunk, TINY, id=f"{n}-{chunk}") for n, chunk in cases] \
+        + [pytest.param(41, 1, shape, id=f"R{r}") for r, shape in SHAPES.items()]
+
+
+@pytest.mark.parametrize("n_frames, chunk, shape", on_shapes([
     (9, 1),    # one-frame windows; the overlap spans several windows
     (9, 4),    # windows that do not divide the clip
     (9, 20),   # one window longer than the clip
     (1, 4),
     (2, 1),
     (2, 4),
-])
-def test_chunked_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
-    cfg = helpers.tiny_nsf_cfg(channels=4, blocks=2, convs=3)
+]))
+def test_chunked_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk, shape):
+    cfg = helpers.tiny_nsf_cfg(**shape)
     params = nsf.nsf_init(cfg, seed=5)
     for b in range(cfg.n_blocks):
         params.tensors[f"block{b}.out.weight"][:] = \
-            rng.standard_normal((cfg.channels, 1)) * 0.05
+            rng.standard_normal((cfg.channels, 1)) * 0.2 / cfg.channels
     feats, source = make_inputs(cfg, n_frames, rng)
     monkeypatch.setattr(nsf, "_CHUNK_FRAMES", chunk)
     out = nsf.nsf_forward(params, feats, source, cfg)
@@ -251,13 +269,15 @@ def test_chunked_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
     assert np.array_equal(out.samples, want)
 
 
-@pytest.mark.parametrize("n_frames, chunk", [(9, 1), (9, 4), (9, 20), (2, 1)])
-def test_chunked_float32_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
-    cfg = helpers.tiny_nsf_cfg(channels=4, blocks=2, convs=3)
+@pytest.mark.parametrize("n_frames, chunk, shape",
+                         on_shapes([(9, 1), (9, 4), (9, 20), (2, 1)]))
+def test_chunked_float32_forward_equals_whole_clip(rng, monkeypatch, n_frames, chunk,
+                                                   shape):
+    cfg = helpers.tiny_nsf_cfg(**shape)
     params = nsf.nsf_init(cfg, seed=5)
     for b in range(cfg.n_blocks):
         params.tensors[f"block{b}.out.weight"][:] = \
-            rng.standard_normal((cfg.channels, 1)) * 0.05
+            rng.standard_normal((cfg.channels, 1)) * 0.2 / cfg.channels
     feats, source = make_inputs(cfg, n_frames, rng)
     monkeypatch.setattr(nsf, "_CHUNK_FRAMES", chunk)
     stack_dtypes = set()
@@ -310,14 +330,14 @@ def whole_clip_backward(params, feats, source, target, cfg):
     return loss, {name: t.grad for name, t in tensors.items()}
 
 
-@pytest.mark.parametrize("chunk", [1, 4, 20])
-@pytest.mark.parametrize("n_frames", [1, 2, 9])
-def test_windowed_backward_equals_whole_clip(rng, monkeypatch, n_frames, chunk):
-    cfg = helpers.tiny_nsf_cfg(channels=4, blocks=2, convs=3)
+@pytest.mark.parametrize("n_frames, chunk, shape",
+                         on_shapes([(n, chunk) for chunk in (1, 4, 20) for n in (1, 2, 9)]))
+def test_windowed_backward_equals_whole_clip(rng, monkeypatch, n_frames, chunk, shape):
+    cfg = helpers.tiny_nsf_cfg(**shape)
     params = nsf.nsf_init(cfg, seed=5)
     for b in range(cfg.n_blocks):
         params.tensors[f"block{b}.out.weight"][:] = \
-            rng.standard_normal((cfg.channels, 1)) * 0.05
+            rng.standard_normal((cfg.channels, 1)) * 0.2 / cfg.channels
     feats, source = make_inputs(cfg, n_frames, rng)
     target = WaveSignal(rng.standard_normal(len(source)) * 0.1, 24000.0)
     monkeypatch.setattr(nsf, "_CHUNK_FRAMES", chunk)
