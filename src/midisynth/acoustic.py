@@ -18,11 +18,15 @@ fixed four rows, which keeps every parameter shape independent of that
 factor; checkpoints therefore move between variants without reshaping.
 
 Teacher forcing knows every step's previous frame in advance, so it
-decodes the whole sequence at once: the prenet, the gate inputs and the
-output head are whole-sequence ops around one ag.gru_sequence
-recurrence, and the tape does not grow with the number of steps.
-Generation feeds each step its own output, so it loops over the steps
-through the same GRU cell, ag.gru_cell.
+decodes a whole batch at once, as Tacotron is trained: each item's steps
+are rows, stacked item after item and padded at the end to the longest,
+and the prenet, the gate inputs, the output head and the loss are
+whole-batch ops around one ag.gru_sequence recurrence, which steps
+through time once for all the items.  Only the encoder and the postnet,
+whose convolutions would read across items, run per item.  The tape
+does not grow with the number of steps.  Generation feeds each step its
+own output, so it loops over the steps through the same GRU cell,
+ag.gru_cell, one row at a time.
 """
 
 from __future__ import annotations
@@ -135,8 +139,7 @@ def downsample_roll(roll: PianoRoll, factor: int) -> PianoRoll:
 
 
 def _encode(tensors, roll_ds_values):
-    e = ag.add(ag.matmul(ag.Tensor(roll_ds_values), tensors["enc.in.weight"]),
-               tensors["enc.in.bias"])
+    e = ag.linear(roll_ds_values, tensors["enc.in.weight"], tensors["enc.in.bias"])
     for layer in ("enc.conv0", "enc.conv1"):
         e = ag.tanh(ag.conv1d(e, tensors[f"{layer}.weight"],
                               tensors[f"{layer}.bias"], dilation=1, causal=False))
@@ -158,24 +161,22 @@ def _prenet_masks(cfg, seed, steps):
                         cfg.output_dim, steps)
 
 
-def _prenet(tensors, cfg, prev, roll_rows, mask):
-    """Prenet over rows of previous frames (constants: targets or outputs).
-
-    The dropout mask hits the frames only; taco3 then appends the roll
-    rows of the same steps.
-    """
+def _prenet_input(cfg, prev, mask, roll_rows):
+    """The prenet's input rows from rows of previous frames (targets or
+    outputs): the dropout mask hits the frames only; taco3 then appends
+    the roll rows of the same steps."""
     prev = prev * mask
-    if cfg.variant == "taco3":
-        prev = np.concatenate([prev, roll_rows], axis=1)
-    q = ag.relu(ag.add(ag.matmul(ag.Tensor(prev), tensors["prenet.fc1.weight"]),
-                       tensors["prenet.fc1.bias"]))
-    return ag.relu(ag.add(ag.matmul(q, tensors["prenet.fc2.weight"]),
-                          tensors["prenet.fc2.bias"]))
+    return np.concatenate([prev, roll_rows], axis=1) if cfg.variant == "taco3" else prev
+
+
+def _prenet(tensors, rows):
+    q = ag.relu(ag.linear(rows, tensors["prenet.fc1.weight"], tensors["prenet.fc1.bias"]))
+    return ag.relu(ag.linear(q, tensors["prenet.fc2.weight"], tensors["prenet.fc2.bias"]))
 
 
 def _gate_inputs(tensors, q, enc_rows):
     """The z, r and n gate inputs [q, encoder] @ W of the same steps."""
-    u = ag.concat_cols([q, enc_rows])
+    u = ag.concat([q, enc_rows], axis=1)
     return [ag.matmul(u, tensors[f"dec.gru.w{g}"]) for g in "zrn"]
 
 
@@ -189,10 +190,9 @@ def _frames(tensors, states, r):
     Frame k of a step is the shared projection plus position offset k.
     A matmul with r identity rows picks offsets 0 .. r-1 exactly: each
     entry is one 1 * w term plus zeros, and the unused rows get exactly
-    zero gradient, so autograd needs no row-slice op.
+    zero gradient.
     """
-    base = ag.add(ag.matmul(states, tensors["dec.out.weight"]),
-                  tensors["dec.out.bias"])
+    base = ag.linear(states, tensors["dec.out.weight"], tensors["dec.out.bias"])
     rows, d = base.shape
     offsets = ag.matmul(np.eye(r, MAX_REDUCTION), tensors["dec.pos.weight"])
     offsets = ag.reshape(offsets, (1, r, d))
@@ -215,52 +215,73 @@ def _check_roll(roll, cfg):
         raise ValueError("piano roll has no frames")
 
 
-def am_teacher_forced(params: ModelParams, roll: PianoRoll, target: FeatureMatrix,
-                      cfg: AmConfig, seed: int = 0):
-    """One teacher-forced pass: returns (loss, grads, predicted features).
+def am_teacher_forced(params: ModelParams, roll: PianoRoll, target, cfg: AmConfig,
+                      seed=0):
+    """One teacher-forced pass over a batch: returns (loss, grads, predicted
+    features), the loss and gradients being the means over its items.
 
-    The decoder is fed the true previous frame (the last target frame of
-    the preceding group).  Every step's input is thus known in advance,
-    so the prenet, the gate inputs and the output head each run once
-    over the whole sequence, and only the recurrence steps through time,
-    inside ag.gru_sequence.  Loss is the mean squared error before plus
-    after the postnet, against the target padded to a whole number of
-    groups by edge replication.  Prenet dropout is cfg.prenet_dropout;
-    the seed makes the masks reproducible.  A non-finite loss raises
+    target is one FeatureMatrix per item (one FeatureMatrix is a batch of
+    one), roll holds the items' rolls back to back, and seed is one seed per
+    item (or one for all), which makes its prenet dropout masks
+    reproducible.  Each decoder step is fed the true previous frame (the
+    last target frame of the preceding group), so the items' steps are
+    stacked as rows, each item padded at the end to the longest, and only
+    the recurrence steps through time, inside ag.gru_sequence.  An item's
+    loss is the mean squared error before plus after the postnet, against
+    its target padded to a whole number of groups by edge replication;
+    padded steps are in no loss, so they get zero gradient.  The predicted
+    features are the items' back to back.  A non-finite loss raises
     TrainingDiverged.
     """
+    targets = [target] if isinstance(target, FeatureMatrix) else list(target)
     _check_roll(roll, cfg)
-    if target.dim != cfg.output_dim:
-        raise ValueError(
-            f"target has {target.dim} dims, model wants {cfg.output_dim}")
-    if target.n_frames != roll.n_frames:
-        raise ValueError(
-            f"target has {target.n_frames} frames, roll has {roll.n_frames}")
-    roll_ds = downsample_roll(roll, cfg.downsample_factor)
-    m = roll_ds.n_frames
-    r = cfg.downsample_factor
-    padded = np.pad(target.values, ((0, m * r - target.n_frames), (0, 0)), mode="edge")
-    prev = np.zeros((m, cfg.output_dim))
-    prev[1:] = padded[r - 1 : (m - 1) * r : r]
-    mask = _prenet_masks(cfg, seed, m)
-
+    lengths = [t.n_frames for t in targets]
+    if sum(lengths) != roll.n_frames:
+        raise ValueError(f"target has {sum(lengths)} frames, roll has {roll.n_frames}")
+    if min(lengths) == 0:
+        raise ValueError("an item of the batch has no frames")
+    r, d, batch = cfg.downsample_factor, cfg.output_dim, len(targets)
+    steps = [math.ceil(n / r) for n in lengths]
+    longest = max(steps)
     tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
-    enc_out = _encode(tensors, roll_ds.values)
-    q = _prenet(tensors, cfg, prev, roll_ds.values, mask)
-    states = ag.gru_sequence(_gate_inputs(tensors, q, enc_out),
-                             _gru_tensors(tensors, "u"), _gru_tensors(tensors, "b"))
+    # stacked rows: item i's steps, then zero rows up to the longest
+    prenet_rows = np.zeros((batch, longest, cfg.prenet_input_dim))
+    target_rows = np.zeros((batch, longest * r, d))
+    weight = np.zeros((batch, longest * r, 1))  # zero on padded rows
+    enc = []
+    for i, (rows, t, m, item_seed) in enumerate(zip(
+            np.split(roll.values, np.cumsum(lengths)[:-1]), targets, steps,
+            np.broadcast_to(seed, batch))):
+        if t.dim != d:
+            raise ValueError(f"target has {t.dim} dims, model wants {d}")
+        roll_ds = downsample_roll(PianoRoll(rows, roll.frame_shift), r).values
+        padded = np.pad(t.values, ((0, m * r - t.n_frames), (0, 0)), mode="edge")
+        fed = np.pad(padded[r - 1 : (m - 1) * r : r], ((1, 0), (0, 0)))
+        prenet_rows[i, :m] = _prenet_input(cfg, fed, _prenet_masks(cfg, item_seed, m),
+                                           roll_ds)
+        target_rows[i, : m * r] = padded
+        weight[i, : m * r] = 1.0 / (batch * m * r * d)  # the mean over items of means
+        enc += [_encode(tensors, roll_ds), np.zeros((longest - m, cfg.encoder_channels))]
+    q = _prenet(tensors, prenet_rows.reshape(batch * longest, -1))
+    states = ag.gru_sequence(_gate_inputs(tensors, q, ag.concat(enc, axis=0)),
+                             _gru_tensors(tensors, "u"), _gru_tensors(tensors, "b"),
+                             batch)
     y1 = _frames(tensors, states, r)
-    y2 = _postnet(tensors, y1)
-    target_t = ag.Tensor(padded)
-    loss = ag.add(ag.square_error_mean(y1, target_t),
-                  ag.square_error_mean(y2, target_t))
+    y2 = []
+    for i, m in enumerate(steps):
+        item = ag.slice_rows(y1, i * longest * r, (i * longest + m) * r)
+        y2 += [_postnet(tensors, item), np.zeros(((longest - m) * r, d))]
+    y2 = ag.concat(y2, axis=0)
+    target_rows, weight = (a.reshape(len(y1.value), -1) for a in (target_rows, weight))
+    loss = ag.add(ag.square_error_mean(y1, target_rows, weight),
+                  ag.square_error_mean(y2, target_rows, weight))
     if not math.isfinite(loss.value):
         raise TrainingDiverged("non-finite loss in the teacher-forced pass")
     ag.backward(loss)
     grads = {name: t.grad for name, t in tensors.items()}
-    pred = FeatureMatrix(y2.value[: roll.n_frames], target.kind,
-                         target.frame_shift, target.sample_rate)
-    return float(loss.value), grads, pred
+    pred = np.concatenate([y2.value[i * longest * r :][:n] for i, n in enumerate(lengths)])
+    kind, shift, rate = targets[0].kind, targets[0].frame_shift, targets[0].sample_rate
+    return float(loss.value), grads, FeatureMatrix(pred, kind, shift, rate)
 
 
 def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
@@ -288,7 +309,8 @@ def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
         frames = []
         for s in range(roll_ds.n_frames):
             rows = slice(s, s + 1)
-            q = _prenet(tensors, cfg, last, roll_ds.values[rows], masks[rows])
+            rows_in = _prenet_input(cfg, last, masks[rows], roll_ds.values[rows])
+            q = _prenet(tensors, rows_in)
             x = [t.value for t in _gate_inputs(tensors, q, ag.Tensor(enc_out[rows]))]
             state, _ = ag.gru_cell(x, state, u, b)
             frames.append(_frames(tensors, ag.Tensor(state), cfg.downsample_factor).value)
@@ -307,11 +329,13 @@ def am_train(params: ModelParams, dataset, train_cfg: AmTrainConfig,
     item index, so runs are reproducible.  Returns (updated params copy,
     [(step, batch loss), ...]).
     """
-    def loss_and_grads(p, item, idx):
-        roll, target = item
-        item_seed = np.random.SeedSequence(
-            (train_cfg.seed, p.step, int(idx))).generate_state(1)[0]
-        loss, grads, _ = am_teacher_forced(p, roll, target, cfg, seed=int(item_seed))
+    def loss_and_grads(p, items, indices):
+        rolls, targets = zip(*items)
+        roll = PianoRoll(np.concatenate([r.values for r in rolls]), rolls[0].frame_shift,
+                         rolls[0].sample_rate)
+        seeds = [np.random.SeedSequence((train_cfg.seed, p.step, int(idx)))
+                 .generate_state(1)[0] for idx in indices]
+        loss, grads, _ = am_teacher_forced(p, roll, targets, cfg, seed=seeds)
         return loss, grads
 
     return fit(params, dataset, loss_and_grads, train_cfg, on_epoch_end)

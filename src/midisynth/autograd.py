@@ -11,11 +11,12 @@ Every recorded value is float64; under no_grad() a Tensor keeps a float32
 array as float32, so inference can run the same ops at that precision.
 
 Convolutions, linear-interpolation upsampling, the GRU recurrence
-(gru_sequence, over the cell gru_cell) and the waveform model's residual
-block (residual_block) are single primitives with hand-written adjoints
-rather than compositions, which keeps the tape small for long sequences:
-its size does not grow with their length, and a block is one node, not
-one per projection, convolution, tanh and sum.  Nor do they copy their
+(gru_sequence, over the cell gru_cell, one loop for a batch of sequences)
+and the waveform model's residual block (residual_block) are single
+primitives with hand-written adjoints rather than compositions, which
+keeps the tape small for long sequences: its size does not grow with
+their length, and a block is one node, not one per projection,
+convolution, tanh and sum.  Nor do they copy their
 inputs: a convolution tap is one matmul between row-slice views, and the
 upsampling adjoint sums runs of sorted indices.  Inference adds parameters
 broadcast to whole rows: numpy loops once per row over a channel broadcast.
@@ -67,8 +68,10 @@ def as_tensor(x) -> Tensor:
 
 
 def backward(root: Tensor, seed=None) -> None:
-    """Accumulate gradients of root into every reachable leaf's .grad; an
-    inner node's gradient is dropped once its adjoint has passed it on."""
+    """Accumulate gradients of root into every reachable leaf's .grad.  Once
+    an inner node's adjoint has passed its gradient on, the node drops its
+    gradient, adjoint and parents, so the tape is freed as the walk goes
+    and cannot be walked again."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -85,12 +88,13 @@ def backward(root: Tensor, seed=None) -> None:
     if seed is None:
         seed = np.ones_like(root.value)
     root.grad = np.asarray(seed, dtype=np.float64).reshape(root.value.shape)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node.grad is None or not node.parents:
             continue
         for parent, g in zip(node.parents, node.adjoint(node.grad)):
             parent.grad = g if parent.grad is None else parent.grad + g
-        node.grad = None
+        node.grad, node.adjoint, node.parents = None, None, ()
 
 
 def _unbroadcast(grad, shape):
@@ -121,6 +125,14 @@ def matmul(a, b):
     return Tensor(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
 
 
+def linear(x, w, b):
+    """x @ w + b as one node: the bits of matmul then add, without keeping
+    the product."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    return Tensor(x.value @ w.value + b.value, (x, w, b),
+                  lambda g: (g @ w.value.T, x.value.T @ g, g.sum(axis=0)))
+
+
 def tanh(a):
     a = as_tensor(a)
     y = np.tanh(a.value)
@@ -140,24 +152,33 @@ def hard_clip(a, lo: float, hi: float):
     return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: (g * mask,))
 
 
-def square_error_mean(a, b):
-    """Mean of (a - b)^2 as a scalar tensor."""
+def square_error_mean(a, b, weight=None):
+    """Mean of (a - b)^2 as a scalar tensor.  A constant weight that
+    broadcasts against a and sums to one over a's entries makes it a
+    weighted mean; the default weighs every entry alike."""
     a, b = as_tensor(a), as_tensor(b)
     diff = a.value - b.value
-    n = max(diff.size, 1)
-    return Tensor(np.array((diff * diff).sum() / n), (a, b),
-                  lambda g: ((2.0 / n) * g * diff, (-2.0 / n) * g * diff))
+    wdiff = (1.0 / max(diff.size, 1) if weight is None else weight) * diff
+    return Tensor(np.array((wdiff * diff).sum()), (a, b),
+                  lambda g: (2.0 * g * wdiff, -2.0 * g * wdiff))
 
 
 # --- shape ops -------------------------------------------------------------
 
 
-def concat_cols(tensors):
-    """Concatenate 2-D tensors along axis 1."""
+def concat(tensors, axis: int):
+    """Concatenate 2-D tensors along axis 0 (rows) or 1 (columns)."""
     tensors = [as_tensor(t) for t in tensors]
-    edges = np.cumsum([0] + [t.value.shape[1] for t in tensors])
-    return Tensor(np.concatenate([t.value for t in tensors], axis=1), tensors,
-                  lambda g: [g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])])
+    edges = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
+    return Tensor(np.concatenate([t.value for t in tensors], axis=axis), tensors,
+                  lambda g: np.split(g, edges, axis=axis))
+
+
+def slice_rows(a, start: int, stop: int):
+    """Rows [start, stop) of a 2-D tensor; the other rows get zero gradient."""
+    a = as_tensor(a)
+    pad = ((start, a.value.shape[0] - stop), (0, 0))
+    return Tensor(a.value[start:stop], (a,), lambda g: (np.pad(g, pad),))
 
 
 def reshape(a, shape):
@@ -330,40 +351,52 @@ def gru_cell(x, h, u, b):
     return (1.0 - z) * n + z * h, (z, r, n, rh)
 
 
-def gru_sequence(x, u, b):
-    """Every state of a GRU run from a zero state over the rows of x.
+def gru_sequence(x, u, b, batch: int = 1):
+    """Every state of batch GRU runs, each from a zero state.
 
-    x, u and b are (z, r, n) triples of tensors as in gru_cell, with x
-    holding the gate inputs of all m steps at once.  Returns the states
-    (m, s), row t being the state after step t.  The adjoint is
-    backpropagation through time in one reverse loop, which gives all nine
-    gradients; those of u and b are whole-sequence sums taken after it.
+    x, u and b are (z, r, n) triples of tensors as in gru_cell.  x holds
+    the gate inputs of batch sequences of m steps, one sequence after
+    another, so row i * m + t is step t of sequence i; each step runs one
+    row of every sequence at once.  Returns the states (batch * m, s) in
+    the same order, row i * m + t being sequence i's state after step t.
+    The adjoint is backpropagation through time in one reverse loop, which
+    gives all nine gradients; those of u and b are sums over every row,
+    taken after it.  A step whose state gets zero gradient, there and at
+    every later step of its sequence, adds exactly zero to every gradient,
+    so sequences of unequal length may be padded at the end.
     """
     x, u, b = ([as_tensor(t) for t in group] for group in (x, u, b))
-    xv, uv, bv = ([t.value for t in group] for group in (x, u, b))
-    m, s = xv[0].shape
-    states = np.empty((m + 1, s))  # row 0 is the zero initial state
+    uv, bv = ([t.value for t in group] for group in (u, b))
+    s = uv[0].shape[0]
+    xv = [t.value.reshape(batch, -1, s).swapaxes(0, 1) for t in x]  # by step
+    m = xv[0].shape[0]
+    states = np.empty((m + 1, batch, s))  # row 0 is the zero initial state
     states[0] = 0.0
-    gates = np.empty((4, m, s))  # z, r, n and r * h of every step
+    gates = np.empty((4, m, batch, s))  # z, r, n and r * h of every step
     for t in range(m):
-        h, gates[:, t : t + 1] = gru_cell([v[t : t + 1] for v in xv],
-                                          states[t : t + 1], uv, bv)
-        states[t + 1] = h
+        states[t + 1], gates[:, t] = gru_cell([v[t] for v in xv], states[t], uv, bv)
     z, r, n, rh = gates
     prev = states[:-1]
 
     def adjoint(g):
-        ga = np.empty((3, m, s))  # gradients of the z, r and n pre-activations
+        g = g.reshape(batch, m, s).swapaxes(0, 1)
+        ga = np.empty((3, m, batch, s))  # gradients of the z, r and n pre-activations
         uz_t, ur_t, un_t = (w.T for w in uv)
-        dh = np.zeros(s)
+        # the local derivatives of every step, which the gradient does not change
+        dn = (1.0 - z) * (1.0 - n * n)  # of the new state by a_n
+        dz = (prev - n) * z * (1.0 - z)  # of the new state by a_z
+        dr = prev * r * (1.0 - r)  # of r * h by a_r
+        dh = np.zeros((batch, s))
         for t in range(m - 1, -1, -1):
             dh = dh + g[t]
-            da_n = dh * (1.0 - z[t]) * (1.0 - n[t] * n[t])
+            ga[0, t] = da_z = dh * dz[t]
+            ga[2, t] = da_n = dh * dn[t]
             d_rh = da_n @ un_t
-            da_z = dh * (prev[t] - n[t]) * z[t] * (1.0 - z[t])
-            da_r = d_rh * prev[t] * r[t] * (1.0 - r[t])
-            ga[0, t], ga[1, t], ga[2, t] = da_z, da_r, da_n
+            ga[1, t] = da_r = d_rh * dr[t]
             dh = dh * z[t] + d_rh * r[t] + da_z @ uz_t + da_r @ ur_t
-        return (*ga, prev.T @ ga[0], prev.T @ ga[1], rh.T @ ga[2], *ga.sum(axis=1))
+        rows = ga.reshape(3, m * batch, s)
+        hs, rhs = prev.reshape(m * batch, s), rh.reshape(m * batch, s)
+        return (*ga.swapaxes(1, 2).reshape(3, batch * m, s),
+                hs.T @ rows[0], hs.T @ rows[1], rhs.T @ rows[2], *rows.sum(axis=1))
 
-    return Tensor(states[1:], (*x, *u, *b), adjoint)
+    return Tensor(states[1:].swapaxes(0, 1).reshape(batch * m, s), (*x, *u, *b), adjoint)

@@ -172,6 +172,11 @@ def cmd_gl(args):
 def _synthesize(args, notes, params, model_cfg):
     rate, shift = args.rate, model_cfg.upsample_factor
     formats.check_wav_rate(rate, "--rate")
+    if args.mode == "am+nsf":  # an AM that does not fit is refused before the roll
+        if not args.am_ckpt:
+            raise ValueError("--am-ckpt is required with --mode am+nsf")
+        am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
+        nsf.check_features(am_cfg.output_kind, am_cfg.output_dim, model_cfg)
     if args.mode == "abs":  # analysis-by-synthesis from reference audio
         if not args.ref_wav:
             raise ValueError("--ref-wav is required with --mode abs")
@@ -184,10 +189,6 @@ def _synthesize(args, notes, params, model_cfg):
         origin = args.ref_wav if args.mode == "abs" else args.midi
         raise ValueError(f"{origin}: nothing to synthesize: zero frames")
     if args.mode == "am+nsf":
-        if not args.am_ckpt:
-            raise ValueError("--am-ckpt is required with --mode am+nsf")
-        am_params, am_cfg = acoustic.am_load_checkpoint(args.am_ckpt)
-        nsf.check_features(am_cfg.output_kind, am_cfg.output_dim, model_cfg)
         feats = acoustic.am_generate(am_params, feats, am_cfg, seed=args.seed)
     nsf.check_features(feats.kind, feats.dim, model_cfg)
     source = _excitation(args.excitation, notes, feats.n_frames * shift, rate, args.seed)

@@ -197,7 +197,7 @@ def _frame_condition(tensors, feat_values):
     its weight."""
     weight = tensors["cond.weight"]
     feats = ag.Tensor(feat_values.astype(weight.value.dtype, copy=False))
-    return ag.add(ag.matmul(feats, weight), tensors["cond.bias"])
+    return ag.linear(feats, weight, tensors["cond.bias"])
 
 
 def _build_graph(tensors, frame_cond, exc_values, cfg, start, stop):
@@ -300,9 +300,15 @@ def nsf_train(params: ModelParams, dataset, train_cfg: TrainConfig,
 
     Returns (updated params copy, [(step, batch loss), ...]).
     """
-    def loss_and_grads(p, item, _idx):
-        features, excitation, target = item
-        return nsf_backward(p, features, excitation, target, cfg, resolutions)
+    def loss_and_grads(p, items, _indices):
+        total = {name: np.zeros_like(v) for name, v in p.tensors.items()}
+        loss_sum = 0.0
+        for features, excitation, target in items:
+            loss, grads = nsf_backward(p, features, excitation, target, cfg, resolutions)
+            loss_sum += loss
+            for name in total:
+                total[name] += grads[name]
+        return loss_sum / len(items), {k: v / len(items) for k, v in total.items()}
 
     return fit(params, dataset, loss_and_grads, train_cfg, on_epoch_end)
 

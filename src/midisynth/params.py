@@ -152,8 +152,10 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg: FitConfig,
         on_epoch_end=None):
     """Adam training, visiting the items in a seeded shuffle each epoch.
 
-    loss_and_grads(params, item, index) gives one item's (loss, grads);
-    their batch means drive one Adam step, unless either is non-finite,
+    loss_and_grads(params, items, indices) gives a batch's mean loss and
+    mean gradients, a dict with an array for every tensor of params.tensors;
+    items are the batch's dataset items, and indices their positions in the
+    dataset.  The means drive one Adam step, unless either is non-finite,
     which raises TrainingDiverged (numpy's overflow warnings are off in a
     batch, as this check reports it).  on_epoch_end(epoch, params, history)
     runs after every epoch, with the history so far.  A run whose finished
@@ -178,23 +180,14 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg: FitConfig,
         for lo in range(0, len(order), train_cfg.batch_size):
             batch = order[lo : lo + train_cfg.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
-                total = {name: np.zeros_like(v) for name, v in params.tensors.items()}
-                loss_sum = 0.0
-                for idx in batch:
-                    loss, grads = loss_and_grads(params, dataset[idx], idx)
-                    loss_sum += loss
-                    for name in total:
-                        total[name] += grads[name]
-                n = len(batch)
-                mean_loss = loss_sum / n
-                mean_grads = {k: v / n for k, v in total.items()}
-                if not (math.isfinite(mean_loss)
-                        and all(np.isfinite(g).all() for g in mean_grads.values())):
+                loss, grads = loss_and_grads(params, [dataset[i] for i in batch], batch)
+                if not (math.isfinite(loss)
+                        and all(np.isfinite(g).all() for g in grads.values())):
                     raise TrainingDiverged(f"non-finite loss or gradient at "
                                            f"step {params.step + 1}")
-                adam_update(params, mean_grads, train_cfg.learning_rate,
+                adam_update(params, grads, train_cfg.learning_rate,
                             train_cfg.beta1, train_cfg.beta2)
-            history.append((params.step, mean_loss))
+            history.append((params.step, loss))
         if on_epoch_end is not None:
             on_epoch_end(epoch, params, history)
     return params, history

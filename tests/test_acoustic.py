@@ -153,6 +153,37 @@ def test_teacher_forced_input_checks(rng):
         acoustic.am_teacher_forced(params, empty, make_target(rng, 0, 6), cfg)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_pass_is_the_mean_of_item_passes(variant):
+    """Three items, the second shorter (a partial group for taco2 and
+    taco3), dropout on and a seed per item: the stacked pass gives the mean
+    loss and gradients of one pass per item, and each item's prediction."""
+    cfg, params, _ = frozen_case(variant)
+    rng = np.random.default_rng(9)
+    lengths, seeds = (12, 7, 12), (4, 5, 6)
+    rolls = [make_roll(rng, n) for n in lengths]
+    targets = [make_target(rng, n, 4) for n in lengths]
+    roll = PianoRoll(np.concatenate([r.values for r in rolls]), 0.012)
+    loss, grads, pred = acoustic.am_teacher_forced(params, roll, targets, cfg, seeds)
+    items = [acoustic.am_teacher_forced(params, *item, cfg, seed)
+             for *item, seed in zip(rolls, targets, seeds)]
+    assert loss == pytest.approx(np.mean([item[0] for item in items]), rel=1e-12)
+    for name, g in grads.items():
+        want = np.mean([item[1][name] for item in items], axis=0)
+        np.testing.assert_allclose(g, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
+    np.testing.assert_allclose(
+        pred.values, np.concatenate([item[2].values for item in items]), rtol=1e-12)
+
+
+def test_batched_pass_refuses_an_empty_item(rng):
+    cfg = helpers.tiny_am_cfg("taco4", output_dim=4)
+    params = acoustic.am_init(cfg, seed=0)
+    targets = [make_target(rng, 5, 4), make_target(rng, 0, 4)]
+    with pytest.raises(ValueError, match="an item of the batch has no frames"):
+        acoustic.am_teacher_forced(params, make_roll(rng, 5), targets, cfg, (1, 2))
+
+
 def test_gradient_spot_check_all_variants(rng):
     for variant in ("taco2", "taco3", "taco4"):
         cfg = helpers.tiny_am_cfg(variant, output_dim=4, encoder_channels=4,

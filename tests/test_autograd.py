@@ -92,6 +92,26 @@ def test_square_error_mean_grads(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
     fd_check(lambda x, y: ag.square_error_mean(x, y), [a, b])
+    weight = np.array([[0.1], [0.0], [0.15]])  # a row weight, summing to one
+    fd_check(lambda x, y: ag.square_error_mean(x, y, weight), [a, b])
+    plain = ((a - b) ** 2).mean()
+    assert ag.square_error_mean(a, b, np.full((3, 1), 1 / 12)).value == \
+        pytest.approx(plain, rel=1e-15)
+
+
+def test_linear_is_matmul_then_add(rng):
+    x, w, b = (rng.standard_normal(shape) for shape in ((5, 3), (3, 4), (4,)))
+    fd_check(lambda *t: scalarize(ag.linear(*t)), [x, w, b])
+    fused = [ag.Tensor(a) for a in (x, w, b)]
+    composed = [ag.Tensor(a) for a in (x, w, b)]
+    g = rng.standard_normal((5, 4))
+    out = ag.linear(*fused)
+    ag.backward(out, g)
+    want = ag.add(ag.matmul(composed[0], composed[1]), composed[2])
+    assert same_bits(out.value, want.value)
+    ag.backward(want, g)
+    for f, c in zip(fused, composed):
+        assert same_bits(f.grad, c.grad)
 
 
 # --- shape ops ------------------------------------------------------------------
@@ -100,7 +120,9 @@ def test_square_error_mean_grads(rng):
 def test_concat_and_slice_grads(rng):
     a = rng.standard_normal((3, 2))
     b = rng.standard_normal((3, 3))
-    fd_check(lambda x, y: scalarize(ag.concat_cols([x, y])), [a, b])
+    fd_check(lambda x, y: scalarize(ag.concat([x, y], axis=1)), [a, b])
+    fd_check(lambda x, y: scalarize(ag.concat([x, y], axis=0)), [a.T, b])
+    fd_check(lambda x: scalarize(ag.slice_rows(x, 1, 3)), [b])
     d = rng.standard_normal((3, 4))
     fd_check(lambda x: scalarize(ag.add(ag.reshape(x, (3, 1, 4)), a[:, :1, None])), [d])
 
@@ -294,6 +316,56 @@ def test_gru_sequence_rows_are_cell_steps(rng):
         assert np.array_equal(states[t : t + 1], h)
 
 
+def gru_case(rng, rows, s=3):
+    """Gate inputs of rows stacked steps, and recurrent weights and biases."""
+    x = [0.8 * rng.standard_normal((rows, s)) for _ in range(3)]
+    u = [0.6 * rng.standard_normal((s, s)) for _ in range(3)]
+    b = [0.3 * rng.standard_normal(s) for _ in range(3)]
+    return x, u, b
+
+
+def test_gru_sequence_grads_over_three_rows(rng):
+    x, u, b = gru_case(rng, 12)
+    target = ag.Tensor(rng.standard_normal((12, 3)))
+    fd_check(lambda *t: ag.square_error_mean(
+        ag.gru_sequence(t[0:3], t[3:6], t[6:9], batch=3), target), x + u + b)
+
+
+def test_gru_sequence_stacked_rows_equal_one_row_runs(rng):
+    x, u, b = gru_case(rng, 18, s=4)
+    stacked = ag.gru_sequence(x, u, b, batch=3).value
+    for i in range(3):
+        rows = slice(6 * i, 6 * i + 6)
+        one = ag.gru_sequence([v[rows] for v in x], u, b).value
+        np.testing.assert_allclose(stacked[rows], one, rtol=1e-12, atol=1e-15)
+
+
+def test_gru_sequence_padded_steps_leave_real_gradients_unchanged(rng):
+    # sequences of 5, 3 and 2 steps, the last two padded with arbitrary
+    # gate inputs that get zero upstream gradient
+    steps, s = (5, 3, 2), 3
+    x, u, b = gru_case(rng, 15)
+    g = rng.standard_normal((15, s))
+    real = np.concatenate([np.arange(5 * i, 5 * i + m) for i, m in enumerate(steps)])
+    g[np.setdiff1d(np.arange(15), real)] = 0.0
+    leaves = [ag.Tensor(a) for a in x + u + b]
+    ag.backward(ag.gru_sequence(leaves[0:3], leaves[3:6], leaves[6:9], batch=3), g)
+    want = [np.zeros_like(a) for a in x + u + b]
+    for i, m in enumerate(steps):
+        rows = slice(5 * i, 5 * i + m)
+        one = [ag.Tensor(a) for a in [v[rows] for v in x] + u + b]
+        ag.backward(ag.gru_sequence(one[0:3], one[3:6], one[6:9]), g[rows])
+        for k, t in enumerate(one):
+            if k < 3:
+                want[k][rows] = t.grad
+            else:
+                want[k] += t.grad
+    for k, t in enumerate(leaves):
+        np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15)
+    for t in leaves[:3]:  # padded steps' inputs get exactly zero
+        assert not np.any(np.delete(t.grad, real, axis=0))
+
+
 def composed_block(x, cond, w_in, b_in, convs, w_out, b_out):
     """The residual block as the graph of single ops that it fuses."""
     x, cond = ag.as_tensor(x), ag.as_tensor(cond)
@@ -390,9 +462,9 @@ def _tape_size(root):
 
 @pytest.mark.parametrize("variant", acoustic.VARIANTS)
 def test_teacher_forced_tape_does_not_grow_with_steps(rng, monkeypatch, variant):
-    roots = []
+    sizes = []  # taken before backward, which frees the tape
     backward = ag.backward
-    monkeypatch.setattr(ag, "backward", lambda root: (roots.append(root),
+    monkeypatch.setattr(ag, "backward", lambda root: (sizes.append(_tape_size(root)),
                                                       backward(root)))
     cfg = helpers.tiny_am_cfg(variant, output_dim=4, prenet_dropout=0.5)
     params = acoustic.am_init(cfg, seed=0)
@@ -401,7 +473,7 @@ def test_teacher_forced_tape_does_not_grow_with_steps(rng, monkeypatch, variant)
         roll = PianoRoll(rng.random((n, 128)), 0.012)
         target = FeatureMatrix(rng.standard_normal((n, 4)), "midi-fb", 0.012, 24000.0)
         acoustic.am_teacher_forced(params, roll, target, cfg)
-    assert _tape_size(roots[0]) == _tape_size(roots[1])
+    assert sizes[0] == sizes[1]
 
 
 # --- graph machinery ---------------------------------------------------------
@@ -425,12 +497,15 @@ def test_reused_node_single_visit(rng):
 def test_backward_keeps_leaf_grads_only(rng):
     x = ag.Tensor(rng.standard_normal((2, 3)))
     w = ag.Tensor(rng.standard_normal((3, 2)))
-    hidden = ag.tanh(ag.matmul(x, w))
+    product = ag.matmul(x, w)
+    hidden = ag.tanh(product)
     out = ag.add(hidden, hidden)
     ag.backward(out)
     assert x.grad.shape == (2, 3) and w.grad.shape == (3, 2)
     assert hidden.grad is None and out.grad is None
-    assert hidden.parents[0].grad is None
+    assert product.grad is None
+    # the walk frees the tape: inner nodes keep their values only
+    assert out.parents == hidden.parents == () and hidden.adjoint is None
 
 
 def test_no_grad_blocks_graph(rng):

@@ -1409,6 +1409,23 @@ def test_gl_refuses_a_rate_over_a_wav_header_before_griffin_lim(tmp_path, capsys
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'x.mfb'}: ")
 
 
+def test_synth_refuses_an_am_that_does_not_fit_before_the_roll(tmp_path, capsys,
+                                                              monkeypatch):
+    # the 300 s piece's roll alone would take 25.6 MB
+    monkeypatch.chdir(tmp_path)
+    argv = HOSTILE["synth-am-80-dim-mel-on-128-dim-nsf"](tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "_features", lambda *a: calls.append(a))
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 2
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert "mel-fb features have 80 dims, model wants 128" in capsys.readouterr().err
+
+
 def scaled_nsf_ckpt(path, scales):
     """A seeded eight-block NSF checkpoint with non-zero output projections,
     whose tensors named in scales are multiplied by the given factors."""

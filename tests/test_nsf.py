@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -588,8 +589,8 @@ def test_fit_bounds_the_epochs_of_a_run():
     # step count is refused before any of them, as is an endless run
     calls = []
 
-    def loss_and_grads(params, item, index):
-        calls.append(index)
+    def loss_and_grads(params, items, indices):
+        calls.extend(indices)
         return 0.0, {"w": np.zeros(2)}
 
     one_epoch = nsf.TrainConfig(batch_size=1, epochs=1)
@@ -645,10 +646,10 @@ FROZEN_NSF_ENTRIES = ("cond.weight", "block0.conv4.weight", "block1.conv0.bias",
                       "block1.out.weight")
 
 
-def frozen_nsf_case():
+def frozen_nsf_case(frames=(4, 7, 10)):
     """Two blocks of dilations 1..16 with non-zero output projections, over
-    items of 32, 56 and 80 samples, so dilation 16 reaches past every row
-    of the shortest item."""
+    items of 8 samples a frame, by default 32, 56 and 80 samples, so
+    dilation 16 reaches past every row of the shortest item."""
     cfg = helpers.tiny_nsf_cfg(feature_dim=3, upsample=8, channels=4, blocks=2,
                                convs=5)
     params = nsf.nsf_init(cfg, seed=1)
@@ -657,7 +658,7 @@ def frozen_nsf_case():
         if ".out." in name:
             params.tensors[name] = 0.1 * rng.standard_normal(params.tensors[name].shape)
     data = []
-    for n in (4, 7, 10):
+    for n in frames:
         feats = FeatureMatrix(rng.standard_normal((n, 3)), "mel-fb", 8 / 24000.0,
                               24000.0)
         source = WaveSignal(0.1 * rng.standard_normal(n * 8), 24000.0)
@@ -676,6 +677,28 @@ def test_frozen_nsf_train_history_and_tensors():
                                                        rel=1e-12)
     got = [out.tensors[name].flat[0] for name in FROZEN_NSF_ENTRIES]
     assert got == pytest.approx(FROZEN_NSF["entries"], rel=1e-12)
+
+
+# Recorded before params.fit took whole batches: the NSF still sums its
+# items one by one in batch order, so these are the same bits.
+FROZEN_NSF_BATCHES = dict(
+    history=[3.5524732711147404, 7.968100955343836, 1.9376081684080715,
+             5.283780589957804, 8.74090498675973, 4.535232548131322],
+    sha256="e860c08462f2e776cc1475b25b723e6a1fcbab60f117032882ac6f4805c13d07",
+)
+
+
+def test_frozen_nsf_train_bytes_over_a_partial_batch():
+    # five items in batches of two: the last batch of each epoch holds one
+    cfg, params, data = frozen_nsf_case((4, 7, 10, 5, 6))
+    tc = nsf.TrainConfig(learning_rate=1e-2, batch_size=2, epochs=2, seed=5)
+    out, hist = nsf.nsf_train(params, data, tc, cfg, small_resolutions())
+    assert hist == list(enumerate(FROZEN_NSF_BATCHES["history"], 1))
+    digest = hashlib.sha256()
+    for state in (out.tensors, out.adam_m, out.adam_v):
+        for name in sorted(state):
+            digest.update(state[name].tobytes())
+    assert digest.hexdigest() == FROZEN_NSF_BATCHES["sha256"]
 
 
 def test_frozen_nsf_backward_loss_and_grads():

@@ -1,23 +1,28 @@
 """Check that the working tree writes the same bytes as a git revision.
 
-    python3 tools/same_outputs.py REV [--threads N]
+    python3 tools/same_outputs.py REV [--threads N] [--workload W ...]
 
 Exports REV with `git archive`.  For REV and for the working tree, it
 builds the benchmark's inputs with that tree's perfbench/inputs.py at
-seeds 1 and 2, and runs one pass of every render, train and invert
-operation through that tree's midisynth.cli.main, one child process per
-workload pass.  Both sides run at the same BLAS thread count (--threads,
+seeds 1 and 2, and runs one pass of every operation of each workload
+(--workload, repeatable: render, train or invert; all three by default)
+through that tree's midisynth.cli.main, one child process per workload
+pass.  Both sides run at the same BLAS thread count (--threads,
 default 1), because train checkpoints differ between thread counts.
 
-Prints one digest pair per operation, REV's first.  A digest covers the
-files the operation wrote or changed (their paths under the work
-directory and their bytes), its exit code, and its stdout and stderr
-with the work directory masked.  Exits 1 on any difference.
+Prints one digest pair per operation, REV's first, then how many
+operations of each kind (such as train-am) gave the same and different
+digests, so a change that alters one kind's bytes on purpose shows it in
+one line.  A digest covers the files the operation wrote or changed
+(their paths under the work directory and their bytes), its exit code,
+and its stdout and stderr with the work directory masked.  Exits 1 on
+any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -87,11 +92,14 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--threads", type=int, default=1,
                         help="BLAS threads of both sides (default 1)")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="a workload to run, repeatable (default: all three)")
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be positive")
 
     differ = total = 0
+    tally = collections.defaultdict(collections.Counter)  # kind -> same/different
     with tempfile.TemporaryDirectory(prefix="same_outputs_rev_") as base:
         tar_path = Path(base) / "rev.tar"
         subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(tar_path), args.rev],
@@ -99,7 +107,7 @@ def main(argv=None) -> int:
         rev_tree = Path(base) / "tree"
         with tarfile.open(tar_path) as tar:
             tar.extractall(rev_tree, filter="data")
-        for workload in WORKLOADS:
+        for workload in args.workload or WORKLOADS:
             for seed in SEEDS:
                 old = _digests(rev_tree, workload, seed, args.threads)
                 new = _digests(ROOT, workload, seed, args.threads)
@@ -111,8 +119,11 @@ def main(argv=None) -> int:
                     same = a == b
                     differ += not same
                     total += 1
+                    tally[a[0]]["same" if same else "different"] += 1
                     print(f"{workload:<7} seed {seed} op {i:02d} {a[0]:<22} {a[1]} {b[1]} "
                           f"{'same' if same else 'DIFFERENT'}", flush=True)
+    for kind, counts in tally.items():
+        print(f"{kind:<22} {counts['same']} same, {counts['different']} different")
     print(f"{total} ops compared at {args.threads} BLAS thread(s): "
           f"{'all identical' if not differ else f'{differ} differences'}")
     return 1 if differ else 0
