@@ -20,11 +20,12 @@ factor; checkpoints therefore move between variants without reshaping.
 Teacher forcing knows every step's previous frame in advance, so it
 decodes a whole batch at once, as Tacotron is trained: each item's steps
 are rows, stacked item after item and padded at the end to the longest,
-and the prenet, the gate inputs, the output head and the loss are
-whole-batch ops around one ag.gru_sequence recurrence, which steps
-through time once for all the items.  Only the encoder and the postnet,
-whose convolutions would read across items, run per item.  The tape
-does not grow with the number of steps.  Generation feeds each step its
+and the prenet and the gate inputs are whole-batch ops around one
+ag.gru_sequence recurrence, which steps through time once for all the
+items.  The encoder and the postnet, whose convolutions would read
+across items, run per item, and so do the output head and the loss,
+each item's part being backpropagated before the next is built.  The
+tape does not grow with the number of steps.  Generation feeds each step its
 own output, so it loops over the steps through the same GRU cell,
 ag.gru_cell, one row at a time.
 """
@@ -226,10 +227,13 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target, cfg: AmConfi
     reproducible.  Each decoder step is fed the true previous frame (the
     last target frame of the preceding group), so the items' steps are
     stacked as rows, each item padded at the end to the longest, and only
-    the recurrence steps through time, inside ag.gru_sequence.  An item's
-    loss is the mean squared error before plus after the postnet, against
-    its target padded to a whole number of groups by edge replication;
-    padded steps are in no loss, so they get zero gradient.  The predicted
+    the recurrence steps through time, inside ag.gru_sequence.  The output
+    head, the postnet and the loss then run per item on its real steps'
+    states, each backpropagated at once, so only one item's tape is held
+    besides the stacked one; their state gradients, zero on padded steps,
+    seed the backward pass through the recurrence.  An item's loss is the
+    mean squared error before plus after the postnet, against its target
+    padded to a whole number of groups by edge replication.  The predicted
     features are the items' back to back.  A non-finite loss raises
     TrainingDiverged.
     """
@@ -246,9 +250,7 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target, cfg: AmConfi
     tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
     # stacked rows: item i's steps, then zero rows up to the longest
     prenet_rows = np.zeros((batch, longest, cfg.prenet_input_dim))
-    target_rows = np.zeros((batch, longest * r, d))
-    weight = np.zeros((batch, longest * r, 1))  # zero on padded rows
-    enc = []
+    enc, padded_targets = [], []
     for i, (rows, t, m, item_seed) in enumerate(zip(
             np.split(roll.values, np.cumsum(lengths)[:-1]), targets, steps,
             np.broadcast_to(seed, batch))):
@@ -259,29 +261,29 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target, cfg: AmConfi
         fed = np.pad(padded[r - 1 : (m - 1) * r : r], ((1, 0), (0, 0)))
         prenet_rows[i, :m] = _prenet_input(cfg, fed, _prenet_masks(cfg, item_seed, m),
                                            roll_ds)
-        target_rows[i, : m * r] = padded
-        weight[i, : m * r] = 1.0 / (batch * m * r * d)  # the mean over items of means
+        padded_targets.append(padded)
         enc += [_encode(tensors, roll_ds), np.zeros((longest - m, cfg.encoder_channels))]
     q = _prenet(tensors, prenet_rows.reshape(batch * longest, -1))
     states = ag.gru_sequence(_gate_inputs(tensors, q, ag.concat(enc, axis=0)),
                              _gru_tensors(tensors, "u"), _gru_tensors(tensors, "b"),
                              batch)
-    y1 = _frames(tensors, states, r)
-    y2 = []
-    for i, m in enumerate(steps):
-        item = ag.slice_rows(y1, i * longest * r, (i * longest + m) * r)
-        y2 += [_postnet(tensors, item), np.zeros(((longest - m) * r, d))]
-    y2 = ag.concat(y2, axis=0)
-    target_rows, weight = (a.reshape(len(y1.value), -1) for a in (target_rows, weight))
-    loss = ag.add(ag.square_error_mean(y1, target_rows, weight),
-                  ag.square_error_mean(y2, target_rows, weight))
-    if not math.isfinite(loss.value):
-        raise TrainingDiverged("non-finite loss in the teacher-forced pass")
-    ag.backward(loss)
-    grads = {name: t.grad for name, t in tensors.items()}
-    pred = np.concatenate([y2.value[i * longest * r :][:n] for i, n in enumerate(lengths)])
+    grad_states = np.zeros(states.shape)  # zero on padded steps
+    loss_sum, pred = 0.0, []
+    for i, (m, padded, n) in enumerate(zip(steps, padded_targets, lengths)):
+        item_states = ag.Tensor(states.value[i * longest : i * longest + m])
+        y1 = _frames(tensors, item_states, r)
+        y2 = _postnet(tensors, y1)
+        loss = ag.add(ag.square_error_mean(y1, padded), ag.square_error_mean(y2, padded))
+        if not math.isfinite(loss.value):
+            raise TrainingDiverged("non-finite loss in the teacher-forced pass")
+        ag.backward(loss)
+        grad_states[i * longest : i * longest + m] = item_states.grad
+        loss_sum += float(loss.value)
+        pred.append(y2.value[:n])
+    ag.backward(states, grad_states)
+    grads = {name: t.grad / batch for name, t in tensors.items()}
     kind, shift, rate = targets[0].kind, targets[0].frame_shift, targets[0].sample_rate
-    return float(loss.value), grads, FeatureMatrix(pred, kind, shift, rate)
+    return loss_sum / batch, grads, FeatureMatrix(np.concatenate(pred), kind, shift, rate)
 
 
 def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,

@@ -152,15 +152,13 @@ def hard_clip(a, lo: float, hi: float):
     return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: (g * mask,))
 
 
-def square_error_mean(a, b, weight=None):
-    """Mean of (a - b)^2 as a scalar tensor.  A constant weight that
-    broadcasts against a and sums to one over a's entries makes it a
-    weighted mean; the default weighs every entry alike."""
+def square_error_mean(a, b):
+    """Mean of (a - b)^2 as a scalar tensor."""
     a, b = as_tensor(a), as_tensor(b)
     diff = a.value - b.value
-    wdiff = (1.0 / max(diff.size, 1) if weight is None else weight) * diff
-    return Tensor(np.array((wdiff * diff).sum()), (a, b),
-                  lambda g: (2.0 * g * wdiff, -2.0 * g * wdiff))
+    n = max(diff.size, 1)
+    return Tensor(np.array((diff * diff).sum() / n), (a, b),
+                  lambda g: ((2.0 / n) * g * diff, (-2.0 / n) * g * diff))
 
 
 # --- shape ops -------------------------------------------------------------
@@ -172,13 +170,6 @@ def concat(tensors, axis: int):
     edges = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
     return Tensor(np.concatenate([t.value for t in tensors], axis=axis), tensors,
                   lambda g: np.split(g, edges, axis=axis))
-
-
-def slice_rows(a, start: int, stop: int):
-    """Rows [start, stop) of a 2-D tensor; the other rows get zero gradient."""
-    a = as_tensor(a)
-    pad = ((start, a.value.shape[0] - stop), (0, 0))
-    return Tensor(a.value[start:stop], (a,), lambda g: (np.pad(g, pad),))
 
 
 def reshape(a, shape):

@@ -92,11 +92,6 @@ def test_square_error_mean_grads(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
     fd_check(lambda x, y: ag.square_error_mean(x, y), [a, b])
-    weight = np.array([[0.1], [0.0], [0.15]])  # a row weight, summing to one
-    fd_check(lambda x, y: ag.square_error_mean(x, y, weight), [a, b])
-    plain = ((a - b) ** 2).mean()
-    assert ag.square_error_mean(a, b, np.full((3, 1), 1 / 12)).value == \
-        pytest.approx(plain, rel=1e-15)
 
 
 def test_linear_is_matmul_then_add(rng):
@@ -122,7 +117,6 @@ def test_concat_and_slice_grads(rng):
     b = rng.standard_normal((3, 3))
     fd_check(lambda x, y: scalarize(ag.concat([x, y], axis=1)), [a, b])
     fd_check(lambda x, y: scalarize(ag.concat([x, y], axis=0)), [a.T, b])
-    fd_check(lambda x: scalarize(ag.slice_rows(x, 1, 3)), [b])
     d = rng.standard_normal((3, 4))
     fd_check(lambda x: scalarize(ag.add(ag.reshape(x, (3, 1, 4)), a[:, :1, None])), [d])
 
@@ -464,8 +458,8 @@ def _tape_size(root):
 def test_teacher_forced_tape_does_not_grow_with_steps(rng, monkeypatch, variant):
     sizes = []  # taken before backward, which frees the tape
     backward = ag.backward
-    monkeypatch.setattr(ag, "backward", lambda root: (sizes.append(_tape_size(root)),
-                                                      backward(root)))
+    monkeypatch.setattr(ag, "backward", lambda root, seed=None: (
+        sizes.append(_tape_size(root)), backward(root, seed)))
     cfg = helpers.tiny_am_cfg(variant, output_dim=4, prenet_dropout=0.5)
     params = acoustic.am_init(cfg, seed=0)
     for steps in (8, 64):
@@ -473,7 +467,8 @@ def test_teacher_forced_tape_does_not_grow_with_steps(rng, monkeypatch, variant)
         roll = PianoRoll(rng.random((n, 128)), 0.012)
         target = FeatureMatrix(rng.standard_normal((n, 4)), "midi-fb", 0.012, 24000.0)
         acoustic.am_teacher_forced(params, roll, target, cfg)
-    assert sizes[0] == sizes[1]
+    # one pass backpropagates the item's head and loss, then the recurrence
+    assert len(sizes) == 4 and sizes[:2] == sizes[2:]
 
 
 # --- graph machinery ---------------------------------------------------------
