@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dsp import StftConfig, WaveSignal, midi_filter_bank, stft
+from .dsp import StftConfig, WaveSignal, midi_filter_bank, stft_magnitude
 from .errors import FileFormatError, TooLarge
 from .midi_io import PianoRoll
 
@@ -40,7 +40,7 @@ def pitch_probability(wave: WaveSignal, cfg: StftConfig) -> np.ndarray:
     get the minimum probability everywhere.
     """
     bank = midi_filter_bank(cfg)
-    energy = np.abs(stft(wave, cfg)) @ bank.weights.T
+    energy = stft_magnitude(wave, cfg) @ bank.weights.T
     peaks = energy.max(axis=1, keepdims=True)
     voiced = peaks >= SILENCE_ENERGY
     scaled = np.divide(energy, peaks, out=np.zeros_like(energy), where=voiced)

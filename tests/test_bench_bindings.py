@@ -58,6 +58,8 @@ def test_traced_calls_count_decoder_steps_and_iterations(stft_cfg):
     assert metrics["acoustic.generate_calls"] == 1
     assert metrics["acoustic.decoder_steps"] == 3  # ceil(10 / 4)
     assert metrics["dsp.gl_calls"] == 1 and metrics["dsp.gl_iters"] == 2
+    # the bench's self-check counts istft calls: one per iteration and the first
+    assert metrics["dsp.istft_calls"] == 2 + 1 and metrics["dsp.stft_calls"] == 2
 
 
 def test_tracer_sees_each_train_call(tmp_path):

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -297,6 +301,160 @@ def test_griffin_lim_input_validation(stft_cfg):
         dsp.griffin_lim(np.ones((4, 7)), stft_cfg)
     with pytest.raises(ValueError):
         dsp.griffin_lim(np.ones((4, stft_cfg.n_bins)), stft_cfg, n_iters=0)
+
+
+# --- frame chunks on two threads ------------------------------------------------
+
+CHUNK = dsp._CHUNK_ROWS
+# every frame count around the chunk edges: one chunk, a part chunk,
+# and the caller and the worker each holding several
+CHUNKED_FRAMES = [1, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+                  5 * CHUNK + 3]
+
+
+def reference_stft(x, cfg):
+    frames = dsp._frame_signal(x, cfg) * dsp._window_values(cfg)
+    return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+
+
+def reference_istft(spec, cfg):
+    w = dsp._window_values(cfg)
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.frame_length] * w
+    den = overlap_add_loop(np.tile(w * w, (len(spec), 1)), cfg.frame_shift)
+    out = overlap_add_loop(frames, cfg.frame_shift) / np.maximum(den, 1e-8)
+    return out[: len(spec) * cfg.frame_shift]
+
+
+def reference_griffin_lim(mag, cfg, n_iters):
+    x = reference_istft(mag.astype(complex), cfg)
+    for _ in range(n_iters):
+        spec = reference_stft(x, cfg)
+        size = np.abs(spec)
+        live = size > 0
+        spec = np.where(live, spec * (mag / np.where(live, size, 1.0)), mag)
+        x = reference_istft(spec, cfg)
+    peak = np.abs(x).max(initial=0.0)
+    return x * (0.99 / peak) if peak > 1.0 else x
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    if request.param == 1:
+        monkeypatch.setattr(dsp, "_pool", None)  # no task may be submitted
+        monkeypatch.setattr(dsp, "ThreadPoolExecutor", None)
+    return request.param
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("n", CHUNKED_FRAMES)
+def test_chunked_transforms_equal_whole_matrix_reference(stft_cfg, rng, cpus, n):
+    shift = stft_cfg.frame_shift
+    x = rng.standard_normal(n * shift - shift // 2) * 0.3
+    wave = WaveSignal(x, 24000)
+    spec = dsp.stft(wave, stft_cfg)
+    assert spec.shape == (n, stft_cfg.n_bins)
+    assert np.array_equal(spec, reference_stft(x, stft_cfg))
+    assert np.array_equal(dsp.stft_magnitude(wave, stft_cfg), np.abs(spec))
+    assert np.array_equal(dsp.istft(spec, stft_cfg).samples, reference_istft(spec, stft_cfg))
+    mag = rng.random((n, stft_cfg.n_bins)) * 4.0
+    mag[:, 5] = 0.0
+    assert np.array_equal(dsp.griffin_lim(mag, stft_cfg, n_iters=3).samples,
+                          reference_griffin_lim(mag, stft_cfg, 3))
+
+
+@pytest.mark.parametrize("length, shift", [(1200, 288), (512, 128), (1024, 256), (8, 3),
+                                           (6, 6), (5, 2), (7, 7), (9, 4)])
+def test_window_sum_repeats_its_steady_row(length, shift):
+    cfg = StftConfig(frame_length=length, frame_shift=shift, fft_size=length)
+    w2 = dsp._window_values(cfg) ** 2
+    for n in range(1, 15):
+        whole = dsp._overlap_add(np.broadcast_to(w2, (n, length)), shift)[: n * shift]
+        assert np.array_equal(dsp._window_sum(w2, n, shift), np.maximum(whole, 1e-8)), n
+
+
+def worker_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("dsp_")]
+
+
+def test_caller_runs_every_chunk_when_no_worker_starts(stft_cfg, rng, monkeypatch, two_cpus):
+    x = rng.standard_normal(3 * CHUNK * stft_cfg.frame_shift) * 0.3
+    want = reference_stft(x, stft_cfg)
+    assert np.array_equal(dsp.stft(WaveSignal(x, 24000), stft_cfg), want)
+    # a pool that can no longer take tasks, as at interpreter shutdown
+    dsp._pool.shutdown()
+    assert worker_threads() == []
+    assert np.array_equal(dsp.stft(WaveSignal(x, 24000), stft_cfg), want)
+    assert dsp._pool is None
+    # a new pool whose thread cannot start, as under a tight RLIMIT_AS
+    with monkeypatch.context() as patch:
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+        patch.setattr(threading.Thread, "start", refuse)
+        assert np.array_equal(dsp.stft(WaveSignal(x, 24000), stft_cfg), want)
+    assert np.array_equal(dsp.stft(WaveSignal(x, 24000), stft_cfg), want)
+    assert len(worker_threads()) == 1
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_chunk_error_propagates_after_both_threads_stop(stft_cfg, rng, two_cpus, failing):
+    caller = threading.get_ident()
+    worker_started = threading.Event()
+    running = []
+
+    def work(lo, hi, scratch):
+        thread = "caller" if threading.get_ident() == caller else "worker"
+        if thread == "worker":
+            worker_started.set()
+        else:
+            assert worker_started.wait(timeout=10)
+        running.append(thread)
+        time.sleep(0.02)
+        running.remove(thread)
+        if thread == failing:
+            raise ValueError(f"chunk {lo} failed")
+
+    with pytest.raises(ValueError, match="chunk .* failed"):
+        dsp._in_chunks(6 * CHUNK, work, (4, np.float64))
+    assert running == []
+    x = rng.standard_normal(3 * CHUNK * stft_cfg.frame_shift) * 0.3
+    assert np.array_equal(dsp.stft(WaveSignal(x, 24000), stft_cfg), reference_stft(x, stft_cfg))
+    assert len(worker_threads()) == 1
+
+
+def test_concurrent_callers_share_one_worker(stft_cfg, rng, monkeypatch, two_cpus):
+    monkeypatch.setattr(dsp, "_pool", None)
+    before = set(worker_threads())
+    waves = [rng.standard_normal((2 * CHUNK + k) * stft_cfg.frame_shift) * 0.3
+             for k in range(4)]
+    want = [reference_stft(x, stft_cfg) for x in waves]
+    failures, workers = [], []
+
+    def caller(x, spec):
+        for _ in range(5):
+            if not np.array_equal(dsp.stft(WaveSignal(x, 24000), stft_cfg), spec):
+                failures.append(len(x))
+            workers.append(len(set(worker_threads()) - before))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=pair) for pair in zip(waves, want)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert failures == []
+    assert max(workers) == 1
+    dsp._pool.shutdown()
 
 
 def test_pseudo_inverse_magnitude_shape(stft_cfg, rng):
