@@ -121,19 +121,15 @@ def am_init(cfg: AmConfig, seed: int = 0) -> ModelParams:
 # --- data plumbing -----------------------------------------------------------
 
 
-def downsample_roll(roll: PianoRoll, factor: int) -> PianoRoll:
-    """Max-pool the roll over non-overlapping groups of factor frames.
-
-    A trailing partial group is zero-padded before pooling.  The result
-    has ceil(N / factor) frames at factor times the frame shift.
-    """
+def downsample_roll(values: np.ndarray, factor: int) -> np.ndarray:
+    """Max-pool (N, 128) roll values over groups of factor rows: ceil(N / factor)
+    rows, a trailing partial group zero-padded."""
     if factor == 1:
-        return roll
-    n = roll.n_frames
+        return values
+    n = len(values)
     m = math.ceil(n / factor)
-    padded = np.pad(roll.values, ((0, m * factor - n), (0, 0)))
-    pooled = padded.reshape(m, factor, 128).max(axis=1)
-    return PianoRoll(pooled, roll.frame_shift * factor, roll.sample_rate)
+    padded = np.pad(values, ((0, m * factor - n), (0, 0)))
+    return padded.reshape(m, factor, 128).max(axis=1)
 
 
 # --- forward -----------------------------------------------------------------
@@ -256,7 +252,7 @@ def am_teacher_forced(params: ModelParams, roll: PianoRoll, target, cfg: AmConfi
             np.broadcast_to(seed, batch))):
         if t.dim != d:
             raise ValueError(f"target has {t.dim} dims, model wants {d}")
-        roll_ds = downsample_roll(PianoRoll(rows, roll.frame_shift), r).values
+        roll_ds = downsample_roll(rows, r)
         padded = np.pad(t.values, ((0, m * r - t.n_frames), (0, 0)), mode="edge")
         fed = np.pad(padded[r - 1 : (m - 1) * r : r], ((1, 0), (0, 0)))
         prenet_rows[i, :m] = _prenet_input(cfg, fed, _prenet_masks(cfg, item_seed, m),
@@ -298,20 +294,20 @@ def am_generate(params: ModelParams, roll: PianoRoll, cfg: AmConfig,
     reproducible.
     """
     _check_roll(roll, cfg)
-    roll_ds = downsample_roll(roll, cfg.downsample_factor)
-    masks = _prenet_masks(cfg, seed, roll_ds.n_frames)
+    roll_ds = downsample_roll(roll.values, cfg.downsample_factor)
+    masks = _prenet_masks(cfg, seed, len(roll_ds))
 
     with ag.no_grad():
         tensors = {k: ag.Tensor(v) for k, v in params.tensors.items()}
-        enc_out = _encode(tensors, roll_ds.values).value
+        enc_out = _encode(tensors, roll_ds).value
         u = [t.value for t in _gru_tensors(tensors, "u")]
         b = [t.value for t in _gru_tensors(tensors, "b")]
         state = np.zeros((1, cfg.decoder_state_dim))
         last = np.zeros((1, cfg.output_dim))
         frames = []
-        for s in range(roll_ds.n_frames):
+        for s in range(len(roll_ds)):
             rows = slice(s, s + 1)
-            rows_in = _prenet_input(cfg, last, masks[rows], roll_ds.values[rows])
+            rows_in = _prenet_input(cfg, last, masks[rows], roll_ds[rows])
             q = _prenet(tensors, rows_in)
             x = [t.value for t in _gate_inputs(tensors, q, ag.Tensor(enc_out[rows]))]
             state, _ = ag.gru_cell(x, state, u, b)

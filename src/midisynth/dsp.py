@@ -10,18 +10,20 @@ come back attenuated.  Overlap-add runs one whole-array pass per
 frame_shift-wide column slice, last slice first, so each output sample
 still sums its frames oldest first, as a per-frame loop would.
 
-The per-frame loops of stft, stft_magnitude, istft and the Griffin-Lim
-projection run on two threads: chunks of _CHUNK_ROWS frames, claimed in
-turn by the calling thread and one worker thread started on first use.
-numpy releases the GIL inside its FFTs and ufunc loops, so both cores
-work.  The bytes do not change: each row's window product, FFT and
-projection is computed on its own, whatever chunk holds it, and
-overlap-add stays serial in frame order.  The caller allocates every
-buffer, one chunk of scratch per thread, so the worker only fills
-slices.  A busy second core never makes a call slower than serial:
-once the caller has claimed the last chunk it cancels a worker task
-that has not started (OpenBLAS threads spin on a core for 100-200 ms
-after a BLAS call).  With one CPU, or one chunk, the caller works alone.
+Every FFT is in _spectra (forward, for stft and stft_magnitude) or
+_synthesis_frames (inverse, for istft and the loss's adjoint).  Their
+per-frame loops and the Griffin-Lim projection run on two threads:
+chunks of _CHUNK_ROWS frames, claimed in turn by the caller and one
+worker thread started on first use.  numpy releases the GIL inside its
+FFTs and ufunc loops, so both cores work.  The bytes do not change:
+each row's window product, FFT and projection is computed on its own,
+whatever chunk holds it, and overlap-add stays serial in frame order.
+The caller allocates every buffer, one chunk of scratch per thread, so
+the worker only fills slices.  A busy second core never makes a call
+slower than serial: once the caller has claimed the last chunk it
+cancels a worker task that has not started (OpenBLAS threads spin on a
+core for 100-200 ms after a BLAS call).  With one CPU, or one chunk,
+the caller works alone.
 """
 
 from __future__ import annotations
@@ -529,20 +531,9 @@ def default_loss_resolutions(sample_rate: int = StftConfig.sample_rate):
     return (make(512, 128), make(1024, 256), make(2048, 512))
 
 
-def _rfft_adjoint_frames(grad_spec, cfg):
-    """Adjoint of frame-wise rfft for real inputs of length frame_length."""
-    g = grad_spec.copy()
-    g[:, 1:-1] *= 0.5
-    if cfg.fft_size % 2 != 0:
-        g[:, -1] *= 0.5  # odd sizes have no lone Nyquist bin; every bin pairs up
-    full = cfg.fft_size * np.fft.irfft(g, n=cfg.fft_size, axis=1)
-    return full[:, : cfg.frame_length]
-
-
 def _single_resolution_loss(pred, target, cfg):
     spec_p = stft(pred, cfg)
-    abs_p = np.abs(spec_p)
-    mag_p = np.maximum(abs_p, MAG_FLOOR)
+    mag_p = np.maximum(np.abs(spec_p), MAG_FLOOR)
     mag_t = np.maximum(stft_magnitude(target, cfg), MAG_FLOOR)
 
     diff = mag_p - mag_t
@@ -553,13 +544,15 @@ def _single_resolution_loss(pred, target, cfg):
 
     grad_mag = np.sign(log_diff) / (log_diff.size * mag_p)
     if sc_num > 0:
-        grad_mag = grad_mag + diff / (sc_num * sc_den)
-    grad_mag = np.where(abs_p > MAG_FLOOR, grad_mag, 0.0)
-    denom = np.maximum(abs_p, np.finfo(np.float64).tiny)
-    grad_spec = grad_mag * (spec_p / denom)
+        grad_mag += diff / (sc_num * sc_den)
+    grad_mag = np.where(mag_p > MAG_FLOOR, grad_mag, 0.0)
+    grad_spec = grad_mag * (spec_p / mag_p)  # mag_p is |spec_p| wherever grad_mag is not 0
 
-    frames = _rfft_adjoint_frames(grad_spec, cfg)
-    frames *= _window_values(cfg)
+    # The adjoint of the frame-wise rfft is fft_size * irfft with every
+    # bin that has a mirror halved: DC and, at an even size, Nyquist have none.
+    grad_spec *= cfg.fft_size
+    grad_spec[:, 1 : (cfg.fft_size + 1) // 2] *= 0.5
+    frames = _synthesis_frames(grad_spec, cfg, _window_values(cfg))
     return loss, _overlap_add(frames, cfg.frame_shift)[: len(pred)]
 
 
@@ -569,6 +562,7 @@ def mr_stft_loss(pred: WaveSignal, target: WaveSignal, resolutions=None):
     Per resolution: spectral convergence ||Mp - Mt||_F / ||Mt||_F plus
     the mean absolute difference of natural-log magnitudes, both on
     floored magnitudes.  Returns (loss, grad) averaged over resolutions.
+    The STFT refuses a signal at another rate than a resolution's.
     """
     if resolutions is None:
         resolutions = default_loss_resolutions(int(pred.sample_rate))
@@ -576,13 +570,6 @@ def mr_stft_loss(pred: WaveSignal, target: WaveSignal, resolutions=None):
         raise ValueError("need at least one resolution")
     if len(pred) != len(target):
         raise ValueError(f"pred has {len(pred)} samples, target {len(target)}")
-    if pred.sample_rate != target.sample_rate:
-        raise ValueError(
-            f"pred at {pred.sample_rate} Hz, target at {target.sample_rate} Hz")
-    for cfg in resolutions:
-        if cfg.sample_rate != pred.sample_rate:
-            raise ValueError(
-                f"resolution at {cfg.sample_rate} Hz, signals at {pred.sample_rate} Hz")
     total_loss = 0.0
     total_grad = np.zeros(len(pred))
     for cfg in resolutions:

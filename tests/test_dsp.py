@@ -578,6 +578,56 @@ def test_mr_stft_loss_gradient_of_short_signals(rng):
         assert np.isfinite(loss) and grad.shape == (n,) and np.isfinite(grad).all()
 
 
+@pytest.mark.parametrize("which", ["pred", "target"])
+def test_mr_stft_loss_refuses_a_signal_at_another_rate(rng, which):
+    waves = {name: WaveSignal(rng.standard_normal(600) * 0.3, 24000)
+             for name in ("pred", "target")}
+    waves[which] = WaveSignal(waves[which].samples, 22050)
+    with pytest.raises(ValueError, match="22050") as refused:
+        dsp.mr_stft_loss(waves["pred"], waves["target"], small_resolutions())
+    assert "24000" in str(refused.value)
+
+
+def reference_mr_stft_loss(pred, target, resolutions):
+    """The loss with the rfft adjoint as fft_size * irfft of the gradient
+    spectrum with every mirrored bin halved, then windowed and
+    overlap-added (even FFT sizes)."""
+    total_loss, total_grad = 0.0, np.zeros(len(pred))
+    for cfg in resolutions:
+        spec_p = reference_stft(pred, cfg)
+        abs_p = np.abs(spec_p)
+        mag_p = np.maximum(abs_p, dsp.MAG_FLOOR)
+        mag_t = np.maximum(np.abs(reference_stft(target, cfg)), dsp.MAG_FLOOR)
+        diff = mag_p - mag_t
+        sc_num, sc_den = np.linalg.norm(diff), np.linalg.norm(mag_t)
+        log_diff = np.log(mag_p) - np.log(mag_t)
+        total_loss += sc_num / sc_den + np.abs(log_diff).mean()
+        grad_mag = np.sign(log_diff) / (log_diff.size * mag_p)
+        if sc_num > 0:
+            grad_mag = grad_mag + diff / (sc_num * sc_den)
+        grad_mag = np.where(abs_p > dsp.MAG_FLOOR, grad_mag, 0.0)
+        g = grad_mag * (spec_p / np.maximum(abs_p, np.finfo(np.float64).tiny))
+        g[:, 1:-1] *= 0.5
+        full = cfg.fft_size * np.fft.irfft(g, n=cfg.fft_size, axis=1)
+        frames = full[:, : cfg.frame_length] * dsp._window_values(cfg)
+        total_grad += overlap_add_loop(frames, cfg.frame_shift)[: len(pred)]
+    return total_loss / len(resolutions), total_grad / len(resolutions)
+
+
+@pytest.mark.parametrize("resolutions", [dsp.default_loss_resolutions(), (
+    StftConfig(24000, 16, 4, 16), StftConfig(24000, 32, 8, 32))], ids=["default", "16-32"])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_mr_stft_loss_equals_the_irfft_adjoint_reference(rng, cpus, resolutions, n):
+    # n frames at the coarsest hop, and more at the finer ones
+    shift = max(cfg.frame_shift for cfg in resolutions)
+    pred, target = (rng.standard_normal(n * shift - shift // 2) * 0.3 for _ in range(2))
+    loss, grad = dsp.mr_stft_loss(WaveSignal(pred, 24000), WaveSignal(target, 24000),
+                                  resolutions)
+    want_loss, want_grad = reference_mr_stft_loss(pred, target, resolutions)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
 def test_mr_stft_loss_checks(rng):
     x = WaveSignal(rng.standard_normal(600), 24000)
     short = WaveSignal(rng.standard_normal(500), 24000)

@@ -4,7 +4,9 @@ The default analysis (sample rate and hop) is `dsp.StftConfig`: no other
 package module may write its numbers.  A feature kind's file code is its
 index in `dsp.FeatureMatrix.KINDS`: `formats` names no kind itself, so it
 cannot hold a second kind table.  `formats.write_file` is the one place
-that opens a file for writing.
+that opens a file for writing.  Every FFT is in `dsp._spectra` (forward)
+or `dsp._synthesis_frames` (inverse), so every transform runs on the
+two-thread chunk engine.
 """
 
 import ast
@@ -58,3 +60,24 @@ def test_only_formats_opens_a_file_for_writing():
     opens = [where for path in sorted(PACKAGE.glob("*.py")) if path.stem != "formats"
              for where in write_opens(path)]
     assert opens == []
+
+
+def fft_sites(path):
+    """The top-level function (or <module>) of each np.fft reference in path,
+    and of each import of numpy.fft."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            uses = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and getattr(node.value, "id", None) in ("np", "numpy"))
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            if uses or any(name.startswith("numpy.fft") for name in names):
+                yield owner
+
+
+def test_only_the_two_transform_homes_call_np_fft():
+    sites = {f"{path.stem}.{owner}" for path in sorted(PACKAGE.glob("*.py"))
+             for owner in fft_sites(path)}
+    assert sites == {"dsp._spectra", "dsp._synthesis_frames"}
