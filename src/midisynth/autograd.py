@@ -4,9 +4,9 @@ A Tensor wraps an ndarray together with the tensors it was computed
 from (its parents) and one adjoint, which maps the Tensor's gradient to
 one gradient per parent.  backward() walks the recorded graph in reverse
 topological order, zipping each node's parents with its adjoint's
-gradients and accumulating them.  Recording can be switched off globally
-with no_grad(), in which case the same op functions run as plain numpy
-with no tape, so forward inference and training share one code path.
+gradients and accumulating them.  no_grad() switches recording off for
+the calling thread; the same op functions then run as plain numpy with
+no tape, so forward inference and training share one code path.
 Every recorded value is float64; under no_grad() a Tensor keeps a float32
 array as float32, so inference can run the same ops at that precision.
 
@@ -20,27 +20,29 @@ convolution, tanh and sum.  Nor do they copy their
 inputs: a convolution tap is one matmul between row-slice views, and the
 upsampling adjoint sums runs of sorted indices.  Inference adds parameters
 broadcast to whole rows: numpy loops once per row over a channel broadcast.
+For the same reason every adjoint takes a gradient's row sums (bias
+gradients) through _row_sums, which uses einsum where that gives the bits
+of numpy's sum.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 
 import numpy as np
 
-_GRAD_ENABLED = True
+_RECORDING = contextvars.ContextVar("recording", default=True)  # each thread its own
 
 
 @contextlib.contextmanager
 def no_grad():
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _RECORDING.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -51,12 +53,13 @@ class Tensor:
 
     def __init__(self, value, parents=(), adjoint=None):
         value = np.asarray(value)
-        if _GRAD_ENABLED or value.dtype != np.float32:
+        recording = _RECORDING.get()
+        if recording or value.dtype != np.float32:
             value = np.asarray(value, dtype=np.float64)
         self.value = value
         self.grad = None
-        self.parents = tuple(parents) if _GRAD_ENABLED else ()
-        self.adjoint = adjoint if _GRAD_ENABLED else None
+        self.parents = tuple(parents) if recording else ()
+        self.adjoint = adjoint if recording else None
 
     @property
     def shape(self):
@@ -108,6 +111,16 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _row_sums(g):
+    """g.sum(axis=0) of a 2-D gradient, by einsum where that gives its bits:
+    with more than one column, and rows farther apart in memory than
+    columns, both add whole rows in order, but einsum without numpy's
+    per-row loop.  One column numpy sums pairwise; other layouts differ."""
+    if g.shape[1] > 1 and g.strides[0] > g.strides[1]:
+        return np.einsum("ij->j", g)
+    return g.sum(axis=0)
+
+
 # --- elementwise and linear ops -------------------------------------------
 
 
@@ -130,7 +143,7 @@ def linear(x, w, b):
     the product."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     return Tensor(x.value @ w.value + b.value, (x, w, b),
-                  lambda g: (g @ w.value.T, x.value.T @ g, g.sum(axis=0)))
+                  lambda g: (g @ w.value.T, x.value.T @ g, _row_sums(g)))
 
 
 def tanh(a):
@@ -214,7 +227,7 @@ def _conv_adjoint(g, xv, w, taps):
     for j, dst, src in others:
         gx[src] += g[dst] @ w[j].T
         gw[j] = xv[src].T @ g[dst]
-    return gx, gw, g.sum(axis=0)
+    return gx, gw, _row_sums(g)
 
 
 def conv1d(x, weight, bias, dilation: int = 1, causal: bool = True):
@@ -253,8 +266,8 @@ def residual_block(x, cond, w_in, b_in, convs, w_out, b_out):
     x, cond, w_in, b_in, w_out, b_out = (
         as_tensor(t) for t in (x, cond, w_in, b_in, w_out, b_out))
     convs = [(as_tensor(w), as_tensor(b), dilation) for w, b, dilation in convs]
-    if _GRAD_ENABLED and (w_in.shape[0] != 1 or b_in.value.ndim != 1
-                          or any(b.value.ndim != 1 for _, b, _ in convs)):
+    if _RECORDING.get() and (w_in.shape[0] != 1 or b_in.value.ndim != 1
+                             or any(b.value.ndim != 1 for _, b, _ in convs)):
         raise ValueError("while recording, w_in is (1, channels) and biases (channels,)")
     xv = x.value.astype(cond.value.dtype, copy=False)
     h = np.repeat(xv, cond.value.shape[1], axis=1)
@@ -266,14 +279,14 @@ def residual_block(x, cond, w_in, b_in, convs, w_out, b_out):
         taps = _conv_taps(h.shape[0], w.value.shape[0], dilation, True)
         y = _conv(h, w.value, b.value, taps)
         np.tanh(y, out=y)
-        if _GRAD_ENABLED:
+        if _RECORDING.get():
             layers.append((w.value, taps, h, y))
             h = h + y
         else:
             h += y
 
     def adjoint(g):
-        gh = g @ w_out.value.T
+        gh = g * w_out.value.T  # the bits of the K=1 matmul g @ w_out.T
         conv_grads = []
         for w, taps, hj, y in reversed(layers):
             gy = y * y  # the tanh adjoint, g * (1 - y^2), in one buffer
@@ -283,8 +296,8 @@ def residual_block(x, cond, w_in, b_in, convs, w_out, b_out):
             gx += gh  # the residual's share
             gh = gx
             conv_grads[:0] = [gw, gb]
-        return (g + gh @ w_in.value.T, gh, xv.T @ gh, gh.sum(axis=0), *conv_grads,
-                h.T @ g, g.sum(axis=0))
+        return (g + gh @ w_in.value.T, gh, xv.T @ gh, _row_sums(gh), *conv_grads,
+                h.T @ g, _row_sums(g))
 
     return Tensor(x.value + (h @ w_out.value + b_out.value),
                   (x, cond, w_in, b_in, *(t for w, b, _ in convs for t in (w, b)),
@@ -388,6 +401,6 @@ def gru_sequence(x, u, b, batch: int = 1):
         rows = ga.reshape(3, m * batch, s)
         hs, rhs = prev.reshape(m * batch, s), rh.reshape(m * batch, s)
         return (*ga.swapaxes(1, 2).reshape(3, batch * m, s),
-                hs.T @ rows[0], hs.T @ rows[1], rhs.T @ rows[2], *rows.sum(axis=1))
+                hs.T @ rows[0], hs.T @ rows[1], rhs.T @ rows[2], *map(_row_sums, rows))
 
     return Tensor(states[1:].swapaxes(0, 1).reshape(batch * m, s), (*x, *u, *b), adjoint)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,47 @@ def test_outer_product_matmul(rng):
         with ag.no_grad():
             out = ag.matmul(a, b).value
         assert same_bits(out, a * b)
+
+
+ROW_COUNTS = (1, 2, 3, 4, 7, 8, 9, 16, 17, 100, 127, 128, 129, 1000, 2303, 2304, 2428, 3000)
+SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+
+
+def row_sum_layouts(base, rows, cols):
+    """A (rows, cols) array from base in each layout, with whether its rows
+    lie farther apart in memory than its columns."""
+    yield "C", base[:rows, :cols].copy(), True
+    yield "column-view", base[:rows, 3:3 + cols], True
+    yield "row-step-view", base[:, :cols].copy()[::2], True
+    yield "fortran", np.asfortranarray(base[:rows, :cols]), False
+    yield "transpose", base.T[:cols, :rows].copy().T, False
+
+
+def test_row_sums_are_the_bits_of_numpys_sum(rng):
+    """_row_sums gives g.sum(axis=0) to the bit on every layout, and where
+    the rows lie farther apart than the columns einsum does too: a numpy
+    whose einsum adds the rows in another order fails here."""
+    for rows in ROW_COUNTS:
+        for cols in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 80):
+            base = rng.standard_normal((2 * rows, cols + 6))
+            for scale in SCALES:
+                for layout, g, rows_apart in row_sum_layouts(base * scale, rows, cols):
+                    want = g.sum(axis=0)
+                    where = (layout, rows, cols, scale)
+                    assert g.shape == (rows, cols), where
+                    assert same_bits(ag._row_sums(g), want), where
+                    if rows_apart and cols > 1:
+                        assert same_bits(np.einsum("ij->j", g), want), where
+
+
+def test_row_sums_of_stacked_gates_are_the_bits_of_one_sum(rng):
+    # gru_sequence's bias gradients, one gate at a time
+    for s in (1, 2, 3, 16, 64):
+        for rows in ROW_COUNTS:
+            for scale in SCALES:
+                gates = rng.standard_normal((3, rows, s)) * scale
+                assert same_bits(np.stack(list(map(ag._row_sums, gates))),
+                                 gates.sum(axis=1)), (s, rows, scale)
 
 
 def test_nonlinearity_grads(rng):
@@ -397,16 +440,23 @@ def run_block(block, args, dilations):
 def test_residual_block_equals_composed_graph(rng, rows, kernel, dilations):
     arrays = block_arrays(rng, rows, 4, kernel, dilations)
     seed = rng.standard_normal((rows, 1))
-    results = []
-    for block in (ag.residual_block, composed_block):
-        tensors = [ag.Tensor(a) for a in arrays]
-        out = run_block(block, tensors, dilations)
-        ag.backward(out, seed)
-        results.append([out.value] + [t.grad for t in tensors])
-    got, want = results
-    assert len(got) == 1 + 6 + 2 * len(dilations)
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert same_bits(a, b), i
+    # nsf_backward seeds a window's receptive-field rows with exactly 0.0;
+    # with a negative entry in w_out, g * w_out.T makes -0.0 on those rows,
+    # where the composed graph's matmul makes +0.0
+    quiet = seed.copy()
+    quiet[:(rows + 1) // 2] = 0.0
+    assert (arrays[-2] < 0).any()
+    for g in (seed, quiet):
+        results = []
+        for block in (ag.residual_block, composed_block):
+            tensors = [ag.Tensor(a) for a in arrays]
+            out = run_block(block, tensors, dilations)
+            ag.backward(out, g)
+            results.append([out.value] + [t.grad for t in tensors])
+        got, want = results
+        assert len(got) == 1 + 6 + 2 * len(dilations)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert same_bits(a, b), i
 
 
 def test_residual_block_grads(rng):
@@ -510,6 +560,40 @@ def test_no_grad_blocks_graph(rng):
         assert not y.parents
     # recording resumes once the block exits
     assert ag.tanh(x).parents
+
+
+def test_no_grad_blocks_on_two_threads_leave_the_others_recording(rng):
+    # the first thread's block opens first and closes first
+    x = ag.Tensor(rng.standard_normal((2, 2)))
+    first_in, second_in, checked, first_out = (threading.Event() for _ in range(4))
+    recorded = {}
+
+    def first():
+        with ag.no_grad():
+            first_in.set()
+            checked.wait(10)
+        first_out.set()
+        recorded["first"] = bool(ag.tanh(x).parents)
+
+    def second():
+        first_in.wait(10)
+        with ag.no_grad():
+            second_in.set()
+            first_out.wait(10)
+        recorded["second"] = bool(ag.tanh(x).parents)
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for thread in threads:
+        thread.start()
+    assert second_in.wait(10)
+    recorded["main, inside both"] = bool(ag.tanh(x).parents)
+    checked.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    recorded["main, after both"] = bool(ag.tanh(x).parents)
+    assert recorded == dict.fromkeys(
+        ("first", "second", "main, inside both", "main, after both"), True)
 
 
 def test_deep_chain_iterative_backward():

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -351,6 +353,54 @@ def test_windowed_backward_equals_whole_clip(rng, monkeypatch, n_frames, chunk, 
     for name, g in want.items():
         assert np.abs(g).max() > 0.0, name
         assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+def test_forward_and_backward_on_two_threads_equal_serial_runs(rng):
+    # autograd's recording switch is per thread: the forward's no_grad
+    # leaves the other thread's graphs recorded
+    cfg = helpers.tiny_nsf_cfg(channels=4, blocks=2)
+    params = nsf.nsf_init(cfg, seed=5)
+    for b in range(cfg.n_blocks):
+        params.tensors[f"block{b}.out.weight"][:] = rng.standard_normal((cfg.channels, 1)) * 0.1
+    feats, source = make_inputs(cfg, 24, rng)
+    target = WaveSignal(rng.standard_normal(len(source)) * 0.1, 24000.0)
+    want_out = nsf.nsf_forward(params, feats, source, cfg).samples
+    want_loss, want_grads = nsf.nsf_backward(params, feats, source, target, cfg,
+                                             small_resolutions())
+    failures = []
+
+    def forward():
+        for _ in range(100):
+            if not np.array_equal(nsf.nsf_forward(params, feats, source, cfg).samples,
+                                  want_out):
+                failures.append("forward")
+
+    def backward():
+        for _ in range(100):
+            loss, grads = nsf.nsf_backward(params, feats, source, target, cfg,
+                                           small_resolutions())
+            if loss != want_loss or any(not np.array_equal(grads[k], g)
+                                        for k, g in want_grads.items()):
+                failures.append("backward")
+
+    def run(work):
+        try:
+            work()
+        except Exception as error:  # reported by the assert below
+            failures.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(w,)) for w in (forward, backward)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_backward_refuses_an_empty_segment():

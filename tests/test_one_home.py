@@ -6,7 +6,9 @@ index in `dsp.FeatureMatrix.KINDS`: `formats` names no kind itself, so it
 cannot hold a second kind table.  `formats.write_file` is the one place
 that opens a file for writing.  Every FFT is in `dsp._spectra` (forward)
 or `dsp._synthesis_frames` (inverse), so every transform runs on the
-two-thread chunk engine.
+two-thread chunk engine.  In `autograd` every `.sum(axis=0)` or
+`.sum(axis=1)` is in `_row_sums`, so no adjoint's bias gradient runs
+numpy's per-row loop where einsum gives the same bits.
 """
 
 import ast
@@ -81,3 +83,20 @@ def test_only_the_two_transform_homes_call_np_fft():
     sites = {f"{path.stem}.{owner}" for path in sorted(PACKAGE.glob("*.py"))
              for owner in fft_sites(path)}
     assert sites == {"dsp._spectra", "dsp._synthesis_frames"}
+
+
+def row_sum_sites(path):
+    """The top-level function (or <module>) of each .sum(axis=0) or
+    .sum(axis=1) call in path."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sum"):
+                continue
+            axes = [k.value for k in node.keywords if k.arg == "axis"] + node.args[:1]
+            if any(isinstance(a, ast.Constant) and a.value in (0, 1) for a in axes):
+                yield owner
+
+
+def test_only_the_row_sum_helper_sums_rows_in_autograd():
+    assert set(row_sum_sites(PACKAGE / "autograd.py")) == {"_row_sums"}
