@@ -158,24 +158,25 @@ def _check_bank_size(n_bands, cfg):
             f"{MAX_FILTER_BANK_ENTRIES} filter-bank entries")
 
 
-def _triangle_rows(bin_freqs, lefts, centers, rights, nyquist):
-    """Stack triangular rows peaking at 1.0 on each center.
+def _triangle_bank(edges, cfg, kind):
+    """Triangular rows over cfg's FFT bins, row k rising from edges[k] to
+    1.0 at edges[k + 1] and falling back to zero at edges[k + 2].
 
-    A degenerate edge (left == center or right == center) selects no bin,
-    dropping that slope and leaving a half triangle.  Centers above nyquist
-    produce all-zero rows.
+    A degenerate edge (equal to its center) selects no bin, dropping that
+    slope and leaving a half triangle.  Centers above Nyquist produce
+    all-zero rows.
     """
-    rows = np.zeros((len(centers), len(bin_freqs)))
-    for k, (lo, c, hi) in enumerate(zip(lefts, centers, rights)):
-        if c > nyquist:
+    bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
+    rows = np.zeros((len(edges) - 2, cfg.n_bins))
+    for row, lo, c, hi in zip(rows, edges, edges[1:], edges[2:]):
+        if c > cfg.sample_rate / 2:
             continue
-        row = rows[k]
         m = (bin_freqs > lo) & (bin_freqs < c)
         row[m] = (bin_freqs[m] - lo) / (c - lo)
         m = (bin_freqs > c) & (bin_freqs < hi)
         row[m] = (hi - bin_freqs[m]) / (hi - c)
         row[bin_freqs == c] = 1.0
-    return rows
+    return FilterBank(rows, kind)
 
 
 def midi_filter_bank(cfg: StftConfig) -> FilterBank:
@@ -187,12 +188,8 @@ def midi_filter_bank(cfg: StftConfig) -> FilterBank:
     Nyquist frequency are all-zero by construction.
     """
     _check_bank_size(128, cfg)
-    bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
-    centers = np.array([midi_center_freq(d) for d in range(128)])
-    lefts = np.concatenate(([centers[0]], centers[:-1]))
-    rights = np.concatenate((centers[1:], [centers[-1]]))
-    weights = _triangle_rows(bin_freqs, lefts, centers, rights, cfg.sample_rate / 2)
-    return FilterBank(weights, "midi-fb")
+    edges = np.array([midi_center_freq(d) for d in (0, *range(128), 127)])
+    return _triangle_bank(edges, cfg, "midi-fb")
 
 
 def hz_to_mel(f):
@@ -208,12 +205,9 @@ def mel_filter_bank(cfg: StftConfig, n_filters: int = N_MELS) -> FilterBank:
     if n_filters < 1:
         raise ValueError("n_filters must be positive")
     _check_bank_size(n_filters, cfg)
-    bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
     edges = mel_to_hz(np.linspace(0.0, float(hz_to_mel(cfg.sample_rate / 2)),
                                   n_filters + 2))
-    weights = _triangle_rows(bin_freqs, edges[:-2], edges[1:-1], edges[2:],
-                             cfg.sample_rate / 2)
-    return FilterBank(weights, "mel-fb")
+    return _triangle_bank(edges, cfg, "mel-fb")
 
 
 def filter_bank(kind: str, cfg: StftConfig, n_filters: int) -> FilterBank:
@@ -479,11 +473,12 @@ def griffin_lim(magnitude: np.ndarray, cfg: StftConfig, n_iters: int = GL_ITERS,
     if n_iters < 1:
         raise ValueError("n_iters must be at least 1")
     history = []
-    x = istft(magnitude.astype(np.complex128), cfg)
+    x = istft(magnitude, cfg)  # irfft reads a real spectrum as zero phase
     for _ in range(n_iters):
         spec = stft(x, cfg)
         if return_history:
-            history.append(float(np.linalg.norm(np.abs(spec) - magnitude)))
+            # numpy's own sum, not BLAS: the same bits at any thread count
+            history.append(float(np.sqrt(np.square(np.abs(spec) - magnitude).sum())))
         _project(spec, magnitude)
         x = istft(spec, cfg)
     samples = x.samples

@@ -121,16 +121,11 @@ def load_scores_csv(path) -> dict:
 
 def _exact_two_sided(n_a, n_b, u_obs):
     """Tie-free exact p by enumerating all rank assignments to group a."""
-    n = n_a + n_b
-    offset = n_a * (n_a + 1) // 2
-    total = math.comb(n, n_a)
-    at_most = 0
-    at_least = 0
-    for combo in combinations(range(1, n + 1), n_a):
-        u = sum(combo) - offset
-        at_most += u <= u_obs
-        at_least += u >= u_obs
-    return min(1.0, 2.0 * min(at_most / total, at_least / total))
+    subsets = np.array(list(combinations(range(1, n_a + n_b + 1), n_a)))
+    u = subsets.sum(axis=1) - n_a * (n_a + 1) // 2
+    at_most = np.count_nonzero(u <= u_obs) / len(u)
+    at_least = np.count_nonzero(u >= u_obs) / len(u)
+    return min(1.0, 2.0 * float(min(at_most, at_least)))
 
 
 def mann_whitney_u(a, b):
@@ -181,20 +176,14 @@ def holm_bonferroni(p_values, alpha: float = ALPHA):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-value {p} outside [0, 1]")
     m = len(p_values)
-    order = sorted(range(m), key=lambda i: p_values[i])
-    reject = [False] * m
-    adjusted = [0.0] * m
-    running = 0.0
-    still_rejecting = True
-    for rank, idx in enumerate(order):
-        p = p_values[idx]
-        running = max(running, (m - rank) * p)
-        adjusted[idx] = min(1.0, running)
-        if still_rejecting and p <= alpha / (m - rank):
-            reject[idx] = True
-        else:
-            still_rejecting = False
-    return reject, adjusted
+    order = np.argsort(p_values, kind="stable")
+    p = np.array(p_values)[order] + 0.0  # + 0.0: a p of -0.0 adjusts to 0.0
+    steps = m - np.arange(m)
+    reject = np.empty(m, dtype=bool)
+    adjusted = np.empty(m)
+    reject[order] = np.logical_and.accumulate(p <= alpha / steps)
+    adjusted[order] = np.minimum(np.maximum.accumulate(steps * p), 1.0)
+    return reject.tolist(), adjusted.tolist()
 
 
 def pairwise_significance(pools: dict, alpha: float = ALPHA) -> list:

@@ -25,6 +25,7 @@ from .dsp import FeatureMatrix, StftConfig
 from .errors import FileFormatError, TooLarge
 
 DEFAULT_TEMPO_US = 500000  # microseconds per quarter note, 120 bpm
+TICKS_PER_QUARTER = 480  # the time division write_midi writes
 SUSTAIN_CONTROLLER = 64
 SUSTAIN_THRESHOLD = 64
 # Longest piece parse_midi accepts.  Every later stage allocates in
@@ -46,9 +47,9 @@ NoteEvent = namedtuple("NoteEvent", "pitch onset offset velocity")
 
 @dataclass(frozen=True, eq=False)
 class NoteEventList:
-    """Notes as four columns, sorted stably by (onset, pitch, offset), plus
-    timing metadata: pitch 0-127 and velocity 1-127 as uint8, and 0 <=
-    onset < offset in seconds as float64.
+    """Notes as four columns, sorted stably by (onset, pitch, offset):
+    pitch 0-127 and velocity 1-127 as uint8, and 0 <= onset < offset in
+    seconds as float64.
 
     duration defaults to the largest offset and may be set longer to keep
     trailing silence; it can never undercut the last note.  pedal holds
@@ -59,7 +60,6 @@ class NoteEventList:
     onset: np.ndarray = ()
     offset: np.ndarray = ()
     velocity: np.ndarray = ()
-    ticks_per_quarter: int = 480
     duration: float | None = None
     pedal: tuple = ()
     warnings: tuple = ()
@@ -82,8 +82,6 @@ class NoteEventList:
             object.__setattr__(self, "duration", last)
         elif self.duration < last:
             raise ValueError(f"duration {self.duration} < final offset {last}")
-        if self.ticks_per_quarter <= 0:
-            raise ValueError("ticks_per_quarter must be positive")
 
     @property
     def notes(self) -> tuple:
@@ -270,7 +268,6 @@ def parse_midi(data: bytes) -> NoteEventList:
     pitch, onset, offset, velocity = np.frombuffer(rows).reshape(-1, 4).T
     return NoteEventList(
         pitch, onset, offset, velocity,
-        ticks_per_quarter=division,
         duration=max(last_sec, float(offset.max(initial=0.0))),
         pedal=tuple(pedal),
         warnings=warnings,
@@ -278,9 +275,8 @@ def parse_midi(data: bytes) -> NoteEventList:
 
 
 def write_midi(notes: NoteEventList) -> bytes:
-    """Serialize notes as a format 0 SMF at the default tempo, 120 bpm."""
-    tpq = notes.ticks_per_quarter
-    to_tick = lambda sec: int(round(sec * tpq * 1e6 / DEFAULT_TEMPO_US))
+    """Serialize notes as a format 0 SMF at 480 ticks a quarter and 120 bpm."""
+    to_tick = lambda sec: int(round(sec * TICKS_PER_QUARTER * 1e6 / DEFAULT_TEMPO_US))
     # order key: offs before ons at the same tick so zero-gap repeats re-trigger
     items = [(0, 0, bytes([0xFF, 0x51, 0x03]) + DEFAULT_TEMPO_US.to_bytes(3, "big"))]
     columns = notes.pitch, notes.onset, notes.offset, notes.velocity
@@ -307,7 +303,7 @@ def write_midi(notes: NoteEventList) -> bytes:
         body += varint(tick - prev)
         body += payload
         prev = tick
-    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, tpq)
+    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER)
     return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
 
 

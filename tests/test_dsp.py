@@ -1,10 +1,12 @@
 import hashlib
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,38 @@ def test_mel_bank_properties(stft_cfg):
     peaks = bank.weights.argmax(axis=1)
     assert np.all(np.diff(peaks) > 0)
     assert peaks[-1] < stft_cfg.n_bins - 1
+
+
+def triangle_rows_reference(cfg, lefts, centers, rights):
+    """The banks' rows from separate left, center and right edge arrays."""
+    bin_freqs = np.arange(cfg.n_bins) * cfg.sample_rate / cfg.fft_size
+    rows = np.zeros((len(centers), len(bin_freqs)))
+    for k, (lo, c, hi) in enumerate(zip(lefts, centers, rights)):
+        if c > cfg.sample_rate / 2:
+            continue
+        row = rows[k]
+        m = (bin_freqs > lo) & (bin_freqs < c)
+        row[m] = (bin_freqs[m] - lo) / (c - lo)
+        m = (bin_freqs > c) & (bin_freqs < hi)
+        row[m] = (hi - bin_freqs[m]) / (hi - c)
+        row[bin_freqs == c] = 1.0
+    return rows
+
+
+@pytest.mark.parametrize("cfg", [StftConfig(),
+                                 StftConfig(frame_length=16, frame_shift=4, fft_size=16),
+                                 StftConfig(48000, 8192, 2048, 8192)])
+def test_filter_banks_equal_the_separate_edge_reference(cfg):
+    centers = np.array([dsp.midi_center_freq(d) for d in range(128)])
+    lefts = np.concatenate(([centers[0]], centers[:-1]))
+    rights = np.concatenate((centers[1:], [centers[-1]]))
+    assert np.array_equal(dsp.midi_filter_bank(cfg).weights,
+                          triangle_rows_reference(cfg, lefts, centers, rights))
+    for n_filters in (1, 2, 80, 128):
+        edges = dsp.mel_to_hz(np.linspace(0.0, float(dsp.hz_to_mel(cfg.sample_rate / 2)),
+                                          n_filters + 2))
+        want = triangle_rows_reference(cfg, edges[:-2], edges[1:-1], edges[2:])
+        assert np.array_equal(dsp.mel_filter_bank(cfg, n_filters).weights, want)
 
 
 def test_hz_mel_round_trip():
@@ -281,6 +315,33 @@ def test_griffin_lim_keeps_magnitude_where_reanalysis_is_zero(stft_cfg, rng,
         assert np.array_equal(spec[2], mag[2]) and np.array_equal(spec[:, 7], mag[:, 7])
         np.testing.assert_allclose(spec, mag * np.exp(1j * np.angle(analysis)),
                                    rtol=0, atol=1e-15)
+
+
+def test_istft_reads_a_real_spectrum_as_zero_phase(stft_cfg, rng):
+    # so griffin_lim starts from the magnitude without a complex copy
+    mag = rng.random((250, stft_cfg.n_bins))
+    assert np.array_equal(dsp.istft(mag, stft_cfg).samples,
+                          dsp.istft(mag.astype(np.complex128), stft_cfg).samples)
+
+
+def test_griffin_lim_history_is_the_same_at_one_and_two_blas_threads():
+    code = ("import numpy as np\n"
+            "from midisynth import dsp\n"
+            "mag = np.random.default_rng(0).random((250, 1025))\n"
+            "_, history = dsp.griffin_lim(mag, dsp.StftConfig(), 3, return_history=True)\n"
+            "print(' '.join(v.hex() for v in history))\n")
+    src = str(Path(dsp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    histories = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        histories.append(proc.stdout.split())
+    assert len(histories[0]) == 3
+    assert histories[0] == histories[1]
 
 
 def test_griffin_lim_working_memory(stft_cfg, rng):
@@ -626,6 +687,20 @@ def test_mr_stft_loss_equals_the_irfft_adjoint_reference(rng, cpus, resolutions,
     want_loss, want_grad = reference_mr_stft_loss(pred, target, resolutions)
     assert loss == want_loss
     assert np.array_equal(grad, want_grad)
+
+
+def test_mr_stft_loss_working_memory(rng):
+    # about 200 bytes a sample at the default resolutions: 25.1-25.3 MiB here
+    n = 2 ** 17
+    pred = WaveSignal(rng.standard_normal(n) * 0.1, 24000)
+    target = WaveSignal(rng.standard_normal(n) * 0.1, 24000)
+    tracemalloc.start()
+    try:
+        dsp.mr_stft_loss(pred, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 220 * n
 
 
 def test_mr_stft_loss_checks(rng):

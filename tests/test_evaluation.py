@@ -193,6 +193,15 @@ def test_exact_matches_enumeration_oracle(rng):
                                   rel=1e-12)
 
 
+def test_exact_p_equals_the_enumeration_oracle_bit_for_bit():
+    for n_a in range(1, evaluation.EXACT_LIMIT):
+        for n_b in range(1, evaluation.EXACT_LIMIT - n_a + 1):
+            for u in range(-1, n_a * n_b + 2):
+                got = evaluation._exact_two_sided(n_a, n_b, u)
+                want = oracle_two_sided_p(u + n_a * (n_a + 1) // 2, n_a, n_b)
+                assert type(got) is float and got.hex() == want.hex(), (n_a, n_b, u)
+
+
 def test_exact_and_normal_branches_agree(rng, monkeypatch):
     worst = 0.0
     for trial in range(40):
@@ -277,6 +286,43 @@ def test_holm_definitional_oracle(rng):
             want = min(1.0, max((m - j) * pvals[order[j]]
                                 for j in range(i + 1)))
             assert adjusted[idx] == pytest.approx(want, rel=1e-12)
+
+
+def holm_reference(p_values, alpha):
+    """Holm's step-down procedure as one loop over the sorted p-values."""
+    m = len(p_values)
+    order = sorted(range(m), key=lambda i: p_values[i])
+    reject = [False] * m
+    adjusted = [0.0] * m
+    running = 0.0
+    still_rejecting = True
+    for rank, idx in enumerate(order):
+        p = p_values[idx]
+        running = max(running, (m - rank) * p)
+        adjusted[idx] = min(1.0, running)
+        if still_rejecting and p <= alpha / (m - rank):
+            reject[idx] = True
+        else:
+            still_rejecting = False
+    return reject, adjusted
+
+
+def test_holm_equals_the_loop_reference_bit_for_bit(rng):
+    cases = [[], [-0.0, 0.0, 1.0], [0.0, -0.0], [1.0, 1.0]]
+    for _ in range(2000):
+        m = int(rng.integers(0, 12))
+        pvals = rng.random(m)
+        tied = rng.random(m) < 0.4
+        pvals[tied] = np.round(pvals[tied], int(rng.integers(1, 3)))
+        cases.append(pvals.tolist())
+    for pvals in cases:
+        alpha = float(rng.choice([0.01, 0.05, 0.2]))
+        reject, adjusted = holm_bonferroni(pvals, alpha)
+        want_reject, want_adjusted = holm_reference(pvals, alpha)
+        assert reject == want_reject
+        assert [type(v) for v in reject] == [bool] * len(pvals)
+        assert [type(v) for v in adjusted] == [float] * len(pvals)
+        assert [v.hex() for v in adjusted] == [v.hex() for v in want_adjusted]
 
 
 # --- pairwise significance ----------------------------------------------------
