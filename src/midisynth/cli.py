@@ -317,23 +317,13 @@ def _strict_object(value, what, allowed):
     return value
 
 
-def _unique_keys(pairs):
-    """A JSON object's pairs as a dict, refusing a key written twice."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
-
-
 def _load_config(path, model_cls, train_cls, data_cls):
     """The model, train and data configs of a JSON training config, or the
     defaults with no path.  Every refusal names the config file."""
     with _named(path):
         try:
             config = {} if path is None else json.loads(
-                Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+                Path(path).read_text(encoding="utf-8"), object_pairs_hook=formats.unique_keys)
         # a byte that is not UTF-8, bad syntax, or arrays nested past the stack
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid JSON ({exc})") from exc

@@ -176,6 +176,17 @@ def feature_from_roll(roll: FeatureMatrix) -> FeatureMatrix:
 CHECKPOINT_VERSION = 3
 
 
+def unique_keys(pairs):
+    """A JSON object's pairs as a dict, refusing a key written twice: the
+    object_pairs_hook of the train config and the checkpoint config block."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def write_container(path, magic: bytes, config: dict, tensors) -> None:
     """Write a version-3 checkpoint container.
 
@@ -201,9 +212,9 @@ def write_container(path, magic: bytes, config: dict, tensors) -> None:
 def read_container(path, magic: bytes, max_tensors: int):
     """Read a container written by write_container.  Returns (config dict,
     dict of float64 tensors).  Any structural defect, bad magic, short read,
-    malformed config block, non-finite tensor value, or CRC mismatch raises
-    FileFormatError, and so does any version but 3.  A table over
-    max_tensors tensors is TooLarge.
+    malformed config block, a config key or tensor name stored twice,
+    non-finite tensor value, or CRC mismatch raises FileFormatError, and so
+    does any version but 3.  A table over max_tensors tensors is TooLarge.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != magic:
@@ -221,7 +232,7 @@ def read_container(path, magic: bytes, max_tensors: int):
     try:
         (size,) = struct.unpack_from("<I", body, 8)
         pos = 12 + size
-        config = json.loads(body[12:pos].decode("utf-8"))
+        config = json.loads(body[12:pos].decode("utf-8"), object_pairs_hook=unique_keys)
         if not isinstance(config, dict):
             raise FileFormatError(f"{path}: config block is not a JSON object")
         (count,) = struct.unpack_from("<I", body, pos)
@@ -231,6 +242,8 @@ def read_container(path, magic: bytes, max_tensors: int):
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, pos)
             name = body[pos + 2 : pos + 2 + name_len].decode("utf-8")
+            if name in tensors:
+                raise FileFormatError(f"{path}: tensor {name!r} stored twice")
             pos += 2 + name_len
             ndim = body[pos]
             shape = struct.unpack_from(f"<{ndim}I", body, pos + 1)

@@ -14,8 +14,7 @@ import numpy as np
 from .errors import FileFormatError, TooLarge, TrainingDiverged
 from .formats import read_container, write_container
 
-ADAM_PREFIX_M = "adam.m."
-ADAM_PREFIX_V = "adam.v."
+ADAM_PREFIXES = ("adam.m.", "adam.v.")  # the first and second moments
 STEP_TENSOR = "adam.step"
 MAX_PARAMETERS = 2 ** 24  # 128 MiB of float64 per copy; Adam keeps three
 # Each tensor costs a name, a dict entry and an array header in every copy,
@@ -196,7 +195,7 @@ def fit(params: ModelParams, dataset, loss_and_grads, train_cfg: FitConfig,
 def save_model(path, magic: bytes, params: ModelParams, cfg) -> None:
     """Checkpoint params, optimizer state and every field of cfg."""
     tensors = {**params.tensors, STEP_TENSOR: np.array([float(params.step)])}
-    for prefix, state in ((ADAM_PREFIX_M, params.adam_m), (ADAM_PREFIX_V, params.adam_v)):
+    for prefix, state in zip(ADAM_PREFIXES, (params.adam_m, params.adam_v)):
         tensors.update((prefix + name, value) for name, value in state.items())
     write_container(path, magic, dataclasses.asdict(cfg), tensors)
 
@@ -205,11 +204,10 @@ def load_model(path, magic: bytes, config_cls, param_shapes, expected_cfg=None):
     """Read a checkpoint written by save_model, returning (params, config).
 
     The stored config must hold each config_cls field, and equal
-    expected_cfg if given.  The table holds each tensor of
-    param_shapes(config), Adam moments named after them, and a step count.
-    An invalid or unexpected config, a missing tensor, an unknown name, a
-    shape that differs from the config's, or a step count that is not one
-    finite, non-negative number raises FileFormatError.
+    expected_cfg if given.  The table must hold each tensor of
+    param_shapes(config) at its shape, both Adam moments of every tensor
+    or none, and one finite, non-negative step count, each name once.
+    Any other config or table raises FileFormatError.
     """
     # each tensor, its two Adam moments, and the step
     config, tensors = read_container(path, magic, 3 * MAX_TENSORS + 1)
@@ -223,27 +221,22 @@ def load_model(path, magic: bytes, config_cls, param_shapes, expected_cfg=None):
     if expected_cfg is not None and cfg != expected_cfg:
         raise FileFormatError(
             f"{path}: checkpoint config {cfg} does not match expected {expected_cfg}")
+    step = tensors.pop(STEP_TENSOR, np.zeros(0))
+    if step.size != 1 or not 0 <= step.item() < math.inf:
+        raise FileFormatError(f"{path}: {STEP_TENSOR} is not one finite, "
+                              f"non-negative count")
     shapes = {name: tuple(shape) for name, shape in param_shapes(cfg).items()}
-    params = ModelParams(tensors={})
-    # the prefix of each name says where it goes; "" matches every name
-    states = {ADAM_PREFIX_M: params.adam_m, ADAM_PREFIX_V: params.adam_v,
-              "": params.tensors}
+    stored = ADAM_PREFIXES if any(n.startswith(ADAM_PREFIXES) for n in tensors) else ()
+    expected = {prefix + name: shape for prefix in ("", *stored)
+                for name, shape in shapes.items()}
+    for what, names in (("missing", expected.keys() - tensors.keys()),
+                        ("unexpected", tensors.keys() - expected.keys())):
+        if names:
+            raise FileFormatError(f"{path}: {what} tensor {min(names)!r}")
     for name, value in tensors.items():
-        if name == STEP_TENSOR:
-            if value.size != 1 or not 0 <= value.item() < math.inf:
-                raise FileFormatError(f"{path}: {STEP_TENSOR} is not one finite, "
-                                      f"non-negative count")
-            params.step = int(round(value.item()))
-            continue
-        prefix = next(p for p in states if name.startswith(p))
-        key = name[len(prefix):]
-        if key not in shapes:
-            raise FileFormatError(f"{path}: unexpected tensor {name!r}")
-        if value.shape != shapes[key]:
+        if value.shape != expected[name]:
             raise FileFormatError(f"{path}: tensor {name!r} has shape {value.shape}, "
-                                  f"config implies {shapes[key]}")
-        states[prefix][key] = value
-    missing = shapes.keys() - params.tensors.keys()
-    if missing:
-        raise FileFormatError(f"{path}: tensors missing: {sorted(missing)}")
-    return params, cfg
+                                  f"config implies {expected[name]}")
+    table = lambda prefix: {name: tensors[prefix + name] for name in sorted(shapes)
+                            if prefix + name in tensors}
+    return ModelParams(table(""), int(round(step.item())), *map(table, ADAM_PREFIXES)), cfg

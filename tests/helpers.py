@@ -184,6 +184,19 @@ def with_config_block(blob: bytes, config) -> bytes:
                     + blob[12 + size : -4])
 
 
+def with_tensor_entry(blob: bytes, name: str, value) -> bytes:
+    """The checkpoint blob with one more tensor entry, name and value, at
+    the head of its table, and its CRC recomputed; write_container, which
+    takes a dict, cannot store a name twice."""
+    pos = 12 + struct.unpack_from("<I", blob, 8)[0]
+    (count,) = struct.unpack_from("<I", blob, pos)
+    value = np.asarray(value, dtype="<f8")
+    encoded = name.encode("utf-8")
+    entry = (struct.pack(f"<H{len(encoded)}sB{value.ndim}I", len(encoded), encoded,
+                         value.ndim, *value.shape) + value.tobytes())
+    return with_crc(blob[:pos] + struct.pack("<I", count + 1) + entry + blob[pos + 4 : -4])
+
+
 # --- misc -----------------------------------------------------------------
 
 

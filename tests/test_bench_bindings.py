@@ -8,7 +8,6 @@ crash in a traced benchmark run.
 import importlib.util
 import inspect
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +28,6 @@ def load(name, path):
 
 def load_spans():
     return load("perfbench_spans", ROOT / "perfbench" / "spans.py")
-
-
-def test_same_outputs_covers_every_bench_workload(monkeypatch):
-    same_outputs = load("same_outputs", ROOT / "tools" / "same_outputs.py")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                                  ROOT / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
-    spec.loader.exec_module(inputs)
-    assert same_outputs.WORKLOADS == tuple(inputs.WORKLOADS)
 
 
 def test_tracer_binds_every_layer_function():

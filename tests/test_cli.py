@@ -1837,6 +1837,25 @@ def test_synth_refuses_a_checkpoint_tensor_of_the_wrong_shape(tmp_path, capsys):
     assert not (tmp_path / "out.wav").exists()
 
 
+@pytest.mark.parametrize("fault", ["tensor", "config-key"])
+def test_synth_refuses_a_checkpoint_name_stored_twice(tmp_path, capsys, fault):
+    ckpt = tmp_path / "nsf.ckpt"
+    helpers.write_zero_nsf_ckpt(ckpt)
+    config, tensors = formats.read_container(ckpt, nsf.NSF_MAGIC, 3 * MAX_TENSORS + 1)
+    if fault == "tensor":  # the same name and value again
+        blob = helpers.with_tensor_entry(ckpt.read_bytes(), "cond.bias", tensors["cond.bias"])
+    else:
+        block = json.dumps(config)[:-1] + f', "channels": {config["channels"]}}}'
+        blob = helpers.with_config_block(ckpt.read_bytes(), block.encode())
+    ckpt.write_bytes(blob)
+    midi = tmp_path / "in.mid"
+    midi.write_bytes(helpers.note_smf([(0, 480, 64, 110)]))
+    assert run_cli("synth", midi, tmp_path / "out.wav", "--nsf-ckpt", ckpt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.wav").exists()
+
+
 def test_bad_training_midi_file_is_named(tmp_path, capsys):
     data = make_pair(tmp_path / "data")
     (data / "clip.mid").write_bytes(helpers.LONG_SMF)

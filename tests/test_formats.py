@@ -258,6 +258,26 @@ def test_container_v3_header_layout(tmp_path, rng):
     assert blob[pos : pos + len(head) + len(data)] == head + data
 
 
+def test_container_refuses_a_name_stored_twice(tmp_path, rng):
+    path = tmp_path / "twice.ckpt"
+    tensors = sample_tensors(rng)
+    formats.write_container(path, b"NSF1", CONFIG, tensors)
+    blob = path.read_bytes()
+    for bad, match in (
+            (helpers.with_tensor_entry(blob, "b.weight", tensors["b.weight"]),
+             "tensor 'b.weight' stored twice"),
+            (helpers.with_config_block(blob, b'{"a": [1, 2], "b": 2, "b": 2}'),
+             "duplicate key 'b'")):
+        path.write_bytes(bad)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: .*{match}"):
+            formats.read_container(path, b"NSF1", MAX_TABLE)
+    # the entry builder writes what write_container writes
+    path.write_bytes(helpers.with_tensor_entry(blob, "0.extra", np.ones((2, 1))))
+    back = formats.read_container(path, b"NSF1", MAX_TABLE)[1]
+    assert np.array_equal(back.pop("0.extra"), np.ones((2, 1)))
+    assert back.keys() == tensors.keys()
+
+
 class HalfWriter:
     """A file opened for formats whose write stores half its bytes, then
     fails as a full disk would."""
@@ -513,6 +533,11 @@ TABLE_FAULTS = {
     "adam-v-unknown": lambda t, first: t.update({"adam.v.extra.weight": np.zeros(2)}),
     "adam-m-shape": lambda t, first: t.update({f"adam.m.{first}": np.zeros(3)}),
     "adam-v-shape": lambda t, first: t.update({f"adam.v.{first}": np.zeros(3)}),
+    "adam-m-missing": lambda t, first: t.pop(f"adam.m.{first}"),
+    "adam-v-missing": lambda t, first: t.pop(f"adam.v.{first}"),
+    "adam-v-all-missing": lambda t, first: [t.pop(n) for n in list(t)
+                                            if n.startswith("adam.v.")],
+    "step-missing": lambda t, first: t.pop("adam.step"),
 }
 
 

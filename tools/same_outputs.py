@@ -5,10 +5,11 @@
 Exports REV with `git archive`.  For REV and for the working tree, it
 builds the benchmark's inputs with that tree's perfbench/inputs.py at
 seeds 1 and 2, and runs one pass of every operation of each workload
-(--workload, repeatable: render, train or invert; all three by default)
-through that tree's midisynth.cli.main, one child process per workload
-pass.  Both sides run at the same BLAS thread count (--threads,
-default 1), because train checkpoints differ between thread counts.
+(--workload, repeatable: a name of the working tree's
+perfbench/inputs.WORKLOADS; all of them by default) through that tree's
+midisynth.cli.main, one child process per workload pass.  Both sides run
+at the same BLAS thread count (--threads, default 1), because train
+checkpoints differ between thread counts.
 
 Prints one digest pair per operation, REV's first, then how many
 operations of each kind (such as train-am) gave the same and different
@@ -36,7 +37,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
-WORKLOADS = ("render", "train", "invert")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -87,13 +87,16 @@ def _digests(tree, workload, seed, threads):
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from inputs import WORKLOADS  # in this process only; a pass imports its tree's
+
     parser = argparse.ArgumentParser(
         description="compare the outputs of the working tree with a revision's")
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--threads", type=int, default=1,
                         help="BLAS threads of both sides (default 1)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run, repeatable (default: all three)")
+                        help="a workload to run, repeatable (default: all)")
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be positive")
