@@ -160,6 +160,7 @@ def cmd_gl(args):
                              frame_shift=int(round(hop)), fft_size=args.fft)
         formats.check_wav_rate(cfg.sample_rate, "sample_rate")
         magnitude = dsp.pseudo_inverse_magnitude(feat, cfg)
+    del feat  # a linear-spec file's values would stay alive through every iteration
     wave = dsp.griffin_lim(magnitude, cfg, args.iters)
     formats.write_wav(args.out, wave)
     print(f"wrote {args.out}: {len(wave)} samples after {args.iters} iterations")

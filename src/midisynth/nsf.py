@@ -66,7 +66,7 @@ _FLOAT32_BOUND = 2.0 ** 64
 # at kernel 3 read 10,230): each window is computed from as many before it.
 MAX_RECEPTIVE_FIELD = 2 ** 16
 # Most samples of one training segment (87 s at 24 kHz): the spectral loss
-# holds about 200 bytes a sample, 400 MiB at the limit.
+# holds about 112 bytes a sample, 225 MiB at the limit.
 MAX_SEGMENT_SAMPLES = 2 ** 21
 # Most bytes of the (rows, channels) copies of (channels,) parameters that
 # nsf_forward adds: the defaults take 14 of 2428 x 16 float32, 2.1 MiB.

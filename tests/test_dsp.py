@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import os
 import subprocess
@@ -317,6 +318,26 @@ def test_griffin_lim_keeps_magnitude_where_reanalysis_is_zero(stft_cfg, rng,
                                    rtol=0, atol=1e-15)
 
 
+def test_griffin_lim_calls_stft_per_iteration_and_istft_once_more(stft_cfg, monkeypatch):
+    """The traced bench's self_check in perfbench/run.py wants the invert
+    workload's dsp.istft_calls, counted by its wrappers on the module-level
+    dsp.stft and dsp.istft, to be the gl ops times GL_ITERS + 1."""
+    calls = collections.Counter()
+
+    def counting(name, transform):
+        def call(*args):
+            calls[name] += 1
+            return transform(*args)
+        return call
+
+    for name in ("stft", "istft"):
+        monkeypatch.setattr(dsp, name, counting(name, getattr(dsp, name)))
+    for k in (1, 4):
+        calls.clear()
+        dsp.griffin_lim(np.ones((3, stft_cfg.n_bins)), stft_cfg, n_iters=k)
+        assert calls == {"stft": k, "istft": k + 1}
+
+
 def test_istft_reads_a_real_spectrum_as_zero_phase(stft_cfg, rng):
     # so griffin_lim starts from the magnitude without a complex copy
     mag = rng.random((250, stft_cfg.n_bins))
@@ -345,6 +366,8 @@ def test_griffin_lim_history_is_the_same_at_one_and_two_blas_threads():
 
 
 def test_griffin_lim_working_memory(stft_cfg, rng):
+    # One complex spectrogram alive at a time: 2.33-2.40x its bytes here.
+    # A second one alive across the next analysis read 2.73x.
     mag = rng.random((120, stft_cfg.n_bins))
     tracemalloc.start()
     try:
@@ -352,7 +375,7 @@ def test_griffin_lim_working_memory(stft_cfg, rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * mag.astype(np.complex128).nbytes
+    assert peak < 2.5 * mag.astype(np.complex128).nbytes
 
 
 def test_griffin_lim_input_validation(stft_cfg):
@@ -427,6 +450,42 @@ def test_chunked_transforms_equal_whole_matrix_reference(stft_cfg, rng, cpus, n)
     mag[:, 5] = 0.0
     assert np.array_equal(dsp.griffin_lim(mag, stft_cfg, n_iters=3).samples,
                           reference_griffin_lim(mag, stft_cfg, 3))
+
+
+def reference_project(spec, mag):
+    size = np.abs(spec)
+    live = size > 0
+    return np.where(live, spec * (mag / np.where(live, size, 1.0)), mag)
+
+
+@pytest.mark.filterwarnings("error")  # dividing by a zero |spec| warns
+def test_projection_takes_the_masked_passes_only_in_a_chunk_with_a_zero(stft_cfg, rng,
+                                                                        cpus, monkeypatch):
+    """70 frames are three chunks, and the re-analysis is zeroed in the
+    middle one only, so each projection runs the masked passes there and
+    the zero-free path on the other two."""
+    mag = rng.random((2 * CHUNK + 6, stft_cfg.n_bins)) * 4.0
+    stft, istft = dsp.stft, dsp.istft
+    analyses, resyntheses = [], []
+
+    def zeroed_stft(wave, cfg):
+        spec = stft(wave, cfg)
+        spec[CHUNK + 3] = 0.0
+        spec[CHUNK + 9, 7] = 0.0
+        analyses.append(spec.copy())
+        return spec
+
+    def recording_istft(spec, cfg):
+        resyntheses.append(spec.copy())
+        return istft(spec, cfg)
+
+    monkeypatch.setattr(dsp, "stft", zeroed_stft)
+    monkeypatch.setattr(dsp, "istft", recording_istft)
+    dsp.griffin_lim(mag, stft_cfg, n_iters=3)
+    assert len(analyses) == 3 and len(resyntheses) == 4
+    for spec, analysis in zip(resyntheses[1:], analyses):
+        assert set(np.flatnonzero((analysis == 0).any(axis=1)) // CHUNK) == {1}
+        assert np.array_equal(spec, reference_project(analysis, mag))
 
 
 @pytest.mark.parametrize("length, shift", [(1200, 288), (512, 128), (1024, 256), (8, 3),
@@ -690,7 +749,7 @@ def test_mr_stft_loss_equals_the_irfft_adjoint_reference(rng, cpus, resolutions,
 
 
 def test_mr_stft_loss_working_memory(rng):
-    # about 200 bytes a sample at the default resolutions: 25.1-25.3 MiB here
+    # 112-113 bytes a sample at the default resolutions: 14.0-14.2 MiB here
     n = 2 ** 17
     pred = WaveSignal(rng.standard_normal(n) * 0.1, 24000)
     target = WaveSignal(rng.standard_normal(n) * 0.1, 24000)
@@ -700,7 +759,7 @@ def test_mr_stft_loss_working_memory(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 220 * n
+    assert peak < 120 * n
 
 
 def test_mr_stft_loss_checks(rng):
